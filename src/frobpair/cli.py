@@ -16,22 +16,21 @@ from . import cube as cube_mod
 from .cobordism import CobordismError, diamond_exchange_suite, evaluate, parse_cobordism, \
     is_essential, pole_degree, total_degree
 from .pair import (
+    BUILTIN_PAIRS,
     DOUBLE_EXPONENTS,
     PairError,
     Rank2Params,
-    build_aps,
     build_double,
     build_it,
-    build_laurent_sqrt,
     build_rank2,
-    build_tt,
     load_pair,
     pair_to_json,
     universal_algebra,
     verify,
 )
 from .ring import INTEGERS, MOD2, RATIONALS, RingError, ring
-from .theory import MANIFEST_VERSION, TheoryError, load_axioms
+from .tensor import TensorError
+from .theory import GROUPS, MANIFEST_VERSION, TheoryError, load_axioms
 
 
 class InputError(Exception):
@@ -56,15 +55,15 @@ RANK2_KEYS = {"a": "a", "cYY": "c_yy", "cYZ": "c_yz", "cZZ": "c_zz",
               "eY": "e_y", "eZ": "e_z", "fY": "f_y", "fZ": "f_z"}
 
 
+#: every --builtin name: pair.BUILTIN_PAIRS plus the parameterised rank2 and double
+BUILTIN_NAMES = ("aps", "tt", "it", "rank2", "sqrt", "double")
+
+
 def build_builtin(name, params, strict_partial=False):
-    if name == "aps":
-        return build_aps()
-    if name == "tt":
-        return build_tt()
     if name == "it":
         return build_it(strict_partial=strict_partial)
-    if name == "sqrt":
-        return build_laurent_sqrt()
+    if name in BUILTIN_PAIRS:
+        return BUILTIN_PAIRS[name]()
     if name == "rank2":
         decl = ring(INTEGERS)
         kw = {field: 0 for field in RANK2_KEYS.values()}
@@ -184,6 +183,9 @@ def cmd_verify(args) -> int:
     pair = get_pair(args, params)
     equations = get_axioms(args)
     groups = set(args.groups.split(",")) if args.groups else None
+    if groups is not None and not groups <= set(GROUPS):
+        raise InputError(f"unknown group(s) {', '.join(map(repr, sorted(groups - set(GROUPS))))}; "
+                         f"known groups: {', '.join(GROUPS)}")
     report = verify(pair, equations, groups)
     print(report_json(report) if args.report == "json" else report_text(report))
     return 0 if report.ok() else 1
@@ -288,7 +290,7 @@ def main(argv=None) -> int:
 
     def add_pair_args(p, with_params=True):
         p.add_argument("--pair", help="structure file")
-        p.add_argument("--builtin", choices=["aps", "tt", "it", "rank2", "sqrt", "double"])
+        p.add_argument("--builtin", choices=BUILTIN_NAMES)
         if with_params:
             p.add_argument("--params", action="append", default=[],
                            help="builtin parameters KEY=VAL[,KEY=VAL...]")
@@ -303,8 +305,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", help="build a builtin pair and write its file")
-    p.add_argument("--builtin", required=True,
-                   choices=["aps", "tt", "it", "rank2", "sqrt", "double"])
+    p.add_argument("--builtin", required=True, choices=BUILTIN_NAMES)
     p.add_argument("--params", action="append", default=[])
     p.add_argument("--strict-partial", action="store_true")
     p.add_argument("-o", "--output")
@@ -340,7 +341,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PairError, RingError, TheoryError, CobordismError, cube_mod.CubeError) as exc:
+    except (PairError, RingError, TensorError, TheoryError, CobordismError,
+            cube_mod.CubeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

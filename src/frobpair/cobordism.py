@@ -3,8 +3,8 @@ exchange suite, and the pole-degree computation for virtual circles.
 
 A cobordism word lists events acting on a running word of labelled circles:
 births and deaths of inessential circles, merges, splits, cross-cap (mobius)
-events, and swaps.  Evaluation folds each event as generator (x) identities
-under a chosen Frobenius pair.
+events, and swaps.  Evaluation applies each event's generator under a chosen
+Frobenius pair to the circles it touches; the other circles pass through.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .tensor import LinMap, compose, equal, tensor, transposition, word
+from .tensor import LinMap, act, equal, word
 from .pair import VerifyRecord, VerifyReport
 
 SORT_NAMES = ("A", "E")
@@ -74,7 +74,7 @@ def swap(pos):
 def step(current, event):
     """Apply one event to a running word; returns (generator, new word).
 
-    The generator is None for swap/birth/death bookkeeping handled inline.
+    The generator is None for a swap, which only reorders circles.
     """
     w = list(current)
     k, p = event.kind, event.pos
@@ -138,6 +138,13 @@ class CobordismWord:
         return self.words[-1]
 
 
+#: event keyword -> (fields on its line, constructor taking the fields after it)
+EVENT_FIELDS = {
+    "birth": (2, birth), "death": (2, death), "swap": (2, swap), "merge": (3, merge),
+    "split": (4, lambda pos, s1, s2: split(pos, (s1, s2))), "mobius": (3, mobius),
+}
+
+
 def parse_cobordism(text) -> CobordismWord:
     """One event per line after an `input` line, e.g.::
 
@@ -165,20 +172,12 @@ def parse_cobordism(text) -> CobordismWord:
                 continue
             if input_word is None:
                 raise CobordismError("first line must declare the input word")
-            if head == "birth":
-                events.append(birth(int(parts[1])))
-            elif head == "death":
-                events.append(death(int(parts[1])))
-            elif head == "swap":
-                events.append(swap(int(parts[1])))
-            elif head == "merge":
-                events.append(merge(int(parts[1]), parts[2]))
-            elif head == "split":
-                events.append(split(int(parts[1]), parts[2:4]))
-            elif head == "mobius":
-                events.append(mobius(int(parts[1]), parts[2]))
-            else:
+            if head not in EVENT_FIELDS:
                 raise CobordismError(f"unknown event {head!r}")
+            n_fields, make = EVENT_FIELDS[head]
+            if len(parts) != n_fields:
+                raise CobordismError(f"malformed event {line!r}")
+            events.append(make(int(parts[1]), *parts[2:]))
         except (IndexError, ValueError) as exc:
             if isinstance(exc, CobordismError):
                 raise CobordismError(f"line {lineno}: {exc}") from None
@@ -194,23 +193,17 @@ def parse_cobordism(text) -> CobordismWord:
 def evaluate(cob: CobordismWord, pair) -> LinMap:
     """The composite LinMap of a cobordism word under a pair's generator table."""
     table = pair.generator_table()
-    spec = pair.spec
-    current = LinMap.identity(spec, word(cob.input))
+    current = LinMap.identity(pair.spec, word(cob.input))
     for ev, w in zip(cob.events, cob.words):
-        p = ev.pos
-        left = LinMap.identity(spec, word(w[:p - 1]))
+        p = ev.pos - 1
         if ev.kind == "swap":
-            mid = transposition(spec, word(w[p - 1:p + 1]), 1)
-            rest = w[p + 1:]
-        else:
-            gen, _ = step(w, ev)
-            if gen not in table:
-                raise CobordismError(f"pair {pair.name!r} is missing generator {gen}")
-            mid = table[gen]
-            consumed = {"birth": 0, "death": 1, "merge": 2, "split": 1, "mobius": 1}[ev.kind]
-            rest = w[p - 1 + consumed:]
-        layer = tensor(tensor(left, mid), LinMap.identity(spec, word(rest)))
-        current = compose(layer, current)
+            current = act(current, None, (p, p + 1), (p + 1, p))
+            continue
+        gen, _ = step(w, ev)
+        if gen not in table:
+            raise CobordismError(f"pair {pair.name!r} is missing generator {gen}")
+        m = table[gen]
+        current = act(current, m, range(p, p + len(m.dom)), range(p, p + len(m.cod)))
     return current
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .cobordism import MERGE_GEN, SPLIT_GEN
 from .pair import FrobeniusPair
 from .ring import INTEGERS, MOD2, RATIONALS, RingError, specialize
-from .tensor import LinMap, compose, tensor, word
+from .tensor import LinMap, act, sparse_product, word
 
 
 class CubeError(ValueError):
@@ -156,37 +156,23 @@ def validate_cube(cube: StateCube):
 
 
 def edge_map(cube: StateCube, pair: FrobeniusPair, b, k) -> LinMap:
-    """The move on edge (b, k) realized as generator (x) identities with the
-    positional reordering convention."""
+    """The move on edge (b, k): its generator acts on the source circles and
+    writes to the move's output positions; untouched circles keep their
+    relative order, as in the positional tracking convention."""
     move = cube.edges[(b, k)]
     w_in = tuple(cube.vertices[b])
-    w_out, corr = _correspondence(w_in, move)
-    spec = pair.spec
+    _correspondence(w_in, move)  # CubeError if the move is illegal on w_in
     table = pair.generator_table()
     if move.kind == "merge":
-        i, j = min(move.i, move.j), max(move.i, move.j)
-        gen = MERGE_GEN[(w_in[i - 1], w_in[j - 1], move.sorts[0])]
-        front = [i - 1, j - 1]
-        consumed = 2
+        src = (min(move.i, move.j) - 1, max(move.i, move.j) - 1)
+        gen = MERGE_GEN[(w_in[src[0]], w_in[src[1]], move.sorts[0])]
     else:
-        gen = SPLIT_GEN[(w_in[move.i - 1],) + tuple(move.sorts)]
-        front = [move.i - 1]
-        consumed = 1
+        src = (move.i - 1,)
+        gen = SPLIT_GEN[(w_in[src[0]],) + tuple(move.sorts)]
     if gen not in table:
         raise CubeError(f"pair {pair.name!r} is missing generator {gen}")
-    rest = [p for p in range(len(w_in)) if p not in front]
-    to_front = LinMap.permutation(spec, word(w_in), front + rest)
-    mid = tensor(table[gen], LinMap.identity(spec, word([w_in[p] for p in rest])))
-    # mid output: generator codomain first, then untouched circles in order
-    produced = len(move.outs)
-    out_perm = [None] * len(w_out)
-    for t, out_pos in enumerate(move.outs):
-        out_perm[out_pos - 1] = t
-    for t, src in enumerate(rest):
-        out_perm[corr[src + 1] - 1] = produced + t
-    place = LinMap.permutation(spec, mid.cod, out_perm)
-    assert place.cod == tuple(w_out)
-    return compose(place, compose(mid, to_front))
+    return act(LinMap.identity(pair.spec, word(w_in)), table[gen], src,
+               [p - 1 for p in move.outs])
 
 
 class BlockMatrix:
@@ -220,12 +206,7 @@ class BlockMatrix:
     def compose(self, other: "BlockMatrix") -> "BlockMatrix":
         """self * other (apply other first)."""
         out = BlockMatrix(self.rows, other.cols, self.ring)
-        by_mid = {}
-        for (r, m), v in self.entries.items():
-            by_mid.setdefault(m, []).append((r, v))
-        for (m, c), v in other.entries.items():
-            for r, u in by_mid.get(m, ()):
-                out.add(r, c, u * v)
+        out.entries = sparse_product(self.entries, other.entries)
         return out
 
     def dense(self):
@@ -271,10 +252,13 @@ def differential(cube: StateCube, pair: FrobeniusPair, i) -> BlockMatrix:
 
 def check_d_squared(cube: StateCube, pair: FrobeniusPair):
     """True iff d_{i+1} d_i = 0 for all i; otherwise (False, witness entry)."""
-    for i in range(cube.n - 1):
-        sq = differential(cube, pair, i + 1).compose(differential(cube, pair, i))
+    low = differential(cube, pair, 0) if cube.n > 1 else None
+    for i in range(1, cube.n):
+        high = differential(cube, pair, i)
+        sq = high.compose(low)
         if not sq.is_zero():
             return False, sq.first_nonzero()
+        low = high
     return True, None
 
 

@@ -273,20 +273,6 @@ class RingElem:
         return f"RingElem({self})"
 
 
-# -- spec-facing operation names ----------------------------------------------
-
-def ring_add(x: RingElem, y: RingElem) -> RingElem:
-    return x + y
-
-
-def ring_mul(x: RingElem, y: RingElem) -> RingElem:
-    return x * y
-
-
-def ring_neg(x: RingElem) -> RingElem:
-    return -x
-
-
 def unit_invert(x: RingElem) -> RingElem:
     """Invert a unit: a single monomial in invertible variables with unit coefficient."""
     if not x.is_unit():

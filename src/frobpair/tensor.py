@@ -4,6 +4,8 @@ A LinMap stores only nonzero entries, keyed by (codomain basis tuple,
 domain basis tuple).  Basis tuples enumerate in lexicographic order with
 respect to the per-sort label order, which fixes deterministic witnesses.
 The empty word is the ground ring and has the single basis tuple ().
+Cobordisms act locally: act() applies one generator, or a reordering, to
+chosen factors of a word and passes the others through unchanged.
 """
 
 from __future__ import annotations
@@ -96,17 +98,6 @@ class LinMap:
                     entries[(out, t)] = entries.get((out, t), spec.ring.zero()) + c
         return LinMap(spec, dom, cod, entries)
 
-    @staticmethod
-    def permutation(spec, dom, perm) -> "LinMap":
-        """Positional reindexing: output position i takes input position perm[i]."""
-        cod = tuple(dom[perm[i]] for i in range(len(dom)))
-        one = spec.ring.one()
-        entries = {}
-        for t in spec.tuples(dom):
-            out = tuple(t[perm[i]] for i in range(len(dom)))
-            entries[(out, t)] = one
-        return LinMap(spec, dom, cod, entries, _normalized=True)
-
     # -- operations -----------------------------------------------------------
 
     def __add__(self, other):
@@ -143,23 +134,69 @@ class LinMap:
         return f"LinMap({''.join(self.dom) or '()'} -> {''.join(self.cod) or '()'}, {len(self.entries)} entries)"
 
 
+def sparse_product(g_entries: dict, f_entries: dict) -> dict:
+    """Nonzero entries of the product g*f of two {(row, col): value} tables."""
+    by_mid = {}
+    for (out, mid), v in g_entries.items():
+        by_mid.setdefault(mid, []).append((out, v))
+    entries = {}
+    for (mid, t), fv in f_entries.items():
+        for out, gv in by_mid.get(mid, ()):
+            key = (out, t)
+            s = entries.get(key)
+            p = gv * fv
+            entries[key] = p if s is None else s + p
+    return {k: v for k, v in entries.items() if not v.is_zero()}
+
+
 def compose(g: LinMap, f: LinMap) -> LinMap:
     """Matrix product g after f (diagram order: f is applied first)."""
     if f.spec != g.spec:
         raise TensorError("basis-spec mismatch")
     if f.cod != g.dom:
         raise TensorError(f"word mismatch: {f.cod} then {g.dom}")
-    by_mid = {}
-    for (out, mid), v in g.entries.items():
-        by_mid.setdefault(mid, []).append((out, v))
+    return LinMap(f.spec, f.dom, g.cod, sparse_product(g.entries, f.entries), _normalized=True)
+
+
+def act(f: LinMap, gen, src, dst) -> LinMap:
+    """Apply gen after f to the codomain factors at the 0-based slots src.
+
+    gen's outputs land in the slots dst of the new word, and every other
+    factor passes through in its relative order.  With gen None the factors
+    at src move to the slots dst unchanged, with no ring multiplication.
+    """
+    src, dst, cod = tuple(src), tuple(dst), f.cod
+    if len(set(src) & set(range(len(cod)))) != len(src):
+        raise TensorError(f"source slots {src} out of range for word {cod}")
+    if gen is not None and gen.spec != f.spec:
+        raise TensorError("basis-spec mismatch")
+    if gen is not None and gen.dom != tuple(cod[p] for p in src):
+        raise TensorError(f"word mismatch: {gen.dom} at slots {src} of {cod}")
+    head = () if gen is None else gen.cod
+    slots = range(len(cod) - len(src) + len(dst))
+    if len(dst) != (len(src) if gen is None else len(head)) or \
+            len(set(dst) & set(slots)) != len(dst):
+        raise TensorError(f"target slots {dst} do not fit the image of slots {src} of {cod}")
+    # slot q of the new word takes item gather[q] of (gen output + old factors)
+    placed = dict(zip(dst, src if gen is None else range(len(head))))
+    rest = (len(head) + p for p in range(len(cod)) if p not in src)
+    gather = [placed[q] if q in placed else next(rest) for q in slots]
+    new_cod = tuple((head + cod)[i] for i in gather)
+    if gen is None:
+        entries = {(tuple(out[i] for i in gather), t): v for (out, t), v in f.entries.items()}
+        return LinMap(f.spec, f.dom, new_cod, entries, _normalized=True)
+    columns = {}
+    for (o, i), v in gen.entries.items():
+        columns.setdefault(i, []).append((o, v))
     entries = {}
-    for (mid, t), fv in f.entries.items():
-        for out, gv in by_mid.get(mid, ()):
-            key = (out, t)
+    for (out, t), fv in f.entries.items():
+        for o, gv in columns.get(tuple(out[p] for p in src), ()):
+            parts = o + out
+            key = (tuple(parts[i] for i in gather), t)
             s = entries.get(key)
             p = gv * fv
             entries[key] = p if s is None else s + p
-    return LinMap(f.spec, f.dom, g.cod, entries)
+    return LinMap(f.spec, f.dom, new_cod, entries)
 
 
 def tensor(f: LinMap, g: LinMap) -> LinMap:
@@ -177,9 +214,7 @@ def transposition(spec, w, i) -> LinMap:
     """Swap tensor factors i and i+1 (1-based)."""
     if not 1 <= i < len(w):
         raise TensorError(f"transposition index {i} out of range for word of length {len(w)}")
-    perm = list(range(len(w)))
-    perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    return LinMap.permutation(spec, w, perm)
+    return act(LinMap.identity(spec, w), None, (i - 1, i), (i, i - 1))
 
 
 def equal(f: LinMap, g: LinMap):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 
-from .tensor import LinMap, compose, tensor, transposition, word
+from .tensor import LinMap, act, word
 
 A, E = "A", "E"
 
@@ -206,27 +206,23 @@ def generators_used(term):
 
 
 def evaluate_term(term, gen_maps, spec) -> LinMap:
-    """Fold tensor/compose over layers using a generator table."""
-    dom, _cod, layer_ins = typecheck(term)
+    """The LinMap of a term: each generator or swap of a layer acts on its own
+    strands through act(); identity strands pass through untouched."""
+    dom, _cod, _layer_ins = typecheck(term)
     current = LinMap.identity(spec, word(dom))
-    for layer, in_word in zip(term, layer_ins):
-        layer_map = LinMap.identity(spec, ())
-        pos = 0
+    for layer in term:
+        pos = 0  # slot of the next item in the partly rewritten word
         for item in layer:
-            if item == "id_A":
-                piece = LinMap.identity(spec, (A,))
-                pos += 1
-            elif item == "id_E":
-                piece = LinMap.identity(spec, (E,))
-                pos += 1
-            elif item == "swap":
-                piece = transposition(spec, in_word[pos:pos + 2], 1)
+            if item == "swap":
+                current = act(current, None, (pos, pos + 1), (pos + 1, pos))
                 pos += 2
+            elif item in SIGNATURE:
+                gen = gen_maps[item]
+                current = act(current, gen, range(pos, pos + len(gen.dom)),
+                              range(pos, pos + len(gen.cod)))
+                pos += len(gen.cod)
             else:
-                piece = gen_maps[item]
-                pos += len(SIGNATURE[item][0])
-            layer_map = tensor(layer_map, piece)
-        current = compose(layer_map, current)
+                pos += 1
     return current
 
 

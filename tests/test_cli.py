@@ -155,3 +155,43 @@ def test_verify_strict_partial_it(capsys):
     code, out, _ = run(capsys, "verify", "--builtin", "it", "--strict-partial")
     assert code == 0
     assert "SKIP cons_1" in out
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_empty_basis_pair_file_exit_two(tmp_path, capsys):
+    path = tmp_path / "aps.json"
+    run(capsys, "construct", "--builtin", "aps", "-o", str(path))
+    obj = json.loads(path.read_text())
+    obj["basis"]["E"] = []
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--pair", str(path))
+    assert_one_line_error(code, out, err)
+    assert "nonempty basis" in err
+
+
+def test_eval_short_split_exit_two(tmp_path, capsys):
+    cob = tmp_path / "bad.cob"
+    cob.write_text("input A\nsplit 1 A\n")
+    code, out, err = run(capsys, "eval", "--builtin", "aps", str(cob))
+    assert_one_line_error(code, out, err)
+    assert "line 2: malformed event" in err
+
+
+def test_verify_unknown_group_exit_two(capsys):
+    from frobpair.theory import GROUPS
+
+    code, out, err = run(capsys, "verify", "--builtin", "aps", "--groups", "frobA,nosuch")
+    assert_one_line_error(code, out, err)
+    assert "'nosuch'" in err and all(g in err for g in GROUPS)
+
+
+def test_builtin_names_cover_the_registry():
+    from frobpair.cli import BUILTIN_NAMES
+    from frobpair.pair import BUILTIN_PAIRS
+
+    assert set(BUILTIN_NAMES) == set(BUILTIN_PAIRS) | {"rank2", "double"}

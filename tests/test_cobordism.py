@@ -63,6 +63,13 @@ def test_parse_position_out_of_range():
         parse_cobordism("input A\nmerge 1 A")
 
 
+def test_parse_event_arity():
+    for text in ("input A\nsplit 1 A", "input A A\nmerge 1", "input A\ndeath 1 2",
+                 "input A\nsplit 1 A A A"):
+        with pytest.raises(CobordismError, match="line 2: malformed event"):
+            parse_cobordism(text)
+
+
 def test_parse_running_words():
     cob = parse_cobordism("input A E\nswap 1\nmerge 1 E\nmobius 1 A")
     assert cob.words == [word("AE"), word("EA"), word("E"), word("A")]

@@ -1,15 +1,33 @@
-"""Dual-route check of the term evaluator.
+"""Dual-route checks of the term evaluator, the cobordism evaluator and the
+cube edge maps.
 
-A second interpreter applies terms to basis vectors directly (cartesian
-products of generator columns, no matrix composition or Kronecker products).
-Both routes must agree entrywise on every manifest equation, and the
-verifier's verdicts and witnesses must match what the naive route computes.
+Second interpreters apply terms, cobordism words and edge moves to basis
+tuples directly (generator columns spliced into tuples, no matrix
+composition, Kronecker products or library placement kernel).  Both routes
+must agree entrywise, and the verifier's verdicts and witnesses must match
+what the naive route computes.
 """
 
+import importlib.resources
 import itertools
+import random
 
+from frobpair.cobordism import (
+    DIAMOND_CASES,
+    MERGE_GEN,
+    SPLIT_GEN,
+    CobordismWord,
+    _edge_labelings,
+    _reverse_events,
+    evaluate,
+    parse_cobordism,
+    step,
+)
+from frobpair.cube import edge_map
 from frobpair.pair import build_aps, build_it, build_tt, verify
 from frobpair.theory import SIGNATURE, evaluate_term, load_axioms, typecheck
+
+from helpers import random_cube
 
 
 def naive_apply(term, columns, ring_decl, start):
@@ -89,3 +107,108 @@ def test_naive_interpreter_agrees_on_tt():
 
 def test_naive_interpreter_agrees_on_it_including_witnesses():
     check_pair(build_it())
+
+
+# -- cobordism words ----------------------------------------------------------------
+
+#: circles an event consumes from the running word
+EVENT_WIDTH = {"birth": 0, "death": 1, "merge": 2, "split": 1, "mobius": 1, "swap": 2}
+
+
+def naive_run(cob, pair, columns, start):
+    """Apply a cobordism word to a single basis tuple, event by event."""
+    one = pair.ring.one()
+    vec = {tuple(start): one}
+    for ev, w in zip(cob.events, cob.words):
+        p, width = ev.pos - 1, EVENT_WIDTH[ev.kind]
+        gen = None if ev.kind == "swap" else step(w, ev)[0]
+        out = {}
+        for t, c in vec.items():
+            body = t[p:p + width]
+            images = {body[::-1]: one} if gen is None else columns[gen].get(body, {})
+            for o, v in images.items():
+                key = t[:p] + o + t[p + width:]
+                s = out.get(key)
+                out[key] = c * v if s is None else s + c * v
+        vec = {t: v for t, v in out.items() if not v.is_zero()}
+    return vec
+
+
+def diamond_words(cases):
+    """The four cobordism words of every square the exchange suite compares."""
+    for _name, n0, v_a, w_b, w_a, v_c in cases:
+        for a_word in itertools.product("AE", repeat=n0):
+            for v_events, b_word in _edge_labelings(a_word, v_a):
+                for w_events, d_word in _edge_labelings(b_word, w_b):
+                    for w2_events, c_word in _edge_labelings(a_word, w_a):
+                        for v2_events, d2_word in _edge_labelings(c_word, v_c):
+                            if d_word != d2_word:
+                                continue
+                            abd = CobordismWord(a_word, v_events + w_events)
+                            acd = CobordismWord(a_word, w2_events + v2_events)
+                            rev_v = _reverse_events(v_events, abd.words[:len(v_events) + 1])
+                            rev_v2 = _reverse_events(v2_events, acd.words[len(w2_events):])
+                            yield abd
+                            yield acd
+                            yield CobordismWord(b_word, rev_v + w2_events)
+                            yield CobordismWord(b_word, w_events + rev_v2)
+
+
+def test_naive_event_interpreter_agrees_on_diamond_words():
+    torus = parse_cobordism(importlib.resources.files("frobpair")
+                            .joinpath("data/torus.cob").read_text())
+    words = [torus] + list(diamond_words(DIAMOND_CASES[:5]))
+    assert {ev.kind for cob in words for ev in cob.events} == \
+        {"birth", "death", "merge", "split", "swap"}
+    for pair in (build_aps(), build_tt()):
+        columns = column_table(pair)
+        for cob in words:
+            m = evaluate(cob, pair)
+            for start in pair.spec.tuples(cob.input):
+                assert m.column(start) == naive_run(cob, pair, columns, start), \
+                    (pair.name, cob.events, start)
+
+
+# -- cube edge maps -------------------------------------------------------------------
+
+
+def naive_edge_map(cube, pair, columns, b, k):
+    """Entries of the edge map on (b, k), one input basis tuple at a time."""
+    move = cube.edges[(b, k)]
+    w_in = cube.vertices[b]
+    if move.kind == "merge":
+        sources = tuple(sorted((move.i, move.j)))
+        gen = MERGE_GEN[(w_in[sources[0] - 1], w_in[sources[1] - 1], move.sorts[0])]
+    else:
+        sources = (move.i,)
+        gen = SPLIT_GEN[(w_in[move.i - 1],) + tuple(move.sorts)]
+    n_out = len(w_in) - len(sources) + len(move.outs)
+    untouched = [p for p in range(1, len(w_in) + 1) if p not in sources]
+    free = [p for p in range(1, n_out + 1) if p not in move.outs]
+    entries = {}
+    for t in pair.spec.tuples(w_in):
+        for produced, c in columns[gen].get(tuple(t[p - 1] for p in sources), {}).items():
+            o = [None] * n_out
+            for slot, label in zip(move.outs, produced):
+                o[slot - 1] = label
+            for src, slot in zip(untouched, free):
+                o[slot - 1] = t[src - 1]
+            entries[(tuple(o), t)] = c
+    return entries
+
+
+def test_naive_edge_maps_agree_on_random_cubes():
+    rng = random.Random(4242)
+    seen = set()
+    for pair in (build_aps(), build_tt()):
+        columns = column_table(pair)
+        for _ in range(12):
+            cube = random_cube(rng)
+            for (b, k), move in cube.edges.items():
+                assert edge_map(cube, pair, b, k).entries == \
+                    naive_edge_map(cube, pair, columns, b, k), (pair.name, b, k, move)
+                if move.kind == "merge" and abs(move.i - move.j) > 1:
+                    seen.add("non-adjacent merge")
+                if move.kind == "split" and move.outs[0] > move.outs[1]:
+                    seen.add("reordered split")
+    assert seen == {"non-adjacent merge", "reordered split"}

@@ -172,6 +172,16 @@ def test_d_squared_single_crossing_trivial():
     assert check_d_squared(split1_cube(), build_aps()) == (True, None)
 
 
+def test_d_squared_builds_each_differential_once(monkeypatch):
+    import frobpair.cube as cube_mod
+
+    built = []
+    monkeypatch.setattr(cube_mod, "differential",
+                        lambda c, p, i: built.append(i) or differential(c, p, i))
+    assert check_d_squared(random_cube(random.Random(8), n=4), build_aps()) == (True, None)
+    assert built == [0, 1, 2, 3]
+
+
 # -- specialization -----------------------------------------------------------------
 
 

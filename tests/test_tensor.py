@@ -7,6 +7,7 @@ from frobpair.tensor import (
     BasisSpec,
     LinMap,
     TensorError,
+    act,
     apply,
     compose,
     equal,
@@ -166,6 +167,46 @@ def test_braid_relation():
         rhs = compose(transposition(SPEC, compose(transposition(SPEC, t2.cod, 1), t2).cod, 2),
                       compose(transposition(SPEC, t2.cod, 1), t2))
         assert equal(lhs, rhs)[0]
+
+
+def test_act_matches_kronecker_layer():
+    # a generator on contiguous slots is (id (x) gen (x) id) after f
+    rng = random.Random(5)
+    for _ in range(60):
+        left, right, gdom, gcod, fdom = (WORDS[rng.randrange(len(WORDS))] for _ in range(5))
+        f = random_map(rng, SPEC, fdom, left + gdom + right)
+        g = random_map(rng, SPEC, gdom, gcod)
+        p = len(left)
+        layer = tensor(tensor(LinMap.identity(SPEC, left), g), LinMap.identity(SPEC, right))
+        got = act(f, g, range(p, p + len(gdom)), range(p, p + len(gcod)))
+        assert equal(got, compose(layer, f))[0]
+
+
+def test_act_places_outputs_and_keeps_the_rest_in_order():
+    one = Z.one()
+    # mu_A reads slots 2 and 0 of A E A (in that order) and writes slot 1 of E A
+    merged = act(LinMap.identity(SPEC, word("AEA")), aps_mu_a(), (2, 0), (1,))
+    assert merged.cod == word("EA")
+    assert merged.column(("X", "Y", "1")) == {("Y", "X"): one}
+    assert merged.column(("X", "Y", "X")) == {}
+    # Delta_A's first output goes to slot 2, its second to slot 0
+    split = act(LinMap.identity(SPEC, word("AE")), aps_delta_a(), (0,), (2, 0))
+    assert split.cod == word("AEA")
+    assert split.column(("X", "Z")) == {("X", "Z", "X"): one}
+    # a pure move: the factor at slot 0 goes to slot 2
+    moved = act(LinMap.identity(SPEC, word("AEE")), None, (0,), (2,))
+    assert moved.cod == word("EEA")
+    assert moved.column(("X", "Y", "Z")) == {("Y", "Z", "X"): one}
+
+
+def test_act_rejects_bad_slots():
+    ae = LinMap.identity(SPEC, word("AE"))
+    with pytest.raises(TensorError, match="word mismatch"):
+        act(ae, aps_mu_a(), (0, 1), (0,))
+    with pytest.raises(TensorError, match="out of range"):
+        act(ae, aps_mu_a(), (0, 2), (0,))
+    with pytest.raises(TensorError, match="do not fit"):
+        act(LinMap.identity(SPEC, word("AA")), aps_mu_a(), (0, 1), (1,))
 
 
 def test_word_mismatch_raises():
