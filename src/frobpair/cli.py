@@ -269,10 +269,11 @@ def cmd_snf(args) -> int:
     try:
         with open(args.matrix, encoding="utf-8") as fh:
             m = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or an over-long integer
         raise InputError(str(exc)) from None
-    if not isinstance(m, list) or not all(isinstance(r, list) for r in m):
-        raise InputError("matrix file must hold a JSON list of rows")
+    if (not isinstance(m, list) or not all(isinstance(r, list) for r in m)
+            or len({len(r) for r in m}) > 1 or any(type(x) is not int for r in m for x in r)):
+        raise InputError("matrix file must hold a JSON list of equal-length rows of integers")
     d, u, v = cube_mod.smith_normal_form(m)
     for name, mat in (("D", d), ("U", u), ("V", v)):
         print(name + ":")
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("cube", help="homology of a state cube")
     add_pair_args(p, with_params=False)
     p.add_argument("cube")
-    p.add_argument("--coeff", choices=["q", "z", "z2"], default="q")
+    p.add_argument("--coeff", choices=list(cube_mod.COEFFS), default="q")
     p.add_argument("--specialize", help="ring assignment KEY=VAL[,...]")
     p.set_defaults(func=cmd_cube)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cobordism import MERGE_GEN, SPLIT_GEN
 from .pair import FrobeniusPair
-from .ring import INTEGERS, MOD2, RATIONALS, RingError, specialize
+from .ring import MOD2, RingError, specialize
 from .tensor import LinMap, act, sparse_product, word
 
 
@@ -315,46 +315,6 @@ def sparse_rank_gf2(rows) -> int:
     return rank
 
 
-def rank_fraction(mat) -> int:
-    """Gaussian elimination over Q."""
-    m = [[Fraction(x) for x in row] for row in mat]
-    rank, col = 0, 0
-    rows, cols = len(m), len(m[0]) if m else 0
-    while rank < rows and col < cols:
-        piv = next((r for r in range(rank, rows) if m[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def rank_gf2(mat) -> int:
-    m = [[int(x) % 2 for x in row] for row in mat]
-    rank, col = 0, 0
-    rows, cols = len(m), len(m[0]) if m else 0
-    while rank < rows and col < cols:
-        piv = next((r for r in range(rank, rows) if m[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rows):
-            if r != rank and m[r][col]:
-                m[r] = [(a + b) % 2 for a, b in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def smith_normal_form(mat):
     """(D, U, V) with U*mat*V = D diagonal, d_k | d_{k+1}, U and V unimodular."""
     rows = len(mat)
@@ -434,54 +394,51 @@ def smith_normal_form(mat):
     return d, u, v
 
 
-COEFFS = {"q": RATIONALS, "z": INTEGERS, "z2": MOD2}
-_COEFF_ALIASES = {"rationals": "q", "integers": "z", "integers-mod-2": "z2"}
+COEFFS = ("q", "z", "z2")
 
 
 def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
     """Per-degree homology of the cube complex.
 
     Returns a list (degree 0..n) of {"betti": int, "torsion": [int, ...]};
-    torsion is always empty over a field.  All generator entries must be
-    constants in the pair's ring: specialize first.
+    torsion is always empty over a field.  Each d_i is built and reduced once:
+    over q by `sparse_rank_fraction`, over z2 by `sparse_rank_gf2`, over z by
+    the Smith normal form alone (its nonzero diagonal entries give the rank,
+    those > 1 the torsion of degree i+1).  Entries must be constants in the
+    pair's ring (specialize first), and integers over z and z2: CubeError
+    refuses a fraction such as 1/2 rather than truncate it.
     """
-    coefficients = _COEFF_ALIASES.get(coefficients, coefficients)
     if coefficients not in COEFFS:
         raise CubeError(f"unknown coefficients {coefficients!r}")
     if coefficients == "q" and pair.ring.domain == MOD2:
         raise CubeError("cannot take rational coefficients of a Z/2 pair")
     dims = [len(vertex_keys(cube, pair, i)) for i in range(cube.n + 1)]
-    diffs = [differential(cube, pair, i) for i in range(cube.n)]
-
-    def sparse_rows(d):
-        cols = {c: k for k, c in enumerate(d.cols)}
-        rows = {}
+    ranks = [0] * (cube.n + 1)  # ranks[i] = rank of d_i; d_n = 0
+    torsion = [[] for _ in dims]
+    for i in range(cube.n):
+        d = differential(cube, pair, i)
         try:
-            for (r, c), v in d.entries.items():
-                rows.setdefault(r, {})[cols[c]] = v.constant_value()
+            values = {rc: v.constant_value() for rc, v in d.entries.items()}
         except RingError as exc:
             raise CubeError(f"specialize first: {exc}") from None
-        return list(rows.values())
-
-    def rank_of(i):
-        if i < 0 or i >= cube.n or not dims[i] or not dims[i + 1]:
-            return 0
-        rows = sparse_rows(diffs[i])
-        return sparse_rank_gf2(rows) if coefficients == "z2" else sparse_rank_fraction(rows)
-
-    out = []
-    for i in range(cube.n + 1):
-        betti = dims[i] - rank_of(i) - rank_of(i - 1)
-        torsion = []
-        if coefficients == "z" and i > 0 and dims[i] and dims[i - 1]:
-            try:
-                d, _u, _v = smith_normal_form(diffs[i - 1].dense())
-            except RingError as exc:
-                raise CubeError(f"specialize first: {exc}") from None
-            torsion = [d[k][k] for k in range(min(len(d), len(d[0]) if d else 0))
-                       if abs(d[k][k]) > 1]
-        out.append({"betti": betti, "torsion": torsion})
-    return out
+        non_integral = [x for x in values.values() if x.denominator != 1]
+        if non_integral and coefficients != "q":
+            raise CubeError(f"d_{i} has the non-integral entry {non_integral[0]}; "
+                            f"homology over {coefficients} needs integers")
+        if coefficients == "z":
+            snf, _u, _v = smith_normal_form(d.dense())
+            diagonal = [snf[k][k] for k in range(min(dims[i], dims[i + 1]))]
+            ranks[i] = sum(1 for x in diagonal if x)
+            torsion[i + 1] = [x for x in diagonal if x > 1]
+        else:
+            cols = {c: k for k, c in enumerate(d.cols)}
+            rows = {}
+            for (r, c), x in values.items():
+                rows.setdefault(r, {})[cols[c]] = x
+            rank = sparse_rank_gf2 if coefficients == "z2" else sparse_rank_fraction
+            ranks[i] = rank(list(rows.values()))
+    return [{"betti": dims[i] - ranks[i] - (ranks[i - 1] if i else 0),
+             "torsion": torsion[i]} for i in range(cube.n + 1)]
 
 
 def euler_characteristic(report) -> int:
@@ -514,32 +471,59 @@ def cube_to_json(cube: StateCube) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def cube_from_json(text) -> StateCube:
+def _edge_from_json(key, mv) -> EdgeMove:
+    if not isinstance(mv, dict):
+        raise CubeError(f"edge {key!r}: expected an object")
+    kind = mv.get("kind")
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CubeError(f"not a cube file: {exc}") from None
-    n = obj.get("n")
-    if not isinstance(n, int) or n < 0:
-        raise CubeError("missing or bad field n")
-    vertices = {}
-    for b, w in obj.get("vertices", {}).items():
-        vertices[b] = tuple(w)
-    edges = {}
-    for key, mv in obj.get("edges", {}).items():
-        if key.count("*") != 1 or len(key) != n:
-            raise CubeError(f"bad edge key {key!r}")
-        k = key.index("*")
-        b = key.replace("*", "0")
-        kind = mv.get("kind")
         if kind == "merge":
-            edges[(b, k)] = EdgeMove("merge", mv["i"], mv["j"],
-                                     (mv["out"],), (mv["sort"],))
+            move = EdgeMove(kind, mv["i"], mv["j"], (mv["out"],), (mv["sort"],))
         elif kind == "split":
-            edges[(b, k)] = EdgeMove("split", mv["i"], 0,
-                                     tuple(mv["outs"]), tuple(mv["sorts"]))
+            move = EdgeMove(kind, mv["i"], 0, tuple(mv["outs"]), tuple(mv["sorts"]))
         else:
             raise CubeError(f"edge {key!r}: unknown kind {kind!r}")
+    except KeyError as exc:
+        raise CubeError(f"edge {key!r}: missing field {exc}") from None
+    except TypeError:
+        raise CubeError(f"edge {key!r}: outs and sorts must be lists") from None
+    arity = 1 if kind == "merge" else 2
+    if (not all(type(p) is int for p in (move.i, move.j) + move.outs)
+            or not len(move.outs) == len(move.sorts) == arity
+            or not all(s in ("A", "E") for s in move.sorts)):
+        raise CubeError(f"edge {key!r}: a {kind} takes integer positions "
+                        f"and {arity} output sort(s) A/E")
+    return move
+
+
+def cube_from_json(text) -> StateCube:
+    """Parse and validate a cube file; raises CubeError on any malformed field."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # bad JSON or an over-long integer
+        raise CubeError(f"not a cube file: {exc}") from None
+    if not isinstance(obj, dict):
+        raise CubeError("not a cube file: expected a JSON object")
+    n = obj.get("n")
+    if type(n) is not int or n < 0:
+        raise CubeError("missing or bad field n")
+    raw_vertices, raw_edges = obj.get("vertices", {}), obj.get("edges", {})
+    if not (isinstance(raw_vertices, dict) and isinstance(raw_edges, dict)):
+        raise CubeError("fields vertices and edges must be objects")
+    count = len(raw_vertices)
+    # count == 2**n, tested before any per-vertex work and without forming
+    # 2**n for an n beyond the count's bit length, so a huge n allocates nothing
+    if count.bit_length() != n + 1 or count != 1 << n:
+        raise CubeError(f"n = {n} needs 2**{n} vertices, found {count}")
+    vertices = {}
+    for b, w in raw_vertices.items():
+        if not isinstance(w, list) or not all(s in ("A", "E") for s in w):
+            raise CubeError(f"vertex {b!r}: expected a list of sorts A/E")
+        vertices[b] = tuple(w)
+    edges = {}
+    for key, mv in raw_edges.items():
+        if key.count("*") != 1 or len(key) != n or set(key) - set("01*"):
+            raise CubeError(f"bad edge key {key!r}")
+        edges[(key.replace("*", "0"), key.index("*"))] = _edge_from_json(key, mv)
     cube = StateCube(n, vertices, edges)
     validate_cube(cube)
     return cube

@@ -1,16 +1,18 @@
 """Commutative Frobenius pairs: data structure, verifier, and constructions.
 
 A FrobeniusPair carries one exact LinMap per signature generator (possibly a
-partial subset).  The pairing beta and copairing gamma are never stored: they
-are derived as eps*mu_A and Delta_A*eta, so the cancelation equations remain
-genuine checks on an independently supplied Delta_A.
+partial subset).  The pairing beta and copairing gamma are not stored with the
+maps: they are derived once per pair as eps*mu_A and Delta_A*eta, so the
+cancelation equations remain genuine checks on an independently supplied Delta_A.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 
 from .ring import (
     INTEGERS,
@@ -57,14 +59,19 @@ class FrobeniusPair:
             if unit.get((self.unit_label,)) != self.ring.one():
                 raise PairError("eta(1) must have coefficient 1 on the unit label")
 
-    def generator_table(self) -> dict:
-        """Shipped maps plus the derived pairing/copairing."""
+    @cached_property
+    def _table(self) -> MappingProxyType:
         table = dict(self.maps)
         if "eps" in table and "mu_A" in table:
             table["beta"] = compose(table["eps"], table["mu_A"])
         if "Delta_A" in table and "eta" in table:
             table["gamma"] = compose(table["Delta_A"], table["eta"])
-        return table
+        return MappingProxyType(table)
+
+    def generator_table(self) -> MappingProxyType:
+        """Shipped maps plus beta and gamma, read-only; derived on the first
+        call and kept, since a pair's maps do not change after construction."""
+        return self._table
 
     def evaluate(self, term) -> LinMap:
         return evaluate_term(term, self.generator_table(), self.spec)

@@ -8,7 +8,12 @@ merges or splits cycles, the transpositions commute, and cycle membership
 gives canonical circle tracking, so every square commutes by construction.
 Sorts are assigned randomly subject to the generator signature, with the
 all-inessential labelling as a guaranteed-legal fallback.
+
+Also the dense rank oracles `rank_fraction` and `rank_gf2`, which the sparse
+rank routines of `frobpair.cube` are checked against.
 """
+
+from fractions import Fraction
 
 from frobpair.cobordism import MERGE_GEN, SPLIT_GEN
 from frobpair.cube import EdgeMove, StateCube, validate_cube
@@ -36,6 +41,47 @@ def brute_force_pole_degrees(w):
         if not reducible:
             results.add(len(cur) // 2)
     return results
+
+
+def rank_fraction(mat) -> int:
+    """Gaussian elimination over Q."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    rank, col = 0, 0
+    rows, cols = len(m), len(m[0]) if m else 0
+    while rank < rows and col < cols:
+        piv = next((r for r in range(rank, rows) if m[r][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(rows):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def rank_gf2(mat) -> int:
+    """Gaussian elimination over GF(2)."""
+    m = [[int(x) % 2 for x in row] for row in mat]
+    rank, col = 0, 0
+    rows, cols = len(m), len(m[0]) if m else 0
+    while rank < rows and col < cols:
+        piv = next((r for r in range(rank, rows) if m[r][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rows):
+            if r != rank and m[r][col]:
+                m[r] = [(a + b) % 2 for a, b in zip(m[r], m[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 def _cycles(perm):

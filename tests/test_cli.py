@@ -1,6 +1,8 @@
 import importlib.resources
 import json
 
+import pytest
+
 from frobpair.cli import main
 
 
@@ -195,3 +197,62 @@ def test_builtin_names_cover_the_registry():
     from frobpair.pair import BUILTIN_PAIRS
 
     assert set(BUILTIN_NAMES) == set(BUILTIN_PAIRS) | {"rank2", "double"}
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[[1, 2], [3]]", "equal-length rows of integers"),
+    ("[[1, 2.5], [3, 4]]", "equal-length rows of integers"),
+    ("[[1, null]]", "equal-length rows of integers"),
+    ("[[" + "9" * 5000 + "]]", "digits"),
+], ids=["ragged", "fraction", "null", "over_long_integer"])
+def test_snf_malformed_matrix_exit_two(tmp_path, capsys, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "snf", str(path))
+    assert_one_line_error(code, out, err)
+    assert message in err
+
+
+MERGE1 = {"kind": "merge", "i": 1, "j": 2, "out": 1, "sort": "A"}
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"n": 1, "vertices": {"0": ["A", "A"], "1": ["A"]},
+      "edges": {"*": {"kind": "merge", "j": 2, "out": 1, "sort": "A"}}}, "missing field 'i'"),
+    ({"n": 1, "vertices": {"0": ["A", "A"], "1": ["A"]},
+      "edges": {"*": dict(MERGE1, out="1")}}, "integer positions"),
+    ({"n": 1, "vertices": [["A", "A"], ["A"]], "edges": {"*": MERGE1}}, "vertices and edges"),
+    ({"n": 1, "vertices": {"0": ["A", "A"], "1": ["A"]}, "edges": [MERGE1]}, "vertices and edges"),
+    ({"n": 1, "vertices": {"0": ["A", "A"], "1": ["A"]}, "edges": {"*": "merge"}},
+     "expected an object"),
+    ({"n": 1, "vertices": {"0": 5, "1": ["A"]}, "edges": {"*": MERGE1}}, "vertex '0'"),
+    ({"n": 2, "vertices": {"0": ["A", "A"], "1": ["A"]}, "edges": {}}, "found 2"),
+    ({"n": 10 ** 100, "vertices": {"0": ["A", "A"], "1": ["A"]}, "edges": {}}, "found 2"),
+    ('{"n": ' + "9" * 5000 + "}", "digits"),
+    ([1], "expected a JSON object"),
+    ({"n": 2, "vertices": {"00": ["A"], "01": ["A"], "10": ["A"], "11": ["A"]},
+      "edges": {"x*": MERGE1}}, "bad edge key 'x*'"),
+], ids=["edge_missing_i", "edge_bad_out", "vertices_list", "edges_list", "edge_string",
+        "vertex_number", "vertex_count", "huge_n", "n_over_long", "top_level_list",
+        "edge_key_not_bits"])
+def test_cube_malformed_file_exit_two(tmp_path, capsys, obj, message):
+    path = tmp_path / "bad.cube"
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    code, out, err = run(capsys, "cube", "--builtin", "aps", str(path))
+    assert_one_line_error(code, out, err)
+    assert message in err
+
+
+def test_cube_non_integral_entry_refused_over_z_and_z2(tmp_path, capsys):
+    # it at t=1 gives mu_EEA the entry 1/2 on the E E -> A merge, which an
+    # int() conversion would silently read as 0
+    path = tmp_path / "ee.cube"
+    path.write_text(json.dumps({"n": 1, "vertices": {"0": ["E", "E"], "1": ["A"]},
+                                "edges": {"*": MERGE1}}))
+    argv = ("cube", "--builtin", "it", str(path), "--specialize", "t=1", "--coeff")
+    code, out, _ = run(capsys, *argv, "q")
+    assert code == 0 and out.startswith("betti: 2 0\n")
+    for coeff in ("z2", "z"):
+        code, out, err = run(capsys, *argv, coeff)
+        assert_one_line_error(code, out, err)
+        assert "non-integral entry 1/2" in err

@@ -16,8 +16,6 @@ from frobpair.cube import (
     edge_map,
     euler_characteristic,
     homology,
-    rank_fraction,
-    rank_gf2,
     smith_normal_form,
     specialize_pair,
     validate_cube,
@@ -35,7 +33,7 @@ from frobpair.pair import (
 from frobpair.ring import INTEGERS, ring
 from frobpair.tensor import BasisSpec, equal, word
 
-from helpers import random_cube
+from helpers import random_cube, rank_fraction, rank_gf2
 
 Z = ring(INTEGERS)
 
@@ -252,6 +250,74 @@ def test_homology_requires_constants():
 def test_homology_rejects_q_for_mod2_pair():
     with pytest.raises(CubeError, match="rational"):
         homology(merge1_cube_all("A"), build_tt(), "q")
+
+
+def test_integer_homology_on_random_cubes():
+    # Z and Q ranks of an integer matrix agree, so the Betti numbers do; seed 0
+    # reaches a cube with Z/2 torsion, so the torsion check is not vacuous
+    rng = random.Random(0)
+    aps = build_aps()
+    torsion = []
+    for _ in range(10):
+        cube = random_cube(rng, n=rng.randint(2, 4))
+        over_z, over_q = homology(cube, aps, "z"), homology(cube, aps, "q")
+        assert [s["betti"] for s in over_z] == [s["betti"] for s in over_q]
+        torsion += [x for s in over_z for x in s["torsion"]]
+    assert torsion and all(x > 1 for x in torsion)
+
+
+def test_integer_torsion_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(0)
+    aps = build_aps()
+    for _ in range(10):
+        cube = random_cube(rng, n=rng.randint(2, 4))
+        report = homology(cube, aps, "z")
+        for i in range(cube.n):
+            snf = sympy_snf(sympy.Matrix(differential(cube, aps, i).dense()),
+                            domain=sympy.ZZ)
+            diagonal = [abs(int(snf[k, k])) for k in range(min(snf.shape))]
+            assert report[i + 1]["torsion"] == sorted(x for x in diagonal if x > 1)
+
+
+@pytest.mark.parametrize("coeff,reducer", [("q", "sparse_rank_fraction"),
+                                           ("z2", "sparse_rank_gf2"),
+                                           ("z", "smith_normal_form")])
+def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, reducer):
+    import frobpair.cube as cube_mod
+
+    built, reduced = [], []
+    real_differential = cube_mod.differential
+    monkeypatch.setattr(cube_mod, "differential",
+                        lambda c, p, i: built.append(i) or real_differential(c, p, i))
+    for name in ("sparse_rank_fraction", "sparse_rank_gf2", "smith_normal_form"):
+        monkeypatch.setattr(cube_mod, name,
+                            lambda m, name=name, real=getattr(cube_mod, name):
+                            reduced.append(name) or real(m))
+    cube = random_cube(random.Random(5), n=3)
+    homology(cube, build_aps(), coeff)
+    assert sorted(built) == list(range(cube.n))
+    assert reduced == [reducer] * cube.n
+
+
+def test_generator_table_derives_beta_gamma_once(monkeypatch):
+    import frobpair.pair as pair_mod
+
+    aps = build_aps()
+    composed = []
+    real_compose = pair_mod.compose
+    monkeypatch.setattr(pair_mod, "compose",
+                        lambda f, g: composed.append(1) or real_compose(f, g))
+    tables = [aps.generator_table() for _ in range(3)]
+    cube = random_cube(random.Random(5), n=3)
+    for (b, k) in cube.edges:
+        edge_map(cube, aps, b, k)
+    assert check_d_squared(cube, aps)[0]
+    assert len(composed) == 2  # beta and gamma, on the first call only
+    assert all(t is tables[0] for t in tables) and "beta" in tables[0]
+    assert aps.generator_table() is tables[0]
 
 
 def test_euler_characteristic_on_random_cubes():
