@@ -187,6 +187,9 @@ def cmd_verify(args) -> int:
         raise InputError(f"unknown group(s) {', '.join(map(repr, sorted(groups - set(GROUPS))))}; "
                          f"known groups: {', '.join(GROUPS)}")
     report = verify(pair, equations, groups)
+    if not any(r.status != "skip" and r.group != "quarantine" for r in report.records):
+        raise InputError("no equation outside the quarantine group could be scored: "
+                         "the pair lacks their generators or the filter excludes them")
     print(report_json(report) if args.report == "json" else report_text(report))
     return 0 if report.ok() else 1
 

@@ -10,6 +10,7 @@ names the output positions explicitly.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -394,6 +395,65 @@ def smith_normal_form(mat):
     return d, u, v
 
 
+def _unit_pivots(rows):
+    """Eliminate the +-1 pivots of sparse integer rows ({col: int} dicts,
+    changed in place); returns (count, residual), the residual as dense rows.
+
+    Each elimination is a unimodular change of basis, so
+    SNF(rows) = I_count (+) SNF(residual).  Pivots go in order of the
+    Markowitz cost (row length - 1) * (column length - 1), which bounds the
+    fill-in each one can cause; costs are rechecked when taken from the heap.
+    """
+    rows = dict(enumerate(rows))
+    cols = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    heap = []
+
+    def push_units(r):
+        row = rows[r]
+        for c, x in row.items():
+            if x == 1 or x == -1:
+                heapq.heappush(heap, ((len(row) - 1) * (len(cols[c]) - 1), r, c))
+
+    for r in rows:
+        push_units(r)
+    count = 0
+    while heap:
+        cost, p, c = heapq.heappop(heap)
+        pivot = rows.get(p)
+        if pivot is None or pivot.get(c) not in (1, -1):
+            continue
+        now = (len(pivot) - 1) * (len(cols[c]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, p, c))
+            continue
+        count += 1
+        v = pivot.pop(c)
+        del rows[p]
+        for cc in pivot:
+            cols[cc].discard(p)
+        for r in cols.pop(c) - {p}:
+            row = rows[r]
+            f = row.pop(c) * v
+            for cc, x in pivot.items():
+                y = row.get(cc, 0) - f * x
+                if y:
+                    if cc not in row:
+                        cols[cc].add(r)
+                    row[cc] = y
+                else:
+                    del row[cc]
+                    cols[cc].discard(r)
+            if row:
+                push_units(r)
+            else:
+                del rows[r]
+    live = sorted({c for row in rows.values() for c in row})
+    return count, [[row.get(c, 0) for c in live] for row in rows.values()]
+
+
 COEFFS = ("q", "z", "z2")
 
 
@@ -401,12 +461,14 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
     """Per-degree homology of the cube complex.
 
     Returns a list (degree 0..n) of {"betti": int, "torsion": [int, ...]};
-    torsion is always empty over a field.  Each d_i is built and reduced once:
-    over q by `sparse_rank_fraction`, over z2 by `sparse_rank_gf2`, over z by
-    the Smith normal form alone (its nonzero diagonal entries give the rank,
-    those > 1 the torsion of degree i+1).  Entries must be constants in the
-    pair's ring (specialize first), and integers over z and z2: CubeError
-    refuses a fraction such as 1/2 rather than truncate it.
+    torsion is always empty over a field.  Each d_i is built once, as sparse
+    rows, and reduced once: over q by `sparse_rank_fraction`, over z2 by
+    `sparse_rank_gf2`, over z by eliminating its unit pivots (`_unit_pivots`)
+    and taking the Smith normal form of the residual block only.  Over z the
+    rank is the pivot count plus the residual's nonzero diagonal entries, and
+    the residual's entries > 1 are the torsion of degree i+1.  Entries must be
+    constants in the pair's ring (specialize first), and integers over z and
+    z2: CubeError refuses a fraction such as 1/2 rather than truncate it.
     """
     if coefficients not in COEFFS:
         raise CubeError(f"unknown coefficients {coefficients!r}")
@@ -425,18 +487,21 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
         if non_integral and coefficients != "q":
             raise CubeError(f"d_{i} has the non-integral entry {non_integral[0]}; "
                             f"homology over {coefficients} needs integers")
+        cols = {c: k for k, c in enumerate(d.cols)}
+        rows = {}
+        for (r, c), x in values.items():
+            rows.setdefault(r, {})[cols[c]] = x if coefficients == "q" else int(x)
+        rows = list(rows.values())
         if coefficients == "z":
-            snf, _u, _v = smith_normal_form(d.dense())
-            diagonal = [snf[k][k] for k in range(min(dims[i], dims[i + 1]))]
-            ranks[i] = sum(1 for x in diagonal if x)
+            count, residual = _unit_pivots(rows)
+            snf, _u, _v = smith_normal_form(residual)
+            width = len(residual[0]) if residual else 0
+            diagonal = [snf[k][k] for k in range(min(len(residual), width))]
+            ranks[i] = count + sum(1 for x in diagonal if x)
             torsion[i + 1] = [x for x in diagonal if x > 1]
         else:
-            cols = {c: k for k, c in enumerate(d.cols)}
-            rows = {}
-            for (r, c), x in values.items():
-                rows.setdefault(r, {})[cols[c]] = x
             rank = sparse_rank_gf2 if coefficients == "z2" else sparse_rank_fraction
-            ranks[i] = rank(list(rows.values()))
+            ranks[i] = rank(rows)
     return [{"betti": dims[i] - ranks[i] - (ranks[i - 1] if i else 0),
              "torsion": torsion[i]} for i in range(cube.n + 1)]
 

@@ -736,10 +736,14 @@ def load_pair(path) -> FrobeniusPair:
 def pair_from_json(text) -> FrobeniusPair:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or an over-long integer
         raise PairError(f"not a structure file: {exc}") from None
+    if not isinstance(obj, dict):
+        raise PairError("not a structure file: expected a JSON object")
 
     def need(d, key, path):
+        if not isinstance(d, dict):
+            raise PairError(f"field {path} must be an object")
         if key not in d:
             raise PairError(f"missing field {path}.{key}")
         return d[key]
@@ -759,8 +763,11 @@ def pair_from_json(text) -> FrobeniusPair:
     spec = BasisSpec(tuple(need(basis, "A", "$.basis")), tuple(need(basis, "E", "$.basis")), decl)
     label_ok = {"A": set(spec.basis_a), "E": set(spec.basis_e)}
 
+    raw_maps = need(obj, "maps", "$")
+    if not isinstance(raw_maps, dict):
+        raise PairError("field $.maps must be an object")
     maps = {}
-    for gname, rows in need(obj, "maps", "$").items():
+    for gname, rows in raw_maps.items():
         if gname not in SIGNATURE:
             raise PairError(f"$.maps: unknown map name {gname}")
         dom, cod = SIGNATURE[gname]

@@ -176,6 +176,43 @@ def test_empty_basis_pair_file_exit_two(tmp_path, capsys):
     assert "nonempty basis" in err
 
 
+def aps_pair_text(tmp_path, capsys):
+    path = tmp_path / "aps.json"
+    run(capsys, "construct", "--builtin", "aps", "-o", str(path))
+    return path.read_text()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda text: text.replace('"meta": {', '"meta": {"big": ' + "9" * 5000 + ", ", 1),
+     "digits"),
+    (lambda text: "5", "expected a JSON object"),
+    (lambda text: json.dumps(dict(json.loads(text), ring=["Z"])), "$.ring must be an object"),
+    (lambda text: json.dumps(dict(json.loads(text), maps=[])), "$.maps must be an object"),
+    (lambda text: text.replace('"vars": []', '"vars": [5]', 1),
+     "$.ring.vars[0] must be an object"),
+    (lambda text: json.dumps(dict(json.loads(text), maps={"mu_A": [5]})),
+     "$.maps.mu_A[0] must be an object"),
+], ids=["over_long_integer", "top_level_number", "ring_list", "maps_list", "vars_entry",
+        "map_row"])
+def test_malformed_pair_file_exit_two(tmp_path, capsys, edit, message):
+    path = tmp_path / "bad.json"
+    path.write_text(edit(aps_pair_text(tmp_path, capsys)))
+    code, out, err = run(capsys, "verify", "--pair", str(path))
+    assert_one_line_error(code, out, err)
+    assert message in err
+
+
+def test_verify_scoring_nothing_exit_two(tmp_path, capsys):
+    # a pair without maps skips every equation; that is no evidence of success
+    path = tmp_path / "nomaps.json"
+    path.write_text(json.dumps(dict(json.loads(aps_pair_text(tmp_path, capsys)), maps={})))
+    code, out, err = run(capsys, "verify", "--pair", str(path))
+    assert_one_line_error(code, out, err)
+    assert "no equation outside the quarantine group could be scored" in err
+    code, out, err = run(capsys, "verify", "--builtin", "aps", "--groups", "quarantine")
+    assert_one_line_error(code, out, err)
+
+
 def test_eval_short_split_exit_two(tmp_path, capsys):
     cob = tmp_path / "bad.cob"
     cob.write_text("input A\nsplit 1 A\n")

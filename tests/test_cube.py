@@ -9,6 +9,7 @@ from frobpair.cube import (
     CubeError,
     EdgeMove,
     StateCube,
+    _unit_pivots,
     check_d_squared,
     cube_from_json,
     cube_to_json,
@@ -20,6 +21,7 @@ from frobpair.cube import (
     specialize_pair,
     validate_cube,
     vertex_euler,
+    vertex_keys,
 )
 from frobpair.pair import (
     build_aps,
@@ -282,24 +284,96 @@ def test_integer_torsion_matches_sympy():
             assert report[i + 1]["torsion"] == sorted(x for x in diagonal if x > 1)
 
 
+def snf_diagonal(mat):
+    d, _u, _v = smith_normal_form(mat)
+    return [d[k][k] for k in range(min(len(mat), len(mat[0]) if mat else 0))]
+
+
+def dense_z_report(cube, pair):
+    """Integer homology from the dense Smith form of each full differential."""
+    dims = [len(vertex_keys(cube, pair, i)) for i in range(cube.n + 1)]
+    ranks, torsion = [0] * (cube.n + 1), [[] for _ in dims]
+    for i in range(cube.n):
+        diagonal = snf_diagonal(differential(cube, pair, i).dense())
+        ranks[i] = sum(1 for x in diagonal if x)
+        torsion[i + 1] = [x for x in diagonal if x > 1]
+    return [{"betti": dims[i] - ranks[i] - (ranks[i - 1] if i else 0),
+             "torsion": torsion[i]} for i in range(cube.n + 1)]
+
+
+def test_unit_pivots_match_dense_snf():
+    # entries in -3..3 leave non-unit pivots behind, so some residuals are nonempty
+    rng = random.Random(21)
+    residual_torsion = 0
+    for _ in range(80):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        count, residual = _unit_pivots([{c: x for c, x in enumerate(row) if x} for row in m])
+        rest = snf_diagonal(residual)
+        assert [1] * count + [x for x in rest if x] == [x for x in snf_diagonal(m) if x]
+        residual_torsion += any(x > 1 for x in rest)
+    assert residual_torsion
+
+
+def test_integer_homology_matches_dense_snf(monkeypatch):
+    import frobpair.cube as cube_mod
+
+    residuals = []
+    real = cube_mod._unit_pivots
+
+    def recording(rows):
+        count, residual = real(rows)
+        residuals.append(residual)
+        return count, residual
+
+    monkeypatch.setattr(cube_mod, "_unit_pivots", recording)
+    rng = random.Random(0)
+    aps = build_aps()
+    torsion = []
+    for _ in range(12):
+        cube = random_cube(rng, n=rng.randint(2, 4))
+        report = homology(cube, aps, "z")
+        assert report == dense_z_report(cube, aps)
+        torsion += [x for s in report for x in s["torsion"]]
+    assert any(residuals) and torsion and all(x > 1 for x in torsion)
+
+
 @pytest.mark.parametrize("coeff,reducer", [("q", "sparse_rank_fraction"),
                                            ("z2", "sparse_rank_gf2"),
                                            ("z", "smith_normal_form")])
 def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, reducer):
+    # over z each d_i goes through one unit-pivot elimination, then the Smith
+    # form of its residual only, and is never made dense
     import frobpair.cube as cube_mod
 
-    built, reduced = [], []
+    built, reduced, cells = [], [], []
     real_differential = cube_mod.differential
     monkeypatch.setattr(cube_mod, "differential",
                         lambda c, p, i: built.append(i) or real_differential(c, p, i))
-    for name in ("sparse_rank_fraction", "sparse_rank_gf2", "smith_normal_form"):
-        monkeypatch.setattr(cube_mod, name,
-                            lambda m, name=name, real=getattr(cube_mod, name):
-                            reduced.append(name) or real(m))
-    cube = random_cube(random.Random(5), n=3)
-    homology(cube, build_aps(), coeff)
+
+    def recording(name, real):
+        def call(m):
+            reduced.append(name)
+            if name == "smith_normal_form":
+                cells.append(len(m) * len(m[0]) if m else 0)
+            return real(m)
+        return call
+
+    for name in ("sparse_rank_fraction", "sparse_rank_gf2", "smith_normal_form",
+                 "_unit_pivots"):
+        monkeypatch.setattr(cube_mod, name, recording(name, getattr(cube_mod, name)))
+    if coeff == "z":
+        monkeypatch.setattr(BlockMatrix, "dense", lambda self: pytest.fail("dense() over z"))
+    cube, aps = random_cube(random.Random(5), n=3), build_aps()
+    homology(cube, aps, coeff)
     assert sorted(built) == list(range(cube.n))
-    assert reduced == [reducer] * cube.n
+    if coeff == "z":
+        assert reduced == ["_unit_pivots", reducer] * cube.n
+        dims = [len(vertex_keys(cube, aps, i)) for i in range(cube.n + 1)]
+        assert sum(cells) < sum(dims[i] * dims[i + 1] for i in range(cube.n))
+    else:
+        assert reduced == [reducer] * cube.n
 
 
 def test_generator_table_derives_beta_gamma_once(monkeypatch):
