@@ -55,11 +55,21 @@ RANK2_KEYS = {"a": "a", "cYY": "c_yy", "cYZ": "c_yz", "cZZ": "c_zz",
               "eY": "e_y", "eZ": "e_z", "fY": "f_y", "fZ": "f_z"}
 
 
+DOUBLE_KEYS = ("e0", "e1", "e2", "nu0", "nu1", "nu2")
+
+#: the --params keys of the parameterised builtins; every other builtin takes none
+PARAM_KEYS = {"rank2": tuple(RANK2_KEYS), "double": ("algebra",) + DOUBLE_KEYS}
+
 #: every --builtin name: pair.BUILTIN_PAIRS plus the parameterised rank2 and double
-BUILTIN_NAMES = ("aps", "tt", "it", "rank2", "sqrt", "double")
+BUILTIN_NAMES = (*BUILTIN_PAIRS, *PARAM_KEYS)
 
 
 def build_builtin(name, params, strict_partial=False):
+    accepted = PARAM_KEYS.get(name, ())
+    for key in params:
+        if key not in accepted:
+            takes = f"takes {', '.join(accepted)}" if accepted else "takes no parameters"
+            raise InputError(f"unknown {name} parameter {key!r}: {name} {takes}")
     if name == "it":
         return build_it(strict_partial=strict_partial)
     if name in BUILTIN_PAIRS:
@@ -68,8 +78,6 @@ def build_builtin(name, params, strict_partial=False):
         decl = ring(INTEGERS)
         kw = {field: 0 for field in RANK2_KEYS.values()}
         for key, val in params.items():
-            if key not in RANK2_KEYS:
-                raise InputError(f"unknown rank2 parameter {key!r}")
             try:
                 kw[RANK2_KEYS[key]] = int(val)
             except ValueError:
@@ -77,8 +85,8 @@ def build_builtin(name, params, strict_partial=False):
         return build_rank2(Rank2Params.over(decl, **kw))
     if name == "double":
         exps = list(DOUBLE_EXPONENTS)
-        algebra = params.pop("algebra", "q1")
-        for i, key in enumerate(("e0", "e1", "e2", "nu0", "nu1", "nu2")):
+        algebra = params.get("algebra", "q1")
+        for i, key in enumerate(DOUBLE_KEYS):
             if key in params:
                 try:
                     exps[i] = int(params[key])
@@ -100,6 +108,8 @@ def build_builtin(name, params, strict_partial=False):
 
 def get_pair(args, params=None):
     if getattr(args, "pair", None):
+        if params:
+            raise InputError("--params applies to --builtin, not to --pair")
         try:
             return load_pair(args.pair)
         except OSError as exc:

@@ -733,6 +733,9 @@ def load_pair(path) -> FrobeniusPair:
         return pair_from_json(fh.read())
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
 def pair_from_json(text) -> FrobeniusPair:
     try:
         obj = json.loads(text)
@@ -741,58 +744,68 @@ def pair_from_json(text) -> FrobeniusPair:
     if not isinstance(obj, dict):
         raise PairError("not a structure file: expected a JSON object")
 
-    def need(d, key, path):
+    def need(d, key, path, kind=None, default=None):
+        """d[key], or default if given and key is absent; refused unless of kind."""
         if not isinstance(d, dict):
             raise PairError(f"field {path} must be an object")
         if key not in d:
-            raise PairError(f"missing field {path}.{key}")
+            if default is None:
+                raise PairError(f"missing field {path}.{key}")
+            return default
+        if kind is not None and not isinstance(d[key], kind):
+            raise PairError(f"field {path}.{key} must be {_JSON_KINDS[kind]}")
         return d[key]
 
-    ring_obj = need(obj, "ring", "$")
+    def labels(d, key, path):
+        value = need(d, key, path, list)
+        if not all(isinstance(lab, str) for lab in value):
+            raise PairError(f"field {path}.{key} must be a list of strings")
+        return tuple(value)
+
+    ring_obj = need(obj, "ring", "$", dict)
     domain = need(ring_obj, "domain", "$.ring")
     var_decls = []
-    for i, v in enumerate(ring_obj.get("vars", [])):
-        var_decls.append(VarDecl(need(v, "name", f"$.ring.vars[{i}]"),
+    for i, v in enumerate(need(ring_obj, "vars", "$.ring", list, default=[])):
+        var_decls.append(VarDecl(need(v, "name", f"$.ring.vars[{i}]", str),
                                  bool(v.get("invertible", False))))
     try:
         decl = RingDecl(domain, tuple(var_decls))
     except RingError as exc:
         raise PairError(f"$.ring: {exc}") from None
 
-    basis = need(obj, "basis", "$")
-    spec = BasisSpec(tuple(need(basis, "A", "$.basis")), tuple(need(basis, "E", "$.basis")), decl)
+    basis = need(obj, "basis", "$", dict)
+    spec = BasisSpec(labels(basis, "A", "$.basis"), labels(basis, "E", "$.basis"), decl)
     label_ok = {"A": set(spec.basis_a), "E": set(spec.basis_e)}
 
-    raw_maps = need(obj, "maps", "$")
-    if not isinstance(raw_maps, dict):
-        raise PairError("field $.maps must be an object")
+    raw_maps = need(obj, "maps", "$", dict)
     maps = {}
-    for gname, rows in raw_maps.items():
+    for gname in raw_maps:
         if gname not in SIGNATURE:
             raise PairError(f"$.maps: unknown map name {gname}")
         dom, cod = SIGNATURE[gname]
         entries = {}
-        for i, row in enumerate(rows):
+        for i, row in enumerate(need(raw_maps, gname, "$.maps", list)):
             path = f"$.maps.{gname}[{i}]"
-            t = tuple(need(row, "in", path))
+            t = labels(row, "in", path)
             if len(t) != len(dom) or any(lab not in label_ok[s] for lab, s in zip(t, dom)):
                 raise PairError(f"signature mismatch for {gname}: bad input tuple {t}")
-            for j, term in enumerate(need(row, "out", path)):
-                o = tuple(need(term, "basis", f"{path}.out[{j}]"))
+            for j, term in enumerate(need(row, "out", path, list)):
+                o = labels(term, "basis", f"{path}.out[{j}]")
                 if len(o) != len(cod) or any(lab not in label_ok[s] for lab, s in zip(o, cod)):
                     raise PairError(f"signature mismatch for {gname}: bad output tuple {o}")
                 try:
-                    c = decl.parse(need(term, "coeff", f"{path}.out[{j}]"))
+                    c = decl.parse(need(term, "coeff", f"{path}.out[{j}]", str))
                 except RingError as exc:
                     raise PairError(f"{path}.out[{j}].coeff: {exc}") from None
                 if not c.is_zero():
                     entries[(o, t)] = entries.get((o, t), decl.zero()) + c
         maps[gname] = LinMap(spec, dom, cod, entries)
 
-    meta = obj.get("meta", {})
-    return FrobeniusPair(decl, spec, maps, name=meta.get("name", "pair"),
-                         unit_label=meta.get("unit", spec.basis_a[0]),
-                         notes=dict(meta.get("notes", {})))
+    meta = need(obj, "meta", "$", dict, default={})
+    return FrobeniusPair(decl, spec, maps,
+                         name=need(meta, "name", "$.meta", str, default="pair"),
+                         unit_label=need(meta, "unit", "$.meta", str, default=spec.basis_a[0]),
+                         notes=dict(need(meta, "notes", "$.meta", dict, default={})))
 
 
 BUILTIN_PAIRS = {

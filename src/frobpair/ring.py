@@ -141,26 +141,29 @@ class RingElem:
     # -- ring operations -----------------------------------------------------
 
     def _check(self, other) -> "RingElem":
-        if isinstance(other, (int, Fraction)):
-            return self.ring.const(other)
-        if not isinstance(other, RingElem):
+        if type(other) is not RingElem:
+            if isinstance(other, (int, Fraction)):
+                return self.ring.const(other)
             return NotImplemented
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingError("ring mismatch")
         return other
 
     def __add__(self, other):
+        # both operands are in normal form, so only cancelling terms need care
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
+        mod2 = self.ring.domain == MOD2
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            s = _coerce(self.ring.domain, s)
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+            s = terms.pop(m, None)
+            if s is None:
+                terms[m] = c
+            elif not mod2:  # over Z/2 every coefficient is 1, and 1 + 1 = 0
+                s += c
+                if s:
+                    terms[m] = s
         return RingElem(self.ring, terms, _normalized=True)
 
     __radd__ = __add__
@@ -180,16 +183,29 @@ class RingElem:
         return self.ring.const(other) - self
 
     def __mul__(self, other):
+        # int * int is an int and Fraction * Fraction a Fraction, so products of
+        # normal-form coefficients need no coercion; only Z/2 sums are reduced
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) == 1 and len(b) == 1:  # a domain has no zero divisors
+            (m1, c1), = a.items()
+            (m2, c2), = b.items()
+            m = m2 if not m1 else m1 if not m2 else _mono_mul(m1, m2)
+            return RingElem(self.ring, {m: c1 * c2}, _normalized=True)
         terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = terms.get(m, 0) + c1 * c2
-                terms[m] = s
-        return RingElem(self.ring, terms)
+        get = terms.get
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = m2 if not m1 else m1 if not m2 else _mono_mul(m1, m2)
+                s = get(m)
+                terms[m] = c1 * c2 if s is None else s + c1 * c2
+        if self.ring.domain == MOD2:
+            terms = {m: 1 for m, c in terms.items() if c % 2}
+        else:
+            terms = {m: c for m, c in terms.items() if c}
+        return RingElem(self.ring, terms, _normalized=True)
 
     __rmul__ = __mul__
 
@@ -232,11 +248,11 @@ class RingElem:
         return c != 0  # rationals, Z/2
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is not RingElem:
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.ring.const(other)
-        if not isinstance(other, RingElem):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
@@ -357,6 +373,12 @@ class _Parser:
         kind, val, pos = self.peek()
         raise RingError(f"{msg} at position {pos}")
 
+    def integer(self, text, pos):
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts
+            raise RingError(f"integer literal too long at position {pos}") from None
+
     def parse(self):
         e = self.expr()
         if self.peek()[0] != "end":
@@ -388,13 +410,15 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "int":
             self.take()
-            return self.ring.const(int(val))
+            return self.ring.const(self.integer(val, pos))
         if kind == "rat":
             self.take()
             if self.ring.domain != RATIONALS:
                 raise RingError(f"rational literal in non-rational ring at position {pos}")
-            num, den = val.split("/")
-            return self.ring.const(Fraction(int(num), int(den)))
+            num, den = (self.integer(part, pos) for part in val.split("/"))
+            if den == 0:
+                raise RingError(f"zero denominator at position {pos}")
+            return self.ring.const(Fraction(num, den))
         if kind == "name":
             self.take()
             var = self.ring.var(val)
@@ -411,7 +435,7 @@ class _Parser:
                 if k != "int":
                     raise RingError(f"expected integer exponent at position {p2}")
                 self.take()
-                power = sign * int(v2)
+                power = sign * self.integer(v2, p2)
             if power < 0 and not var.invertible:
                 raise RingError(f"negative exponent on non-invertible variable {val}")
             if power == 0:

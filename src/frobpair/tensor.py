@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .ring import RingDecl, RingElem, RingError
 
@@ -181,22 +182,33 @@ def act(f: LinMap, gen, src, dst) -> LinMap:
     placed = dict(zip(dst, src if gen is None else range(len(head))))
     rest = (len(head) + p for p in range(len(cod)) if p not in src)
     gather = [placed[q] if q in placed else next(rest) for q in slots]
-    new_cod = tuple((head + cod)[i] for i in gather)
+    place = _picker(gather)
+    new_cod = place(head + cod)
     if gen is None:
-        entries = {(tuple(out[i] for i in gather), t): v for (out, t), v in f.entries.items()}
+        entries = {(place(out), t): v for (out, t), v in f.entries.items()}
         return LinMap(f.spec, f.dom, new_cod, entries, _normalized=True)
+    pick = _picker(src)
     columns = {}
     for (o, i), v in gen.entries.items():
         columns.setdefault(i, []).append((o, v))
     entries = {}
     for (out, t), fv in f.entries.items():
-        for o, gv in columns.get(tuple(out[p] for p in src), ()):
-            parts = o + out
-            key = (tuple(parts[i] for i in gather), t)
+        for o, gv in columns.get(pick(out), ()):
+            key = (place(o + out), t)
             s = entries.get(key)
             p = gv * fv
             entries[key] = p if s is None else s + p
     return LinMap(f.spec, f.dom, new_cod, entries)
+
+
+def _picker(slots):
+    """A function taking a tuple to the tuple of its items at slots."""
+    if not slots:
+        return lambda parts: ()
+    if len(slots) == 1:
+        q, = slots
+        return lambda parts: (parts[q],)
+    return itemgetter(*slots)
 
 
 def tensor(f: LinMap, g: LinMap) -> LinMap:

@@ -182,6 +182,18 @@ def aps_pair_text(tmp_path, capsys):
     return path.read_text()
 
 
+def edited(path, value):
+    """An edit of the aps pair file setting the field at path (keys and indices) to value."""
+    def edit(text):
+        obj = json.loads(text)
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return json.dumps(obj)
+    return edit
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda text: text.replace('"meta": {', '"meta": {"big": ' + "9" * 5000 + ", ", 1),
      "digits"),
@@ -192,14 +204,68 @@ def aps_pair_text(tmp_path, capsys):
      "$.ring.vars[0] must be an object"),
     (lambda text: json.dumps(dict(json.loads(text), maps={"mu_A": [5]})),
      "$.maps.mu_A[0] must be an object"),
+    (edited(("maps", "Delta_A", 0, "out", 0, "coeff"), "9" * 5000),
+     "coeff: integer literal too long at position 0"),
+    (lambda text: edited(("maps", "Delta_A", 0, "out", 0, "coeff"), "1/0")(
+        edited(("ring", "domain"), "rationals")(text)),
+     "coeff: zero denominator at position 0"),
 ], ids=["over_long_integer", "top_level_number", "ring_list", "maps_list", "vars_entry",
-        "map_row"])
+        "map_row", "coeff_too_long", "coeff_zero_denominator"])
 def test_malformed_pair_file_exit_two(tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"
     path.write_text(edit(aps_pair_text(tmp_path, capsys)))
     code, out, err = run(capsys, "verify", "--pair", str(path))
     assert_one_line_error(code, out, err)
     assert message in err
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("maps", "Delta_A"), 5, "$.maps.Delta_A must be a list"),
+    (("maps", "Delta_A", 0, "in"), 5, "$.maps.Delta_A[0].in must be a list"),
+    (("maps", "Delta_A", 0, "out"), 5, "$.maps.Delta_A[0].out must be a list"),
+    (("maps", "Delta_A", 0, "out", 0, "basis"), 5, "$.maps.Delta_A[0].out[0].basis must be a list"),
+    (("maps", "Delta_A", 0, "in"), [["1"]], "$.maps.Delta_A[0].in must be a list of strings"),
+    (("maps", "Delta_A", 0, "out", 0, "coeff"), 5,
+     "$.maps.Delta_A[0].out[0].coeff must be a string"),
+    (("basis", "A"), "1X", "$.basis.A must be a list"),
+    (("basis", "E"), [5], "$.basis.E must be a list of strings"),
+    (("ring", "vars"), 5, "$.ring.vars must be a list"),
+    (("ring", "vars"), [{"name": 5}], "$.ring.vars[0].name must be a string"),
+    (("meta",), 5, "$.meta must be an object"),
+    (("meta", "notes"), 5, "$.meta.notes must be an object"),
+    (("meta", "unit"), ["1"], "$.meta.unit must be a string"),
+], ids=["map_number", "in_number", "out_number", "basis_number", "in_nested", "coeff_number",
+        "basis_string", "label_number", "vars_number", "var_name", "meta_number",
+        "notes_number", "unit_list"])
+def test_pair_file_field_of_wrong_kind_exit_two(tmp_path, capsys, path, value, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(edited(path, value)(aps_pair_text(tmp_path, capsys)))
+    code, out, err = run(capsys, "verify", "--pair", str(bad))
+    assert_one_line_error(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize("builtin,params,accepted", [
+    ("aps", "a=5", "aps takes no parameters"),
+    ("tt", "l=1", "tt takes no parameters"),
+    ("it", "t=1", "it takes no parameters"),
+    ("sqrt", "a=1", "sqrt takes no parameters"),
+    ("double", "zz=1", "double takes algebra, e0, e1, e2, nu0, nu1, nu2"),
+    ("rank2", "a=1,zz=1", "rank2 takes a, cYY,"),
+], ids=["aps", "tt", "it", "sqrt", "double", "rank2"])
+def test_unknown_builtin_parameter_exit_two(capsys, builtin, params, accepted):
+    for command in ("verify", "construct"):
+        code, out, err = run(capsys, command, "--builtin", builtin, "--params", params)
+        assert_one_line_error(code, out, err)
+        assert "parameter " in err and accepted in err
+
+
+def test_params_with_pair_file_exit_two(tmp_path, capsys):
+    path = tmp_path / "aps.json"
+    path.write_text(aps_pair_text(tmp_path, capsys))
+    code, out, err = run(capsys, "verify", "--pair", str(path), "--params", "a=5")
+    assert_one_line_error(code, out, err)
+    assert "--params applies to --builtin" in err
 
 
 def test_verify_scoring_nothing_exit_two(tmp_path, capsys):

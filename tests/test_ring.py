@@ -7,6 +7,7 @@ from frobpair.ring import (
     INTEGERS,
     MOD2,
     RATIONALS,
+    RingElem,
     RingError,
     parse_ring_elem,
     ring,
@@ -75,6 +76,16 @@ def test_parse_negative_exponent_rejected():
 def test_parse_syntax_error_has_position():
     with pytest.raises(RingError, match="position"):
         ZH.parse("h + + t")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1/0 + t", "zero denominator at position 0"),
+    ("9" * 5000, "integer literal too long at position 0"),
+    ("t^" + "9" * 5000, "integer literal too long at position 2"),
+], ids=["zero_denominator", "long_integer", "long_exponent"])
+def test_parse_refuses_unrepresentable_literals(text, message):
+    with pytest.raises(RingError, match=message):
+        ring(RATIONALS, "t").parse(text)
 
 
 def test_specialize_examples():
@@ -186,3 +197,116 @@ def test_str_is_reparseable_rationals():
     decl = ring(RATIONALS, "t^-1")
     e = decl.parse("1/2*t - 3 + t^-2")
     assert decl.parse(str(e)) == e
+
+
+# -- naive oracle: {monomial: coeff} dicts, no RingElem arithmetic -------------
+
+ORACLE_RINGS = [ring(INTEGERS, "h", "l^-1"), ring(RATIONALS, "t^-1", "u"), ring(MOD2, "X", "l^-1")]
+COEFF_TYPE = {INTEGERS: int, RATIONALS: Fraction, MOD2: int}
+
+
+def naive_normal(terms, domain):
+    if domain == MOD2:
+        terms = {m: c % 2 for m, c in terms.items()}
+    return {m: c for m, c in terms.items() if c != 0}
+
+
+def naive_add(p, q, domain, sign=1):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + sign * c
+    return naive_normal(out, domain)
+
+
+def naive_mul(p, q, domain):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = tuple(sorted((v, e) for v, e in exps.items() if e != 0))
+            out[m] = out.get(m, 0) + c1 * c2
+    return naive_normal(out, domain)
+
+
+def naive_poly(rng, decl):
+    """A random Laurent polynomial as a {monomial: coeff} dict in normal form."""
+    terms = {}
+    for _ in range(rng.randrange(5)):
+        m = []
+        for v in decl.vars:
+            e = rng.randint(-2, 2) if v.invertible else rng.randint(0, 2)
+            if e:
+                m.append((v.name, e))
+        if decl.domain == RATIONALS:
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        else:
+            c = rng.randint(-4, 4)
+        terms[tuple(m)] = terms.get(tuple(m), 0) + c
+    return naive_normal(terms, decl.domain)
+
+
+def assert_normal_form(x, decl):
+    for m, c in x.terms.items():
+        assert c != 0 and type(c) is COEFF_TYPE[decl.domain]
+        assert decl.domain != MOD2 or c == 1
+        assert list(m) == sorted(m) and all(e != 0 for _, e in m)
+        assert all(e > 0 or decl.var(v).invertible for v, e in m)
+    assert x == decl.parse(str(x)) and hash(x) == hash(decl.parse(str(x)))
+
+
+@pytest.mark.parametrize("decl", ORACLE_RINGS, ids=lambda d: d.domain)
+def test_arithmetic_matches_naive_oracle(decl):
+    rng = random.Random(20261018)
+    for _ in range(400):
+        p, q = naive_poly(rng, decl), naive_poly(rng, decl)
+        x, y = RingElem(decl, p), RingElem(decl, q)
+        for got, want in ((x * y, naive_mul(p, q, decl.domain)),
+                          (x + y, naive_add(p, q, decl.domain)),
+                          (x - y, naive_add(p, q, decl.domain, sign=-1))):
+            assert got.terms == want
+            assert_normal_form(got, decl)
+        for zero in (x - x, x * y - y * x, (x + y) - y - x):
+            assert zero == decl.zero() and zero.terms == {}
+            assert hash(zero) == hash(decl.parse("0"))
+
+
+def test_literal_operands_and_mismatch():
+    q = ring(RATIONALS, "t")
+    t = q.gen("t")
+    assert t * 2 == 2 * t == q.parse("2*t")
+    assert all(type(c) is Fraction for c in (t * 2).terms.values())
+    assert t + Fraction(1, 2) == q.parse("t + 1/2")
+    with pytest.raises(RingError, match="rational coefficient in integer ring"):
+        ZH.gen("h") + Fraction(1, 2)
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(RingError, match="ring mismatch"):
+            op(t, ring(RATIONALS, "u").gen("u"))
+        # an equal declaration built separately is the same ring
+        assert op(t, ring(RATIONALS, "t").gen("t")) == op(t, t)
+
+
+def test_ring_arithmetic_does_not_recoerce(monkeypatch):
+    import frobpair.ring as ring_mod
+    from frobpair.pair import build_tt, verify
+    from frobpair.theory import load_axioms
+
+    rng = random.Random(5)
+    operands = [(RingElem(d, naive_poly(rng, d)), RingElem(d, naive_poly(rng, d)))
+                for d in ORACLE_RINGS for _ in range(20)]
+    coerced = []
+    real_coerce = ring_mod._coerce
+    monkeypatch.setattr(ring_mod, "_coerce", lambda d, c: coerced.append(c) or real_coerce(d, c))
+    for x, y in operands:
+        x * y, x + y
+    assert coerced == []
+
+    # the fast path changes what a product costs, not how many products run:
+    # verifying tt took 1348 products before it too
+    pair, axioms = build_tt(), load_axioms()
+    products = []
+    real_mul = RingElem.__mul__
+    monkeypatch.setattr(RingElem, "__mul__", lambda x, y: products.append(1) or real_mul(x, y))
+    verify(pair, axioms)
+    assert len(products) == 1348
