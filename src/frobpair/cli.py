@@ -46,6 +46,8 @@ def parse_params(values) -> dict:
             key, sep, val = item.partition("=")
             if not sep:
                 raise InputError(f"bad parameter {item!r}: expected KEY=VAL")
+            if key.strip() in out:
+                raise InputError(f"parameter {key.strip()!r} given more than once")
             out[key.strip()] = val.strip()
     return out
 

@@ -11,14 +11,16 @@ names the output positions explicitly.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cobordism import MERGE_GEN, SPLIT_GEN
 from .pair import FrobeniusPair
 from .ring import MOD2, RingError, specialize
-from .tensor import LinMap, act, sparse_product, word
+from .tensor import LinMap, act, compose, equal, sparse_product, word
 
 
 class CubeError(ValueError):
@@ -198,12 +200,6 @@ class BlockMatrix:
     def is_zero(self):
         return not self.entries
 
-    def first_nonzero(self):
-        order = {c: i for i, c in enumerate(self.cols)}
-        rorder = {r: i for i, r in enumerate(self.rows)}
-        best = min(self.entries, key=lambda rc: (order[rc[1]], rorder[rc[0]]))
-        return best[0], best[1], self.entries[best]
-
     def compose(self, other: "BlockMatrix") -> "BlockMatrix":
         """self * other (apply other first)."""
         out = BlockMatrix(self.rows, other.cols, self.ring)
@@ -230,6 +226,18 @@ def vertex_keys(cube: StateCube, pair: FrobeniusPair, degree):
     return keys
 
 
+def _edge_maps(cube: StateCube, pair: FrobeniusPair):
+    """edge_map(cube, pair, b, k) as a lookup, built once per (source word, move)."""
+    memo = {}
+
+    def get(b, k):
+        key = (tuple(cube.vertices[b]), cube.edges[(b, k)])
+        if key not in memo:
+            memo[key] = edge_map(cube, pair, b, k)
+        return memo[key]
+    return get
+
+
 def differential(cube: StateCube, pair: FrobeniusPair, i) -> BlockMatrix:
     """d_i: degree-i chain space -> degree-(i+1) chain space as a block matrix."""
     cols = vertex_keys(cube, pair, i)
@@ -237,29 +245,42 @@ def differential(cube: StateCube, pair: FrobeniusPair, i) -> BlockMatrix:
     d = BlockMatrix(rows, cols, pair.ring)
     if i < 0 or i >= cube.n:
         return d
+    maps = _edge_maps(cube, pair)
     for b in _bits(cube.n):
         if _weight(b) != i:
             continue
         for k in range(cube.n):
             if b[k] != "0":
                 continue
-            sign = -1 if _weight(b[:k]) % 2 else 1
-            m = edge_map(cube, pair, b, k)
+            negate = _weight(b[:k]) % 2
             target = _flip(b, k)
-            for (o, t), v in m.entries.items():
-                d.add((target, o), (b, t), v if sign > 0 else -v)
+            for (o, t), v in maps(b, k).entries.items():
+                d.add((target, o), (b, t), -v if negate else v)
     return d
 
 
 def check_d_squared(cube: StateCube, pair: FrobeniusPair):
-    """True iff d_{i+1} d_i = 0 for all i; otherwise (False, witness entry)."""
-    low = differential(cube, pair, 0) if cube.n > 1 else None
-    for i in range(1, cube.n):
-        high = differential(cube, pair, i)
-        sq = high.compose(low)
-        if not sq.is_zero():
-            return False, sq.first_nonzero()
-        low = high
+    """(True, None) iff d_{i+1} d_i = 0 for all i; otherwise (False, witness).
+
+    Each square is one block of d_{i+1} d_i, and its two paths carry opposite
+    signs, so d^2 = 0 iff every square's two composite edge maps are equal.
+    They depend only on the source word and the four moves, so each distinct
+    such key is compared once.  The witness (b, k, l, t) is the square at b
+    flipping bits k < l and the first basis tuple t where its paths differ.
+    """
+    maps, seen = _edge_maps(cube, pair), set()
+    for b in _bits(cube.n):
+        for k, l in itertools.combinations([k for k in range(cube.n) if b[k] == "0"], 2):
+            bk, bl = _flip(b, k), _flip(b, l)
+            key = (tuple(cube.vertices[b]), cube.edges[(b, k)], cube.edges[(bk, l)],
+                   cube.edges[(b, l)], cube.edges[(bl, k)])
+            if key in seen:
+                continue
+            seen.add(key)
+            ok, witness = equal(compose(maps(bk, l), maps(b, k)),
+                                compose(maps(bl, k), maps(b, l)))
+            if not ok:
+                return False, (b, k, l, witness[0])
     return True, None
 
 
@@ -275,45 +296,23 @@ def specialize_pair(pair: FrobeniusPair, assignment) -> FrobeniusPair:
 
 
 def sparse_rank_fraction(rows) -> int:
-    """Rank of sparse rows ({col: value} dicts) by elimination over Q."""
-    pivots = {}
-    rank = 0
+    """Rank over Q of sparse rows ({col: int or Fraction} dicts).  Clearing
+    each row's denominators keeps the rank, so the +-1 pivots go in integer
+    arithmetic; any residual is finished over Q, every nonzero a unit."""
+    cleared = []
     for row in rows:
-        row = {c: Fraction(v) for c, v in row.items() if v}
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = 1 / row[c]
-                pivots[c] = {cc: vv * inv for cc, vv in row.items()}
-                rank += 1
-                break
-            f = row[c]
-            for cc, vv in piv.items():
-                nv = row.get(cc, 0) - f * vv
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-        # an emptied row contributes nothing
-    return rank
+        scale = math.lcm(*(x.denominator for x in row.values()))
+        cleared.append({c: x.numerator * scale // x.denominator for c, x in row.items()})
+    count, residual = _unit_pivots(cleared)
+    rest = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in residual]
+    return count + (_unit_pivots(rest, bool)[0] if any(rest) else 0)
 
 
 def sparse_rank_gf2(rows) -> int:
-    """Rank over GF(2); rows are {col: value} dicts or column sets."""
-    pivots = {}
-    rank = 0
-    for row in rows:
-        cur = {c for c, v in row.items() if int(v) % 2} if isinstance(row, dict) else set(row)
-        while cur:
-            c = min(cur)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = cur
-                rank += 1
-                break
-            cur = cur ^ piv
-    return rank
+    """Rank over GF(2) of sparse integer rows ({col: int} dicts); every
+    nonzero residue is 1, a unit, so the elimination leaves no residual."""
+    return _unit_pivots([{c: x % 2 for c, x in row.items() if x % 2} for row in rows],
+                        modulus=2)[0]
 
 
 def smith_normal_form(mat):
@@ -395,35 +394,31 @@ def smith_normal_form(mat):
     return d, u, v
 
 
-def _unit_pivots(rows):
-    """Eliminate the +-1 pivots of sparse integer rows ({col: int} dicts,
-    changed in place); returns (count, residual), the residual as dense rows.
+def _unit_pivots(rows, unit=lambda x: x == 1 or x == -1, modulus=None):
+    """Eliminate the pivots `unit` accepts (+-1 by default) from sparse rows
+    ({col: value} dicts, changed in place; residues mod a prime `modulus`
+    if given); returns (count, residual), the residual as dense rows.
 
-    Each elimination is a unimodular change of basis, so
-    SNF(rows) = I_count (+) SNF(residual).  Pivots go in order of the
-    Markowitz cost (row length - 1) * (column length - 1), which bounds the
-    fill-in each one can cause; costs are rechecked when taken from the heap.
+    Each elimination is an invertible change of basis, so over Z with +-1
+    pivots SNF(rows) = I_count (+) SNF(residual), and over a field the rank
+    is count + rank(residual).  Pivots go in order of the Markowitz cost
+    (row length - 1) * (column length - 1), which bounds the fill-in each one
+    can cause.  An entry is queued when it is or becomes a unit, and its cost
+    is rechecked when taken from the heap.
     """
     rows = dict(enumerate(rows))
     cols = {}
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
-    heap = []
-
-    def push_units(r):
-        row = rows[r]
-        for c, x in row.items():
-            if x == 1 or x == -1:
-                heapq.heappush(heap, ((len(row) - 1) * (len(cols[c]) - 1), r, c))
-
-    for r in rows:
-        push_units(r)
+    heap = [((len(row) - 1) * (len(cols[c]) - 1), r, c)
+            for r, row in rows.items() for c, x in row.items() if unit(x)]
+    heapq.heapify(heap)
     count = 0
     while heap:
         cost, p, c = heapq.heappop(heap)
         pivot = rows.get(p)
-        if pivot is None or pivot.get(c) not in (1, -1):
+        if pivot is None or not unit(pivot.get(c, 0)):
             continue
         now = (len(pivot) - 1) * (len(cols[c]) - 1)
         if now > cost:
@@ -431,24 +426,28 @@ def _unit_pivots(rows):
             continue
         count += 1
         v = pivot.pop(c)
+        inv = v if v == 1 or v == -1 else pow(v, -1, modulus) if modulus else 1 / v
         del rows[p]
         for cc in pivot:
             cols[cc].discard(p)
         for r in cols.pop(c) - {p}:
             row = rows[r]
-            f = row.pop(c) * v
+            f = row.pop(c) * inv
             for cc, x in pivot.items():
-                y = row.get(cc, 0) - f * x
+                old = row.get(cc, 0)
+                y = old - f * x
+                if modulus:
+                    y %= modulus
                 if y:
                     if cc not in row:
                         cols[cc].add(r)
                     row[cc] = y
+                    if unit(y) and not unit(old):
+                        heapq.heappush(heap, ((len(row) - 1) * (len(cols[cc]) - 1), r, cc))
                 else:
                     del row[cc]
                     cols[cc].discard(r)
-            if row:
-                push_units(r)
-            else:
+            if not row:
                 del rows[r]
     live = sorted({c for row in rows.values() for c in row})
     return count, [[row.get(c, 0) for c in live] for row in rows.values()]
@@ -462,11 +461,11 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
 
     Returns a list (degree 0..n) of {"betti": int, "torsion": [int, ...]};
     torsion is always empty over a field.  Each d_i is built once, as sparse
-    rows, and reduced once: over q by `sparse_rank_fraction`, over z2 by
-    `sparse_rank_gf2`, over z by eliminating its unit pivots (`_unit_pivots`)
-    and taking the Smith normal form of the residual block only.  Over z the
-    rank is the pivot count plus the residual's nonzero diagonal entries, and
-    the residual's entries > 1 are the torsion of degree i+1.  Entries must be
+    rows, and reduced by one elimination of its unit pivots (`_unit_pivots`):
+    over q through `sparse_rank_fraction`, over z2 through `sparse_rank_gf2`,
+    over z followed by the Smith normal form of the residual block only.  Over
+    z the rank is the pivot count plus the residual's nonzero diagonal entries,
+    and the residual's entries > 1 are the torsion of degree i+1.  Entries must be
     constants in the pair's ring (specialize first), and integers over z and
     z2: CubeError refuses a fraction such as 1/2 rather than truncate it.
     """

@@ -190,12 +190,6 @@ class FrobeniusAlgebra:
                 out[l3] = s
         return {l: c for l, c in out.items() if not c.is_zero()}
 
-    def scalar_vec(self, c):
-        """c * 1_A for a ring element or integer c."""
-        if isinstance(c, int):
-            c = self.ring.const(c)
-        return {self.unit_label: c} if not c.is_zero() else {}
-
     def power_vec(self, v, k, v_inv=None):
         """v**k in the algebra; negative powers use the supplied inverse."""
         if k < 0:

@@ -10,13 +10,14 @@ Sorts are assigned randomly subject to the generator signature, with the
 all-inessential labelling as a guaranteed-legal fallback.
 
 Also the dense rank oracles `rank_fraction` and `rank_gf2`, which the sparse
-rank routines of `frobpair.cube` are checked against.
+rank routines of `frobpair.cube` are checked against, and the d^2 oracle
+`d_squared_by_differentials`, which `check_d_squared` is checked against.
 """
 
 from fractions import Fraction
 
 from frobpair.cobordism import MERGE_GEN, SPLIT_GEN
-from frobpair.cube import EdgeMove, StateCube, validate_cube
+from frobpair.cube import EdgeMove, StateCube, differential, validate_cube
 
 
 def brute_force_pole_degrees(w):
@@ -82,6 +83,17 @@ def rank_gf2(mat) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def d_squared_by_differentials(cube, pair) -> bool:
+    """True iff every product d_{i+1} d_i of whole differentials is zero."""
+    low = differential(cube, pair, 0) if cube.n > 1 else None
+    for i in range(1, cube.n):
+        high = differential(cube, pair, i)
+        if not high.compose(low).is_zero():
+            return False
+        low = high
+    return True
 
 
 def _cycles(perm):

@@ -260,6 +260,20 @@ def test_unknown_builtin_parameter_exit_two(capsys, builtin, params, accepted):
         assert "parameter " in err and accepted in err
 
 
+def test_repeated_params_key_exit_two(capsys):
+    code, out, err = run(capsys, "verify", "--builtin", "rank2", "--params", "a=1,a=2")
+    assert_one_line_error(code, out, err)
+    assert "parameter 'a' given more than once" in err
+
+
+def test_repeated_specialize_key_exit_two(capsys):
+    cube = importlib.resources.files("frobpair").joinpath("data/merge1.cube")
+    code, out, err = run(capsys, "cube", str(cube), "--builtin", "tt",
+                         "--specialize", "l=2,l=3", "--coeff", "z2")
+    assert_one_line_error(code, out, err)
+    assert "parameter 'l' given more than once" in err
+
+
 def test_params_with_pair_file_exit_two(tmp_path, capsys):
     path = tmp_path / "aps.json"
     path.write_text(aps_pair_text(tmp_path, capsys))

@@ -27,15 +27,17 @@ from frobpair.pair import (
     build_aps,
     build_it,
     build_laurent_sqrt,
+    build_rank2,
     build_tt,
     universal_algebra,
     _algebra_maps,
     FrobeniusPair,
+    Rank2Params,
 )
 from frobpair.ring import INTEGERS, ring
-from frobpair.tensor import BasisSpec, equal, word
+from frobpair.tensor import BasisSpec, compose, equal, word
 
-from helpers import random_cube, rank_fraction, rank_gf2
+from helpers import d_squared_by_differentials, random_cube, rank_fraction, rank_gf2
 
 Z = ring(INTEGERS)
 
@@ -172,14 +174,61 @@ def test_d_squared_single_crossing_trivial():
     assert check_d_squared(split1_cube(), build_aps()) == (True, None)
 
 
-def test_d_squared_builds_each_differential_once(monkeypatch):
+def test_d_squared_matches_differential_oracle():
+    # the verdict of the square-by-square check equals that of composing whole
+    # differentials, on pairs that pass and on it, which fails some squares
+    rng = random.Random(7)
+    cubes = [random_cube(rng, n=rng.randint(2, 4)) for _ in range(12)]
+    it = build_it()
+    rank2 = build_rank2(Rank2Params.over(Z, a=1, c_yy=0, c_yz=1, c_zz=0, d_yy=0, d_yz=1,
+                                         d_zz=0, e_y=1, e_z=1, f_y=1, f_z=1))
+    pairs = [build_aps(), build_tt(), build_laurent_sqrt(), rank2, it,
+             specialize_pair(it, {"t": 1})]
+    failing = 0
+    for pair in pairs:
+        for cube in cubes:
+            ok, witness = check_d_squared(cube, pair)
+            assert ok == d_squared_by_differentials(cube, pair), (pair.name, witness)
+            if ok:
+                assert witness is None
+                continue
+            failing += 1
+            b, k, l, t = witness
+            assert k < l and b[k] == b[l] == "0"
+            bk, bl = b[:k] + "1" + b[k + 1:], b[:l] + "1" + b[l + 1:]
+            one = compose(edge_map(cube, pair, bk, l), edge_map(cube, pair, b, k))
+            two = compose(edge_map(cube, pair, bl, k), edge_map(cube, pair, b, l))
+            assert one.column(t) != two.column(t)
+    assert failing
+
+
+def test_d_squared_builds_each_edge_map_and_square_once(monkeypatch):
     import frobpair.cube as cube_mod
 
-    built = []
-    monkeypatch.setattr(cube_mod, "differential",
-                        lambda c, p, i: built.append(i) or differential(c, p, i))
-    assert check_d_squared(random_cube(random.Random(8), n=4), build_aps()) == (True, None)
-    assert built == [0, 1, 2, 3]
+    built, compared = [], []
+    real_edge_map, real_equal = cube_mod.edge_map, cube_mod.equal
+
+    def recording_edge_map(c, p, b, k):
+        built.append((c.vertices[b], c.edges[(b, k)]))
+        return real_edge_map(c, p, b, k)
+
+    monkeypatch.setattr(cube_mod, "edge_map", recording_edge_map)
+    monkeypatch.setattr(cube_mod, "equal", lambda f, g: compared.append(1) or real_equal(f, g))
+    cube = random_cube(random.Random(8), n=4)
+    assert check_d_squared(cube, build_aps()) == (True, None)
+    # every edge of a cube with n >= 2 lies on a square
+    assert len(built) == len(set(built))
+    assert set(built) == {(cube.vertices[b], m) for (b, _k), m in cube.edges.items()}
+    assert len(built) < len(cube.edges)
+    squares = set()
+    for b in cube.vertices:
+        zeros = [k for k in range(cube.n) if b[k] == "0"]
+        for x, k in enumerate(zeros):
+            for l in zeros[x + 1:]:
+                bk, bl = b[:k] + "1" + b[k + 1:], b[:l] + "1" + b[l + 1:]
+                squares.add((cube.vertices[b], cube.edges[(b, k)], cube.edges[(bk, l)],
+                             cube.edges[(b, l)], cube.edges[(bl, k)]))
+    assert len(compared) == len(squares)
 
 
 # -- specialization -----------------------------------------------------------------
@@ -322,8 +371,8 @@ def test_integer_homology_matches_dense_snf(monkeypatch):
     residuals = []
     real = cube_mod._unit_pivots
 
-    def recording(rows):
-        count, residual = real(rows)
+    def recording(rows, *args, **kwargs):
+        count, residual = real(rows, *args, **kwargs)
         residuals.append(residual)
         return count, residual
 
@@ -343,8 +392,8 @@ def test_integer_homology_matches_dense_snf(monkeypatch):
                                            ("z2", "sparse_rank_gf2"),
                                            ("z", "smith_normal_form")])
 def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, reducer):
-    # over z each d_i goes through one unit-pivot elimination, then the Smith
-    # form of its residual only, and is never made dense
+    # each d_i goes through one unit-pivot elimination and is never made dense;
+    # over z the Smith form then runs on its residual only
     import frobpair.cube as cube_mod
 
     built, reduced, cells = [], [], []
@@ -353,18 +402,17 @@ def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, 
                         lambda c, p, i: built.append(i) or real_differential(c, p, i))
 
     def recording(name, real):
-        def call(m):
+        def call(m, *args, **kwargs):
             reduced.append(name)
             if name == "smith_normal_form":
                 cells.append(len(m) * len(m[0]) if m else 0)
-            return real(m)
+            return real(m, *args, **kwargs)
         return call
 
     for name in ("sparse_rank_fraction", "sparse_rank_gf2", "smith_normal_form",
                  "_unit_pivots"):
         monkeypatch.setattr(cube_mod, name, recording(name, getattr(cube_mod, name)))
-    if coeff == "z":
-        monkeypatch.setattr(BlockMatrix, "dense", lambda self: pytest.fail("dense() over z"))
+    monkeypatch.setattr(BlockMatrix, "dense", lambda self: pytest.fail(f"dense() over {coeff}"))
     cube, aps = random_cube(random.Random(5), n=3), build_aps()
     homology(cube, aps, coeff)
     assert sorted(built) == list(range(cube.n))
@@ -373,7 +421,8 @@ def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, 
         dims = [len(vertex_keys(cube, aps, i)) for i in range(cube.n + 1)]
         assert sum(cells) < sum(dims[i] * dims[i + 1] for i in range(cube.n))
     else:
-        assert reduced == [reducer] * cube.n
+        # this cube leaves no residual over q, so no second pass over Q runs
+        assert reduced == [reducer, "_unit_pivots"] * cube.n
 
 
 def test_generator_table_derives_beta_gamma_once(monkeypatch):
@@ -537,14 +586,38 @@ def test_gf2_rank_matches_fraction_rank_mod2_free_case():
         assert rank_gf2(m) <= rank_fraction(m)
 
 
-def test_sparse_ranks_match_dense_oracle():
+def test_sparse_ranks_match_dense_oracle(monkeypatch):
+    import frobpair.cube as cube_mod
     from frobpair.cube import sparse_rank_fraction, sparse_rank_gf2
 
+    # residuals the +-1 pass leaves over q, which the pass over Q then finishes
+    residuals = []
+    real = cube_mod._unit_pivots
+
+    def recording(rows, *args, **kwargs):
+        count, residual = real(rows, *args, **kwargs)
+        if not args and not kwargs:
+            residuals.append(any(any(row) for row in residual))
+        return count, residual
+
+    monkeypatch.setattr(cube_mod, "_unit_pivots", recording)
+    entries = {"integer": lambda: rng.randint(-4, 4),
+               "even": lambda: 2 * rng.randint(-2, 2),
+               "rational": lambda: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))}
     rng = random.Random(10)
+    left_over = 0
     for _ in range(120):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = [[rng.randint(-4, 4) if rng.random() < 0.5 else 0 for _ in range(cols)]
-             for _ in range(rows)]
-        sparse = [{c: v for c, v in enumerate(row) if v} for row in m]
-        assert sparse_rank_fraction(sparse) == rank_fraction(m)
-        assert sparse_rank_gf2(sparse) == rank_gf2(m)
+        for kind, entry in entries.items():
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            m = [[entry() if rng.random() < 0.5 else 0 for _ in range(cols)]
+                 for _ in range(rows)]
+            sparse = [{c: v for c, v in enumerate(row) if v} for row in m]
+            residuals.clear()
+            assert sparse_rank_fraction(sparse) == rank_fraction(m)
+            assert len(residuals) == 1
+            left_over += residuals[0]
+            if kind == "even":  # no +-1 entry, so all of the rank is left over
+                assert residuals == [bool(rank_fraction(m))]
+            if kind != "rational":
+                assert sparse_rank_gf2(sparse) == rank_gf2(m)
+    assert left_over
