@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .tensor import LinMap, act, equal, word
+from .tensor import MAX_CIRCLES, LinMap, act, equal, word
 from .pair import VerifyRecord, VerifyReport
 
 SORT_NAMES = ("A", "E")
@@ -128,9 +128,13 @@ class CobordismWord:
 
     def __post_init__(self):
         current = tuple(self.input)
-        self.words = [current]
-        for ev in self.events:
-            _, current = step(current, ev)
+        self.words = []
+        for ev in [None, *self.events]:  # None stands for the input word
+            if ev is not None:
+                _, current = step(current, ev)
+            if len(current) > MAX_CIRCLES:
+                raise CobordismError(f"a word of {len(current)} circles is over the "
+                                     f"limit of {MAX_CIRCLES}")
             self.words.append(current)
 
     @property

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .cobordism import MERGE_GEN, SPLIT_GEN
 from .pair import FrobeniusPair
 from .ring import MOD2, RingError, specialize
-from .tensor import LinMap, act, compose, equal, sparse_product, word
+from .tensor import MAX_CIRCLES, LinMap, act, compose, equal, word
 
 
 class CubeError(ValueError):
@@ -55,70 +55,41 @@ def _weight(bits):
     return bits.count("1")
 
 
-def _correspondence(w_in, move):
-    """Positional maps across an edge: (out word, untouched src->dst dict).
+#: edge kind -> (number of source circles, generator by source sorts + output sorts)
+MOVES = {"merge": (2, MERGE_GEN), "split": (1, SPLIT_GEN)}
 
+
+def _interpret(w_in, move):
+    """Read one edge move on the word w_in: (generator, source slots, output
+    slots, output word, provenance), slots 0-based.  The generator reads the
+    source slots in increasing order and writes the output slots in the
+    move's order; untouched circles keep their relative order.  The
+    provenance of an output position is the tuple of source positions it may
+    hold: its own for an untouched circle, all the sources for an output of
+    the move (a split cannot tell its halves apart, so this over-approximates).
     Raises CubeError if the move is not signature-legal on w_in.
     """
-    n_in = len(w_in)
-    if move.kind == "merge":
-        i, j, (out,) = move.i, move.j, move.outs
-        if i == j or not (1 <= i <= n_in and 1 <= j <= n_in):
-            raise CubeError(f"merge positions {i},{j} out of range")
-        key = (w_in[min(i, j) - 1], w_in[max(i, j) - 1], move.sorts[0])
-        if key not in MERGE_GEN:
-            raise CubeError(f"no generator for {key[0]}{key[1]}->{key[2]}")
-        rest = [p for p in range(1, n_in + 1) if p not in (i, j)]
-        n_out = n_in - 1
-        if not 1 <= out <= n_out:
-            raise CubeError(f"merge output position {out} out of range")
-        slots = [p for p in range(1, n_out + 1) if p != out]
-        corr = dict(zip(rest, slots))
-        w_out = [None] * n_out
-        w_out[out - 1] = move.sorts[0]
-        for src, dst in corr.items():
-            w_out[dst - 1] = w_in[src - 1]
-        return tuple(w_out), corr
-    if move.kind == "split":
-        i, (p1, p2) = move.i, move.outs
-        if not 1 <= i <= n_in:
-            raise CubeError(f"split position {i} out of range")
-        key = (w_in[i - 1],) + tuple(move.sorts)
-        if key not in SPLIT_GEN:
-            raise CubeError(f"no generator for {key[0]}->{key[1]}{key[2]}")
-        n_out = n_in + 1
-        if p1 == p2 or not (1 <= p1 <= n_out and 1 <= p2 <= n_out):
-            raise CubeError(f"split output positions {p1},{p2} out of range")
-        rest = [p for p in range(1, n_in + 1) if p != i]
-        slots = [p for p in range(1, n_out + 1) if p not in (p1, p2)]
-        corr = dict(zip(rest, slots))
-        w_out = [None] * n_out
-        w_out[p1 - 1], w_out[p2 - 1] = move.sorts
-        for src, dst in corr.items():
-            w_out[dst - 1] = w_in[src - 1]
-        return tuple(w_out), corr
-    raise CubeError(f"unknown move kind {move.kind!r}")
-
-
-def _provenance(w_in, move):
-    """For each output position, the set of source positions it may contain.
-
-    Untouched circles give singletons; a merge output is the union of its two
-    sources; split pieces inherit the full parent set (positional tracking
-    cannot separate the halves, so this over-approximates)."""
-    w_out, corr = _correspondence(w_in, move)
-    back = {dst: src for src, dst in corr.items()}
-    consumed = frozenset((move.i, move.j) if move.kind == "merge" else (move.i,))
-    return w_out, [frozenset((back[p],)) if p in back else consumed
-                   for p in range(1, len(w_out) + 1)]
-
-
-def _square_provenance(cube, b, first, second):
-    w0 = cube.vertices[b]
-    _w1, prov1 = _provenance(w0, cube.edges[(b, first)])
-    b1 = _flip(b, first)
-    _w2, prov2 = _provenance(cube.vertices[b1], cube.edges[(b1, second)])
-    return [frozenset().union(*(prov1[q - 1] for q in sources)) for sources in prov2]
+    if move.kind not in MOVES:
+        raise CubeError(f"unknown move kind {move.kind!r}")
+    arity, table = MOVES[move.kind]
+    sources = (move.i, move.j)[:arity]
+    src, dst = tuple(sorted([p - 1 for p in sources])), tuple([p - 1 for p in move.outs])
+    n_in, n_out = len(w_in), len(w_in) - arity + len(dst)
+    # fewer distinct in-range positions than the move names: a repeat or a stray
+    if len(set(src).intersection(range(n_in))) < arity:
+        raise CubeError(f"{move.kind} positions {','.join(map(str, sources))} out of range")
+    key = tuple([w_in[p] for p in src]) + tuple(move.sorts)
+    if key not in table:
+        raise CubeError(f"no generator for {''.join(key[:arity])}->{''.join(key[arity:])}")
+    if len(set(dst).intersection(range(n_out))) < len(dst):
+        raise CubeError(f"{move.kind} outputs {','.join(map(str, move.outs))} out of range")
+    w_out, provenance = [None] * n_out, [src] * n_out
+    for p, sort in zip(dst, move.sorts):
+        w_out[p] = sort
+    untouched = [p for p in range(n_in) if p not in src]
+    for p, q in zip(untouched, [q for q in range(n_out) if q not in dst]):
+        w_out[q], provenance[q] = w_in[p], (p,)
+    return table[key], src, dst, tuple(w_out), provenance
 
 
 def validate_cube(cube: StateCube):
@@ -127,34 +98,36 @@ def validate_cube(cube: StateCube):
     for b in bits_all:
         if b not in cube.vertices:
             raise CubeError(f"missing vertex {b!r}")
+    provenance = {}
     for b in bits_all:
         for k in range(cube.n):
             key = (b, k)
             if b[k] == "0":
                 if key not in cube.edges:
                     raise CubeError(f"missing edge {b}->{_flip(b, k)}")
-                w_in = cube.vertices[b]
-                w_out, _ = _correspondence(w_in, cube.edges[key])
-                if tuple(w_out) != tuple(cube.vertices[_flip(b, k)]):
+                try:
+                    *_, w_out, provenance[key] = _interpret(cube.vertices[b], cube.edges[key])
+                except CubeError as exc:
+                    raise CubeError(f"edge {b}/{k}: {exc}") from None
+                if w_out != tuple(cube.vertices[_flip(b, k)]):
                     raise CubeError(
                         f"edge {b}/{k}: move produces word {''.join(w_out)}, "
                         f"vertex has {''.join(cube.vertices[_flip(b, k)])}")
             elif key in cube.edges:
                 raise CubeError(f"edge {b}/{k} flips a 1-bit")
+
+    def path(b, first, second):
+        one, two = provenance[(b, first)], provenance[(_flip(b, first), second)]
+        return [{p for q in sources for p in one[q]} for sources in two]
+
     # every square must act on compatible circles: both orders of the two
     # flips must allow a common source set at every far-corner position (the
     # per-path provenance over-approximates the true one, so disjointness
     # certifies incompatibility)
     for b in bits_all:
-        zeros = [k for k in range(cube.n) if b[k] == "0"]
-        for x in range(len(zeros)):
-            for y in range(x + 1, len(zeros)):
-                k, l = zeros[x], zeros[y]
-                one = _square_provenance(cube, b, k, l)
-                two = _square_provenance(cube, b, l, k)
-                if any(not (s & t) for s, t in zip(one, two)):
-                    raise CubeError(
-                        f"square at {b} (bits {k},{l}) does not commute")
+        for k, l in itertools.combinations([k for k in range(cube.n) if b[k] == "0"], 2):
+            if any(not (s & t) for s, t in zip(path(b, k, l), path(b, l, k))):
+                raise CubeError(f"square at {b} (bits {k},{l}) does not commute")
     return True
 
 
@@ -162,20 +135,12 @@ def edge_map(cube: StateCube, pair: FrobeniusPair, b, k) -> LinMap:
     """The move on edge (b, k): its generator acts on the source circles and
     writes to the move's output positions; untouched circles keep their
     relative order, as in the positional tracking convention."""
-    move = cube.edges[(b, k)]
     w_in = tuple(cube.vertices[b])
-    _correspondence(w_in, move)  # CubeError if the move is illegal on w_in
+    gen, src, dst, _w_out, _provenance = _interpret(w_in, cube.edges[(b, k)])
     table = pair.generator_table()
-    if move.kind == "merge":
-        src = (min(move.i, move.j) - 1, max(move.i, move.j) - 1)
-        gen = MERGE_GEN[(w_in[src[0]], w_in[src[1]], move.sorts[0])]
-    else:
-        src = (move.i - 1,)
-        gen = SPLIT_GEN[(w_in[src[0]],) + tuple(move.sorts)]
     if gen not in table:
         raise CubeError(f"pair {pair.name!r} is missing generator {gen}")
-    return act(LinMap.identity(pair.spec, word(w_in)), table[gen], src,
-               [p - 1 for p in move.outs])
+    return act(LinMap.identity(pair.spec, word(w_in)), table[gen], src, dst)
 
 
 class BlockMatrix:
@@ -196,15 +161,6 @@ class BlockMatrix:
             self.entries.pop((r, c), None)
         else:
             self.entries[(r, c)] = s
-
-    def is_zero(self):
-        return not self.entries
-
-    def compose(self, other: "BlockMatrix") -> "BlockMatrix":
-        """self * other (apply other first)."""
-        out = BlockMatrix(self.rows, other.cols, self.ring)
-        out.entries = sparse_product(self.entries, other.entries)
-        return out
 
     def dense(self):
         """Rows of constant entries; raises RingError on non-constant ones."""
@@ -505,10 +461,6 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
              "torsion": torsion[i]} for i in range(cube.n + 1)]
 
 
-def euler_characteristic(report) -> int:
-    return sum((-1) ** i * slot["betti"] for i, slot in enumerate(report))
-
-
 def vertex_euler(cube: StateCube, pair: FrobeniusPair) -> int:
     return sum((-1) ** _weight(b) * pair.spec.dim(word(w))
                for b, w in cube.vertices.items())
@@ -582,6 +534,9 @@ def cube_from_json(text) -> StateCube:
     for b, w in raw_vertices.items():
         if not isinstance(w, list) or not all(s in ("A", "E") for s in w):
             raise CubeError(f"vertex {b!r}: expected a list of sorts A/E")
+        if len(w) > MAX_CIRCLES:
+            raise CubeError(f"vertex {b!r}: a word of {len(w)} circles is over the "
+                            f"limit of {MAX_CIRCLES}")
         vertices[b] = tuple(w)
     edges = {}
     for key, mv in raw_edges.items():

@@ -20,6 +20,10 @@ SORT_A = "A"
 SORT_E = "E"
 SORTS = (SORT_A, SORT_E)
 
+#: the most circles a cube vertex or a cobordism word (input or running) may hold, so a
+#: rank-2 word spans at most 2**16 basis tuples
+MAX_CIRCLES = 16
+
 
 class TensorError(ValueError):
     """Shape or basis-spec violations in linear-map operations."""

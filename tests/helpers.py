@@ -9,15 +9,20 @@ gives canonical circle tracking, so every square commutes by construction.
 Sorts are assigned randomly subject to the generator signature, with the
 all-inessential labelling as a guaranteed-legal fallback.
 
-Also the dense rank oracles `rank_fraction` and `rank_gf2`, which the sparse
-rank routines of `frobpair.cube` are checked against, and the d^2 oracle
-`d_squared_by_differentials`, which `check_d_squared` is checked against.
+Also the oracles that only tests use: the dense rank oracles `rank_fraction`
+and `rank_gf2`, which the sparse rank routines of `frobpair.cube` are checked
+against; the d^2 oracle `d_squared_by_differentials`, which `check_d_squared`
+is checked against; `block_product` and `euler_characteristic` on differentials
+and homology reports; and `validate_by_correspondence`, the edge-by-edge cube
+validation that `validate_cube` is checked against.
 """
 
+import itertools
 from fractions import Fraction
 
 from frobpair.cobordism import MERGE_GEN, SPLIT_GEN
-from frobpair.cube import EdgeMove, StateCube, differential, validate_cube
+from frobpair.cube import CubeError, EdgeMove, StateCube, differential, validate_cube
+from frobpair.tensor import sparse_product
 
 
 def brute_force_pole_degrees(w):
@@ -85,14 +90,100 @@ def rank_gf2(mat) -> int:
     return rank
 
 
+def block_product(high, low) -> dict:
+    """The nonzero entries of high * low (apply low first) for block matrices."""
+    return sparse_product(high.entries, low.entries)
+
+
+def euler_characteristic(report) -> int:
+    return sum((-1) ** i * slot["betti"] for i, slot in enumerate(report))
+
+
 def d_squared_by_differentials(cube, pair) -> bool:
     """True iff every product d_{i+1} d_i of whole differentials is zero."""
     low = differential(cube, pair, 0) if cube.n > 1 else None
     for i in range(1, cube.n):
         high = differential(cube, pair, i)
-        if not high.compose(low).is_zero():
+        if block_product(high, low):
             return False
         low = high
+    return True
+
+
+def _correspondence(w_in, move):
+    """Positional maps across an edge: (out word, untouched src->dst dict).
+
+    Raises CubeError if the move is not signature-legal on w_in.
+    """
+    n_in = len(w_in)
+    if move.kind == "merge":
+        i, j, (out,) = move.i, move.j, move.outs
+        if i == j or not (1 <= i <= n_in and 1 <= j <= n_in):
+            raise CubeError(f"merge positions {i},{j} out of range")
+        key = (w_in[min(i, j) - 1], w_in[max(i, j) - 1], move.sorts[0])
+        if key not in MERGE_GEN:
+            raise CubeError(f"no generator for {key[0]}{key[1]}->{key[2]}")
+        rest = [p for p in range(1, n_in + 1) if p not in (i, j)]
+        n_out = n_in - 1
+        if not 1 <= out <= n_out:
+            raise CubeError(f"merge output position {out} out of range")
+        slots = [p for p in range(1, n_out + 1) if p != out]
+    elif move.kind == "split":
+        i, (p1, p2) = move.i, move.outs
+        if not 1 <= i <= n_in:
+            raise CubeError(f"split position {i} out of range")
+        key = (w_in[i - 1],) + tuple(move.sorts)
+        if key not in SPLIT_GEN:
+            raise CubeError(f"no generator for {key[0]}->{key[1]}{key[2]}")
+        n_out = n_in + 1
+        if p1 == p2 or not (1 <= p1 <= n_out and 1 <= p2 <= n_out):
+            raise CubeError(f"split output positions {p1},{p2} out of range")
+        rest = [p for p in range(1, n_in + 1) if p != i]
+        slots = [p for p in range(1, n_out + 1) if p not in (p1, p2)]
+    else:
+        raise CubeError(f"unknown move kind {move.kind!r}")
+    corr = dict(zip(rest, slots))
+    w_out = [None] * n_out
+    for p, sort in zip(move.outs, move.sorts):
+        w_out[p - 1] = sort
+    for src, dst in corr.items():
+        w_out[dst - 1] = w_in[src - 1]
+    return tuple(w_out), corr
+
+
+def _provenance(w_in, move):
+    """For each output position, the set of source positions it may contain."""
+    w_out, corr = _correspondence(w_in, move)
+    back = {dst: src for src, dst in corr.items()}
+    consumed = frozenset((move.i, move.j) if move.kind == "merge" else (move.i,))
+    return [frozenset((back[p],)) if p in back else consumed
+            for p in range(1, len(w_out) + 1)]
+
+
+def _square_provenance(cube, b, first, second):
+    prov1 = _provenance(cube.vertices[b], cube.edges[(b, first)])
+    b1 = b[:first] + "1" + b[first + 1:]
+    prov2 = _provenance(cube.vertices[b1], cube.edges[(b1, second)])
+    return [frozenset().union(*(prov1[q - 1] for q in sources)) for sources in prov2]
+
+
+def validate_by_correspondence(cube) -> bool:
+    """True iff every edge of a cube with all its vertices and edges is legal
+    and produces its target word, and every square commutes; each square
+    re-reads its four edges.  The edge rules are written out per kind."""
+    for (b, k), move in cube.edges.items():
+        try:
+            w_out, _ = _correspondence(cube.vertices[b], move)
+        except CubeError:
+            return False
+        if w_out != tuple(cube.vertices[b[:k] + "1" + b[k + 1:]]):
+            return False
+    for b in cube.vertices:
+        for k, l in itertools.combinations([k for k in range(cube.n) if b[k] == "0"], 2):
+            one = _square_provenance(cube, b, k, l)
+            two = _square_provenance(cube, b, l, k)
+            if any(not (s & t) for s, t in zip(one, two)):
+                return False
     return True
 
 

@@ -18,7 +18,6 @@ from fractions import Fraction
 from frobpair.cobordism import diamond_exchange_suite, pole_degree
 from frobpair.cube import (
     check_d_squared,
-    euler_characteristic,
     homology,
     specialize_pair,
     vertex_euler,
@@ -42,7 +41,7 @@ from frobpair.pair import (
 from frobpair.ring import INTEGERS, MOD2, RATIONALS, ring
 from frobpair.theory import load_axioms
 
-from helpers import brute_force_pole_degrees, random_cube
+from helpers import brute_force_pole_degrees, euler_characteristic, random_cube
 
 Z = ring(INTEGERS)
 APS_PARAMS = dict(a=0, c_yy=0, c_yz=1, c_zz=0, d_yy=0, d_yz=1, d_zz=0,

@@ -373,3 +373,24 @@ def test_cube_non_integral_entry_refused_over_z_and_z2(tmp_path, capsys):
         code, out, err = run(capsys, *argv, coeff)
         assert_one_line_error(code, out, err)
         assert "non-integral entry 1/2" in err
+
+
+def test_cube_over_circle_limit_exit_two(tmp_path, capsys):
+    # one vertex of 20 circles spans 2**20 basis tuples over aps
+    path = tmp_path / "long.cube"
+    path.write_text(json.dumps({"n": 0, "vertices": {"": ["A"] * 20}, "edges": {}}))
+    code, out, err = run(capsys, "cube", "--builtin", "aps", str(path))
+    assert_one_line_error(code, out, err)
+    assert "vertex '': a word of 20 circles is over the limit of 16" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("input" + " A" * 20 + "\n", "a word of 20 circles"),
+    ("input" + " A" * 16 + "\nsplit 1 A A\n", "a word of 17 circles"),
+], ids=["input_word", "running_word"])
+def test_eval_over_circle_limit_exit_two(tmp_path, capsys, text, message):
+    path = tmp_path / "long.cob"
+    path.write_text(text)
+    code, out, err = run(capsys, "eval", "--builtin", "aps", str(path))
+    assert_one_line_error(code, out, err)
+    assert message + " is over the limit of 16" in err

@@ -28,6 +28,7 @@ from frobpair.pair import (
     universal_algebra,
     _algebra_maps,
 )
+from frobpair.tensor import MAX_CIRCLES
 from frobpair.ring import INTEGERS, ring
 from frobpair.tensor import BasisSpec, LinMap, apply, compose, equal, word
 
@@ -262,3 +263,13 @@ def test_diamond_case1_uses_both_equality_families():
 
 DIAMOND_CASE1 = [c for c in __import__("frobpair.cobordism", fromlist=["DIAMOND_CASES"]).DIAMOND_CASES
                  if c[0] == "case01_one_circle_linked"]
+
+
+def test_parse_circle_limit():
+    # the input word and every running word are bounded; a split grows the word
+    full = "input" + " A" * MAX_CIRCLES + "\n"
+    cob = parse_cobordism(full + "merge 1 A\nsplit 1 A A\n")
+    assert max(map(len, cob.words)) == MAX_CIRCLES
+    for text in (full + "split 1 A A\n", full + "birth 1\n", full.replace("input", "input A")):
+        with pytest.raises(CobordismError, match=f"a word of {MAX_CIRCLES + 1} circles"):
+            parse_cobordism(text)

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.resources
+import json
 import random
 from fractions import Fraction
 
@@ -15,7 +17,6 @@ from frobpair.cube import (
     cube_to_json,
     differential,
     edge_map,
-    euler_characteristic,
     homology,
     smith_normal_form,
     specialize_pair,
@@ -35,9 +36,17 @@ from frobpair.pair import (
     Rank2Params,
 )
 from frobpair.ring import INTEGERS, ring
-from frobpair.tensor import BasisSpec, compose, equal, word
+from frobpair.tensor import MAX_CIRCLES, BasisSpec, compose, equal, word
 
-from helpers import d_squared_by_differentials, random_cube, rank_fraction, rank_gf2
+from helpers import (
+    block_product,
+    d_squared_by_differentials,
+    euler_characteristic,
+    random_cube,
+    rank_fraction,
+    rank_gf2,
+    validate_by_correspondence,
+)
 
 Z = ring(INTEGERS)
 
@@ -116,6 +125,54 @@ def test_validate_missing_vertex_and_edge():
         validate_cube(StateCube(1, {"0": ("A",), "1": ("A", "A")}, {}))
 
 
+def perturbed(rng, cube):
+    """The cube with one edge changed: a split's outputs swapped, or a merge's
+    output shifted one place."""
+    (b, k), move = rng.choice(sorted(cube.edges.items()))
+    if move.kind == "split":
+        move = dataclasses.replace(move, outs=move.outs[::-1])
+    else:
+        move = dataclasses.replace(move, outs=(move.outs[0] % (len(cube.vertices[b]) - 1) + 1,))
+    return StateCube(cube.n, cube.vertices, {**cube.edges, (b, k): move})
+
+
+def test_validate_matches_correspondence_oracle():
+    # the one interpreter accepts and refuses exactly what the per-kind edge
+    # rules of the old validation did, which re-read each edge per square
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(150):
+        cube = perturbed(rng, random_cube(rng, n=rng.randint(2, 4)))
+        try:
+            ok = validate_cube(cube)
+        except CubeError as exc:
+            ok = False
+            assert str(exc).startswith(("edge ", "square at ")), exc
+        assert ok == validate_by_correspondence(cube)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_load_interprets_each_edge_once(monkeypatch):
+    import frobpair.cube as cube_mod
+
+    calls = []
+    real = cube_mod._interpret
+    monkeypatch.setattr(cube_mod, "_interpret", lambda w, m: calls.append(m) or real(w, m))
+    for n in (1, 3, 5):
+        cube = random_cube(random.Random(n), n=n, max_circles=8)
+        calls.clear()
+        cube_from_json(cube_to_json(cube))
+        assert len(calls) == n * 2 ** (n - 1)
+
+
+def test_edge_errors_name_the_edge():
+    cube = StateCube(1, {"0": ("A",), "1": ("A", "E")},
+                     {("0", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "E"))})
+    with pytest.raises(CubeError, match=r"^edge 0/0: no generator for A->AE$"):
+        validate_cube(cube)
+
+
 # -- differential -----------------------------------------------------------------
 
 
@@ -130,8 +187,8 @@ def test_differential_of_split1_is_delta():
 
 def test_differential_beyond_n_is_zero():
     aps = build_aps()
-    assert differential(split1_cube(), aps, 5).is_zero()
-    assert differential(split1_cube(), aps, 1).is_zero()
+    assert not differential(split1_cube(), aps, 5).entries
+    assert not differential(split1_cube(), aps, 1).entries
 
 
 def test_fig13_square_cancels_before_signs():
@@ -139,8 +196,7 @@ def test_fig13_square_cancels_before_signs():
     aps = build_aps()
     cube = cube_from_json(importlib.resources.files("frobpair")
                           .joinpath("data/fig13.cube").read_text())
-    d1d0 = differential(cube, aps, 1).compose(differential(cube, aps, 0))
-    assert d1d0.is_zero()
+    assert not block_product(differential(cube, aps, 1), differential(cube, aps, 0))
     m_abd = edge_map(cube, aps, "10", 1)
     m_acd = edge_map(cube, aps, "01", 0)
     assert equal(
@@ -477,8 +533,7 @@ def test_sign_convention_flip_preserves_betti():
             return d
 
         for i in range(cube.n - 1):
-            sq = flipped_differential(i + 1).compose(flipped_differential(i))
-            assert sq.is_zero()
+            assert not block_product(flipped_differential(i + 1), flipped_differential(i))
         std = homology(cube, aps, "q")
         ranks = [rank_fraction(flipped_differential(i).dense())
                  if differential(cube, aps, i).cols else 0 for i in range(cube.n)]
@@ -576,6 +631,15 @@ def test_cube_file_errors():
     with pytest.raises(CubeError, match="unknown kind"):
         cube_from_json('{"n": 1, "vertices": {"0": ["A"], "1": ["A","A"]}, '
                        '"edges": {"*": {"kind": "twist"}}}')
+
+
+def test_cube_file_circle_limit():
+    def one_vertex(k):
+        return json.dumps({"n": 0, "vertices": {"": ["E"] * k}, "edges": {}})
+
+    assert cube_from_json(one_vertex(MAX_CIRCLES)).vertices[""] == ("E",) * MAX_CIRCLES
+    with pytest.raises(CubeError, match=f"a word of {MAX_CIRCLES + 1} circles"):
+        cube_from_json(one_vertex(MAX_CIRCLES + 1))
 
 
 def test_gf2_rank_matches_fraction_rank_mod2_free_case():

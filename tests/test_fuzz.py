@@ -1,0 +1,90 @@
+"""Seeded mutation fuzz of the shipped data files through the CLI.
+
+Each mutant of a pair, cube or cobordism file must give an answer (exit 0 or
+1) or one `error:` line with exit 2, never a traceback.
+"""
+
+import importlib.resources
+import random
+import re
+
+import pytest
+
+from frobpair.cli import main
+from frobpair.tensor import MAX_CIRCLES
+
+DATA = importlib.resources.files("frobpair").joinpath("data")
+
+
+def delete_span(rng, text):
+    i = rng.randrange(len(text))
+    return text[:i] + text[i + rng.randint(1, 40):]
+
+
+def swap_token(rng, text):
+    tokens = re.findall(r"\w+|[^\w\s]|\s+", text)
+    a, b = rng.randrange(len(tokens)), rng.randrange(len(tokens))
+    tokens[a], tokens[b] = tokens[b], tokens[a]
+    return "".join(tokens)
+
+
+def replace_number(rng, text):
+    m = rng.choice(list(re.finditer(r"-?\d+", text)))
+    new = rng.choice(["0", "-1", "2", "3", "17", "1.5", "1e9", str(10 ** 6), str(10 ** 30)])
+    return text[:m.start()] + new + text[m.end():]
+
+
+def duplicate_line(rng, text):
+    lines = text.splitlines(keepends=True)
+    k = rng.randrange(len(lines))
+    return "".join(lines[:k + 1] + lines[k:])
+
+
+def insert_punctuation(rng, text):
+    i = rng.randrange(len(text) + 1)
+    return text[:i] + rng.choice(',:;{}[]"#*-/=') + text[i:]
+
+
+def repeat_sort(rng, text):
+    """One sort letter, or the start of the input line, repeated past the circle limit."""
+    m = rng.choice(list(re.finditer(r'"[AE]"|(?<=^input)', text, re.M)))
+    k = rng.randint(MAX_CIRCLES + 1, MAX_CIRCLES + 8)
+    new = ", ".join([m.group()] * k) if m.group() else " A" * k
+    return text[:m.start()] + new + text[m.end():]
+
+
+MUTATIONS = (delete_span, swap_token, replace_number, duplicate_line, insert_punctuation,
+             repeat_sort)
+
+#: shipped file -> the command line its mutant is read by (MUTANT marks its place)
+TARGETS = {
+    "aps.json": ("cube", "--pair", "MUTANT", str(DATA.joinpath("fig13.cube"))),
+    "fig13.cube": ("cube", "--builtin", "aps", "MUTANT"),
+    "merge1.cube": ("cube", "--builtin", "aps", "MUTANT", "--coeff", "z"),
+    "split1.cube": ("cube", "--builtin", "aps", "MUTANT", "--coeff", "z2"),
+    "torus.cob": ("eval", "--builtin", "aps", "MUTANT"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_mutants_exit_cleanly(tmp_path, capsys, name):
+    rng = random.Random(name)
+    text = DATA.joinpath(name).read_text()
+    path = tmp_path / name
+    argv = [str(path) if a == "MUTANT" else a for a in TARGETS[name]]
+    codes, over_limit = set(), 0
+    for _ in range(150):
+        mutation = rng.choice(MUTATIONS)
+        mutant = mutation(rng, text)
+        path.write_text(mutant)
+        code = main(argv)
+        out = capsys.readouterr()
+        context = f"{mutation.__name__} mutant of {name}:\n{mutant}"
+        assert code in (0, 1, 2), context
+        assert "Traceback" not in out.err, context
+        if code == 2:
+            assert out.err.startswith("error: ") and out.err.count("\n") == 1, context
+            over_limit += "over the limit" in out.err
+        codes.add(code)
+    assert 0 in codes and 2 in codes
+    assert over_limit or name == "aps.json"
