@@ -30,7 +30,7 @@ from .pair import (
 )
 from .ring import INTEGERS, MOD2, RATIONALS, RingError, ring
 from .tensor import TensorError
-from .theory import GROUPS, MANIFEST_VERSION, TheoryError, load_axioms
+from .theory import GROUPS, TheoryError, load_axioms, manifest_version
 
 
 class InputError(Exception):
@@ -125,7 +125,7 @@ def get_pair(args, params=None):
 def get_axioms(args):
     path = getattr(args, "axioms", None) or os.environ.get("FROBPAIR_AXIOMS")
     try:
-        return load_axioms(path)
+        return load_axioms(path), manifest_version(path)
     except (OSError, TheoryError) as exc:
         raise InputError(f"cannot load axioms: {exc}") from None
 
@@ -147,9 +147,9 @@ def _witness_obj(witness):
     }
 
 
-def report_json(report) -> str:
+def report_json(report, version) -> str:
     obj = {
-        "manifest_version": MANIFEST_VERSION,
+        **({"manifest_version": version} if version is not None else {}),
         "pair": report.pair_name,
         "ok": report.ok(),
         "summary": {g: report.summary()[g] for g in sorted(report.summary())},
@@ -193,7 +193,7 @@ def report_text(report) -> str:
 def cmd_verify(args) -> int:
     params = parse_params(args.params)
     pair = get_pair(args, params)
-    equations = get_axioms(args)
+    equations, version = get_axioms(args)
     groups = set(args.groups.split(",")) if args.groups else None
     if groups is not None and not groups <= set(GROUPS):
         raise InputError(f"unknown group(s) {', '.join(map(repr, sorted(groups - set(GROUPS))))}; "
@@ -202,7 +202,7 @@ def cmd_verify(args) -> int:
     if not any(r.status != "skip" and r.group != "quarantine" for r in report.records):
         raise InputError("no equation outside the quarantine group could be scored: "
                          "the pair lacks their generators or the filter excludes them")
-    print(report_json(report) if args.report == "json" else report_text(report))
+    print(report_json(report, version) if args.report == "json" else report_text(report))
     return 0 if report.ok() else 1
 
 
@@ -262,6 +262,8 @@ def cmd_cube(args) -> int:
             except RingError as exc:
                 raise InputError(str(exc)) from None
         pair = cube_mod.specialize_pair(pair, assignment)
+    for w in cube.vertices.values():
+        pair.spec.check_dim(w)
     report = cube_mod.homology(cube, pair, args.coeff)
     print("betti: " + " ".join(str(s["betti"]) for s in report))
     if args.coeff == "z":

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cobordism import MERGE_GEN, SPLIT_GEN
+from .cobordism import MOVES, CobordismError, interpret
 from .pair import FrobeniusPair
 from .ring import MOD2, RingError, specialize
 from .tensor import MAX_CIRCLES, LinMap, act, compose, equal, word
@@ -29,7 +29,7 @@ class CubeError(ValueError):
 
 @dataclass(frozen=True)
 class EdgeMove:
-    kind: str          # merge | split
+    kind: str          # merge | split, a key of cobordism.MOVES
     i: int             # 1-based source position (first circle for merge)
     j: int = 0         # second source position for merge
     outs: tuple = ()   # output position(s): (out,) for merge, (p1, p2) for split
@@ -55,41 +55,14 @@ def _weight(bits):
     return bits.count("1")
 
 
-#: edge kind -> (number of source circles, generator by source sorts + output sorts)
-MOVES = {"merge": (2, MERGE_GEN), "split": (1, SPLIT_GEN)}
-
-
 def _interpret(w_in, move):
-    """Read one edge move on the word w_in: (generator, source slots, output
-    slots, output word, provenance), slots 0-based.  The generator reads the
-    source slots in increasing order and writes the output slots in the
-    move's order; untouched circles keep their relative order.  The
-    provenance of an output position is the tuple of source positions it may
-    hold: its own for an untouched circle, all the sources for an output of
-    the move (a split cannot tell its halves apart, so this over-approximates).
-    Raises CubeError if the move is not signature-legal on w_in.
-    """
-    if move.kind not in MOVES:
-        raise CubeError(f"unknown move kind {move.kind!r}")
-    arity, table = MOVES[move.kind]
-    sources = (move.i, move.j)[:arity]
-    src, dst = tuple(sorted([p - 1 for p in sources])), tuple([p - 1 for p in move.outs])
-    n_in, n_out = len(w_in), len(w_in) - arity + len(dst)
-    # fewer distinct in-range positions than the move names: a repeat or a stray
-    if len(set(src).intersection(range(n_in))) < arity:
-        raise CubeError(f"{move.kind} positions {','.join(map(str, sources))} out of range")
-    key = tuple([w_in[p] for p in src]) + tuple(move.sorts)
-    if key not in table:
-        raise CubeError(f"no generator for {''.join(key[:arity])}->{''.join(key[arity:])}")
-    if len(set(dst).intersection(range(n_out))) < len(dst):
-        raise CubeError(f"{move.kind} outputs {','.join(map(str, move.outs))} out of range")
-    w_out, provenance = [None] * n_out, [src] * n_out
-    for p, sort in zip(dst, move.sorts):
-        w_out[p] = sort
-    untouched = [p for p in range(n_in) if p not in src]
-    for p, q in zip(untouched, [q for q in range(n_out) if q not in dst]):
-        w_out[q], provenance[q] = w_in[p], (p,)
-    return table[key], src, dst, tuple(w_out), provenance
+    """`cobordism.interpret` of an edge move on the word w_in: (generator,
+    source slots, output slots, output word, provenance), slots 0-based, the
+    sources read in increasing order.  Raises CobordismError on an illegal move."""
+    src = tuple(sorted([p - 1 for p in (move.i, move.j)[:MOVES.get(move.kind, (0,))[0]]]))
+    dst = tuple([p - 1 for p in move.outs])
+    gen, w_out, provenance = interpret(w_in, move.kind, src, dst, move.sorts)
+    return gen, src, dst, w_out, provenance
 
 
 def validate_cube(cube: StateCube):
@@ -107,7 +80,7 @@ def validate_cube(cube: StateCube):
                     raise CubeError(f"missing edge {b}->{_flip(b, k)}")
                 try:
                     *_, w_out, provenance[key] = _interpret(cube.vertices[b], cube.edges[key])
-                except CubeError as exc:
+                except CobordismError as exc:
                     raise CubeError(f"edge {b}/{k}: {exc}") from None
                 if w_out != tuple(cube.vertices[_flip(b, k)]):
                     raise CubeError(

@@ -23,6 +23,8 @@ SORTS = (SORT_A, SORT_E)
 #: the most circles a cube vertex or a cobordism word (input or running) may hold, so a
 #: rank-2 word spans at most 2**16 basis tuples
 MAX_CIRCLES = 16
+#: the most basis tuples such a word may span under the chosen pair
+MAX_TUPLES = 2 ** 16
 
 
 class TensorError(ValueError):
@@ -64,6 +66,12 @@ class BasisSpec:
         for s in w:
             n *= len(self.labels(s))
         return n
+
+    def check_dim(self, w):
+        """Raise TensorError if w spans more than MAX_TUPLES basis tuples."""
+        if self.dim(w) > MAX_TUPLES:
+            raise TensorError(f"the word {''.join(w)} spans {self.dim(w)} basis tuples, "
+                              f"over the limit of {MAX_TUPLES}")
 
 
 class LinMap:

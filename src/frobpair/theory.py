@@ -9,6 +9,7 @@ axiom manifest is generated by build_manifest() and frozen as data/axioms.eq.
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass
 
 from .tensor import LinMap, act, word
@@ -314,14 +315,23 @@ def parse_theory(text) -> list:
     return equations
 
 
+def _manifest_text(path):
+    if path is None:
+        return importlib.resources.files("frobpair").joinpath("data/axioms.eq").read_text()
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def load_axioms(path=None) -> list:
     """Load the axiom manifest from a file, or the shipped default."""
-    if path is None:
-        text = importlib.resources.files("frobpair").joinpath("data/axioms.eq").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_theory(text)
+    return parse_theory(_manifest_text(path))
+
+
+def manifest_version(path=None):
+    """The value of the first `# version:` line of a manifest file (or the
+    shipped one), or None if it has none."""
+    found = re.search(r"^# version:(.*)$", _manifest_text(path), re.MULTILINE)
+    return found and found.group(1).strip()
 
 
 # -- manifest generation -----------------------------------------------------------

@@ -13,16 +13,27 @@ Also the oracles that only tests use: the dense rank oracles `rank_fraction`
 and `rank_gf2`, which the sparse rank routines of `frobpair.cube` are checked
 against; the d^2 oracle `d_squared_by_differentials`, which `check_d_squared`
 is checked against; `block_product` and `euler_characteristic` on differentials
-and homology reports; and `validate_by_correspondence`, the edge-by-edge cube
-validation that `validate_cube` is checked against.
+and homology reports; `validate_by_correspondence`, the edge-by-edge cube
+validation that `validate_cube` is checked against; and `diamond_by_paths`,
+the path-by-path exchange suite that `diamond_exchange_suite` is checked
+against.
 """
 
 import itertools
 from fractions import Fraction
 
-from frobpair.cobordism import MERGE_GEN, SPLIT_GEN
+from frobpair.cobordism import (
+    DIAMOND_CASES,
+    MERGE_GEN,
+    SPLIT_GEN,
+    CobordismWord,
+    _edge_labelings,
+    _reverse_events,
+    evaluate,
+)
 from frobpair.cube import CubeError, EdgeMove, StateCube, differential, validate_cube
-from frobpair.tensor import sparse_product
+from frobpair.pair import VerifyRecord
+from frobpair.tensor import equal, sparse_product
 
 
 def brute_force_pole_degrees(w):
@@ -108,6 +119,34 @@ def d_squared_by_differentials(cube, pair) -> bool:
             return False
         low = high
     return True
+
+
+def diamond_by_paths(pair, cases=DIAMOND_CASES) -> list:
+    """The exchange suite's records, each of the four paths of a labelled
+    square evaluated whole from the identity."""
+    records = []
+    for name, n0, v_a, w_b, w_a, v_c in cases:
+        for a_word in itertools.product("AE", repeat=n0):
+            for v_events, b_word in _edge_labelings(a_word, v_a):
+                for w_events, d_word in _edge_labelings(b_word, w_b):
+                    for w2_events, c_word in _edge_labelings(a_word, w_a):
+                        for v2_events, d2_word in _edge_labelings(c_word, v_c):
+                            if d_word != d2_word:
+                                continue
+                            label = "".join(a_word) + ">" + "".join(b_word) + "|" + \
+                                "".join(c_word) + ">" + "".join(d_word)
+                            abd = CobordismWord(a_word, v_events + w_events)
+                            acd = CobordismWord(a_word, w2_events + v2_events)
+                            bac = CobordismWord(
+                                b_word, _reverse_events(a_word, v_events) + w2_events)
+                            bdc = CobordismWord(
+                                b_word, w_events + _reverse_events(c_word, v2_events))
+                            for which, lhs, rhs in (("bottom", abd, acd), ("side", bac, bdc)):
+                                ok, witness = equal(evaluate(lhs, pair), evaluate(rhs, pair))
+                                records.append(VerifyRecord(
+                                    f"{name}[{label}]/{which}", "diamond", "paper",
+                                    "pass" if ok else "fail", witness=witness))
+    return records
 
 
 def _correspondence(w_in, move):

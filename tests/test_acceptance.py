@@ -15,6 +15,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import frobpair
 from frobpair.cobordism import diamond_exchange_suite, pole_degree
 from frobpair.cube import (
     check_d_squared,
@@ -234,6 +235,10 @@ def test_criterion_11_cli_determinism(tmp_path):
         for seed in ("0", "12345"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
             env.pop("FROBPAIR_AXIOMS", None)
+            # the child imports the frobpair this test imported
+            env["PYTHONPATH"] = os.pathsep.join(
+                [os.path.dirname(os.path.dirname(frobpair.__file__)),
+                 *filter(None, [env.get("PYTHONPATH")])])
             proc = subprocess.run(
                 [sys.executable, "-m", "frobpair.cli", "verify", "--builtin", "aps",
                  "--report", "json"],

@@ -153,6 +153,26 @@ def test_axioms_env_override(tmp_path, capsys, monkeypatch):
     assert "only" in out and "fa_assoc" not in out
 
 
+@pytest.mark.parametrize("header,version", [("# version: 7\n", "7"), ("", None)],
+                         ids=["version_7", "no_version"])
+@pytest.mark.parametrize("via", ["option", "env"])
+def test_axioms_file_version_in_json_report(tmp_path, capsys, monkeypatch, header, version, via):
+    shipped = importlib.resources.files("frobpair").joinpath("data/axioms.eq").read_text()
+    custom = tmp_path / "axioms.eq"
+    custom.write_text(header + "\n".join(line for line in shipped.splitlines()
+                                         if not line.startswith("# version:")) + "\n")
+    argv = ["verify", "--builtin", "aps", "--report", "json"]
+    if via == "option":
+        argv += ["--axioms", str(custom)]
+    else:
+        monkeypatch.setenv("FROBPAIR_AXIOMS", str(custom))
+    code, out, _ = run(capsys, *argv)
+    obj = json.loads(out)
+    assert code == 0 and obj["equations"]
+    assert obj.get("manifest_version") == version
+    assert ("manifest_version" in obj) == (version is not None)
+
+
 def test_verify_strict_partial_it(capsys):
     code, out, _ = run(capsys, "verify", "--builtin", "it", "--strict-partial")
     assert code == 0
@@ -394,3 +414,28 @@ def test_eval_over_circle_limit_exit_two(tmp_path, capsys, text, message):
     code, out, err = run(capsys, "eval", "--builtin", "aps", str(path))
     assert_one_line_error(code, out, err)
     assert message + " is over the limit of 16" in err
+
+
+def test_cube_over_tuple_limit_exit_two(tmp_path, capsys):
+    # 9 circles are under the circle cap, but double has four E labels:
+    # one vertex spans 4**9 = 262,144 basis tuples
+    path = tmp_path / "wide.cube"
+    path.write_text(json.dumps({"n": 0, "vertices": {"": ["E"] * 9}, "edges": {}}))
+    code, out, err = run(capsys, "cube", "--builtin", "double", str(path))
+    assert_one_line_error(code, out, err)
+    assert "spans 262144 basis tuples, over the limit of 65536" in err
+    code, out, _ = run(capsys, "cube", "--builtin", "aps", str(path))
+    assert code == 0 and out.startswith("betti: 512\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("input" + " E" * 9 + "\n", "the word EEEEEEEEE spans 262144 basis tuples"),
+    # 4**8 tuples are at the limit; the birth takes the running word over it
+    ("input" + " E" * 8 + "\nbirth 1\n", "the word AEEEEEEEE spans 131072 basis tuples"),
+], ids=["input_word", "running_word"])
+def test_eval_over_tuple_limit_exit_two(tmp_path, capsys, text, message):
+    path = tmp_path / "wide.cob"
+    path.write_text(text)
+    code, out, err = run(capsys, "eval", "--builtin", "double", str(path))
+    assert_one_line_error(code, out, err)
+    assert message + ", over the limit of 65536" in err

@@ -19,17 +19,21 @@ from frobpair.cobordism import (
     swap,
     total_degree,
 )
+from frobpair.cli import build_builtin
 from frobpair.pair import (
     FrobeniusPair,
     Rank2Params,
     build_aps,
+    build_double,
     build_it,
+    build_laurent_sqrt,
     build_rank2,
+    build_tt,
     universal_algebra,
     _algebra_maps,
 )
 from frobpair.tensor import MAX_CIRCLES
-from frobpair.ring import INTEGERS, ring
+from frobpair.ring import INTEGERS, MOD2, ring
 from frobpair.tensor import BasisSpec, LinMap, apply, compose, equal, word
 
 
@@ -210,7 +214,7 @@ def test_pole_degree_odd_rejected():
         pole_degree("LLR")
 
 
-from helpers import brute_force_pole_degrees as brute_force_degrees
+from helpers import brute_force_pole_degrees as brute_force_degrees, diamond_by_paths
 
 
 def test_pole_degree_confluence_up_to_8():
@@ -259,6 +263,46 @@ def test_diamond_case1_uses_both_equality_families():
     assert any("A>EE|EE>A" in n for n in names)
     assert any("E>AE|AE>E" in n for n in names)
     assert report.ok()
+
+
+def rank2_at_a1():
+    return build_rank2(Rank2Params.over(ring(INTEGERS), a=1, c_yy=0, c_yz=1, c_zz=0, d_yy=0,
+                                        d_yz=1, d_zz=0, e_y=1, e_z=1, f_y=1, f_z=1))
+
+
+def double_z2():
+    z2 = ring(MOD2)
+    return build_double(universal_algebra(z2, z2.one(), z2.zero()), {"1": z2.one()},
+                        name="double-z2")
+
+
+@pytest.mark.parametrize("build", [
+    build_aps, build_tt, build_it, build_laurent_sqrt, lambda: build_builtin("double", {}),
+    rank2_at_a1, double_z2,
+], ids=["aps", "tt", "it", "sqrt", "double", "rank2-a1", "double-z2"])
+def test_diamond_matches_path_oracle(build):
+    # composing memoised edges gives the verdicts and witnesses of evaluating
+    # every path whole
+    pair = build()
+    got = [(r.name, r.status, r.witness) for r in diamond_exchange_suite(pair).records]
+    want = [(r.name, r.status, r.witness) for r in diamond_by_paths(pair)]
+    assert got == want
+    assert len(got) == 460
+
+
+def test_diamond_evaluates_each_edge_once(monkeypatch):
+    import frobpair.cobordism as cob_mod
+
+    keys = []
+    real = cob_mod.evaluate
+    monkeypatch.setattr(cob_mod, "evaluate",
+                        lambda cob, pair: keys.append((cob.input, tuple(cob.events)))
+                        or real(cob, pair))
+    pair = build_aps()
+    for _ in range(2):  # the memo lives for one call
+        keys.clear()
+        diamond_exchange_suite(pair)
+        assert len(keys) == len(set(keys)) == 173
 
 
 DIAMOND_CASE1 = [c for c in __import__("frobpair.cobordism", fromlist=["DIAMOND_CASES"]).DIAMOND_CASES

@@ -15,13 +15,12 @@ import random
 from frobpair.cobordism import (
     DIAMOND_CASES,
     MERGE_GEN,
+    MOBIUS_GEN,
     SPLIT_GEN,
     CobordismWord,
-    _edge_labelings,
-    _reverse_events,
+    _labelled_squares,
     evaluate,
     parse_cobordism,
-    step,
 )
 from frobpair.cube import edge_map
 from frobpair.pair import build_aps, build_it, build_tt, verify
@@ -115,13 +114,31 @@ def test_naive_interpreter_agrees_on_it_including_witnesses():
 EVENT_WIDTH = {"birth": 0, "death": 1, "merge": 2, "split": 1, "mobius": 1, "swap": 2}
 
 
+def naive_event(ev, w):
+    """(generator, sorts written) of an event on the running word w, read
+    straight from the generator tables; the generator is None for a swap."""
+    p = ev.pos - 1
+    if ev.kind == "swap":
+        return None, (w[p + 1], w[p])
+    if ev.kind == "birth":
+        return "eta", ("A",)
+    if ev.kind == "death":
+        assert w[p] == "A"
+        return "eps", ()
+    table = {"merge": MERGE_GEN, "split": SPLIT_GEN, "mobius": MOBIUS_GEN}[ev.kind]
+    return table[tuple(w[p:p + EVENT_WIDTH[ev.kind]]) + tuple(ev.sorts)], tuple(ev.sorts)
+
+
 def naive_run(cob, pair, columns, start):
-    """Apply a cobordism word to a single basis tuple, event by event."""
+    """Apply a cobordism word to a single basis tuple, event by event,
+    tracking the running word itself."""
     one = pair.ring.one()
     vec = {tuple(start): one}
-    for ev, w in zip(cob.events, cob.words):
+    w = tuple(cob.input)
+    for ev in cob.events:
         p, width = ev.pos - 1, EVENT_WIDTH[ev.kind]
-        gen = None if ev.kind == "swap" else step(w, ev)[0]
+        gen, written = naive_event(ev, w)
+        w = w[:p] + written + w[p + width:]
         out = {}
         for t, c in vec.items():
             body = t[p:p + width]
@@ -131,35 +148,24 @@ def naive_run(cob, pair, columns, start):
                 s = out.get(key)
                 out[key] = c * v if s is None else s + c * v
         vec = {t: v for t, v in out.items() if not v.is_zero()}
+    assert w == cob.output
     return vec
 
 
 def diamond_words(cases):
     """The four cobordism words of every square the exchange suite compares."""
-    for _name, n0, v_a, w_b, w_a, v_c in cases:
-        for a_word in itertools.product("AE", repeat=n0):
-            for v_events, b_word in _edge_labelings(a_word, v_a):
-                for w_events, d_word in _edge_labelings(b_word, w_b):
-                    for w2_events, c_word in _edge_labelings(a_word, w_a):
-                        for v2_events, d2_word in _edge_labelings(c_word, v_c):
-                            if d_word != d2_word:
-                                continue
-                            abd = CobordismWord(a_word, v_events + w_events)
-                            acd = CobordismWord(a_word, w2_events + v2_events)
-                            rev_v = _reverse_events(v_events, abd.words[:len(v_events) + 1])
-                            rev_v2 = _reverse_events(v2_events, acd.words[len(w2_events):])
-                            yield abd
-                            yield acd
-                            yield CobordismWord(b_word, rev_v + w2_events)
-                            yield CobordismWord(b_word, w_events + rev_v2)
+    for _name, *paths in _labelled_squares(cases):
+        for (start, first), (_middle, second) in paths:
+            yield CobordismWord(start, first + second)
 
 
 def test_naive_event_interpreter_agrees_on_diamond_words():
     torus = parse_cobordism(importlib.resources.files("frobpair")
                             .joinpath("data/torus.cob").read_text())
-    words = [torus] + list(diamond_words(DIAMOND_CASES[:5]))
+    cases = DIAMOND_CASES[:5] + [c for c in DIAMOND_CASES if c[0] == "case08_crossed_bridges"]
+    words = [torus] + list(diamond_words(cases))
     assert {ev.kind for cob in words for ev in cob.events} == \
-        {"birth", "death", "merge", "split", "swap"}
+        {"birth", "death", "merge", "split", "swap", "mobius"}
     for pair in (build_aps(), build_tt()):
         columns = column_table(pair)
         for cob in words:
