@@ -125,6 +125,12 @@ def step(current, event):
     return gen, w
 
 
+def _capped(w):
+    if len(w) > MAX_CIRCLES:
+        raise CobordismError(f"a word of {len(w)} circles is over the limit of {MAX_CIRCLES}")
+    return w
+
+
 @dataclass
 class CobordismWord:
     input: tuple
@@ -133,20 +139,21 @@ class CobordismWord:
     moves: list = field(default_factory=list)  # (generator, source, output slots) per event
 
     def __post_init__(self):
-        current = tuple(self.input)
-        self.words, self.moves = [], []
-        for ev in [None, *self.events]:  # None stands for the input word
-            if ev is not None:
-                gen, src, dst, current = _read(current, ev)
-                self.moves.append((gen, src, dst))
-            if len(current) > MAX_CIRCLES:
-                raise CobordismError(f"a word of {len(current)} circles is over the "
-                                     f"limit of {MAX_CIRCLES}")
-            self.words.append(current)
+        events, self.events, self.moves = self.events, [], []
+        self.words = [_capped(tuple(self.input))]
+        for ev in events:
+            self.append(ev)
 
     @property
     def output(self):
         return self.words[-1]
+
+    def append(self, event):
+        """Read one more event on the running word."""
+        gen, src, dst, current = _read(self.words[-1], event)
+        self.words.append(_capped(current))
+        self.moves.append((gen, src, dst))
+        self.events.append(event)
 
 
 #: event keyword -> (fields on its line, constructor taking the fields after it)
@@ -167,8 +174,7 @@ def parse_cobordism(text) -> CobordismWord:
         split 1 E E
         death 1
     """
-    input_word = None
-    events = []
+    cob = None  # read event by event, so an illegal one is named by its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -177,25 +183,25 @@ def parse_cobordism(text) -> CobordismWord:
         try:
             head = parts[0]
             if head == "input":
-                if input_word is not None:
+                if cob is not None:
                     raise CobordismError("duplicate input line")
-                input_word = word(parts[1:])
+                cob = CobordismWord(word(parts[1:]), [])
                 continue
-            if input_word is None:
+            if cob is None:
                 raise CobordismError("first line must declare the input word")
             if head not in EVENT_FIELDS:
                 raise CobordismError(f"unknown event {head!r}")
             n_fields, make = EVENT_FIELDS[head]
             if len(parts) != n_fields:
                 raise CobordismError(f"malformed event {line!r}")
-            events.append(make(int(parts[1]), *parts[2:]))
+            cob.append(make(int(parts[1]), *parts[2:]))
         except (IndexError, ValueError) as exc:
             if isinstance(exc, CobordismError):
                 raise CobordismError(f"line {lineno}: {exc}") from None
             raise CobordismError(f"line {lineno}: malformed event {line!r}") from None
-    if input_word is None:
+    if cob is None:
         raise CobordismError("missing input line")
-    return CobordismWord(input_word, events)
+    return cob
 
 
 def evaluate(cob: CobordismWord, pair) -> LinMap:

@@ -25,6 +25,8 @@ SORTS = (SORT_A, SORT_E)
 MAX_CIRCLES = 16
 #: the most basis tuples such a word may span under the chosen pair
 MAX_TUPLES = 2 ** 16
+#: the terms of the ring's 1 in Z, Q and Z/2: act and compose pass the other factor through
+ONE_TERMS = {(): 1}
 
 
 class TensorError(ValueError):
@@ -151,13 +153,14 @@ def sparse_product(g_entries: dict, f_entries: dict) -> dict:
     """Nonzero entries of the product g*f of two {(row, col): value} tables."""
     by_mid = {}
     for (out, mid), v in g_entries.items():
-        by_mid.setdefault(mid, []).append((out, v))
+        by_mid.setdefault(mid, []).append((out, v, v.terms == ONE_TERMS))
     entries = {}
     for (mid, t), fv in f_entries.items():
-        for out, gv in by_mid.get(mid, ()):
+        f_one = fv.terms == ONE_TERMS
+        for out, gv, g_one in by_mid.get(mid, ()):
             key = (out, t)
             s = entries.get(key)
-            p = gv * fv
+            p = fv if g_one else gv if f_one else gv * fv
             entries[key] = p if s is None else s + p
     return {k: v for k, v in entries.items() if not v.is_zero()}
 
@@ -202,13 +205,14 @@ def act(f: LinMap, gen, src, dst) -> LinMap:
     pick = _picker(src)
     columns = {}
     for (o, i), v in gen.entries.items():
-        columns.setdefault(i, []).append((o, v))
+        columns.setdefault(i, []).append((o, v, v.terms == ONE_TERMS))
     entries = {}
     for (out, t), fv in f.entries.items():
-        for o, gv in columns.get(pick(out), ()):
+        f_one = fv.terms == ONE_TERMS
+        for o, gv, g_one in columns.get(pick(out), ()):
             key = (place(o + out), t)
             s = entries.get(key)
-            p = gv * fv
+            p = fv if g_one else gv if f_one else gv * fv
             entries[key] = p if s is None else s + p
     return LinMap(f.spec, f.dom, new_cod, entries)
 

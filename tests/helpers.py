@@ -13,10 +13,11 @@ Also the oracles that only tests use: the dense rank oracles `rank_fraction`
 and `rank_gf2`, which the sparse rank routines of `frobpair.cube` are checked
 against; the d^2 oracle `d_squared_by_differentials`, which `check_d_squared`
 is checked against; `block_product` and `euler_characteristic` on differentials
-and homology reports; `validate_by_correspondence`, the edge-by-edge cube
-validation that `validate_cube` is checked against; and `diamond_by_paths`,
-the path-by-path exchange suite that `diamond_exchange_suite` is checked
-against.
+and homology reports; `product_by_multiplying`, the sparse product that
+`compose` and `act` are checked against; `validate_by_correspondence`, the
+edge-by-edge cube validation that `validate_cube` is checked against; and
+`diamond_by_paths`, the path-by-path exchange suite that
+`diamond_exchange_suite` is checked against.
 """
 
 import itertools
@@ -104,6 +105,19 @@ def rank_gf2(mat) -> int:
 def block_product(high, low) -> dict:
     """The nonzero entries of high * low (apply low first) for block matrices."""
     return sparse_product(high.entries, low.entries)
+
+
+def product_by_multiplying(g_entries, f_entries) -> dict:
+    """The nonzero entries of g*f for two {(row, col): value} tables, with every
+    product computed, by 1 too: the oracle for tensor.sparse_product and act,
+    which pass the other operand through when an entry is 1."""
+    sums = {}
+    for (row, mid), gv in g_entries.items():
+        for (f_row, col), fv in f_entries.items():
+            if f_row == mid:
+                key = (row, col)
+                sums[key] = sums[key] + gv * fv if key in sums else gv * fv
+    return {k: v for k, v in sums.items() if not v.is_zero()}
 
 
 def euler_characteristic(report) -> int:

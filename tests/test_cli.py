@@ -416,6 +416,18 @@ def test_eval_over_circle_limit_exit_two(tmp_path, capsys, text, message):
     assert message + " is over the limit of 16" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("input E\ndeath 1\n", "error: line 2: no generator for E->\n"),
+    ("input A\nmerge 1 A\n", "error: line 2: merge positions 1,2 out of range\n"),
+], ids=["death_of_E", "merge_past_the_end"])
+def test_eval_illegal_event_names_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cob"
+    path.write_text(text)
+    code, out, err = run(capsys, "eval", "--builtin", "aps", str(path))
+    assert_one_line_error(code, out, err)
+    assert err == message
+
+
 def test_cube_over_tuple_limit_exit_two(tmp_path, capsys):
     # 9 circles are under the circle cap, but double has four E labels:
     # one vertex spans 4**9 = 262,144 basis tuples

@@ -305,6 +305,43 @@ def test_diamond_evaluates_each_edge_once(monkeypatch):
         assert len(keys) == len(set(keys)) == 173
 
 
+def test_diamond_products_by_one_are_skipped(monkeypatch):
+    # act and compose pass the other operand through when an entry is 1, so no
+    # product of the double suite over all 13 cases has an operand equal to 1
+    from frobpair.cobordism import DIAMOND_CASES
+    from frobpair.ring import RingElem
+
+    pair = build_builtin("double", {})
+    products = []
+    real_mul = RingElem.__mul__
+    monkeypatch.setattr(RingElem, "__mul__",
+                        lambda x, y: products.append((x, y)) or real_mul(x, y))
+    report = diamond_exchange_suite(pair, DIAMOND_CASES)
+    assert report.meta["cases"] == len(DIAMOND_CASES) == 13 and len(report.records) == 460
+    assert len(products) == 28960
+    assert not any({(): 1} in (x.terms, y.terms) for x, y in products)
+
+
+def test_parse_reads_each_event_once(monkeypatch):
+    import frobpair.cobordism as cob_mod
+
+    reads = []
+    real = cob_mod._read
+    monkeypatch.setattr(cob_mod, "_read", lambda w, ev: reads.append(ev) or real(w, ev))
+    cob = parse_cobordism("input A E\nswap 1\nmerge 1 E\nmobius 1 A\nbirth 1\ndeath 2\n")
+    assert reads == cob.events and len(cob.moves) == 5
+
+
+@pytest.mark.parametrize("text,message", [
+    ("# a comment\ninput A E\n\nswap 1\nmerge 1 A\n", "line 5: no generator for EA->A"),
+    ("input" + " A" * 17, "line 1: a word of 17 circles"),
+    ("input" + " A" * 16 + "\nmerge 1 A\nbirth 2\nsplit 3 A A", "line 4: a word of 17 circles"),
+], ids=["comment_and_blank_line", "input_word", "running_word"])
+def test_parse_illegal_event_names_its_line(text, message):
+    with pytest.raises(CobordismError, match=f"^{message}"):
+        parse_cobordism(text)
+
+
 DIAMOND_CASE1 = [c for c in __import__("frobpair.cobordism", fromlist=["DIAMOND_CASES"]).DIAMOND_CASES
                  if c[0] == "case01_one_circle_linked"]
 

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from frobpair.ring import INTEGERS, ring
+from frobpair.ring import INTEGERS, MOD2, RATIONALS, ring
 from frobpair.tensor import (
     BasisSpec,
     LinMap,
@@ -15,6 +16,8 @@ from frobpair.tensor import (
     transposition,
     word,
 )
+
+from helpers import product_by_multiplying
 
 Z = ring(INTEGERS)
 SPEC = BasisSpec(("1", "X"), ("Y", "Z"), Z)
@@ -217,3 +220,87 @@ def test_word_mismatch_raises():
 def test_empty_word_has_one_tuple():
     assert list(SPEC.tuples(())) == [()]
     assert SPEC.dim(()) == 1
+
+
+# -- products by 1 ------------------------------------------------------------------
+
+ORACLE_RINGS = (Z, ring(RATIONALS), ring(MOD2), ring(INTEGERS, "t^-1"))
+
+
+def entry_pool(d):
+    """Nonzero entries: 1 as an int and as a Fraction, -1, and non-constants."""
+    halves = (Fraction(1, 2),) if d.domain == RATIONALS else ()
+    pool = [d.const(c) for c in (1, Fraction(1), -1, 2, -3, *halves)]
+    if d.vars:
+        pool += [d.parse("t"), d.parse("t^-1 - 2"), d.parse("1 - t")]
+    return [c for c in pool if not c.is_zero()]
+
+
+def pooled_map(rng, spec, dom, cod, pool):
+    entries = {(o, t): rng.choice(pool) for t in spec.tuples(dom) for o in spec.tuples(cod)
+               if rng.random() < 0.5}
+    return LinMap(spec, dom, cod, entries, _normalized=True)
+
+
+def with_cancelling_pair(rng, g, f, pool):
+    """g, f and a key of g*f whose entry is two products that cancel."""
+    row, col = rng.choice(list(g.spec.tuples(g.cod))), rng.choice(list(f.spec.tuples(f.dom)))
+    m1, m2 = rng.sample(list(g.spec.tuples(g.dom)), 2)
+    a, b = rng.choice(pool), rng.choice(pool)
+    g_entries = {k: v for k, v in g.entries.items() if k[0] != row}
+    g_entries.update({(row, m1): a, (row, m2): a})
+    f_entries = {**f.entries, (m1, col): b, (m2, col): -b}
+    return (LinMap(g.spec, g.dom, g.cod, g_entries, _normalized=True),
+            LinMap(f.spec, f.dom, f.cod, f_entries, _normalized=True), (row, col))
+
+
+def layer_entries(spec, w, gen, src, dst):
+    """The entries of gen at the slots src of w, written to the slots dst,
+    with the other factors kept in order: the matrix act applies after f."""
+    n_out = len(w) - len(src) + len(dst)
+    entries = {}
+    for t in spec.tuples(w):
+        rest = [t[p] for p in range(len(w)) if p not in src]
+        for (o, i), v in gen.entries.items():
+            if i == tuple(t[p] for p in src):
+                out = dict(zip(dst, o))
+                kept = iter(rest)
+                entries[(tuple(out[q] if q in out else next(kept) for q in range(n_out)), t)] = v
+    return entries
+
+
+def test_compose_and_act_match_the_multiplying_oracle():
+    rng = random.Random(17)
+    words = [word("A"), word("E"), word("AE"), word("AA"), word("EAE")]
+    for d in ORACLE_RINGS:
+        spec, pool = BasisSpec(("1", "X"), ("Y", "Z"), d), entry_pool(d)
+        for _ in range(40):
+            dom, mid, cod = (rng.choice(words) for _ in range(3))
+            g, f, key = with_cancelling_pair(rng, pooled_map(rng, spec, mid, cod, pool),
+                                             pooled_map(rng, spec, dom, mid, pool), pool)
+            want = product_by_multiplying(g.entries, f.entries)
+            for got in (compose(g, f), act(f, g, range(len(mid)), range(len(cod)))):
+                assert got.entries == want and key not in want
+                assert all(not v.is_zero() for v in got.entries.values())
+            # a generator on random slots of f's codomain, outputs at random slots
+            src = tuple(rng.sample(range(len(mid)), rng.randint(0, min(2, len(mid)))))
+            gcod = rng.choice([(), *words[:4]])
+            dst = tuple(rng.sample(range(len(mid) - len(src) + len(gcod)), len(gcod)))
+            gen = pooled_map(rng, spec, tuple(mid[p] for p in src), gcod, pool)
+            got = act(f, gen, src, dst)
+            want = product_by_multiplying(layer_entries(spec, mid, gen, src, dst), f.entries)
+            assert got.entries == want and all(not v.is_zero() for v in got.entries.values())
+
+
+def test_act_and_compose_refuse_mixed_rings():
+    # same labels over another RingDecl: products by 1 never reach the ring
+    # check, so the spec check is what keeps the rings apart
+    mu = aps_mu_a()
+    for other in (ring(RATIONALS), ring(INTEGERS, "t^-1")):
+        spec = BasisSpec(SPEC.basis_a, SPEC.basis_e, other)
+        with pytest.raises(TensorError, match="basis-spec mismatch"):
+            compose(LinMap.identity(spec, word("A")), mu)
+        with pytest.raises(TensorError, match="basis-spec mismatch"):
+            compose(mu, LinMap.identity(spec, word("AA")))
+        with pytest.raises(TensorError, match="basis-spec mismatch"):
+            act(LinMap.identity(spec, word("AA")), mu, (0, 1), (0,))
