@@ -67,6 +67,8 @@ BUILTIN_NAMES = (*BUILTIN_PAIRS, *PARAM_KEYS)
 
 
 def build_builtin(name, params, strict_partial=False):
+    if strict_partial and name != "it":
+        raise InputError(f"--strict-partial applies to --builtin it, not to {name}")
     accepted = PARAM_KEYS.get(name, ())
     for key in params:
         if key not in accepted:
@@ -112,6 +114,8 @@ def get_pair(args, params=None):
     if getattr(args, "pair", None):
         if params:
             raise InputError("--params applies to --builtin, not to --pair")
+        if getattr(args, "strict_partial", False):
+            raise InputError("--strict-partial applies to --builtin it, not to --pair")
         try:
             return load_pair(args.pair)
         except OSError as exc:

@@ -396,12 +396,14 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
     z the rank is the pivot count plus the residual's nonzero diagonal entries,
     and the residual's entries > 1 are the torsion of degree i+1.  Entries must be
     constants in the pair's ring (specialize first), and integers over z and
-    z2: CubeError refuses a fraction such as 1/2 rather than truncate it.
+    z2: CubeError refuses a fraction such as 1/2 rather than truncate it.  A Z/2
+    pair takes only z2: its residues lifted to Q or Z need not give d^2 = 0.
     """
     if coefficients not in COEFFS:
         raise CubeError(f"unknown coefficients {coefficients!r}")
-    if coefficients == "q" and pair.ring.domain == MOD2:
-        raise CubeError("cannot take rational coefficients of a Z/2 pair")
+    if coefficients in ("q", "z") and pair.ring.domain == MOD2:
+        name = "rational" if coefficients == "q" else "integer"
+        raise CubeError(f"cannot take {name} coefficients of a Z/2 pair")
     dims = [len(vertex_keys(cube, pair, i)) for i in range(cube.n + 1)]
     ranks = [0] * (cube.n + 1)  # ranks[i] = rank of d_i; d_n = 0
     torsion = [[] for _ in dims]

@@ -25,7 +25,7 @@ from .ring import (
     ring,
     unit_invert,
 )
-from .tensor import BasisSpec, LinMap, apply, compose, equal, word
+from .tensor import BasisSpec, LinMap, act, apply, compose, equal, word
 from .theory import SIGNATURE, evaluate_term, load_axioms, parse_term
 
 
@@ -120,6 +120,12 @@ class VerifyReport:
         return not self.failures()
 
 
+def _check_equation(eq, table, spec):
+    """Evaluate both sides of eq over a generator table; (equal?, witness) as
+    tensor.equal gives them."""
+    return equal(evaluate_term(eq.lhs, table, spec), evaluate_term(eq.rhs, table, spec))
+
+
 def verify(pair: FrobeniusPair, equations=None, groups=None) -> VerifyReport:
     """Evaluate both sides of every equation exactly and compare.
 
@@ -138,9 +144,7 @@ def verify(pair: FrobeniusPair, equations=None, groups=None) -> VerifyReport:
         if missing:
             records.append(VerifyRecord(eq.name, eq.group, eq.provenance, "skip", missing=missing))
             continue
-        lhs = evaluate_term(eq.lhs, table, pair.spec)
-        rhs = evaluate_term(eq.rhs, table, pair.spec)
-        ok, witness = equal(lhs, rhs)
+        ok, witness = _check_equation(eq, table, pair.spec)
         if ok:
             records.append(VerifyRecord(eq.name, eq.group, eq.provenance, "pass"))
         else:
@@ -173,14 +177,6 @@ class FrobeniusAlgebra:
                     s = out.get(l3, self.ring.zero()) + c1 * c2 * c3
                     out[l3] = s
         return {l: c for l, c in out.items() if not c.is_zero()}
-
-    def delta_vec(self, v):
-        out = {}
-        for l, c in v.items():
-            for pair_lab, c2 in self.delta_table[l].items():
-                s = out.get(pair_lab, self.ring.zero()) + c * c2
-                out[pair_lab] = s
-        return {k: c for k, c in out.items() if not c.is_zero()}
 
     def handle_vec(self):
         out = {}
@@ -259,6 +255,34 @@ def _vec_str(vec) -> str:
                       for l, c in sorted(vec.items())) or "0"
 
 
+def _mirror(m) -> LinMap:
+    """m with every domain and codomain tuple reversed: mu_EA from mu_AE."""
+    return LinMap(m.spec, m.dom[::-1], m.cod[::-1],
+                  {(o[::-1], t[::-1]): v for (o, t), v in m.entries.items()}, _normalized=True)
+
+
+def _retyped(m, name) -> LinMap:
+    """m's entries under generator name's signature, for an E with A's labels."""
+    dom, cod = SIGNATURE[name]
+    return LinMap(m.spec, dom, cod, m.entries, _normalized=True)
+
+
+def _times(mu_a, v) -> LinMap:
+    """Multiplication by the algebra element v = {label: coefficient}, as the
+    map A -> A that puts v beside its input and applies mu_A."""
+    spec = mu_a.spec
+    vec = LinMap(spec, (), word("A"), {((l,), ()): c for l, c in v.items()})
+    return act(act(LinMap.identity(spec, word("A")), vec, (), (0,)), mu_a, (0, 1), (0,))
+
+
+def _chain(spec, w, *moves) -> LinMap:
+    """The identity on the word w followed by the act moves (gen, src, dst) in turn."""
+    m = LinMap.identity(spec, word(w))
+    for gen, src, dst in moves:
+        m = act(m, gen, src, dst)
+    return m
+
+
 # -- builders ------------------------------------------------------------------
 
 
@@ -273,13 +297,10 @@ def build_aps() -> FrobeniusPair:
     mu_ae = {("1", e): {(e,): one} for e in ("Y", "Z")}
     mu_ae.update({("X", e): {} for e in ("Y", "Z")})
     maps["mu_AE"] = _linmap(spec, word("AE"), word("E"), mu_ae)
-    maps["mu_EA"] = _linmap(spec, word("EA"), word("E"),
-                            {(e, a): col for (a, e), col in mu_ae.items()})
+    maps["mu_EA"] = _mirror(maps["mu_AE"])
     d_ae = {("Y",): {("X", "Y"): one}, ("Z",): {("X", "Z"): one}}
     maps["Delta_AE"] = _linmap(spec, word("E"), word("AE"), d_ae)
-    maps["Delta_EA"] = _linmap(spec, word("E"), word("EA"),
-                               {t: {(e, a): c for (a, e), c in col.items()}
-                                for t, col in d_ae.items()})
+    maps["Delta_EA"] = _mirror(maps["Delta_AE"])
     maps["mu_E"] = LinMap.zero(spec, word("EE"), word("E"))
     maps["Delta_E"] = LinMap.zero(spec, word("E"), word("EE"))
     maps["mu_EEA"] = _linmap(spec, word("EE"), word("A"), {
@@ -309,25 +330,13 @@ def build_sqrt(alg: FrobeniusAlgebra, xi: dict, name="sqrt") -> FrobeniusPair:
     spec = BasisSpec(alg.labels, alg.labels, alg.ring)
     maps = _algebra_maps(alg, spec)
 
-    mul2 = {(a, b): {(l,): c for l, c in alg.mul_table[(a, b)].items()}
-            for a, b in product(alg.labels, alg.labels)}
-    for gname, dom, cod in (
-        ("mu_AE", word("AE"), word("E")), ("mu_EA", word("EA"), word("E")),
-        ("mu_E", word("EE"), word("E")), ("mu_EEA", word("EE"), word("A")),
-    ):
-        maps[gname] = _linmap(spec, dom, cod, mul2)
-    delta2 = {(l,): dict(alg.delta_table[l]) for l in alg.labels}
-    for gname, dom, cod in (
-        ("Delta_AE", word("E"), word("AE")), ("Delta_EA", word("E"), word("EA")),
-        ("Delta_E", word("E"), word("EE")), ("Delta_AEE", word("A"), word("EE")),
-    ):
-        maps[gname] = _linmap(spec, dom, cod, delta2)
-
-    mult_xi = {(l,): {(m,): c for m, c in alg.mul_vec(xi, {l: alg.ring.one()}).items()}
-               for l in alg.labels}
+    times_xi = _times(maps["mu_A"], xi)
+    for gname in ("mu_AE", "mu_EA", "mu_E", "mu_EEA"):
+        maps[gname] = _retyped(maps["mu_A"], gname)
+    for gname in ("Delta_AE", "Delta_EA", "Delta_E", "Delta_AEE"):
+        maps[gname] = _retyped(maps["Delta_A"], gname)
     for gname in ("nu_AE", "nu_EA", "nu_EE"):
-        dom, cod = SIGNATURE[gname]
-        maps[gname] = _linmap(spec, dom, cod, mult_xi)
+        maps[gname] = _retyped(times_xi, gname)
     return FrobeniusPair(alg.ring, spec, maps, name=name, unit_label=alg.unit_label)
 
 
@@ -360,33 +369,14 @@ def build_it(strict_partial=False) -> FrobeniusPair:
     inv_scalar = unit_invert(phi_sq[alg.unit_label])
     phi_inv = {l: inv_scalar * c for l, c in phi.items()}
 
-    one = decl.one()
-    mul2 = {(a, b): {(l,): c for l, c in alg.mul_table[(a, b)].items()}
-            for a, b in product(alg.labels, alg.labels)}
-    delta2 = {(l,): dict(alg.delta_table[l]) for l in alg.labels}
-    maps["mu_AE"] = _linmap(spec, word("AE"), word("E"), mul2)
-    maps["mu_EA"] = _linmap(spec, word("EA"), word("E"), mul2)
-    maps["Delta_AE"] = _linmap(spec, word("E"), word("AE"), delta2)
-    maps["Delta_EA"] = _linmap(spec, word("E"), word("EA"), delta2)
-
-    def scaled_mul(scale):
-        return {(a, b): {(l,): c for l, c in
-                         alg.mul_vec(scale, alg.mul_vec({a: one}, {b: one})).items()}
-                for a, b in product(alg.labels, alg.labels)}
-
-    maps["mu_EEA"] = _linmap(spec, word("EE"), word("A"), scaled_mul(phi_inv))
-    maps["Delta_AEE"] = _linmap(
-        spec, word("A"), word("EE"),
-        {(l,): dict(alg.delta_vec(alg.mul_vec(phi, {l: one}))) for l in alg.labels})
-    maps["nu_AE"] = _linmap(
-        spec, word("A"), word("E"),
-        {(l,): {(m,): c for m, c in alg.mul_vec(phi, {l: one}).items()} for l in alg.labels})
-    ident = {(l,): {(l,): one} for l in alg.labels}
-    maps["nu_EA"] = _linmap(spec, word("E"), word("A"), ident)
-    maps["nu_EE"] = _linmap(spec, word("E"), word("E"), ident)
+    mu, delta = maps["mu_A"], maps["Delta_A"]
+    times_phi, ident = _times(mu, phi), LinMap.identity(spec, word("A"))
+    same = {"mu_AE": mu, "mu_EA": mu, "Delta_AE": delta, "Delta_EA": delta,
+            "mu_EEA": compose(_times(mu, phi_inv), mu), "Delta_AEE": compose(delta, times_phi),
+            "nu_AE": times_phi, "nu_EA": ident, "nu_EE": ident}
     if not strict_partial:
-        maps["mu_E"] = _linmap(spec, word("EE"), word("E"), mul2)
-        maps["Delta_E"] = _linmap(spec, word("E"), word("EE"), delta2)
+        same.update(mu_E=mu, Delta_E=delta)
+    maps.update({gname: _retyped(m, gname) for gname, m in same.items()})
     pair = FrobeniusPair(decl, spec, maps, name="it")
     pair.notes["imputed"] = [] if strict_partial else ["mu_E", "Delta_E"]
     return pair
@@ -440,16 +430,13 @@ def build_rank2(p: Rank2Params) -> FrobeniusPair:
     mu_ae = {("1", e): {(e,): one} for e in ("Y", "Z")}
     mu_ae.update({("X", e): {(e,): a} for e in ("Y", "Z")})
     maps["mu_AE"] = _linmap(spec, word("AE"), word("E"), mu_ae)
-    maps["mu_EA"] = _linmap(spec, word("EA"), word("E"),
-                            {(e, x): col for (x, e), col in mu_ae.items()})
+    maps["mu_EA"] = _mirror(maps["mu_AE"])
     c = {("Y", "Y"): p.c_yy, ("Y", "Z"): p.c_yz, ("Z", "Y"): p.c_yz, ("Z", "Z"): p.c_zz}
     maps["mu_EEA"] = _linmap(spec, word("EE"), word("A"),
                              {k: a_vec(v) for k, v in c.items()})
     d_ae = {(e,): {("X", e): one, ("1", e): -a} for e in ("Y", "Z")}
     maps["Delta_AE"] = _linmap(spec, word("E"), word("AE"), d_ae)
-    maps["Delta_EA"] = _linmap(spec, word("E"), word("EA"),
-                               {k: {(e, x): v for (x, e), v in col.items()}
-                                for k, col in d_ae.items()})
+    maps["Delta_EA"] = _mirror(maps["Delta_AE"])
     d1 = {("Y", "Y"): p.d_yy, ("Y", "Z"): p.d_yz, ("Z", "Y"): p.d_yz, ("Z", "Z"): p.d_zz}
     maps["Delta_AEE"] = _linmap(spec, word("A"), word("EE"), {
         ("1",): d1, ("X",): {k: a * v for k, v in d1.items()},
@@ -536,93 +523,41 @@ def build_double(alg: FrobeniusAlgebra, phi_inv: dict, exponents=DOUBLE_EXPONENT
         raise PairError("phi_inv is not an inverse of the handle element")
 
     labels = alg.labels
-    e_labels = tuple(f"{l1}|{l2}" for l1, l2 in product(labels, labels))
     pairs = {f"{l1}|{l2}": (l1, l2) for l1, l2 in product(labels, labels)}
-    spec = BasisSpec(labels, e_labels, alg.ring)
+    spec = BasisSpec(labels, tuple(pairs), alg.ring)
     maps = _algebra_maps(alg, spec)
     one = alg.ring.one()
+    # A&A relabelled as E and back: the pair (l1, l2) is the E label "l1|l2"
+    pack = LinMap(spec, word("AA"), word("E"),
+                  {((e,), ls): one for e, ls in pairs.items()}, _normalized=True)
+    unpack = LinMap(spec, word("E"), word("AA"),
+                    {(ls, (e,)): one for e, ls in pairs.items()}, _normalized=True)
+    mu, delta = maps["mu_A"], maps["Delta_A"]
 
-    def phipow(k):
-        return alg.power_vec(phi, k, phi_inv)
-
-    def basis(l):
-        return {l: one}
-
-    def to_e(vec2):
-        # dict (l1,l2)->c over A&A  ->  dict (E-label,)->c
-        return {(f"{l1}|{l2}",): c for (l1, l2), c in vec2.items()}
-
-    def to_ee(vec_a):
-        # Delta_AEE-style: (|t|)(Delta & Delta)Delta over a vector in A
-        out = {}
-        for (l1, l2), c in alg.delta_vec(vec_a).items():
-            for (m1, m2), c1 in alg.delta_table[l1].items():
-                for (m3, m4), c2 in alg.delta_table[l2].items():
-                    key = (f"{m1}|{m3}", f"{m2}|{m4}")  # middle transposition
-                    s = out.get(key, alg.ring.zero()) + c * c1 * c2
-                    out[key] = s
-        return {k: c for k, c in out.items() if not c.is_zero()}
-
-    mu_ae = {}
-    for a_lab in labels:
-        for e_lab in e_labels:
-            x, y = pairs[e_lab]
-            prod_vec = alg.mul_vec(phipow(e0),
-                                   alg.mul_vec(basis(a_lab), alg.mul_vec(basis(x), basis(y))))
-            mu_ae[(a_lab, e_lab)] = to_e(alg.delta_vec(prod_vec))
-    maps["mu_AE"] = _linmap(spec, word("AE"), word("E"), mu_ae)
-    maps["mu_EA"] = _linmap(spec, word("EA"), word("E"),
-                            {(e, a): col for (a, e), col in mu_ae.items()})
-
-    d_ae = {}
-    for e_lab in e_labels:
-        x, y = pairs[e_lab]
-        m = alg.mul_vec(basis(x), basis(y))
-        col = {}
-        for (l1, l2), c in alg.delta_vec(m).items():
-            for (m1, m2), c2 in alg.delta_table[l2].items():
-                key = (l1, f"{m1}|{m2}")
-                col[key] = col.get(key, alg.ring.zero()) + c * c2
-        d_ae[(e_lab,)] = {k: c for k, c in col.items() if not c.is_zero()}
-    maps["Delta_AE"] = _linmap(spec, word("E"), word("AE"), d_ae)
-    maps["Delta_EA"] = _linmap(spec, word("E"), word("EA"),
-                               {k: {(e, a): c for (a, e), c in col.items()}
-                                for k, col in d_ae.items()})
-
-    mu_eea, mu_e = {}, {}
-    for ea in e_labels:
-        for eb in e_labels:
-            x, y = pairs[ea]
-            z, w = pairs[eb]
-            q = alg.mul_vec(alg.mul_vec(basis(x), basis(y)),
-                            alg.mul_vec(basis(z), basis(w)))
-            mu_eea[(ea, eb)] = {(l,): c for l, c in alg.mul_vec(phipow(e1), q).items()}
-            mu_e[(ea, eb)] = to_e(alg.delta_vec(alg.mul_vec(phipow(e2), q)))
-    maps["mu_EEA"] = _linmap(spec, word("EE"), word("A"), mu_eea)
-    maps["mu_E"] = _linmap(spec, word("EE"), word("E"), mu_e)
-
-    maps["Delta_AEE"] = _linmap(spec, word("A"), word("EE"),
-                                {(l,): to_ee(basis(l)) for l in labels})
-    maps["Delta_E"] = _linmap(
-        spec, word("E"), word("EE"),
-        {(e,): to_ee(alg.mul_vec(basis(pairs[e][0]), basis(pairs[e][1])))
-         for e in e_labels})
-
-    maps["nu_AE"] = _linmap(
-        spec, word("A"), word("E"),
-        {(l,): to_e(alg.delta_vec(alg.mul_vec(phipow(n0), basis(l)))) for l in labels})
-    maps["nu_EA"] = _linmap(
-        spec, word("E"), word("A"),
-        {(e,): {(l,): c for l, c in
-                alg.mul_vec(phipow(n1),
-                            alg.mul_vec(basis(pairs[e][0]), basis(pairs[e][1]))).items()}
-         for e in e_labels})
-    maps["nu_EE"] = _linmap(
-        spec, word("E"), word("E"),
-        {(e,): to_e(alg.delta_vec(
-            alg.mul_vec(phipow(n2),
-                        alg.mul_vec(basis(pairs[e][0]), basis(pairs[e][1])))))
-         for e in e_labels})
+    # act moves (gen, src, dst) on slot 0: merge takes E to A by multiplying its
+    # two factors, resplit takes A to E by Delta_A, times[k] multiplies by phi^k
+    merge = ((unpack, (0,), (0, 1)), (mu, (0, 1), (0,)))
+    resplit = ((delta, (0,), (0, 1)), (pack, (0, 1), (0,)))
+    times = {k: (_times(mu, alg.power_vec(phi, k, phi_inv)), (0,), (0,))
+             for k in set(exponents)}
+    # EE -> A: the product of all four factors
+    merge2 = ((unpack, (1,), (1, 2)), (mu, (1, 2), (1,)), *merge, (mu, (0, 1), (0,)))
+    # A -> EE: Delta_A, then Delta_A on each factor, then the middle transposition
+    split2 = ((delta, (0,), (0, 1)), (delta, (0,), (0, 1)), (delta, (2,), (2, 3)),
+              (None, (1, 2), (2, 1)), (pack, (0, 1), (0,)), (pack, (1, 2), (1,)))
+    maps["mu_AE"] = _chain(spec, "AE", (unpack, (1,), (1, 2)), (mu, (0, 1), (0,)),
+                           (mu, (0, 1), (0,)), times[e0], *resplit)
+    maps["mu_EA"] = _mirror(maps["mu_AE"])
+    maps["Delta_AE"] = _chain(spec, "E", *merge, (delta, (0,), (0, 1)),
+                              (delta, (1,), (1, 2)), (pack, (1, 2), (1,)))
+    maps["Delta_EA"] = _mirror(maps["Delta_AE"])
+    maps["mu_EEA"] = _chain(spec, "EE", *merge2, times[e1])
+    maps["mu_E"] = _chain(spec, "EE", *merge2, times[e2], *resplit)
+    maps["Delta_AEE"] = _chain(spec, "A", *split2)
+    maps["Delta_E"] = _chain(spec, "E", *merge, *split2)
+    maps["nu_AE"] = _chain(spec, "A", times[n0], *resplit)
+    maps["nu_EA"] = _chain(spec, "E", *merge, times[n1])
+    maps["nu_EE"] = _chain(spec, "E", *merge, times[n2], *resplit)
     pair = FrobeniusPair(alg.ring, spec, maps, name=name, unit_label=alg.unit_label)
     pair.notes["exponents"] = list(exponents)
     return pair
@@ -672,10 +607,7 @@ def search_double_exponents(alg: FrobeniusAlgebra, phi_inv: dict, lo=-3, hi=3) -
         hit = verdicts[i].get(key)
         if hit is None:
             pair = pair_for(exps)
-            table = pair.generator_table()
-            lhs = evaluate_term(battery[i].lhs, table, pair.spec)
-            rhs = evaluate_term(battery[i].rhs, table, pair.spec)
-            hit = equal(lhs, rhs)[0]
+            hit = _check_equation(battery[i], pair.generator_table(), pair.spec)[0]
             verdicts[i][key] = hit
         return hit
 

@@ -1,9 +1,12 @@
 import importlib.resources
 import json
+import random
 
 import pytest
 
 from frobpair.cli import main
+from frobpair.cube import cube_to_json
+from helpers import random_cube
 
 
 def run(capsys, *argv):
@@ -183,6 +186,34 @@ def assert_one_line_error(code, out, err):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--builtin", "aps"), "--strict-partial applies to --builtin it, not to aps"),
+    (("construct", "--builtin", "double"), "--strict-partial applies to --builtin it, not to double"),
+    (("verify", "--pair", "PAIR"), "--strict-partial applies to --builtin it, not to --pair"),
+    (("diamond", "--pair", "PAIR"), "--strict-partial applies to --builtin it, not to --pair"),
+], ids=["verify_aps", "construct_double", "verify_pair", "diamond_pair"])
+def test_strict_partial_refused_where_it_does_nothing(tmp_path, capsys, argv, message):
+    pair = tmp_path / "it.json"
+    run(capsys, "construct", "--builtin", "it", "-o", str(pair))
+    argv = [str(pair) if a == "PAIR" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--strict-partial")
+    assert_one_line_error(code, out, err)
+    assert err == f"error: {message}\n"
+
+
+def test_cube_integer_coefficients_of_mod2_pair_refused(tmp_path, capsys):
+    # lifting Z/2 residues to integers gives a d with d^2 != 0 and negative
+    # Betti numbers (betti: 0 0 -4 -2 0 on this cube)
+    path = tmp_path / "r0.cube"
+    path.write_text(cube_to_json(random_cube(random.Random(0), 4)))
+    argv = ("cube", str(path), "--builtin", "tt", "--specialize", "l=1", "--coeff")
+    code, out, err = run(capsys, *argv, "z")
+    assert_one_line_error(code, out, err)
+    assert err == "error: cannot take integer coefficients of a Z/2 pair\n"
+    code, out, _ = run(capsys, *argv, "z2")
+    assert code == 0 and out.startswith("betti: 0 2 0 0 0\n")
 
 
 def test_empty_basis_pair_file_exit_two(tmp_path, capsys):
