@@ -204,17 +204,25 @@ def parse_cobordism(text) -> CobordismWord:
     return cob
 
 
+def _table_for(cob: CobordismWord, pair):
+    """The pair's generator table, once no running word of cob is too wide for
+    the pair and no event's generator is missing from it."""
+    for w in cob.words:
+        pair.spec.check_dim(w)
+    table = pair.generator_table()
+    for gen, _src, _dst in cob.moves:
+        if gen is not None and gen not in table:
+            raise CobordismError(f"pair {pair.name!r} is missing generator {gen}")
+    return table
+
+
 def evaluate(cob: CobordismWord, pair) -> LinMap:
     """The composite LinMap of a cobordism word under a pair's generator table:
     each event's generator, read once when the word was built, acts on its
     slots of the running word."""
-    for w in cob.words:
-        pair.spec.check_dim(w)
-    table = pair.generator_table()
+    table = _table_for(cob, pair)
     current = LinMap.identity(pair.spec, word(cob.input))
     for gen, src, dst in cob.moves:
-        if gen is not None and gen not in table:
-            raise CobordismError(f"pair {pair.name!r} is missing generator {gen}")
         current = act(current, None if gen is None else table[gen], src, dst)
     return current
 
@@ -355,32 +363,51 @@ def _labelled_squares(cases):
                             yield f"{label}/side", (rev_v, w2), (w, rev_v2)
 
 
+def _held(memo, uses, key, make):
+    """memo[key], made by make() on its first use and dropped after its last."""
+    if key not in memo:
+        memo[key] = make()
+    uses[key] -= 1
+    return memo[key] if uses[key] else memo.pop(key)
+
+
 def diamond_exchange_suite(pair, cases=None) -> VerifyReport:
     """For every connection case and every signature-legal labelling, compare
     the two saddle orders around the square, in both directions:
     bottom paths A->B->D vs A->C->D and side paths B->A->C vs B->D->C.
 
-    Each path is the composite of its two edges.  Each distinct edge is
-    evaluated once per call and dropped after its last use: the 230 labelled
-    squares of DIAMOND_CASES have 920 paths but only 173 distinct edges.
+    Each path is the composite of its two edges.  Each distinct edge and each
+    distinct path is evaluated once per call and dropped after its last use:
+    the 230 labelled squares of DIAMOND_CASES have 920 paths, but only 363
+    distinct paths over 173 distinct edges.  Squares are compared in the order
+    their earlier path first appears, which holds few paths at once, and
+    reported in their own order.  Every edge is checked against the pair
+    first, in the order the squares meet them, so a missing generator is
+    reported as the first one met.
     """
     if cases is None:
         cases = DIAMOND_CASES
     squares = list(_labelled_squares(cases))
-    uses = Counter(edge for _name, *paths in squares for path in paths for edge in path)
-    maps = {}
+    path_uses = Counter(path for _name, *paths in squares for path in paths)
+    first = {path: k for k, path in enumerate(path_uses)}  # Counter keeps first appearance
+    edge_uses = Counter(edge for path in path_uses for edge in path)
+    words = {edge: CobordismWord(*edge) for edge in edge_uses}
+    for cob in words.values():
+        _table_for(cob, pair)
+    edges, paths = {}, {}
 
     def edge_map(edge):
-        if edge not in maps:
-            maps[edge] = evaluate(CobordismWord(*edge), pair)
-        uses[edge] -= 1
-        return maps[edge] if uses[edge] else maps.pop(edge)
+        return _held(edges, edge_uses, edge, lambda: evaluate(words[edge], pair))
 
-    records = []
-    for name, *paths in squares:
-        # in the order the edges apply, so that a missing generator is met as before
-        (m1, m2), (m3, m4) = [[edge_map(edge) for edge in path] for path in paths]
-        ok, witness = equal(compose(m2, m1), compose(m4, m3))
-        records.append(VerifyRecord(name, "diamond", "paper", "pass" if ok else "fail",
-                                    witness=witness))
+    def path_map(path):
+        def make():
+            m1, m2 = map(edge_map, path)
+            return compose(m2, m1)
+        return _held(paths, path_uses, path, make)
+
+    verdicts = [None] * len(squares)
+    for k in sorted(range(len(squares)), key=lambda k: min(map(first.get, squares[k][1:]))):
+        verdicts[k] = equal(*map(path_map, squares[k][1:]))
+    records = [VerifyRecord(name, "diamond", "paper", "pass" if ok else "fail", witness=witness)
+               for (name, *_paths), (ok, witness) in zip(squares, verdicts)]
     return VerifyReport(pair.name, records, meta={"cases": len(cases)})

@@ -25,8 +25,8 @@ from .ring import (
     ring,
     unit_invert,
 )
-from .tensor import BasisSpec, LinMap, act, apply, compose, equal, word
-from .theory import SIGNATURE, evaluate_term, load_axioms, parse_term
+from .tensor import ONE_TERMS, BasisSpec, LinMap, act, apply, compose, equal, word
+from .theory import SIGNATURE, evaluate_side, evaluate_term, load_axioms, parse_term
 
 
 class PairError(ValueError):
@@ -120,10 +120,11 @@ class VerifyReport:
         return not self.failures()
 
 
-def _check_equation(eq, table, spec):
-    """Evaluate both sides of eq over a generator table; (equal?, witness) as
-    tensor.equal gives them."""
-    return equal(evaluate_term(eq.lhs, table, spec), evaluate_term(eq.rhs, table, spec))
+def _check_equation(eq, table, spec, memo):
+    """Evaluate both sides of eq over a generator table, sharing their layer
+    prefixes with the other sides evaluated through memo (see
+    theory.evaluate_side); (equal?, witness) as tensor.equal gives them."""
+    return equal(*(evaluate_side(side, table, spec, memo) for side in eq.sides))
 
 
 def verify(pair: FrobeniusPair, equations=None, groups=None) -> VerifyReport:
@@ -132,10 +133,13 @@ def verify(pair: FrobeniusPair, equations=None, groups=None) -> VerifyReport:
     Equations mentioning generators absent from the pair are reported as
     skipped.  Witnesses are deterministic: the lexicographically first
     domain basis tuple on which the two sides differ, with both columns.
+    Sides that start with the same layers on the same domain share their
+    evaluation: each distinct prefix is evaluated once per call.
     """
     if equations is None:
         equations = load_axioms()
     table = pair.generator_table()
+    memo = {}
     records = []
     for eq in equations:
         if groups is not None and eq.group not in groups:
@@ -144,7 +148,7 @@ def verify(pair: FrobeniusPair, equations=None, groups=None) -> VerifyReport:
         if missing:
             records.append(VerifyRecord(eq.name, eq.group, eq.provenance, "skip", missing=missing))
             continue
-        ok, witness = _check_equation(eq, table, pair.spec)
+        ok, witness = _check_equation(eq, table, pair.spec, memo)
         if ok:
             records.append(VerifyRecord(eq.name, eq.group, eq.provenance, "pass"))
         else:
@@ -153,6 +157,11 @@ def verify(pair: FrobeniusPair, equations=None, groups=None) -> VerifyReport:
 
 
 # -- structure-constant helpers ----------------------------------------------------
+
+
+def _mul(x, y):
+    """x * y, passing one factor through when the other is 1, as act does."""
+    return y if x.terms == ONE_TERMS else x if y.terms == ONE_TERMS else x * y
 
 
 @dataclass
@@ -174,16 +183,14 @@ class FrobeniusAlgebra:
         for l1, c1 in v1.items():
             for l2, c2 in v2.items():
                 for l3, c3 in self.mul_table[(l1, l2)].items():
-                    s = out.get(l3, self.ring.zero()) + c1 * c2 * c3
-                    out[l3] = s
+                    out[l3] = out.get(l3, self.ring.zero()) + _mul(_mul(c1, c2), c3)
         return {l: c for l, c in out.items() if not c.is_zero()}
 
     def handle_vec(self):
         out = {}
         for (l1, l2), c in self.delta_table[self.unit_label].items():
             for l3, c3 in self.mul_table[(l1, l2)].items():
-                s = out.get(l3, self.ring.zero()) + c * c3
-                out[l3] = s
+                out[l3] = out.get(l3, self.ring.zero()) + _mul(c, c3)
         return {l: c for l, c in out.items() if not c.is_zero()}
 
     def power_vec(self, v, k, v_inv=None):
@@ -579,44 +586,38 @@ _EXPONENT_OF_GEN = {"mu_AE": 0, "mu_EEA": 1, "mu_E": 2, "nu_AE": 3, "nu_EA": 4, 
 
 
 def search_double_exponents(alg: FrobeniusAlgebra, phi_inv: dict, lo=-3, hi=3) -> list:
-    """Exhaustively verify every exponent tuple in [lo, hi]^6 against the
-    battery and return the passing tuples, sorted.
+    """Every exponent tuple in [lo, hi]^6 whose pair passes the battery, sorted.
 
     Each battery row only depends on the exponents of the generators it
-    mentions, so verdicts are memoized on that projection; every tuple in the
-    box is still checked.
+    mentions.  The exponents are fixed one at a time, each row is checked as
+    soon as the last exponent it depends on is fixed, and only the prefixes
+    that pass every row checked so far are extended.  Verdicts are memoised
+    on each row's exponents; a row is checked on the pair of its prefix with
+    the unfixed exponents at lo, and only the last pair built is kept.
     """
     by_name = {e.name: e for e in load_axioms()}
-    battery = [by_name[n] for n in DOUBLE_SEARCH_EQUATIONS]
-    deps = []
-    for eq in battery:
-        deps.append(tuple(sorted({_EXPONENT_OF_GEN[g] for g in eq.generators()
-                                  if g in _EXPONENT_OF_GEN})))
+    rows_at = [[] for _ in range(7)]  # rows decided once that many exponents are fixed
+    for name in DOUBLE_SEARCH_EQUATIONS:
+        eq = by_name[name]
+        deps = sorted({_EXPONENT_OF_GEN[g] for g in eq.generators() if g in _EXPONENT_OF_GEN})
+        rows_at[deps[-1] + 1 if deps else 0].append((eq, deps, {}))
+    last = [None, None]  # exponents and pair of the last pair built
 
-    pair_cache = {}
+    def extend(prefix):
+        exps = prefix + (lo,) * (6 - len(prefix))
+        for eq, deps, verdicts in rows_at[len(prefix)]:
+            key = tuple(exps[j] for j in deps)
+            if key not in verdicts:
+                if last[0] != exps:
+                    last[:] = exps, build_double(alg, phi_inv, exps)
+                verdicts[key] = _check_equation(eq, last[1].generator_table(), last[1].spec, {})[0]
+            if not verdicts[key]:
+                return []
+        if len(prefix) == 6:
+            return [prefix]
+        return [found for x in range(lo, hi + 1) for found in extend(prefix + (x,))]
 
-    def pair_for(exps):
-        if exps not in pair_cache:
-            pair_cache[exps] = build_double(alg, phi_inv, exps)
-        return pair_cache[exps]
-
-    verdicts = [dict() for _ in battery]
-
-    def row_passes(i, exps):
-        key = tuple(exps[j] for j in deps[i])
-        hit = verdicts[i].get(key)
-        if hit is None:
-            pair = pair_for(exps)
-            hit = _check_equation(battery[i], pair.generator_table(), pair.spec)[0]
-            verdicts[i][key] = hit
-        return hit
-
-    passing = []
-    span = range(lo, hi + 1)
-    for exps in product(span, repeat=6):
-        if all(row_passes(i, exps) for i in range(len(battery))):
-            passing.append(exps)
-    return sorted(passing)
+    return extend(())
 
 
 # -- serialization ----------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 from .tensor import LinMap, act, word
 
@@ -206,14 +206,48 @@ def generators_used(term):
     return {item for layer in term for item in layer if item in SIGNATURE}
 
 
-def evaluate_term(term, gen_maps, spec) -> LinMap:
-    """The LinMap of a term: each generator or swap of a layer acts on its own
-    strands through act(); identity strands pass through untouched."""
-    dom, _cod, _layer_ins = typecheck(term)
-    current = LinMap.identity(spec, word(dom))
-    for layer in term:
+@dataclass(eq=False)
+class Prefix:
+    """The first layers of a term over its domain (layer None for none), and
+    how many equation sides start with them."""
+
+    layer: tuple
+    dom: tuple
+    uses: int = 0
+
+
+def _prefixes(dom, term, pieces) -> tuple:
+    """The Prefix chain of a term on the domain dom, from no layer to every
+    layer: each prefix is interned in pieces and counted as one more use."""
+    chain = []
+    for k in range(len(term) + 1):
+        piece = pieces.get((dom, term[:k]))
+        if piece is None:
+            piece = pieces[(dom, term[:k])] = Prefix(term[k - 1] if k else None, dom)
+        piece.uses += 1
+        chain.append(piece)
+    return tuple(chain)
+
+
+def evaluate_side(side, gen_maps, spec, memo) -> LinMap:
+    """The LinMap of a Prefix chain: each generator or swap of a layer acts on
+    its own strands through act(); identity strands pass through untouched.
+
+    A prefix with more than one use is held in memo (Prefix -> [LinMap, uses
+    left]) until its last use, so each distinct prefix is evaluated once.
+    """
+    current = None
+    for piece in side:
+        held = memo.get(piece)
+        if held:
+            current, held[1] = held[0], held[1] - 1
+            if not held[1]:
+                del memo[piece]
+            continue
+        if piece.layer is None:
+            current = LinMap.identity(spec, word(piece.dom))
         pos = 0  # slot of the next item in the partly rewritten word
-        for item in layer:
+        for item in piece.layer or ():
             if item == "swap":
                 current = act(current, None, (pos, pos + 1), (pos + 1, pos))
                 pos += 2
@@ -224,7 +258,15 @@ def evaluate_term(term, gen_maps, spec) -> LinMap:
                 pos += len(gen.cod)
             else:
                 pos += 1
+        if piece.uses > 1:
+            memo[piece] = [current, piece.uses - 1]
     return current
+
+
+def evaluate_term(term, gen_maps, spec) -> LinMap:
+    """The LinMap of a term, layer by layer from the identity on its domain."""
+    dom, _cod, _layer_ins = typecheck(term)
+    return evaluate_side(_prefixes(dom, term, {}), gen_maps, spec, {})
 
 
 # -- equations -------------------------------------------------------------------
@@ -239,11 +281,32 @@ PROVENANCES = ("paper", "corrected", "generated")
 
 @dataclass(frozen=True)
 class Equation:
+    """Two terms that typecheck to the same words, checked when made.
+
+    sides holds the Prefix chains of lhs and rhs on their domain, interned in
+    `pieces`, so that the equations made with one dict share their prefixes.
+    """
+
     name: str
     group: str
     provenance: str
     lhs: tuple
     rhs: tuple
+    pieces: InitVar[dict] = None
+    sides: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self, pieces):
+        ld, lc, _ = typecheck(self.lhs)
+        rd, rc, _ = typecheck(self.rhs)
+        if (ld, lc) != (rd, rc):
+            raise TheoryError(f"equation {self.name}: sides typecheck to {ld}->{lc} vs {rd}->{rc}")
+        if self.group not in GROUPS:
+            raise TheoryError(f"equation {self.name}: unknown group {self.group}")
+        if self.provenance not in PROVENANCES:
+            raise TheoryError(f"equation {self.name}: unknown provenance {self.provenance}")
+        pieces = {} if pieces is None else pieces
+        object.__setattr__(self, "sides", (_prefixes(ld, self.lhs, pieces),
+                                           _prefixes(ld, self.rhs, pieces)))
 
     def generators(self):
         return generators_used(self.lhs) | generators_used(self.rhs)
@@ -259,20 +322,6 @@ class Equation:
         )
 
 
-def _check_equation(eq: Equation) -> Equation:
-    ld, lc, _ = typecheck(eq.lhs)
-    rd, rc, _ = typecheck(eq.rhs)
-    if (ld, lc) != (rd, rc):
-        raise TheoryError(
-            f"equation {eq.name}: sides typecheck to {ld}->{lc} vs {rd}->{rc}"
-        )
-    if eq.group not in GROUPS:
-        raise TheoryError(f"equation {eq.name}: unknown group {eq.group}")
-    if eq.provenance not in PROVENANCES:
-        raise TheoryError(f"equation {eq.name}: unknown provenance {eq.provenance}")
-    return eq
-
-
 def parse_theory(text) -> list:
     """Parse an equation file: `eq NAME [GROUP] {PROVENANCE}: TERM == TERM`.
 
@@ -281,6 +330,7 @@ def parse_theory(text) -> list:
     """
     equations = []
     seen = set()
+    pieces = {}  # the prefixes the equations share
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -304,8 +354,8 @@ def parse_theory(text) -> list:
             lhs_text, sep, rhs_text = body.partition("==")
             if not sep:
                 raise TheoryError("missing '=='")
-            eq = Equation(name, group, provenance, parse_term(lhs_text), parse_term(rhs_text))
-            _check_equation(eq)
+            eq = Equation(name, group, provenance, parse_term(lhs_text), parse_term(rhs_text),
+                          pieces)
             if name in seen:
                 raise TheoryError(f"duplicate equation name {name}")
             seen.add(name)
@@ -456,9 +506,7 @@ _QUARANTINE = [
 
 def _eq_from_text(name, group, provenance, text) -> Equation:
     lhs, _, rhs = text.partition("==")
-    return _check_equation(
-        Equation(name, group, provenance, parse_term(lhs), parse_term(rhs))
-    )
+    return Equation(name, group, provenance, parse_term(lhs), parse_term(rhs))
 
 
 def _closure(base_eqs, group):
@@ -472,7 +520,7 @@ def _closure(base_eqs, group):
             if key in seen:
                 continue
             seen.add(key)
-            out.append(_check_equation(Equation(eq.name + suffix, group, "generated", lhs, rhs)))
+            out.append(Equation(eq.name + suffix, group, "generated", lhs, rhs))
     return out
 
 
@@ -497,9 +545,8 @@ def build_equations() -> list:
     for name, provenance, text in _MOBIUS_RIGHT_DAGGERED:
         eq = _eq_from_text(name, "mobius", provenance, text)
         eqs.append(eq)
-        eqs.append(_check_equation(Equation(
-            name.replace("_r", "_l") + "_dg", "mobius", "generated",
-            dagger(eq.lhs), dagger(eq.rhs))))
+        eqs.append(Equation(name.replace("_r", "_l") + "_dg", "mobius", "generated",
+                            dagger(eq.lhs), dagger(eq.rhs)))
     for name, provenance, text in _MOBIUS_EXTRA:
         eqs.append(_eq_from_text(name, "mobius", provenance, text))
 

@@ -33,8 +33,14 @@ from frobpair.cobordism import (
     evaluate,
 )
 from frobpair.cube import CubeError, EdgeMove, StateCube, differential, validate_cube
-from frobpair.pair import VerifyRecord
+from frobpair.pair import (
+    _EXPONENT_OF_GEN,
+    DOUBLE_SEARCH_EQUATIONS,
+    VerifyRecord,
+    build_double,
+)
 from frobpair.tensor import equal, sparse_product
+from frobpair.theory import evaluate_term, load_axioms
 
 
 def brute_force_pole_degrees(w):
@@ -118,6 +124,30 @@ def product_by_multiplying(g_entries, f_entries) -> dict:
                 key = (row, col)
                 sums[key] = sums[key] + gv * fv if key in sums else gv * fv
     return {k: v for k, v in sums.items() if not v.is_zero()}
+
+
+def search_by_box(alg, phi_inv, lo, hi) -> list:
+    """The exponent tuples in [lo, hi]^6 whose double pair passes every
+    battery row, in order, by walking the whole box; verdicts are memoised on
+    each row's exponents, so each tuple costs a lookup per row."""
+    by_name = {e.name: e for e in load_axioms()}
+    battery = [by_name[n] for n in DOUBLE_SEARCH_EQUATIONS]
+    deps = [sorted({_EXPONENT_OF_GEN[g] for g in eq.generators() if g in _EXPONENT_OF_GEN})
+            for eq in battery]
+    pairs, verdicts = {}, [{} for _ in battery]
+
+    def row_passes(i, exps):
+        key = tuple(exps[j] for j in deps[i])
+        if key not in verdicts[i]:
+            if exps not in pairs:
+                pairs[exps] = build_double(alg, phi_inv, exps)
+            table, spec = pairs[exps].generator_table(), pairs[exps].spec
+            verdicts[i][key] = equal(evaluate_term(battery[i].lhs, table, spec),
+                                     evaluate_term(battery[i].rhs, table, spec))[0]
+        return verdicts[i][key]
+
+    return [exps for exps in itertools.product(range(lo, hi + 1), repeat=6)
+            if all(row_passes(i, exps) for i in range(len(battery)))]
 
 
 def euler_characteristic(report) -> int:

@@ -103,6 +103,23 @@ def test_diamond_exit_codes(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("gone,reported", [
+    (("Delta_AE", "Delta_E"), "Delta_E"),
+    (("Delta_AE", "mu_E"), "mu_E"),
+    (("Delta_AE", "nu_AE"), "Delta_AE"),
+])
+def test_diamond_names_the_first_missing_generator(tmp_path, capsys, gone, reported):
+    # with two generators deleted from aps.json, diamond names the one that
+    # the squares meet first, whatever order it compares them in
+    shipped = importlib.resources.files("frobpair").joinpath("data/aps.json").read_text()
+    obj = json.loads(shipped)
+    obj["maps"] = {g: rows for g, rows in obj["maps"].items() if g not in gone}
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "diamond", "--pair", str(path))
+    assert (code, out, err) == (2, "", f"error: pair 'aps' is missing generator {reported}\n")
+
+
 def test_cube_betti_split(tmp_path, capsys):
     cube = tmp_path / "split1.cube"
     cube.write_text(importlib.resources.files("frobpair")

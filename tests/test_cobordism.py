@@ -305,9 +305,47 @@ def test_diamond_evaluates_each_edge_once(monkeypatch):
         assert len(keys) == len(set(keys)) == 173
 
 
+def test_diamond_composes_each_path_once(monkeypatch):
+    # the 460 squares compare 920 paths, of which 363 are distinct
+    import frobpair.cobordism as cob_mod
+
+    squares = list(cob_mod._labelled_squares(cob_mod.DIAMOND_CASES))
+    paths = [path for _name, *two in squares for path in two]
+    assert (len(squares), len(paths), len(set(paths))) == (460, 920, 363)
+    calls = []
+    real = cob_mod.compose
+    monkeypatch.setattr(cob_mod, "compose", lambda g, f: calls.append((g, f)) or real(g, f))
+    pair = build_aps()
+    for _ in range(2):  # the memo lives for one call
+        calls.clear()
+        diamond_exchange_suite(pair)
+        assert len(calls) == 363
+
+
+def aps_without(*names):
+    pair = build_aps()
+    return FrobeniusPair(pair.ring, pair.spec,
+                         {g: m for g, m in pair.maps.items() if g not in names}, name=pair.name)
+
+
+def test_diamond_reports_the_first_missing_generator_met():
+    # squares are compared out of their order, but a missing generator is
+    # still the first one that the squares, in their order, meet: as when
+    # every path is evaluated whole, for all 91 pairs of deleted generators
+    names = sorted(set(build_aps().maps) - {"eta"})
+    for gone in itertools.combinations(names, 2):
+        pair = aps_without(*gone)
+        with pytest.raises(CobordismError) as want:
+            diamond_by_paths(pair)
+        with pytest.raises(CobordismError) as got:
+            diamond_exchange_suite(pair)
+        assert str(got.value) == str(want.value), gone
+
+
 def test_diamond_products_by_one_are_skipped(monkeypatch):
     # act and compose pass the other operand through when an entry is 1, so no
-    # product of the double suite over all 13 cases has an operand equal to 1
+    # product of the double suite over all 13 cases has an operand equal to 1;
+    # each distinct path is composed once, so the count is exact
     from frobpair.cobordism import DIAMOND_CASES
     from frobpair.ring import RingElem
 
@@ -318,7 +356,7 @@ def test_diamond_products_by_one_are_skipped(monkeypatch):
                         lambda x, y: products.append((x, y)) or real_mul(x, y))
     report = diamond_exchange_suite(pair, DIAMOND_CASES)
     assert report.meta["cases"] == len(DIAMOND_CASES) == 13 and len(report.records) == 460
-    assert len(products) == 28960
+    assert len(products) == 15212
     assert not any({(): 1} in (x.terms, y.terms) for x, y in products)
 
 

@@ -78,12 +78,14 @@ def test_aps_matches_shipped_file():
 
 
 def test_double_construction_products(monkeypatch):
-    # every generator is a chain of act moves over A's maps, and act skips
-    # products by one, so the canonical q1 double takes exactly this many
+    # every generator is a chain of act moves over A's maps, and act and the
+    # algebra's structure constants skip products by one, so the canonical q1
+    # double takes exactly these two: phi * phi^-1 and the square of phi^-1
     alg, phi_inv = q1_algebra()
     products = []
     real_mul = RingElem.__mul__
     monkeypatch.setattr(RingElem, "__mul__",
                         lambda x, y: products.append((x, y)) or real_mul(x, y))
     build_double(alg, phi_inv)
-    assert len(products) == 12
+    assert len(products) == 2
+    assert not any({(): 1} in (x.terms, y.terms) for x, y in products)

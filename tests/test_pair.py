@@ -31,7 +31,8 @@ from frobpair.pair import (
 )
 from frobpair.ring import INTEGERS, MOD2, RATIONALS, ring
 from frobpair.tensor import BasisSpec, apply, equal, word
-from frobpair.theory import evaluate_term, load_axioms, parse_term
+from frobpair.theory import evaluate_side, evaluate_term, load_axioms, parse_term
+from helpers import search_by_box
 
 Z = ring(INTEGERS)
 APS_PARAMS = dict(a=0, c_yy=0, c_yz=1, c_zz=0, d_yy=0, d_yz=1, d_zz=0,
@@ -371,6 +372,87 @@ def test_search_small_boxes():
     alg, phi_inv = q_double_algebra()
     assert search_double_exponents(alg, phi_inv, 0, 0) == []
     assert search_double_exponents(alg, phi_inv, -2, 1) == [DOUBLE_EXPONENTS]
+
+
+def z2_double_algebra():
+    decl = ring(MOD2)
+    return universal_algebra(decl, decl.one(), decl.zero()), {"1": decl.one()}
+
+
+@pytest.mark.parametrize("make,lo,hi", [(q_double_algebra, -2, 2), (z2_double_algebra, -1, 1)],
+                         ids=["q1", "z2h1"])
+def test_search_matches_whole_box_oracle(make, lo, hi):
+    # fixing the exponents one at a time and pruning failed prefixes finds
+    # the tuples that checking every tuple of the box finds
+    alg, phi_inv = make()
+    want = search_by_box(alg, phi_inv, lo, hi)
+    assert want  # neither box is vacuous
+    assert search_double_exponents(alg, phi_inv, lo, hi) == want
+
+
+def test_search_builds_and_checks(monkeypatch):
+    # the q1 search over [-3, 3]^6 reaches 85 distinct (row, exponents)
+    # checks on 79 pairs, each pair built once and only the last one kept
+    import frobpair.pair as pair_mod
+
+    alg, phi_inv = q_double_algebra()
+    builds, checks = [], []
+    real_build, real_check = pair_mod.build_double, pair_mod._check_equation
+    monkeypatch.setattr(pair_mod, "build_double",
+                        lambda *a: builds.append(a[2]) or real_build(*a))
+    monkeypatch.setattr(pair_mod, "_check_equation",
+                        lambda *a: checks.append(a[0].name) or real_check(*a))
+    assert search_double_exponents(alg, phi_inv) == [DOUBLE_EXPONENTS]
+    assert len(builds) == len(set(builds)) == 79
+    assert len(checks) == 85 and set(checks) == set(DOUBLE_SEARCH_EQUATIONS)
+
+
+@pytest.mark.parametrize("build", [build_aps, build_tt], ids=["aps", "tt"])
+def test_verify_evaluates_each_prefix_once(monkeypatch, build):
+    # the manifest's 142 sides take 258 act calls one by one, but start with
+    # only 169 distinct layer prefixes on their domains, which take 167
+    import frobpair.theory as theory_mod
+
+    pair, axioms = build(), load_axioms()
+    calls = []
+    real_act = theory_mod.act
+    monkeypatch.setattr(theory_mod, "act", lambda *a: calls.append(a) or real_act(*a))
+    for eq in axioms:
+        evaluate_term(eq.lhs, pair.generator_table(), pair.spec)
+        evaluate_term(eq.rhs, pair.generator_table(), pair.spec)
+    assert len(calls) == 258
+    for _ in range(2):  # the memo lives for one call
+        calls.clear()
+        report = verify(pair, axioms)
+        assert len(report.records) == 71 and not any(r.status == "skip" for r in report.records)
+        assert len(calls) == 167
+
+
+def test_prefix_memo_is_empty_after_the_last_side():
+    # in parse order each held prefix is dropped at its last use
+    pair = build_tt()
+    memo = {}
+    for eq in load_axioms():
+        for side in eq.sides:
+            evaluate_side(side, pair.generator_table(), pair.spec, memo)
+    assert memo == {}
+
+
+def test_verify_shares_prefixes_in_any_order():
+    # a shuffled subset with repeats, and equations from two parses, give the
+    # verdicts and witnesses of evaluating every side alone
+    pair = build_it()
+    table = pair.generator_table()
+    axioms = load_axioms()
+    rng = random.Random(3)
+    eqs = rng.sample(axioms, 40) + rng.sample(load_axioms(), 30) + axioms[:5]
+    got = [(r.name, r.status, r.witness) for r in verify(pair, eqs).records]
+    want = []
+    for eq in eqs:
+        ok, witness = equal(evaluate_term(eq.lhs, table, pair.spec),
+                            evaluate_term(eq.rhs, table, pair.spec))
+        want.append((eq.name, "pass" if ok else "fail", witness))
+    assert got == want
 
 
 # -- beta nondegeneracy ---------------------------------------------------------------

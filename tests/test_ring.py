@@ -303,12 +303,13 @@ def test_ring_arithmetic_does_not_recoerce(monkeypatch):
     assert coerced == []
 
     # act and compose pass the other operand through when an entry is 1, so no
-    # product that verifying tt runs has an operand equal to 1
+    # product that verifying tt runs has an operand equal to 1; sides that
+    # share layer prefixes evaluate them once, so the count is exact
     pair, axioms = build_tt(), load_axioms()
     products = []
     real_mul = RingElem.__mul__
     monkeypatch.setattr(RingElem, "__mul__",
                         lambda x, y: products.append((x, y)) or real_mul(x, y))
     verify(pair, axioms)
-    assert len(products) == 68
+    assert len(products) == 63
     assert [(x, y) for x, y in products if {(): 1} in (x.terms, y.terms)] == []
