@@ -371,43 +371,54 @@ def _held(memo, uses, key, make):
     return memo[key] if uses[key] else memo.pop(key)
 
 
+def compare_squares(squares, edge_map) -> list:
+    """tensor.equal's (ok, witness) for each square, in list order.  A square
+    is two paths, a path is two edge keys in the order they apply, and
+    edge_map(key) makes the LinMap of an edge.
+
+    Each distinct edge and each distinct path is made once and dropped after
+    its last use.  Squares are compared in the order their earlier path first
+    appears, which holds few paths at once.
+    """
+    path_uses = Counter(path for square in squares for path in square)
+    first = {path: k for k, path in enumerate(path_uses)}  # Counter keeps first appearance
+    edge_uses = Counter(edge for path in path_uses for edge in path)
+    edges, paths = {}, {}
+
+    def path_map(path):
+        def make():
+            m1, m2 = (_held(edges, edge_uses, edge, lambda: edge_map(edge)) for edge in path)
+            return compose(m2, m1)
+        return _held(paths, path_uses, path, make)
+
+    verdicts = [None] * len(squares)
+    for k in sorted(range(len(squares)), key=lambda k: min(map(first.get, squares[k]))):
+        verdicts[k] = equal(*map(path_map, squares[k]))
+    return verdicts
+
+
 def diamond_exchange_suite(pair, cases=None) -> VerifyReport:
     """For every connection case and every signature-legal labelling, compare
     the two saddle orders around the square, in both directions:
     bottom paths A->B->D vs A->C->D and side paths B->A->C vs B->D->C.
 
-    Each path is the composite of its two edges.  Each distinct edge and each
-    distinct path is evaluated once per call and dropped after its last use:
-    the 230 labelled squares of DIAMOND_CASES have 920 paths, but only 363
-    distinct paths over 173 distinct edges.  Squares are compared in the order
-    their earlier path first appears, which holds few paths at once, and
-    reported in their own order.  Every edge is checked against the pair
-    first, in the order the squares meet them, so a missing generator is
-    reported as the first one met.
+    Each path is the composite of its two edges, compared by compare_squares:
+    the 230 labellings of DIAMOND_CASES give 460 squares with 920 paths, but
+    only 363 distinct paths over 173 distinct edges.  Squares are reported in their own
+    order.  Every edge is checked against the pair first, in the order the
+    squares meet them, so a missing generator is reported as the first one met.
     """
     if cases is None:
         cases = DIAMOND_CASES
     squares = list(_labelled_squares(cases))
-    path_uses = Counter(path for _name, *paths in squares for path in paths)
-    first = {path: k for k, path in enumerate(path_uses)}  # Counter keeps first appearance
-    edge_uses = Counter(edge for path in path_uses for edge in path)
-    words = {edge: CobordismWord(*edge) for edge in edge_uses}
-    for cob in words.values():
+    # edges go to compare_squares as numbers, which hash far faster than events
+    number = {}  # (start word, events) -> its number, in the order the squares meet them
+    numbered = [tuple(tuple(number.setdefault(edge, len(number)) for edge in path)
+                      for path in paths) for _name, *paths in squares]
+    words = [CobordismWord(*edge) for edge in number]
+    for cob in words:
         _table_for(cob, pair)
-    edges, paths = {}, {}
-
-    def edge_map(edge):
-        return _held(edges, edge_uses, edge, lambda: evaluate(words[edge], pair))
-
-    def path_map(path):
-        def make():
-            m1, m2 = map(edge_map, path)
-            return compose(m2, m1)
-        return _held(paths, path_uses, path, make)
-
-    verdicts = [None] * len(squares)
-    for k in sorted(range(len(squares)), key=lambda k: min(map(first.get, squares[k][1:]))):
-        verdicts[k] = equal(*map(path_map, squares[k][1:]))
+    verdicts = compare_squares(numbered, lambda e: evaluate(words[e], pair))
     records = [VerifyRecord(name, "diamond", "paper", "pass" if ok else "fail", witness=witness)
                for (name, *_paths), (ok, witness) in zip(squares, verdicts)]
     return VerifyReport(pair.name, records, meta={"cases": len(cases)})

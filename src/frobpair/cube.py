@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cobordism import MOVES, CobordismError, interpret
+from .cobordism import MOVES, CobordismError, compare_squares, interpret
 from .pair import FrobeniusPair
 from .ring import MOD2, RingError, specialize
-from .tensor import MAX_CIRCLES, LinMap, act, compose, equal, word
+from .tensor import MAX_CIRCLES, LinMap, act, word
 
 
 class CubeError(ValueError):
@@ -193,23 +193,29 @@ def check_d_squared(cube: StateCube, pair: FrobeniusPair):
 
     Each square is one block of d_{i+1} d_i, and its two paths carry opposite
     signs, so d^2 = 0 iff every square's two composite edge maps are equal.
-    They depend only on the source word and the four moves, so each distinct
-    such key is compared once.  The witness (b, k, l, t) is the square at b
-    flipping bits k < l and the first basis tuple t where its paths differ.
+    An edge map depends only on its (source word, move) key, so each distinct
+    key is built once and each distinct square compared once, by
+    cobordism.compare_squares.  The witness (b, k, l, t) is the first failing
+    square, at b flipping bits k < l, and the first basis tuple t where its
+    paths differ.
     """
-    maps, seen = _edge_maps(cube, pair), set()
+    number, at = {}, []  # (source word, move) -> its number; number -> an edge (b, k) with it
+    key = {}  # edge (b, k) -> the number of its (source word, move)
+    for e, move in cube.edges.items():
+        word_move = tuple(cube.vertices[e[0]]), move
+        if word_move not in number:
+            number[word_move] = len(at)
+            at.append(e)
+        key[e] = number[word_move]
+    squares = {}  # square -> its first (b, k, l)
     for b in _bits(cube.n):
         for k, l in itertools.combinations([k for k in range(cube.n) if b[k] == "0"], 2):
-            bk, bl = _flip(b, k), _flip(b, l)
-            key = (tuple(cube.vertices[b]), cube.edges[(b, k)], cube.edges[(bk, l)],
-                   cube.edges[(b, l)], cube.edges[(bl, k)])
-            if key in seen:
-                continue
-            seen.add(key)
-            ok, witness = equal(compose(maps(bk, l), maps(b, k)),
-                                compose(maps(bl, k), maps(b, l)))
-            if not ok:
-                return False, (b, k, l, witness[0])
+            square = ((key[b, k], key[_flip(b, k), l]), (key[b, l], key[_flip(b, l), k]))
+            squares.setdefault(square, (b, k, l))
+    verdicts = compare_squares(list(squares), lambda e: edge_map(cube, pair, *at[e]))
+    for (ok, witness), (b, k, l) in zip(verdicts, squares.values()):
+        if not ok:
+            return False, (b, k, l, witness[0])
     return True, None
 
 

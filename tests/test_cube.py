@@ -3,6 +3,7 @@ import importlib.resources
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -251,25 +252,46 @@ def test_d_squared_matches_differential_oracle():
             failing += 1
             b, k, l, t = witness
             assert k < l and b[k] == b[l] == "0"
-            bk, bl = b[:k] + "1" + b[k + 1:], b[:l] + "1" + b[l + 1:]
-            one = compose(edge_map(cube, pair, bk, l), edge_map(cube, pair, b, k))
-            two = compose(edge_map(cube, pair, bl, k), edge_map(cube, pair, b, l))
-            assert one.column(t) != two.column(t)
+            # the witness is the first failing square in scan order
+            for square in _squares_in_scan_order(cube):
+                one, two = _square_paths(cube, pair, *square)
+                if square == (b, k, l):
+                    assert one.column(t) != two.column(t)
+                    break
+                assert equal(one, two)[0], (pair.name, square, witness)
+            else:
+                raise AssertionError(f"witness {witness} is not a square")
     assert failing
 
 
+def _squares_in_scan_order(cube):
+    """(b, k, l) for every square: vertices in numeric order, then k < l."""
+    for v in range(2 ** cube.n):
+        b = format(v, f"0{cube.n}b")
+        zeros = [k for k in range(cube.n) if b[k] == "0"]
+        yield from ((b, k, l) for k, l in combinations(zeros, 2))
+
+
+def _square_paths(cube, pair, b, k, l):
+    """The composites of the square's two paths: flip k then l, and l then k."""
+    bk, bl = b[:k] + "1" + b[k + 1:], b[:l] + "1" + b[l + 1:]
+    return (compose(edge_map(cube, pair, bk, l), edge_map(cube, pair, b, k)),
+            compose(edge_map(cube, pair, bl, k), edge_map(cube, pair, b, l)))
+
+
 def test_d_squared_builds_each_edge_map_and_square_once(monkeypatch):
+    import frobpair.cobordism as cobordism
     import frobpair.cube as cube_mod
 
     built, compared = [], []
-    real_edge_map, real_equal = cube_mod.edge_map, cube_mod.equal
+    real_edge_map, real_equal = cube_mod.edge_map, cobordism.equal
 
     def recording_edge_map(c, p, b, k):
         built.append((c.vertices[b], c.edges[(b, k)]))
         return real_edge_map(c, p, b, k)
 
     monkeypatch.setattr(cube_mod, "edge_map", recording_edge_map)
-    monkeypatch.setattr(cube_mod, "equal", lambda f, g: compared.append(1) or real_equal(f, g))
+    monkeypatch.setattr(cobordism, "equal", lambda f, g: compared.append(1) or real_equal(f, g))
     cube = random_cube(random.Random(8), n=4)
     assert check_d_squared(cube, build_aps()) == (True, None)
     # every edge of a cube with n >= 2 lies on a square

@@ -7,17 +7,14 @@ from frobpair.tensor import BasisSpec, LinMap, compose, equal, word
 from frobpair.theory import (
     SIGNATURE,
     TheoryError,
-    build_equations,
-    build_manifest,
-    dagger,
     evaluate_term,
     load_axioms,
-    mirror,
     parse_term,
     parse_theory,
     term_to_text,
     typecheck,
 )
+from manifest import build_equations, build_manifest, dagger, mirror
 
 Z = ring(INTEGERS)
 SPEC = BasisSpec(("1", "X"), ("Y", "Z"), Z)
@@ -168,13 +165,18 @@ def test_manifest_is_frozen_and_typechecks():
 
 
 def test_manifest_generated_rows_are_mechanical():
-    eqs = {e.name: e for e in build_equations()}
-    for name in ("mob_l2_dg", "mob_l3_dg", "mob_l4_dg"):
-        base = eqs[name.replace("_l", "_r").removesuffix("_dg")]
-        assert eqs[name].lhs == dagger(base.lhs)
-        assert eqs[name].rhs == dagger(base.rhs)
-    assert eqs["compat_1_dg"].lhs == dagger(eqs["compat_1"].lhs)
-    assert eqs["compat_1_mr"].rhs == mirror(eqs["compat_1"].rhs)
+    # every {generated} row of the shipped file is the dagger, mirror or
+    # dagger-of-mirror image of the base row its suffix names
+    eqs = {e.name: e for e in load_axioms()}
+    transforms = (("_mrdg", lambda t: dagger(mirror(t))), ("_mr", mirror), ("_dg", dagger))
+    generated = [e for e in eqs.values() if e.provenance == "generated"]
+    assert {"mob_l2_dg", "mob_l3_dg", "mob_l4_dg", "compat_1_dg", "compat_1_mr"} <= {
+        e.name for e in generated}
+    for eq in generated:
+        suffix, fn = next((sfx, fn) for sfx, fn in transforms if eq.name.endswith(sfx))
+        base = eqs[eq.name.removesuffix(suffix).replace("mob_l", "mob_r")]
+        assert base.provenance != "generated", eq.name
+        assert (eq.group, eq.lhs, eq.rhs) == (base.group, fn(base.lhs), fn(base.rhs)), eq.name
 
 
 def test_provenance_tags_parse():
