@@ -7,6 +7,7 @@ Exit codes: 0 success (all scored equations pass), 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -303,7 +304,8 @@ def cmd_snf(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="frobpair",
         description="Exact verifier and evaluator for commutative Frobenius "
@@ -356,8 +358,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix file")
     p.add_argument("matrix")
     p.set_defaults(func=cmd_snf)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

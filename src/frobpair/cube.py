@@ -155,16 +155,19 @@ def vertex_keys(cube: StateCube, pair: FrobeniusPair, degree):
     return keys
 
 
-def _edge_maps(cube: StateCube, pair: FrobeniusPair):
-    """edge_map(cube, pair, b, k) as a lookup, built once per (source word, move)."""
-    memo = {}
+def _edge_numbers(cube: StateCube):
+    """({edge (b, k): number}, {number: an edge (b, k) with it}), numbering edges by
+    their (source word, move), the key their edge map depends on."""
+    number = {}  # (source word, move) -> its number
+    key = {e: number.setdefault((tuple(cube.vertices[e[0]]), move), len(number))
+           for e, move in cube.edges.items()}
+    return key, {n: e for e, n in key.items()}
 
-    def get(b, k):
-        key = (tuple(cube.vertices[b]), cube.edges[(b, k)])
-        if key not in memo:
-            memo[key] = edge_map(cube, pair, b, k)
-        return memo[key]
-    return get
+
+def _edges(cube: StateCube, i):
+    """d_i's edges (b, k) in scan order, each with whether its sign is -1."""
+    return [(b, k, _weight(b[:k]) % 2) for b in _bits(cube.n) if _weight(b) == i
+            for k in range(cube.n) if b[k] == "0"]
 
 
 def differential(cube: StateCube, pair: FrobeniusPair, i) -> BlockMatrix:
@@ -174,17 +177,14 @@ def differential(cube: StateCube, pair: FrobeniusPair, i) -> BlockMatrix:
     d = BlockMatrix(rows, cols, pair.ring)
     if i < 0 or i >= cube.n:
         return d
-    maps = _edge_maps(cube, pair)
-    for b in _bits(cube.n):
-        if _weight(b) != i:
-            continue
-        for k in range(cube.n):
-            if b[k] != "0":
-                continue
-            negate = _weight(b[:k]) % 2
-            target = _flip(b, k)
-            for (o, t), v in maps(b, k).entries.items():
-                d.add((target, o), (b, t), -v if negate else v)
+    key, at = _edge_numbers(cube)
+    maps = {}
+    for b, k, negate in _edges(cube, i):
+        e = key[b, k]
+        if e not in maps:
+            maps[e] = edge_map(cube, pair, *at[e])
+        for (o, t), v in maps[e].entries.items():
+            d.add((_flip(b, k), o), (b, t), -v if negate else v)
     return d
 
 
@@ -199,14 +199,7 @@ def check_d_squared(cube: StateCube, pair: FrobeniusPair):
     square, at b flipping bits k < l, and the first basis tuple t where its
     paths differ.
     """
-    number, at = {}, []  # (source word, move) -> its number; number -> an edge (b, k) with it
-    key = {}  # edge (b, k) -> the number of its (source word, move)
-    for e, move in cube.edges.items():
-        word_move = tuple(cube.vertices[e[0]]), move
-        if word_move not in number:
-            number[word_move] = len(at)
-            at.append(e)
-        key[e] = number[word_move]
+    key, at = _edge_numbers(cube)
     squares = {}  # square -> its first (b, k, l)
     for b in _bits(cube.n):
         for k, l in itertools.combinations([k for k in range(cube.n) if b[k] == "0"], 2):
@@ -395,38 +388,60 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
     """Per-degree homology of the cube complex.
 
     Returns a list (degree 0..n) of {"betti": int, "torsion": [int, ...]};
-    torsion is always empty over a field.  Each d_i is built once, as sparse
-    rows, and reduced by one elimination of its unit pivots (`_unit_pivots`):
-    over q through `sparse_rank_fraction`, over z2 through `sparse_rank_gf2`,
-    over z followed by the Smith normal form of the residual block only.  Over
-    z the rank is the pivot count plus the residual's nonzero diagonal entries,
-    and the residual's entries > 1 are the torsion of degree i+1.  Entries must be
-    constants in the pair's ring (specialize first), and integers over z and
-    z2: CubeError refuses a fraction such as 1/2 rather than truncate it.  A Z/2
-    pair takes only z2: its residues lifted to Q or Z need not give d^2 = 0.
+    torsion is always empty over a field.  Each distinct (source word, move) edge
+    map becomes (out place, in place, constant) triples once; d_i's sparse rows
+    scatter them with each edge's sign, and one elimination of their unit pivots
+    (`_unit_pivots`) reduces them: over q through `sparse_rank_fraction`, over z2
+    through `sparse_rank_gf2`, over z followed by the Smith normal form of the
+    residual block only.  Over z the rank is the pivot count plus the residual's
+    nonzero diagonal entries, and the residual's entries > 1 are the torsion of
+    degree i+1.  Entries must be constants in the pair's ring (specialize first),
+    and integers over z and z2: CubeError refuses d_i's first fraction, sign
+    included, rather than truncate it.  A Z/2 pair takes only z2: its residues
+    lifted to Q or Z need not give d^2 = 0.
     """
     if coefficients not in COEFFS:
         raise CubeError(f"unknown coefficients {coefficients!r}")
     if coefficients in ("q", "z") and pair.ring.domain == MOD2:
         name = "rational" if coefficients == "q" else "integer"
         raise CubeError(f"cannot take {name} coefficients of a Z/2 pair")
-    dims = [len(vertex_keys(cube, pair, i)) for i in range(cube.n + 1)]
+    places = {w: {t: p for p, t in enumerate(pair.spec.tuples(w))}  # w's tuples in lex order
+              for w in set(map(tuple, cube.vertices.values()))}
+    dims, offset = [0] * (cube.n + 1), {}
+    for b in _bits(cube.n):
+        offset[b] = dims[_weight(b)]  # b's first place in its degree
+        dims[_weight(b)] += pair.spec.dim(cube.vertices[b])
+    key, at = _edge_numbers(cube)
+    blocks = {}  # edge number -> [(out place, in place, constant)] of its edge map
     ranks = [0] * (cube.n + 1)  # ranks[i] = rank of d_i; d_n = 0
     torsion = [[] for _ in dims]
     for i in range(cube.n):
-        d = differential(cube, pair, i)
-        try:
-            values = {rc: v.constant_value() for rc, v in d.entries.items()}
-        except RingError as exc:
-            raise CubeError(f"specialize first: {exc}") from None
-        non_integral = [x for x in values.values() if x.denominator != 1]
-        if non_integral and coefficients != "q":
-            raise CubeError(f"d_{i} has the non-integral entry {non_integral[0]}; "
-                            f"homology over {coefficients} needs integers")
-        cols = {c: k for k, c in enumerate(d.cols)}
+        # d_i's edges: (row offset, column offset, number, sign is -1); -1 = 1 over Z/2
+        edges = [(offset[_flip(b, k)], offset[b], key[b, k], negate and pair.ring.domain != MOD2)
+                 for b, k, negate in _edges(cube, i)]
+        new = {}  # edge number -> (its first edge's sign, its edge map), in scan order
+        for _r, _c, e, negate in edges:
+            if e not in blocks and e not in new:
+                new[e] = negate, edge_map(cube, pair, *at[e])
+        # convert every new block before testing any for integers: specialize first
+        for e, (negate, m) in new.items():
+            out, inp = places[m.cod], places[m.dom]
+            try:
+                blocks[e] = [(out[o], inp[t], v.constant_value())
+                             for (o, t), v in m.entries.items()]
+            except RingError:
+                bad = next(-v if negate else v for v in m.entries.values() if not v.is_constant())
+                raise CubeError(f"specialize first: not a constant: {bad}") from None
+        for e, (negate, _m) in new.items() if coefficients != "q" else ():
+            bad = next((x for *_, x in blocks[e] if x.denominator != 1), None)
+            if bad is not None:
+                raise CubeError(f"d_{i} has the non-integral entry {-bad if negate else bad}; "
+                                f"homology over {coefficients} needs integers")
+            blocks[e] = [(o, t, int(x)) for o, t, x in blocks[e]]
         rows = {}
-        for (r, c), x in values.items():
-            rows.setdefault(r, {})[cols[c]] = x if coefficients == "q" else int(x)
+        for r, c, e, negate in edges:
+            for o, t, x in blocks[e]:
+                rows.setdefault(r + o, {})[c + t] = -x if negate else x
         rows = list(rows.values())
         if coefficients == "z":
             count, residual = _unit_pivots(rows)

@@ -499,3 +499,41 @@ def test_eval_over_tuple_limit_exit_two(tmp_path, capsys, text, message):
     code, out, err = run(capsys, "eval", "--builtin", "double", str(path))
     assert_one_line_error(code, out, err)
     assert message + ", over the limit of 65536" in err
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # one argparse tree serves every main call of a process; a call's --params do
+    # not reach the next call, and --help reads as from a freshly built tree
+    import argparse
+
+    from frobpair import cli
+
+    built, seen = [], []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    def help_text(*argv):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--help"])
+        assert exit_.value.code == 0
+        return capsys.readouterr().out
+
+    real_parse_params = cli.parse_params
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setattr(cli, "parse_params",
+                        lambda values: seen.append(list(values)) or real_parse_params(values))
+    cli._parser.cache_clear()
+    try:
+        fresh = help_text(), help_text("cube")
+        trees = len(built)
+        assert built[0] == "frobpair" and built.count("frobpair") == 1
+        assert run(capsys, "construct", "--builtin", "rank2", "--params", "a=1")[0] == 0
+        assert run(capsys, "construct", "--builtin", "rank2")[0] == 0
+        assert seen == [["a=1"], []]
+        assert (help_text(), help_text("cube")) == fresh
+        assert len(built) == trees
+    finally:
+        cli._parser.cache_clear()

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from frobpair.cli import build_builtin
 from frobpair.cube import (
     BlockMatrix,
     CubeError,
@@ -470,14 +471,19 @@ def test_integer_homology_matches_dense_snf(monkeypatch):
                                            ("z2", "sparse_rank_gf2"),
                                            ("z", "smith_normal_form")])
 def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, reducer):
-    # each d_i goes through one unit-pivot elimination and is never made dense;
-    # over z the Smith form then runs on its residual only
+    # each d_i is scattered from constant edge blocks, with no differential, no
+    # BlockMatrix and one edge map per distinct (source word, move) for all degrees;
+    # it goes through one unit-pivot elimination and is never made dense; over z
+    # the Smith form then runs on its residual only
     import frobpair.cube as cube_mod
 
     built, reduced, cells = [], [], []
-    real_differential = cube_mod.differential
     monkeypatch.setattr(cube_mod, "differential",
-                        lambda c, p, i: built.append(i) or real_differential(c, p, i))
+                        lambda c, p, i: pytest.fail(f"differential over {coeff}"))
+    monkeypatch.setattr(BlockMatrix, "add", lambda *a: pytest.fail(f"add over {coeff}"))
+    real_edge_map = cube_mod.edge_map
+    monkeypatch.setattr(cube_mod, "edge_map", lambda c, p, b, k: built.append(
+        (c.vertices[b], c.edges[b, k])) or real_edge_map(c, p, b, k))
 
     def recording(name, real):
         def call(m, *args, **kwargs):
@@ -493,7 +499,9 @@ def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, 
     monkeypatch.setattr(BlockMatrix, "dense", lambda self: pytest.fail(f"dense() over {coeff}"))
     cube, aps = random_cube(random.Random(5), n=3), build_aps()
     homology(cube, aps, coeff)
-    assert sorted(built) == list(range(cube.n))
+    distinct = {(cube.vertices[b], move) for (b, _k), move in cube.edges.items()}
+    assert len(distinct) < len(cube.edges)  # some edges share a map
+    assert len(built) == len(distinct) and set(built) == distinct
     if coeff == "z":
         assert reduced == ["_unit_pivots", reducer] * cube.n
         dims = [len(vertex_keys(cube, aps, i)) for i in range(cube.n + 1)]
@@ -501,6 +509,83 @@ def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, 
     else:
         # this cube leaves no residual over q, so no second pass over Q runs
         assert reduced == [reducer, "_unit_pivots"] * cube.n
+
+
+def differential_rows(cube, pair, i, coeff):
+    """d_i as sparse rows from the differential oracle: its entries as constants in
+    entry order, grouped by row in order of first entry, columns numbered by
+    vertex_keys, each (column, type, value)."""
+    cols = {c: k for k, c in enumerate(vertex_keys(cube, pair, i))}
+    rows = {}
+    for (r, c), v in differential(cube, pair, i).entries.items():
+        x = v.constant_value()
+        rows.setdefault(r, []).append((cols[c], x if coeff == "q" else int(x)))
+    return [[(c, type(x), x) for c, x in row] for row in rows.values()]
+
+
+def _at_one(build, *names):
+    """The pair build() gives, with each named variable set to 1."""
+    p = build()
+    return specialize_pair(p, {name: p.ring.parse("1") for name in names})
+
+
+@pytest.mark.parametrize("pair,coeff,reducer", [
+    ("aps", "q", "sparse_rank_fraction"), ("aps", "z", "_unit_pivots"),
+    ("aps", "z2", "sparse_rank_gf2"), ("tt l=1", "z2", "sparse_rank_gf2"),
+    ("rank2 a=1", "q", "sparse_rank_fraction")])
+def test_homology_rows_match_differential_oracle(monkeypatch, pair, coeff, reducer):
+    # the reducer gets exactly the rows of differential(...): same rows in the same
+    # order, same columns and values; over Z/2 no entry is negated to -1
+    import frobpair.cube as cube_mod
+
+    pair = {"aps": build_aps, "tt l=1": lambda: _at_one(build_tt, "l"),
+            "rank2 a=1": lambda: build_builtin("rank2", {"a": "1"})}[pair]()
+    received = []
+    real = getattr(cube_mod, reducer)
+    monkeypatch.setattr(cube_mod, reducer, lambda rows, *a, **kw: received.append(
+        [[(c, type(x), x) for c, x in row.items()] for row in rows]) or real(rows, *a, **kw))
+    rng = random.Random(11)
+    for n in [2, 3, 4, 5] * 4:
+        cube = random_cube(rng, n=n)
+        received.clear()
+        homology(cube, pair, coeff)
+        assert received == [differential_rows(cube, pair, i, coeff) for i in range(cube.n)]
+
+
+def first_entry(cube, pair, accept):
+    """(i, v): the first entry v of d_i, in d_i's entry order, that accept takes,
+    over i = 0..n-1 in turn."""
+    return next((i, v) for i in range(cube.n)
+                for v in differential(cube, pair, i).entries.values() if accept(v))
+
+
+def test_homology_refusals_name_d_i_first_entry_with_its_sign():
+    double = build_builtin("double", {})
+    cube = random_cube(random.Random(2), n=2)
+    i, v = first_entry(cube, double, lambda v: v.constant_value().denominator != 1)
+    assert v.constant_value() < 0  # the edge's sign is in the message
+    for coeff in ("z", "z2"):
+        with pytest.raises(CubeError) as refusal:
+            homology(cube, double, coeff)
+        assert str(refusal.value) == (f"d_{i} has the non-integral entry {v.constant_value()}; "
+                                      f"homology over {coeff} needs integers")
+    # `it` at t=1 but for mu_A, which keeps t: in d_1 of this cube a fraction comes
+    # before a non-constant entry, and "specialize first" still wins
+    it, at_one = build_it(), _at_one(build_it, "t")
+    pair = FrobeniusPair(it.ring, it.spec, {**at_one.maps, "mu_A": it.maps["mu_A"]},
+                         name="it")
+    cube = random_cube(random.Random(5))
+    i, v = first_entry(cube, pair, lambda v: not v.is_constant())
+    entries = list(differential(cube, pair, i).entries.values())
+    fraction = next(k for k, x in enumerate(entries)
+                    if x.is_constant() and x.constant_value().denominator != 1)
+    assert fraction < entries.index(v) and str(v).startswith("-")
+    assert first_entry(cube, pair, lambda v: not v.is_constant()
+                       or v.constant_value().denominator != 1)[0] == i
+    for coeff in ("q", "z", "z2"):
+        with pytest.raises(CubeError) as refusal:
+            homology(cube, pair, coeff)
+        assert str(refusal.value) == f"specialize first: not a constant: {v}"
 
 
 def test_generator_table_derives_beta_gamma_once(monkeypatch):
