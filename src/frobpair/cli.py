@@ -45,11 +45,12 @@ def parse_params(values) -> dict:
             if not item:
                 continue
             key, sep, val = item.partition("=")
-            if not sep:
+            key = key.strip()
+            if not sep or not key:
                 raise InputError(f"bad parameter {item!r}: expected KEY=VAL")
-            if key.strip() in out:
-                raise InputError(f"parameter {key.strip()!r} given more than once")
-            out[key.strip()] = val.strip()
+            if key in out:
+                raise InputError(f"parameter {key!r} given more than once")
+            out[key] = val.strip()
     return out
 
 

@@ -144,10 +144,6 @@ class CobordismWord:
         for ev in events:
             self.append(ev)
 
-    @property
-    def output(self):
-        return self.words[-1]
-
     def append(self, event):
         """Read one more event on the running word."""
         gen, src, dst, current = _read(self.words[-1], event)

@@ -465,24 +465,6 @@ def vertex_euler(cube: StateCube, pair: FrobeniusPair) -> int:
 # -- cube files -----------------------------------------------------------------------
 
 
-def cube_to_json(cube: StateCube) -> str:
-    edges = {}
-    for (b, k), move in sorted(cube.edges.items()):
-        key = b[:k] + "*" + b[k + 1:]
-        if move.kind == "merge":
-            edges[key] = {"kind": "merge", "i": move.i, "j": move.j,
-                          "out": move.outs[0], "sort": move.sorts[0]}
-        else:
-            edges[key] = {"kind": "split", "i": move.i,
-                          "outs": list(move.outs), "sorts": list(move.sorts)}
-    obj = {
-        "n": cube.n,
-        "vertices": {b: list(cube.vertices[b]) for b in _bits(cube.n)},
-        "edges": edges,
-    }
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def _edge_from_json(key, mv) -> EdgeMove:
     if not isinstance(mv, dict):
         raise CubeError(f"edge {key!r}: expected an object")

@@ -25,8 +25,8 @@ from .ring import (
     ring,
     unit_invert,
 )
-from .tensor import ONE_TERMS, BasisSpec, LinMap, act, apply, compose, equal, word
-from .theory import SIGNATURE, evaluate_side, evaluate_term, load_axioms, parse_term
+from .tensor import ONE_TERMS, BasisSpec, LinMap, act, compose, equal, word
+from .theory import SIGNATURE, evaluate_side, load_axioms
 
 
 class PairError(ValueError):
@@ -72,15 +72,6 @@ class FrobeniusPair:
         """Shipped maps plus beta and gamma, read-only; derived on the first
         call and kept, since a pair's maps do not change after construction."""
         return self._table
-
-    def evaluate(self, term) -> LinMap:
-        return evaluate_term(term, self.generator_table(), self.spec)
-
-
-def handle_element(pair: FrobeniusPair) -> dict:
-    """mu_A(Delta_A(eta(1))) as a vector over the A basis."""
-    m = pair.evaluate(parse_term("eta ; Delta_A ; mu_A"))
-    return apply(m, {(): pair.ring.one()})
 
 
 # -- verification ---------------------------------------------------------------
@@ -193,11 +184,9 @@ class FrobeniusAlgebra:
                 out[l3] = out.get(l3, self.ring.zero()) + _mul(c, c3)
         return {l: c for l, c in out.items() if not c.is_zero()}
 
-    def power_vec(self, v, k, v_inv=None):
-        """v**k in the algebra; negative powers use the supplied inverse."""
+    def power_vec(self, v, k, v_inv):
+        """v**k in the algebra; negative powers are powers of v_inv, v's inverse."""
         if k < 0:
-            if v_inv is None:
-                raise PairError("negative power without an inverse")
             v, k = v_inv, -k
         out = self.unit_vec()
         for _ in range(k):
@@ -205,10 +194,10 @@ class FrobeniusAlgebra:
         return out
 
 
-def universal_algebra(ring_decl, h, t, labels=("1", "X")) -> FrobeniusAlgebra:
+def universal_algebra(ring_decl, h, t) -> FrobeniusAlgebra:
     """k[X]/(X^2 - hX - t) with the universal Khovanov Frobenius structure:
     eps(1)=0, eps(X)=1, Delta(1)=1&X + X&1 - h 1&1, Delta(X)=X&X + t 1&1."""
-    one, x = labels
+    labels = one, x = "1", "X"
     e1, eh, et = ring_decl.one(), h, t
     mul = {
         (one, one): {one: e1},
@@ -465,10 +454,6 @@ def build_rank2(p: Rank2Params) -> FrobeniusPair:
     return pair
 
 
-#: violated-constraint identifiers, in reporting order
-RANK2_CONSTRAINTS = ("C*f = e", "D*e = f", "e*f = 2", "c*d = 2")
-
-
 def check_rank2_constraints(p: Rank2Params) -> list:
     """Exact base-ring checks of the four admissibility families.
 
@@ -489,17 +474,6 @@ def check_rank2_constraints(p: Rank2Params) -> list:
     if p.c_yy * p.d_yy + two * p.c_yz * p.d_yz + p.c_zz * p.d_zz != two:
         violated.append("c*d = 2")
     return violated
-
-
-def lemma_first_conditions(a0, a1, b0, b1, h, t) -> list:
-    """Residuals obstructing the X-action XY = a0 Y + a1 Z, XZ = b0 Y + b1 Z:
-    all four vanish iff X(XY) = X^2 Y and X(XZ) = X^2 Z."""
-    return [
-        a0 * a0 + a1 * b0 - a0 * h - t,
-        (a0 + b1 - h) * a1,
-        a1 * b0 + b1 * b1 - h * b1 - t,
-        (a0 + b1 - h) * b0,
-    ]
 
 
 def build_laurent_sqrt() -> FrobeniusPair:
@@ -623,11 +597,6 @@ def search_double_exponents(alg: FrobeniusAlgebra, phi_inv: dict, lo=-3, hi=3) -
 # -- serialization ----------------------------------------------------------------
 
 
-def save_pair(pair: FrobeniusPair, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(pair_to_json(pair))
-
-
 def pair_to_json(pair: FrobeniusPair) -> str:
     """Canonical text form; field order and entry order are fixed."""
     obj = {
@@ -660,7 +629,7 @@ def load_pair(path) -> FrobeniusPair:
         return pair_from_json(fh.read())
 
 
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
 
 
 def pair_from_json(text) -> FrobeniusPair:
@@ -694,7 +663,7 @@ def pair_from_json(text) -> FrobeniusPair:
     var_decls = []
     for i, v in enumerate(need(ring_obj, "vars", "$.ring", list, default=[])):
         var_decls.append(VarDecl(need(v, "name", f"$.ring.vars[{i}]", str),
-                                 bool(v.get("invertible", False))))
+                                 need(v, "invertible", f"$.ring.vars[{i}]", bool, default=False)))
     try:
         decl = RingDecl(domain, tuple(var_decls))
     except RingError as exc:

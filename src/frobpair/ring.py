@@ -17,9 +17,6 @@ RATIONALS = "rationals"
 MOD2 = "integers-mod-2"
 DOMAINS = (INTEGERS, RATIONALS, MOD2)
 
-Monomial = tuple  # tuple[tuple[str, int], ...], sorted by variable name
-
-
 class RingError(ValueError):
     """Malformed ring input: mismatched rings, bad parses, non-units."""
 
@@ -229,13 +226,17 @@ class RingElem:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {()}
+        terms = self.terms
+        return not terms or len(terms) == 1 and () in terms
 
     def constant_value(self):
         """The coefficient of the empty monomial (element must be constant)."""
-        if not self.is_constant():
-            raise RingError(f"not a constant: {self}")
-        return self.terms.get((), _coerce(self.ring.domain, 0))
+        terms = self.terms
+        if len(terms) == 1 and () in terms:
+            return terms[()]
+        if not terms:
+            return _coerce(self.ring.domain, 0)
+        raise RingError(f"not a constant: {self}")
 
     def is_unit(self) -> bool:
         if len(self.terms) != 1:

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .ring import RingDecl, RingElem, RingError
+from .ring import RingDecl
 
 SORT_A = "A"
 SORT_E = "E"
@@ -101,46 +101,10 @@ class LinMap:
         one = spec.ring.one()
         return LinMap(spec, w, w, {(t, t): one for t in spec.tuples(w)}, _normalized=True)
 
-    @staticmethod
-    def from_rule(spec, dom, cod, rule) -> "LinMap":
-        """Build from rule(in_tuple) -> dict[out_tuple] -> RingElem | int."""
-        entries = {}
-        for t in spec.tuples(dom):
-            for out, c in rule(t).items():
-                if isinstance(c, int):
-                    c = spec.ring.const(c)
-                if not c.is_zero():
-                    entries[(out, t)] = entries.get((out, t), spec.ring.zero()) + c
-        return LinMap(spec, dom, cod, entries)
-
     # -- operations -----------------------------------------------------------
-
-    def __add__(self, other):
-        if (self.spec, self.dom, self.cod) != (other.spec, other.dom, other.cod):
-            raise TensorError("shape mismatch in sum")
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            s = entries.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                entries.pop(k, None)
-            else:
-                entries[k] = s
-        return LinMap(self.spec, self.dom, self.cod, entries, _normalized=True)
-
-    def __neg__(self):
-        return self.scale(self.spec.ring.const(-1))
-
-    def scale(self, c) -> "LinMap":
-        if isinstance(c, int):
-            c = self.spec.ring.const(c)
-        return LinMap(self.spec, self.dom, self.cod, {k: c * v for k, v in self.entries.items()})
 
     def map_entries(self, fn) -> "LinMap":
         return LinMap(self.spec, self.dom, self.cod, {k: fn(v) for k, v in self.entries.items()})
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def column(self, in_tuple) -> dict:
         return {out: v for (out, t), v in self.entries.items() if t == in_tuple}
@@ -238,13 +202,6 @@ def tensor(f: LinMap, g: LinMap) -> LinMap:
     return LinMap(f.spec, f.dom + g.dom, f.cod + g.cod, entries)
 
 
-def transposition(spec, w, i) -> LinMap:
-    """Swap tensor factors i and i+1 (1-based)."""
-    if not 1 <= i < len(w):
-        raise TensorError(f"transposition index {i} out of range for word of length {len(w)}")
-    return act(LinMap.identity(spec, w), None, (i - 1, i), (i, i - 1))
-
-
 def equal(f: LinMap, g: LinMap):
     """Exact comparison; returns (bool, witness).
 
@@ -261,18 +218,3 @@ def equal(f: LinMap, g: LinMap):
         if cf != cg:
             return False, (t, cf, cg)
     return True, None
-
-
-def apply(f: LinMap, vec: dict) -> dict:
-    """Matrix-vector product; vec maps domain basis tuples to coefficients."""
-    out = {}
-    for (o, t), v in f.entries.items():
-        c = vec.get(t)
-        if c is None:
-            continue
-        if isinstance(c, int):
-            c = f.spec.ring.const(c)
-        s = out.get(o)
-        p = v * c
-        out[o] = p if s is None else s + p
-    return {o: c for o, c in out.items() if not c.is_zero()}

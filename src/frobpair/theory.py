@@ -279,16 +279,6 @@ class Equation:
     def generators(self):
         return generators_used(self.lhs) | generators_used(self.rhs)
 
-    def words(self):
-        dom, cod, _ = typecheck(self.lhs)
-        return dom, cod
-
-    def text(self) -> str:
-        return (
-            f"eq {self.name} [{self.group}] {{{self.provenance}}}: "
-            f"{term_to_text(self.lhs)} == {term_to_text(self.rhs)}"
-        )
-
 
 def parse_theory(text) -> list:
     """Parse an equation file: `eq NAME [GROUP] {PROVENANCE}: TERM == TERM`.

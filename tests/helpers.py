@@ -18,9 +18,14 @@ and homology reports; `product_by_multiplying`, the sparse product that
 edge-by-edge cube validation that `validate_cube` is checked against; and
 `diamond_by_paths`, the path-by-path exchange suite that
 `diamond_exchange_suite` is checked against.
+
+And two pieces of the package that only tests use: `cube_to_json`, the cube
+file writer, and `lemma_first_conditions`, the X-action statement that
+criterion 07 checks.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 from frobpair.cobordism import (
@@ -32,7 +37,7 @@ from frobpair.cobordism import (
     _reverse_events,
     evaluate,
 )
-from frobpair.cube import CubeError, EdgeMove, StateCube, differential, validate_cube
+from frobpair.cube import CubeError, EdgeMove, StateCube, _bits, differential, validate_cube
 from frobpair.pair import (
     _EXPONENT_OF_GEN,
     DOUBLE_SEARCH_EQUATIONS,
@@ -148,6 +153,35 @@ def search_by_box(alg, phi_inv, lo, hi) -> list:
 
     return [exps for exps in itertools.product(range(lo, hi + 1), repeat=6)
             if all(row_passes(i, exps) for i in range(len(battery)))]
+
+
+def lemma_first_conditions(a0, a1, b0, b1, h, t) -> list:
+    """Residuals obstructing the X-action XY = a0 Y + a1 Z, XZ = b0 Y + b1 Z:
+    all four vanish iff X(XY) = X^2 Y and X(XZ) = X^2 Z."""
+    return [
+        a0 * a0 + a1 * b0 - a0 * h - t,
+        (a0 + b1 - h) * a1,
+        a1 * b0 + b1 * b1 - h * b1 - t,
+        (a0 + b1 - h) * b0,
+    ]
+
+
+def cube_to_json(cube: StateCube) -> str:
+    edges = {}
+    for (b, k), move in sorted(cube.edges.items()):
+        key = b[:k] + "*" + b[k + 1:]
+        if move.kind == "merge":
+            edges[key] = {"kind": "merge", "i": move.i, "j": move.j,
+                          "out": move.outs[0], "sort": move.sorts[0]}
+        else:
+            edges[key] = {"kind": "split", "i": move.i,
+                          "outs": list(move.outs), "sorts": list(move.sorts)}
+    obj = {
+        "n": cube.n,
+        "vertices": {b: list(cube.vertices[b]) for b in _bits(cube.n)},
+        "edges": edges,
+    }
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def euler_characteristic(report) -> int:

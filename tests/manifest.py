@@ -245,6 +245,7 @@ def build_manifest() -> str:
         note = quarantine_notes.get(eq.name)
         if note:
             lines.append(f"# original: {note}")
-        lines.append(eq.text())
+        lines.append(f"eq {eq.name} [{eq.group}] {{{eq.provenance}}}: "
+                     f"{term_to_text(eq.lhs)} == {term_to_text(eq.rhs)}")
     lines.append("")
     return "\n".join(lines)

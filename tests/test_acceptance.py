@@ -33,16 +33,19 @@ from frobpair.pair import (
     build_rank2,
     build_tt,
     check_rank2_constraints,
-    handle_element,
-    lemma_first_conditions,
     search_double_exponents,
     universal_algebra,
     verify,
 )
 from frobpair.ring import INTEGERS, MOD2, RATIONALS, ring
-from frobpair.theory import load_axioms
+from frobpair.theory import evaluate_term, load_axioms, parse_term
 
-from helpers import brute_force_pole_degrees, euler_characteristic, random_cube
+from helpers import (
+    brute_force_pole_degrees,
+    euler_characteristic,
+    lemma_first_conditions,
+    random_cube,
+)
 
 Z = ring(INTEGERS)
 APS_PARAMS = dict(a=0, c_yy=0, c_yz=1, c_zz=0, d_yy=0, d_yz=1, d_zz=0,
@@ -76,7 +79,8 @@ def test_criterion_02_tt_suite_and_handle():
         tt = build_tt()
         report = verify(tt)
         assert not report.failures(include_quarantine=True)
-        assert handle_element(tt) == {("1",): tt.ring.parse("l^2")}
+        handle = evaluate_term(parse_term("eta ; Delta_A ; mu_A"), tt.generator_table(), tt.spec)
+        assert handle.column(()) == {("1",): tt.ring.parse("l^2")}
 
 
 def test_criterion_03_it_failures_confined():

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from frobpair.cli import main
-from frobpair.cube import cube_to_json
-from helpers import random_cube
+from helpers import cube_to_json, random_cube
 
 
 def run(capsys, *argv):
@@ -313,6 +312,43 @@ def test_pair_file_field_of_wrong_kind_exit_two(tmp_path, capsys, path, value, m
     assert message in err
 
 
+def tt_pair_with_inverse(tmp_path, capsys, invertible):
+    """The tt pair file with nu_EE multiplying by l^-1 and the flag on l set to
+    invertible, or removed if invertible is ...; its path."""
+    path = tmp_path / "tt.json"
+    run(capsys, "construct", "--builtin", "tt", "-o", str(path))
+    obj = json.loads(path.read_text())
+    for row in obj["maps"]["nu_EE"]:
+        for term in row["out"]:
+            term["coeff"] = "l^-1"
+    if invertible is ...:
+        del obj["ring"]["vars"][0]["invertible"]
+    else:
+        obj["ring"]["vars"][0]["invertible"] = invertible
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("invertible", ["false", "true", 0, 1, None, []],
+                         ids=["string_false", "string_true", "zero", "one", "null", "list"])
+def test_pair_file_invertible_must_be_a_boolean(tmp_path, capsys, invertible):
+    path = tt_pair_with_inverse(tmp_path, capsys, invertible)
+    code, out, err = run(capsys, "verify", "--pair", str(path))
+    assert_one_line_error(code, out, err)
+    assert err == "error: field $.ring.vars[0].invertible must be a boolean\n"
+
+
+def test_pair_file_invertible_true_false_or_absent(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "--pair", str(tt_pair_with_inverse(tmp_path, capsys, True)))
+    assert code == 1 and out.endswith("RESULT: FAILED\n")
+    for invertible in (False, ...):
+        path = tt_pair_with_inverse(tmp_path, capsys, invertible)
+        code, out, err = run(capsys, "verify", "--pair", str(path))
+        assert_one_line_error(code, out, err)
+        assert err == ("error: $.maps.nu_EE[0].out[0].coeff: "
+                       "negative exponent on non-invertible variable l\n")
+
+
 @pytest.mark.parametrize("builtin,params,accepted", [
     ("aps", "a=5", "aps takes no parameters"),
     ("tt", "l=1", "tt takes no parameters"),
@@ -340,6 +376,18 @@ def test_repeated_specialize_key_exit_two(capsys):
                          "--specialize", "l=2,l=3", "--coeff", "z2")
     assert_one_line_error(code, out, err)
     assert "parameter 'l' given more than once" in err
+
+
+@pytest.mark.parametrize("argv,item", [
+    (("verify", "--builtin", "rank2", "--params", "=3"), "=3"),
+    (("verify", "--builtin", "rank2", "--params", "a=1, =3"), " =3"),
+    (("cube", "MERGE1", "--builtin", "tt", "--specialize", "=1", "--coeff", "z2"), "=1"),
+], ids=["params", "params_blank_key", "specialize"])
+def test_params_empty_key_exit_two(capsys, argv, item):
+    cube = importlib.resources.files("frobpair").joinpath("data/merge1.cube")
+    code, out, err = run(capsys, *(str(cube) if x == "MERGE1" else x for x in argv))
+    assert_one_line_error(code, out, err)
+    assert err == f"error: bad parameter {item!r}: expected KEY=VAL\n"
 
 
 def test_params_with_pair_file_exit_two(tmp_path, capsys):

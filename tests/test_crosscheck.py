@@ -78,7 +78,7 @@ def check_pair(pair):
     report = {r.name: r for r in verify(pair, load_axioms()).records}
     assert eqs
     for eq in eqs:
-        dom, _cod = eq.words()
+        dom, _cod, _ = typecheck(eq.lhs)
         differing = []
         for start in pair.spec.tuples(dom):
             lhs_direct = naive_apply(eq.lhs, columns, pair.ring, start)
@@ -148,7 +148,7 @@ def naive_run(cob, pair, columns, start):
                 s = out.get(key)
                 out[key] = c * v if s is None else s + c * v
         vec = {t: v for t, v in out.items() if not v.is_zero()}
-    assert w == cob.output
+    assert w == cob.words[-1]
     return vec
 
 

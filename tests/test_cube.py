@@ -16,7 +16,6 @@ from frobpair.cube import (
     _unit_pivots,
     check_d_squared,
     cube_from_json,
-    cube_to_json,
     differential,
     edge_map,
     homology,
@@ -42,6 +41,7 @@ from frobpair.tensor import MAX_CIRCLES, BasisSpec, compose, equal, word
 
 from helpers import (
     block_product,
+    cube_to_json,
     d_squared_by_differentials,
     euler_characteristic,
     random_cube,

@@ -272,6 +272,26 @@ def test_arithmetic_matches_naive_oracle(decl):
             assert hash(zero) == hash(decl.parse("0"))
 
 
+@pytest.mark.parametrize("domain, zero, constant", [
+    (INTEGERS, 0, -3),
+    (RATIONALS, Fraction(0), Fraction(-3, 2)),
+    (MOD2, 0, 1),
+])
+def test_constant_value_zero_constant_and_non_constant(domain, zero, constant):
+    d = ring(domain, "t^-1")
+    for x, want in ((d.zero(), zero), (d.const(constant), constant)):
+        assert x.is_constant()
+        got = x.constant_value()
+        assert got == want and type(got) is type(want)
+    for text in ("t", "t^-1", "t + 1"):
+        x = d.parse(text)
+        assert not x.is_constant()
+        with pytest.raises(RingError) as refusal:
+            x.constant_value()
+        assert str(refusal.value) == f"not a constant: {x}"
+    assert str(d.parse("t + 1")) == "1 + t"
+
+
 def test_literal_operands_and_mismatch():
     q = ring(RATIONALS, "t")
     t = q.gen("t")
