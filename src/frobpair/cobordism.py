@@ -55,14 +55,17 @@ def interpret(w, kind, src, dst, sorts):
         raise CobordismError(f"unknown move kind {kind!r}")
     arity, table = MOVES[kind]
     n_in, n_out = len(w), len(w) - arity + len(dst)
-    # fewer distinct in-range slots than the move names: a repeat or a stray
-    if len(src) != arity or len(set(src).intersection(range(n_in))) < arity:
+    if len(src) != arity or not set(src) <= set(range(n_in)):
         raise CobordismError(f"{kind} positions {','.join(str(p + 1) for p in src)} out of range")
+    if len(set(src)) < arity:  # a move reads at most two circles, so src[0] repeats
+        raise CobordismError(f"{kind} names circle {src[0] + 1} twice")
     key = tuple([w[p] for p in src]) + tuple(sorts)
     if key not in table:
         raise CobordismError(f"no generator for {''.join(key[:arity])}->{''.join(key[arity:])}")
-    if len(set(dst).intersection(range(n_out))) < len(dst):
+    if not set(dst) <= set(range(n_out)):
         raise CobordismError(f"{kind} outputs {','.join(str(p + 1) for p in dst)} out of range")
+    if len(set(dst)) < len(dst):  # and writes at most two
+        raise CobordismError(f"{kind} names output {dst[0] + 1} twice")
     w_out, provenance = [None] * n_out, [tuple(src)] * n_out
     for p, sort in zip(dst, sorts):
         w_out[p] = sort
@@ -200,16 +203,22 @@ def parse_cobordism(text) -> CobordismWord:
     return cob
 
 
+def table_with(pair, gens, error=CobordismError):
+    """The pair's generator table, once it has each of gens; error names the
+    first one it lacks."""
+    table = pair.generator_table()
+    for gen in gens:
+        if gen not in table:
+            raise error(f"pair {pair.name!r} is missing generator {gen}")
+    return table
+
+
 def _table_for(cob: CobordismWord, pair):
     """The pair's generator table, once no running word of cob is too wide for
     the pair and no event's generator is missing from it."""
     for w in cob.words:
         pair.spec.check_dim(w)
-    table = pair.generator_table()
-    for gen, _src, _dst in cob.moves:
-        if gen is not None and gen not in table:
-            raise CobordismError(f"pair {pair.name!r} is missing generator {gen}")
-    return table
+    return table_with(pair, (gen for gen, _src, _dst in cob.moves if gen is not None))
 
 
 def evaluate(cob: CobordismWord, pair) -> LinMap:
@@ -373,11 +382,9 @@ def compare_squares(squares, edge_map) -> list:
     edge_map(key) makes the LinMap of an edge.
 
     Each distinct edge and each distinct path is made once and dropped after
-    its last use.  Squares are compared in the order their earlier path first
-    appears, which holds few paths at once.
+    its last use.  Squares are compared in square_order.
     """
     path_uses = Counter(path for square in squares for path in square)
-    first = {path: k for k, path in enumerate(path_uses)}  # Counter keeps first appearance
     edge_uses = Counter(edge for path in path_uses for edge in path)
     edges, paths = {}, {}
 
@@ -388,9 +395,16 @@ def compare_squares(squares, edge_map) -> list:
         return _held(paths, path_uses, path, make)
 
     verdicts = [None] * len(squares)
-    for k in sorted(range(len(squares)), key=lambda k: min(map(first.get, squares[k]))):
+    for k in square_order(squares):
         verdicts[k] = equal(*map(path_map, squares[k]))
     return verdicts
+
+
+def square_order(squares) -> list:
+    """The indices of squares in the order compare_squares compares them: by
+    where their earlier path first appears, which holds few paths at once."""
+    first = {path: k for k, path in enumerate(dict.fromkeys(p for sq in squares for p in sq))}
+    return sorted(range(len(squares)), key=lambda k: min(map(first.get, squares[k])))
 
 
 def diamond_exchange_suite(pair, cases=None) -> VerifyReport:

@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cobordism import MOVES, CobordismError, compare_squares, interpret
+from .cobordism import (MOVES, CobordismError, compare_squares, interpret, square_order,
+                        table_with)
 from .pair import FrobeniusPair
-from .ring import MOD2, RingError, specialize
+from .ring import MOD2, specialize
 from .tensor import MAX_CIRCLES, LinMap, act, word
 
 
@@ -110,9 +111,7 @@ def edge_map(cube: StateCube, pair: FrobeniusPair, b, k) -> LinMap:
     relative order, as in the positional tracking convention."""
     w_in = tuple(cube.vertices[b])
     gen, src, dst, _w_out, _provenance = _interpret(w_in, cube.edges[(b, k)])
-    table = pair.generator_table()
-    if gen not in table:
-        raise CubeError(f"pair {pair.name!r} is missing generator {gen}")
+    table = table_with(pair, [gen], CubeError)
     return act(LinMap.identity(pair.spec, word(w_in)), table[gen], src, dst)
 
 
@@ -156,12 +155,14 @@ def vertex_keys(cube: StateCube, pair: FrobeniusPair, degree):
 
 
 def _edge_numbers(cube: StateCube):
-    """({edge (b, k): number}, {number: an edge (b, k) with it}), numbering edges by
-    their (source word, move), the key their edge map depends on."""
+    """({edge (b, k): number}, [descriptor by number]), numbering edges by their
+    (source word, move); a descriptor is the source word followed by the
+    edge's `_interpret`: generator, source slots, output slots, output word,
+    provenance."""
     number = {}  # (source word, move) -> its number
     key = {e: number.setdefault((tuple(cube.vertices[e[0]]), move), len(number))
            for e, move in cube.edges.items()}
-    return key, {n: e for e, n in key.items()}
+    return key, [(w,) + _interpret(w, move) for w, move in number]
 
 
 def _edges(cube: StateCube, i):
@@ -177,15 +178,30 @@ def differential(cube: StateCube, pair: FrobeniusPair, i) -> BlockMatrix:
     d = BlockMatrix(rows, cols, pair.ring)
     if i < 0 or i >= cube.n:
         return d
-    key, at = _edge_numbers(cube)
-    maps = {}
     for b, k, negate in _edges(cube, i):
-        e = key[b, k]
-        if e not in maps:
-            maps[e] = edge_map(cube, pair, *at[e])
-        for (o, t), v in maps[e].entries.items():
+        for (o, t), v in edge_map(cube, pair, b, k).entries.items():
             d.add((_flip(b, k), o), (b, t), -v if negate else v)
     return d
+
+
+def _local_square(moves, square):
+    """A square of edge numbers read on T, the slots of its bottom word that
+    either path touches: (T in order, the local square).  A local edge is
+    (local word, generator, local sources, local outputs), each slot numbered
+    by its rank among the slots that hold T's circles."""
+    touched = set()
+    for one, two in square:  # the first move's sources, and the second's traced back
+        touched.update(moves[one][2], *(moves[one][5][q] for q in moves[two][2]))
+    slots, local = sorted(touched), []
+    for path in square:
+        kept, edges = slots, []
+        for w_in, gen, src, dst, _w_out, provenance in (moves[e] for e in path):
+            out = [q for q, sources in enumerate(provenance) if sources[0] in kept]
+            edges.append((tuple([w_in[p] for p in kept]), gen, tuple([kept.index(p) for p in src]),
+                          tuple([out.index(q) for q in dst])))
+            kept = out
+        local.append(tuple(edges))
+    return slots, tuple(local)
 
 
 def check_d_squared(cube: StateCube, pair: FrobeniusPair):
@@ -193,22 +209,36 @@ def check_d_squared(cube: StateCube, pair: FrobeniusPair):
 
     Each square is one block of d_{i+1} d_i, and its two paths carry opposite
     signs, so d^2 = 0 iff every square's two composite edge maps are equal.
-    An edge map depends only on its (source word, move) key, so each distinct
-    key is built once and each distinct square compared once, by
-    cobordism.compare_squares.  The witness (b, k, l, t) is the first failing
-    square, at b flipping bits k < l, and the first basis tuple t where its
-    paths differ.
+    Both are the identity on each circle neither path touches, and
+    validate_cube's disjointness test refuses a square whose paths take such
+    a circle to two far slots.  So on every cube it accepts, a square's
+    verdict is that of its local square (`_local_square`), which depends on
+    the pair only: `pair.square_verdicts` keeps it, and compare_squares
+    compares each local square the table lacks.  The witness (b, k, l, t) is
+    the first failing square, at b flipping bits k < l, and the lex-first
+    tuple t where its paths differ: the local witness with every other circle
+    at its first label.  A missing generator is the first in square_order,
+    as comparing the cube's whole squares would meet it.
     """
-    key, at = _edge_numbers(cube)
-    squares = {}  # square -> its first (b, k, l)
+    key, moves = _edge_numbers(cube)
+    squares = {}  # square of edge numbers -> its first (b, k, l)
     for b in _bits(cube.n):
         for k, l in itertools.combinations([k for k in range(cube.n) if b[k] == "0"], 2):
             square = ((key[b, k], key[_flip(b, k), l]), (key[b, l], key[_flip(b, l), k]))
             squares.setdefault(square, (b, k, l))
-    verdicts = compare_squares(list(squares), lambda e: edge_map(cube, pair, *at[e]))
-    for (ok, witness), (b, k, l) in zip(verdicts, squares.values()):
+    full, verdicts = list(squares), pair.square_verdicts
+    table = table_with(pair, (moves[e][1] for s in square_order(full) for path in full[s]
+                              for e in path), CubeError)
+    local = [_local_square(moves, square) for square in full]
+    new = list(dict.fromkeys(square for _slots, square in local if square not in verdicts))
+    verdicts.update(zip(new, compare_squares(new, lambda e: act(
+        LinMap.identity(pair.spec, e[0]), table[e[1]], e[2], e[3]))))
+    for (slots, square), (b, k, l) in zip(local, squares.values()):
+        ok, witness = verdicts[square]
         if not ok:
-            return False, (b, k, l, witness[0])
+            at = dict(zip(slots, witness[0]))
+            return False, (b, k, l, tuple(at.get(p, pair.spec.labels(s)[0])
+                                          for p, s in enumerate(cube.vertices[b])))
     return True, None
 
 
@@ -388,15 +418,16 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
     """Per-degree homology of the cube complex.
 
     Returns a list (degree 0..n) of {"betti": int, "torsion": [int, ...]};
-    torsion is always empty over a field.  Each distinct (source word, move) edge
-    map becomes (out place, in place, constant) triples once; d_i's sparse rows
-    scatter them with each edge's sign, and one elimination of their unit pivots
-    (`_unit_pivots`) reduces them: over q through `sparse_rank_fraction`, over z2
-    through `sparse_rank_gf2`, over z followed by the Smith normal form of the
-    residual block only.  Over z the rank is the pivot count plus the residual's
-    nonzero diagonal entries, and the residual's entries > 1 are the torsion of
-    degree i+1.  Entries must be constants in the pair's ring (specialize first),
-    and integers over z and z2: CubeError refuses d_i's first fraction, sign
+    torsion is always empty over a field.  Each generator's entries become
+    constants once, each distinct (source word, move) edge's `_block` is built
+    from them once, d_i's sparse rows scatter the blocks with each edge's sign,
+    and one elimination of their unit pivots (`_unit_pivots`) reduces them:
+    over q through `sparse_rank_fraction`, over z2 through `sparse_rank_gf2`,
+    over z followed by the Smith normal form of the residual block only.  Over
+    z the rank is the pivot count plus the residual's nonzero diagonal
+    entries, and the residual's entries > 1 are the torsion of degree i+1.
+    Entries must be constants in the pair's ring (specialize first), and
+    integers over z and z2: CubeError refuses d_i's first fraction, sign
     included, rather than truncate it.  A Z/2 pair takes only z2: its residues
     lifted to Q or Z need not give d^2 = 0.
     """
@@ -405,13 +436,12 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
     if coefficients in ("q", "z") and pair.ring.domain == MOD2:
         name = "rational" if coefficients == "q" else "integer"
         raise CubeError(f"cannot take {name} coefficients of a Z/2 pair")
-    places = {w: {t: p for p, t in enumerate(pair.spec.tuples(w))}  # w's tuples in lex order
-              for w in set(map(tuple, cube.vertices.values()))}
     dims, offset = [0] * (cube.n + 1), {}
     for b in _bits(cube.n):
         offset[b] = dims[_weight(b)]  # b's first place in its degree
         dims[_weight(b)] += pair.spec.dim(cube.vertices[b])
-    key, at = _edge_numbers(cube)
+    key, moves = _edge_numbers(cube)
+    constants = {}  # generator -> its entries as (column, output tuple, constant), by column
     blocks = {}  # edge number -> [(out place, in place, constant)] of its edge map
     ranks = [0] * (cube.n + 1)  # ranks[i] = rank of d_i; d_n = 0
     torsion = [[] for _ in dims]
@@ -419,25 +449,33 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
         # d_i's edges: (row offset, column offset, number, sign is -1); -1 = 1 over Z/2
         edges = [(offset[_flip(b, k)], offset[b], key[b, k], negate and pair.ring.domain != MOD2)
                  for b, k, negate in _edges(cube, i)]
-        new = {}  # edge number -> (its first edge's sign, its edge map), in scan order
+        new = {}  # edge number -> its first edge's sign, in scan order
         for _r, _c, e, negate in edges:
-            if e not in blocks and e not in new:
-                new[e] = negate, edge_map(cube, pair, *at[e])
-        # convert every new block before testing any for integers: specialize first
-        for e, (negate, m) in new.items():
-            out, inp = places[m.cod], places[m.dom]
-            try:
-                blocks[e] = [(out[o], inp[t], v.constant_value())
-                             for (o, t), v in m.entries.items()]
-            except RingError:
-                bad = next(-v if negate else v for v in m.entries.values() if not v.is_constant())
-                raise CubeError(f"specialize first: not a constant: {bad}") from None
-        for e, (negate, _m) in new.items() if coefficients != "q" else ():
-            bad = next((x for *_, x in blocks[e] if x.denominator != 1), None)
+            if e not in blocks:
+                new.setdefault(e, negate)
+        table = table_with(pair, (moves[e][1] for e in new), CubeError)
+        # an edge map meets its generator's columns in order, so its first bad
+        # entry is its generator's; convert all before testing any for integers
+        for e, negate in new.items():
+            gen = moves[e][1]
+            if gen not in constants:
+                m = table[gen]
+                column = {t: c for c, t in enumerate(pair.spec.tuples(m.dom))}
+                entries = sorted([(column[t], o, v) for (o, t), v in m.entries.items()],
+                                 key=lambda entry: entry[0])
+                bad = next((v for *_, v in entries if not v.is_constant()), None)
+                if bad is not None:
+                    raise CubeError(f"specialize first: not a constant: {-bad if negate else bad}")
+                constants[gen] = [(c, o, v.constant_value()) for c, o, v in entries]
+        for e, negate in new.items() if coefficients != "q" else ():
+            gen = moves[e][1]
+            bad = next((x for *_, x in constants[gen] if x.denominator != 1), None)
             if bad is not None:
                 raise CubeError(f"d_{i} has the non-integral entry {-bad if negate else bad}; "
                                 f"homology over {coefficients} needs integers")
-            blocks[e] = [(o, t, int(x)) for o, t, x in blocks[e]]
+            constants[gen] = [(c, o, int(x)) for c, o, x in constants[gen]]
+        for e in new:
+            blocks[e] = _block(pair.spec, moves[e], constants[moves[e][1]])
         rows = {}
         for r, c, e, negate in edges:
             for o, t, x in blocks[e]:
@@ -455,6 +493,26 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
             ranks[i] = rank(rows)
     return [{"betti": dims[i] - ranks[i] - (ranks[i - 1] if i else 0),
              "torsion": torsion[i]} for i in range(cube.n + 1)]
+
+
+def _block(spec, move, entries):
+    """The (out place, in place, value) entries of an edge's map in act's order:
+    its generator's entries, each (column, output tuple, value), on the source
+    slots, tensored with the identity on the other circles.  A tuple's place
+    in its word is a mixed-radix number: a slot weighs the dimension after it."""
+    w_in, _gen, src, dst, w_out, _provenance = move
+    out = [spec.dim(w_out[q + 1:]) for q in range(len(w_out))]
+    passive = iter([out[q] for q in range(len(w_out)) if q not in dst])
+    column, shift = [0], [0]  # by in place: its generator column, its passive out place
+    for p, s in enumerate(w_in):
+        x, y = (spec.dim([w_in[r] for r in src if r > p]), 0) if p in src else (0, next(passive))
+        labels = range(len(spec.labels(s)))
+        column = [c + d * x for c in column for d in labels]
+        shift = [h + d * y for h in shift for d in labels]
+    outs = [[] for _ in range(spec.dim([w_in[p] for p in src]))]
+    for c, o, v in entries:
+        outs[c].append((sum(spec.labels(w_out[q]).index(x) * out[q] for q, x in zip(dst, o)), v))
+    return [(o + h, c, v) for c, (g, h) in enumerate(zip(column, shift)) for o, v in outs[g]]
 
 
 def vertex_euler(cube: StateCube, pair: FrobeniusPair) -> int:

@@ -73,6 +73,11 @@ class FrobeniusPair:
         call and kept, since a pair's maps do not change after construction."""
         return self._table
 
+    @cached_property
+    def square_verdicts(self) -> dict:
+        """cube.check_d_squared's verdict of each local square, kept with the pair."""
+        return {}
+
 
 # -- verification ---------------------------------------------------------------
 

@@ -17,7 +17,9 @@ and homology reports; `product_by_multiplying`, the sparse product that
 `compose` and `act` are checked against; `validate_by_correspondence`, the
 edge-by-edge cube validation that `validate_cube` is checked against; and
 `diamond_by_paths`, the path-by-path exchange suite that
-`diamond_exchange_suite` is checked against.
+`diamond_exchange_suite` is checked against; and `square_circles` and
+`local_square_key`, forward circle tracking around a square, which the
+local squares of `check_d_squared` are checked against.
 
 And two pieces of the package that only tests use: `cube_to_json`, the cube
 file writer, and `lemma_first_conditions`, the X-action statement that
@@ -302,6 +304,43 @@ def validate_by_correspondence(cube) -> bool:
             if any(not (s & t) for s, t in zip(one, two)):
                 return False
     return True
+
+
+def square_circles(cube, b, k, l):
+    """Forward circle tracking around the square at b flipping bits k and l,
+    by the per-kind edge rules: (T, passive), T the set of 1-based positions
+    of circles at b that either path touches, and passive, for each path
+    (k then l, l then k), the far-corner position of every other circle."""
+    paths = []
+    for first, second in ((k, l), (l, k)):
+        mid = _flip(b, first)
+        _, one = _correspondence(cube.vertices[b], cube.edges[(b, first)])
+        _, two = _correspondence(cube.vertices[mid], cube.edges[(mid, second)])
+        paths.append({p: two[q] for p, q in one.items() if q in two})
+    touched = {p for p in range(1, len(cube.vertices[b]) + 1)
+               if any(p not in path for path in paths)}
+    return touched, [{p: far for p, far in path.items() if p not in touched} for path in paths]
+
+
+def local_square_key(cube, b, k, l):
+    """The square at b flipping k and l on the circles T it touches: the sorts
+    of T at b, then each path's two moves with every position renumbered by
+    its rank among the positions not holding a passive circle."""
+    touched, _passive = square_circles(cube, b, k, l)
+    key = [tuple(cube.vertices[b][p - 1] for p in sorted(touched))]
+    for first, second in ((k, l), (l, k)):
+        vertex, passive = b, set(range(1, len(cube.vertices[b]) + 1)) - touched
+        for bit in (first, second):
+            move, target = cube.edges[(vertex, bit)], _flip(vertex, bit)
+            _, corr = _correspondence(cube.vertices[vertex], move)
+            moved = {corr[p] for p in passive}
+            rank = [p for p in range(1, len(cube.vertices[vertex]) + 1) if p not in passive]
+            out = [q for q in range(1, len(cube.vertices[target]) + 1) if q not in moved]
+            sources = (move.i, move.j) if move.kind == "merge" else (move.i,)
+            key.append((move.kind, tuple(sorted(rank.index(p) for p in sources)),
+                        tuple(out.index(q) for q in move.outs), move.sorts))
+            vertex, passive = target, moved
+    return tuple(key)
 
 
 def _cycles(perm):

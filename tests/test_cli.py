@@ -524,6 +524,24 @@ def test_eval_illegal_event_names_its_line(tmp_path, capsys, text, message):
     assert err == message
 
 
+@pytest.mark.parametrize("vertices,edge,message", [
+    ({"0": ["A", "A"], "1": ["A"]}, {"kind": "merge", "i": 1, "j": 1, "out": 1, "sort": "A"},
+     "error: edge 0/0: merge names circle 1 twice\n"),
+    ({"0": ["A"], "1": ["A", "A"]}, {"kind": "split", "i": 1, "outs": [2, 2], "sorts": ["A", "A"]},
+     "error: edge 0/0: split names output 2 twice\n"),
+    ({"0": ["A", "A"], "1": ["A"]}, {"kind": "merge", "i": 3, "j": 3, "out": 1, "sort": "A"},
+     "error: edge 0/0: merge positions 3,3 out of range\n"),
+], ids=["merge_repeat", "split_repeat", "repeat_out_of_range"])
+def test_cube_repeated_slot_named_exit_two(tmp_path, capsys, vertices, edge, message):
+    # a slot a move names twice is a repeat, not out of range; a repeated slot
+    # past the word's end is still out of range
+    path = tmp_path / "repeat.cube"
+    path.write_text(json.dumps({"n": 1, "vertices": vertices, "edges": {"*": edge}}))
+    code, out, err = run(capsys, "cube", "--builtin", "aps", str(path))
+    assert_one_line_error(code, out, err)
+    assert err == message
+
+
 def test_cube_over_tuple_limit_exit_two(tmp_path, capsys):
     # 9 circles are under the circle cap, but double has four E labels:
     # one vertex spans 4**9 = 262,144 basis tuples

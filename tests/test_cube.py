@@ -1,12 +1,15 @@
 import dataclasses
 import importlib.resources
+import importlib.util
 import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import frobpair.cobordism as cobordism
 from frobpair.cli import build_builtin
 from frobpair.cube import (
     BlockMatrix,
@@ -44,9 +47,11 @@ from helpers import (
     cube_to_json,
     d_squared_by_differentials,
     euler_characteristic,
+    local_square_key,
     random_cube,
     rank_fraction,
     rank_gf2,
+    square_circles,
     validate_by_correspondence,
 )
 
@@ -155,6 +160,29 @@ def test_validate_matches_correspondence_oracle():
     assert verdicts == {True, False}
 
 
+def test_validated_squares_take_passive_circles_to_the_same_far_slot():
+    # check_d_squared reads each square on the circles it touches; that is exact
+    # because validate_cube refuses every square whose other circles land in
+    # different far slots on its two paths
+    rng = random.Random(23)
+    accepted = refused = 0
+    for _ in range(200):
+        cube = perturbed(rng, random_cube(rng, n=rng.randint(2, 4)))
+        try:
+            ok = validate_cube(cube)
+        except CubeError as exc:
+            if str(exc).startswith("edge "):
+                continue  # an illegal edge has no circle tracking
+            ok = False
+        squares = [(b, k, l) for b in cube.vertices
+                   for k, l in combinations([k for k in range(cube.n) if b[k] == "0"], 2)]
+        same = all(one == two for _t, (one, two) in (square_circles(cube, *sq) for sq in squares))
+        assert same or not ok, cube
+        accepted += ok
+        refused += not same
+    assert accepted > 100 and refused > 20
+
+
 def test_load_interprets_each_edge_once(monkeypatch):
     import frobpair.cube as cube_mod
 
@@ -232,11 +260,26 @@ def test_d_squared_single_crossing_trivial():
     assert check_d_squared(split1_cube(), build_aps()) == (True, None)
 
 
+def item_one_cubes():
+    """Five cubes of the benchmark's cube generator, loaded from its file,
+    with n = 3, 4, 4, 5, 5 from random.Random(3); under `it` at t=1 the
+    fourth is not a chain complex."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "cubegen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_cubegen", path)
+    cubegen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cubegen)
+    rng = random.Random(3)
+    return [cube_from_json(cubegen.random_cube_json(rng, n, (0, 10 ** 12)))
+            for n in (3, 4, 4, 5, 5)]
+
+
 def test_d_squared_matches_differential_oracle():
-    # the verdict of the square-by-square check equals that of composing whole
-    # differentials, on pairs that pass and on it, which fails some squares
+    # the verdict of the local square-by-square check equals that of composing
+    # whole differentials, on pairs that pass and on it, which fails some squares;
+    # the witness is the first failing square and the lex-first tuple where its
+    # whole-word paths differ
     rng = random.Random(7)
-    cubes = [random_cube(rng, n=rng.randint(2, 4)) for _ in range(12)]
+    cubes = [random_cube(rng, n=rng.randint(2, 4)) for _ in range(12)] + item_one_cubes()
     it = build_it()
     rank2 = build_rank2(Rank2Params.over(Z, a=1, c_yy=0, c_yz=1, c_zz=0, d_yy=0, d_yz=1,
                                          d_zz=0, e_y=1, e_z=1, f_y=1, f_z=1))
@@ -257,12 +300,49 @@ def test_d_squared_matches_differential_oracle():
             for square in _squares_in_scan_order(cube):
                 one, two = _square_paths(cube, pair, *square)
                 if square == (b, k, l):
-                    assert one.column(t) != two.column(t)
+                    assert equal(one, two)[1][0] == t
                     break
                 assert equal(one, two)[0], (pair.name, square, witness)
             else:
                 raise AssertionError(f"witness {witness} is not a square")
     assert failing
+
+
+def test_d_squared_names_the_first_missing_generator():
+    # with one or two generators deleted, check_d_squared names the generator that
+    # comparing the whole cube's squares, each edge map built whole, meets first;
+    # on the cubes of seeds 0, 16 and 45 that is not the first in scan order
+    rng = random.Random(19)
+    cubes = [random_cube(rng, n=rng.randint(2, 4)) for _ in range(8)] + item_one_cubes()[3:] + \
+        [random_cube(random.Random(seed), n=4) for seed in (0, 16, 45)]
+    cases = 0
+    for base, step in ((build_aps(), 2), (build_tt(), 7), (build_it(), 7)):
+        names = sorted(base.maps)
+        for gone in [(g,) for g in names] + list(combinations(names, 2))[::step]:
+            maps = {g: m for g, m in base.maps.items() if g not in gone}
+            pair = FrobeniusPair(base.ring, base.spec, maps, name=base.name)
+            for cube in cubes:
+                at = {(cube.vertices[b], move): (b, k) for (b, k), move in cube.edges.items()}
+                squares = {}  # as the whole-word check took them: by (source word, move) edges
+                for b, k, l in _squares_in_scan_order(cube):
+                    bk, bl = b[:k] + "1" + b[k + 1:], b[:l] + "1" + b[l + 1:]
+                    one, two, three, four = ((cube.vertices[x], cube.edges[x, y]) for x, y in (
+                        (b, k), (bk, l), (b, l), (bl, k)))
+                    squares.setdefault(((one, two), (three, four)))
+                try:
+                    cobordism.compare_squares(list(squares),
+                                              lambda e: edge_map(cube, pair, *at[e]))
+                    expected = None
+                except CubeError as exc:
+                    expected = str(exc)
+                try:
+                    check_d_squared(cube, pair)
+                    got = None
+                except CubeError as exc:
+                    got = str(exc)
+                assert got == expected, (pair.name, gone)
+                cases += expected is not None
+    assert cases > 100
 
 
 def _squares_in_scan_order(cube):
@@ -281,33 +361,41 @@ def _square_paths(cube, pair, b, k, l):
 
 
 def test_d_squared_builds_each_edge_map_and_square_once(monkeypatch):
-    import frobpair.cobordism as cobordism
+    # each square is read on the circles it touches, and the pair keeps each local
+    # square's verdict: across two cubes each distinct local square is compared
+    # exactly once, each call builds each local edge map it needs once, no
+    # whole-word edge map is built, and a repeated check makes no act call at all
     import frobpair.cube as cube_mod
 
-    built, compared = [], []
-    real_edge_map, real_equal = cube_mod.edge_map, cobordism.equal
-
-    def recording_edge_map(c, p, b, k):
-        built.append((c.vertices[b], c.edges[(b, k)]))
-        return real_edge_map(c, p, b, k)
-
-    monkeypatch.setattr(cube_mod, "edge_map", recording_edge_map)
+    acts, compared = [], []
+    real_act, real_equal = cube_mod.act, cobordism.equal
+    monkeypatch.setattr(cube_mod, "edge_map", lambda *a: pytest.fail("whole-word edge map"))
+    monkeypatch.setattr(cube_mod, "act", lambda f, gen, src, dst: acts.append(
+        (f.dom, gen.dom, gen.cod, src, dst)) or real_act(f, gen, src, dst))
     monkeypatch.setattr(cobordism, "equal", lambda f, g: compared.append(1) or real_equal(f, g))
-    cube = random_cube(random.Random(8), n=4)
-    assert check_d_squared(cube, build_aps()) == (True, None)
-    # every edge of a cube with n >= 2 lies on a square
-    assert len(built) == len(set(built))
-    assert set(built) == {(cube.vertices[b], m) for (b, _k), m in cube.edges.items()}
-    assert len(built) < len(cube.edges)
-    squares = set()
-    for b in cube.vertices:
-        zeros = [k for k in range(cube.n) if b[k] == "0"]
-        for x, k in enumerate(zeros):
-            for l in zeros[x + 1:]:
-                bk, bl = b[:k] + "1" + b[k + 1:], b[:l] + "1" + b[l + 1:]
-                squares.add((cube.vertices[b], cube.edges[(b, k)], cube.edges[(bk, l)],
-                             cube.edges[(b, l)], cube.edges[(bl, k)]))
-    assert len(compared) == len(squares)
+    aps = build_aps()
+    cubes = [random_cube(random.Random(8), n=4), random_cube(random.Random(4), n=4)]
+    seen, shared, squares = set(), set(), set()
+    for cube in cubes:
+        local = {local_square_key(cube, *square) for square in _squares_in_scan_order(cube)}
+        for b, k, l in _squares_in_scan_order(cube):
+            bk, bl = b[:k] + "1" + b[k + 1:], b[:l] + "1" + b[l + 1:]
+            squares.add((cube.vertices[b], cube.edges[(b, k)], cube.edges[(bk, l)],
+                         cube.edges[(b, l)], cube.edges[(bl, k)]))
+        acts.clear()
+        compared.clear()
+        assert check_d_squared(cube, aps) == (True, None)
+        assert len(compared) == len(local - seen) > 0
+        assert acts and len(acts) == len(set(acts)) and all(len(w) <= 4 for w, *_ in acts)
+        shared |= local & seen
+        seen |= local
+    assert shared  # the second cube meets local squares that the first compared
+    assert len(seen) == len(aps.square_verdicts) < len(squares)
+    for cube in cubes:
+        acts.clear()
+        compared.clear()
+        assert check_d_squared(cube, aps) == (True, None)
+        assert acts == [] and compared == []
 
 
 # -- specialization -----------------------------------------------------------------
@@ -472,18 +560,23 @@ def test_integer_homology_matches_dense_snf(monkeypatch):
                                            ("z", "smith_normal_form")])
 def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, reducer):
     # each d_i is scattered from constant edge blocks, with no differential, no
-    # BlockMatrix and one edge map per distinct (source word, move) for all degrees;
+    # BlockMatrix and no edge map: one block per distinct (source word, move) for
+    # all degrees, built from the generators' entries, each made a constant once;
     # it goes through one unit-pivot elimination and is never made dense; over z
     # the Smith form then runs on its residual only
     import frobpair.cube as cube_mod
+    from frobpair.ring import RingElem
 
-    built, reduced, cells = [], [], []
+    built, reduced, cells, constants = [], [], [], []
     monkeypatch.setattr(cube_mod, "differential",
                         lambda c, p, i: pytest.fail(f"differential over {coeff}"))
     monkeypatch.setattr(BlockMatrix, "add", lambda *a: pytest.fail(f"add over {coeff}"))
-    real_edge_map = cube_mod.edge_map
-    monkeypatch.setattr(cube_mod, "edge_map", lambda c, p, b, k: built.append(
-        (c.vertices[b], c.edges[b, k])) or real_edge_map(c, p, b, k))
+    monkeypatch.setattr(cube_mod, "edge_map", lambda *a: pytest.fail(f"edge_map over {coeff}"))
+    real_block, real_constant = cube_mod._block, RingElem.constant_value
+    monkeypatch.setattr(cube_mod, "_block", lambda spec, move, entries: built.append(
+        move[:4]) or real_block(spec, move, entries))
+    monkeypatch.setattr(RingElem, "constant_value",
+                        lambda v: constants.append(1) or real_constant(v))
 
     def recording(name, real):
         def call(m, *args, **kwargs):
@@ -501,7 +594,10 @@ def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, 
     homology(cube, aps, coeff)
     distinct = {(cube.vertices[b], move) for (b, _k), move in cube.edges.items()}
     assert len(distinct) < len(cube.edges)  # some edges share a map
-    assert len(built) == len(distinct) and set(built) == distinct
+    assert len(built) == len(distinct)
+    assert set(built) == {(w,) + cube_mod._interpret(w, move)[:3] for w, move in distinct}
+    gens = {gen for _w, gen, *_ in built}
+    assert len(constants) == sum(len(aps.generator_table()[gen].entries) for gen in gens)
     if coeff == "z":
         assert reduced == ["_unit_pivots", reducer] * cube.n
         dims = [len(vertex_keys(cube, aps, i)) for i in range(cube.n + 1)]

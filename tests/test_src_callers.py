@@ -3,7 +3,9 @@
 The first check walks the syntax trees of src/frobpair and fails on any
 function, method, class or module constant whose name nothing in src/
 references outside its own definition.  A name counts as referenced where it
-appears as a `Name` being read or as an `Attribute`.  Exempt are dunders, the
+appears as a `Name` being read or as an `Attribute`, resolved as far as the
+syntax allows: a `Name` never reaches a method, and a `self.m` or `cls.m`
+read reaches only the enclosing class's own `m`.  Exempt are dunders, the
 CLI's `main`, the names perfbench/*.py references (the benchmark calls or
 traces them), and ALLOWED below.
 
@@ -35,38 +37,67 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: the owner of a reference that may reach a definition in any class or none
+ANY_OWNER = "any"
+
+
 def _definitions(tree):
-    """(name, node) for every function, method and class at any depth, and
-    every module-level constant (a module-level assignment to a name)."""
+    """(name, node, id of the class whose body holds it or None) for every
+    function, method and class at any depth, and every module-level constant
+    (a module-level assignment to a name)."""
+    owners = {id(child): id(node) for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for child in node.body}
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
+        if isinstance(node, DEFINITIONS):
+            yield node.name, node, owners.get(id(node))
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) else \
             [node.target] if isinstance(node, ast.AnnAssign) else []
         for target in targets:
             if isinstance(target, ast.Name):
-                yield target.id, node
+                yield target.id, node, None
 
 
 def _references(tree):
-    """(name, ids of the enclosing definition nodes) for every name read as a
-    `Name` and every `Attribute` in the tree."""
+    """(name, ids of the enclosing definition nodes, owner) for every name read
+    as a `Name` and every `Attribute` in the tree, where owner is the class id
+    (or None) that a definition it reaches must have: None for a `Name`, the
+    enclosing class for a `self.`/`cls.` read, else ANY_OWNER."""
     out = []
 
-    def visit(node, enclosing):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-                             ast.Assign, ast.AnnAssign)):
+    def visit(node, enclosing, cls):
+        if isinstance(node, DEFINITIONS + (ast.Assign, ast.AnnAssign)):
             enclosing = enclosing | {id(node)}
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            out.append((node.id, enclosing))
+            out.append((node.id, enclosing, None))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, enclosing))
+            own = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+            out.append((node.attr, enclosing, cls if own else ANY_OWNER))
+        cls = id(node) if isinstance(node, ast.ClassDef) else cls
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
+            visit(child, enclosing, cls)
 
-    visit(tree, frozenset())
+    visit(tree, frozenset(), None)
     return out
+
+
+def _uncalled(trees, exempt):
+    """'file:line name' for each definition in trees ({file name: tree}) that
+    no reference outside it reaches, unless exempt names it or it is a dunder."""
+    references = {}
+    for tree in trees.values():
+        for name, enclosing, owner in _references(tree):
+            references.setdefault(name, []).append((enclosing, owner))
+    uncalled = []
+    for filename, tree in trees.items():
+        for name, node, owner in _definitions(tree):
+            if name in exempt or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not any(id(node) not in enclosing and reach in (ANY_OWNER, owner)
+                       for enclosing, reach in references.get(name, ())):
+                uncalled.append(f"{filename}:{node.lineno} {name}")
+    return uncalled
 
 
 def _perfbench_names():
@@ -96,19 +127,45 @@ def _tracer_targets():
 
 def test_every_src_definition_has_a_caller_in_src():
     trees = {path.name: _parse(path) for path in sorted(SRC.glob("*.py"))}
-    references = {}
-    for tree in trees.values():
-        for name, enclosing in _references(tree):
-            references.setdefault(name, []).append(enclosing)
-    exempt = _perfbench_names() | ALLOWED | {"main"}
-    uncalled = []
-    for filename, tree in trees.items():
-        for name, node in _definitions(tree):
-            if name in exempt or (name.startswith("__") and name.endswith("__")):
-                continue
-            if not any(id(node) not in enclosing for enclosing in references.get(name, ())):
-                uncalled.append(f"{filename}:{node.lineno} {name}")
+    uncalled = _uncalled(trees, _perfbench_names() | ALLOWED | {"main"})
     assert not uncalled, "no caller in src/: " + ", ".join(uncalled)
+
+
+def test_self_read_counts_only_for_its_own_class():
+    # a method read only as self.m in another class, or as a bare name, has no
+    # caller; self.m in its own class, cls.m, or x.m anywhere are callers
+    source = """
+class Reader:
+    def go(self, text):
+        return self.text, self.size, text
+
+class Other:
+    def text(self):
+        return 1
+
+    def size(self):
+        return 2
+
+    def width(self):
+        return self.size()
+
+class Counter:
+    @classmethod
+    def make(cls):
+        return cls.count()
+
+    @classmethod
+    def count(cls):
+        return 0
+
+def outside(shape):
+    return shape.go(), Counter.make(), Other().width()
+"""
+    entry_points = frozenset({"Reader", "Other", "Counter", "outside"})
+    assert _uncalled({"mutant.py": ast.parse(source)}, entry_points) == ["mutant.py:7 text"]
+    # the same read through any other name is a caller
+    fixed = ast.parse(source + "\nOther().text()\n")
+    assert _uncalled({"mutant.py": fixed}, entry_points) == []
 
 
 def _frobpair_bindings(tree, missing, where):
