@@ -271,12 +271,17 @@ def cmd_cube(args) -> int:
     for w in cube.vertices.values():
         pair.spec.check_dim(w)
     report = cube_mod.homology(cube, pair, args.coeff)
-    print("betti: " + " ".join(str(s["betti"]) for s in report))
-    if args.coeff == "z":
-        print("torsion: " + " ".join(
-            ",".join(str(x) for x in s["torsion"]) or "-" for s in report))
+    failed = any(s["betti"] < 0 for s in report)  # proves d^2 != 0: name a square
+    if failed:
+        _ok, (b, k, l, _t) = cube_mod.check_d_squared(cube, pair)
+        print(f"FAIL square at {b} (bits {k},{l})")
+    else:
+        print("betti: " + " ".join(str(s["betti"]) for s in report))
+        if args.coeff == "z":
+            print("torsion: " + " ".join(
+                ",".join(str(x) for x in s["torsion"]) or "-" for s in report))
     print("sign: (-1)^(ones before flipped index)")
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_degree(args) -> int:

@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cobordism import (MOVES, CobordismError, compare_squares, interpret, square_order,
                         table_with)
@@ -43,6 +44,36 @@ class StateCube:
     vertices: dict    # bitstring -> sort word (tuple)
     edges: dict       # (source bitstring, flipped index) -> EdgeMove
 
+    @cached_property
+    def numbered_edges(self):
+        """({edge (b, k): number}, [descriptor by number]): the cube's one read
+        of its edges, in validate_cube's order (b in _bits, k ascending), which
+        refuses the first missing edge, edge on a 1-bit, illegal move or move
+        that misses its target's word.  Edges are numbered by (source word,
+        move); a descriptor is the source word and the edge's `_interpret`."""
+        number, key, moves = {}, {}, []  # (source word, move) -> its number
+        for b in _bits(self.n):
+            w_in = tuple(self.vertices[b])
+            for k in range(self.n):
+                move = self.edges.get((b, k))
+                if b[k] == "1":
+                    if move is not None:
+                        raise CubeError(f"edge {b}/{k} flips a 1-bit")
+                    continue
+                if move is None:
+                    raise CubeError(f"missing edge {b}->{_flip(b, k)}")
+                e = key[b, k] = number.setdefault((w_in, move), len(number))
+                if e == len(moves):
+                    try:
+                        moves.append((w_in,) + _interpret(w_in, move))
+                    except CobordismError as exc:
+                        raise CubeError(f"edge {b}/{k}: {exc}") from None
+                target = self.vertices[_flip(b, k)]
+                if moves[e][4] != tuple(target):
+                    raise CubeError(f"edge {b}/{k}: move produces word {''.join(moves[e][4])}, "
+                                    f"vertex has {''.join(target)}")
+        return key, moves
+
 
 def _bits(n):
     return [format(v, f"0{n}b") if n else "" for v in range(2 ** n)]
@@ -66,42 +97,33 @@ def _interpret(w_in, move):
     return gen, src, dst, w_out, provenance
 
 
+def _squares(cube: StateCube):
+    """{square of edge numbers: its first (b, k, l)} in scan order, b flipping
+    bits k < l; a square is ((edge b/k, then l), (edge b/l, then k))."""
+    key = cube.numbered_edges[0]
+    squares = {}
+    for b in _bits(cube.n):
+        for k, l in itertools.combinations([k for k in range(cube.n) if b[k] == "0"], 2):
+            square = ((key[b, k], key[_flip(b, k), l]), (key[b, l], key[_flip(b, l), k]))
+            squares.setdefault(square, (b, k, l))
+    return squares
+
+
 def validate_cube(cube: StateCube):
     """Check the cube invariants; raises CubeError on the first violation."""
-    bits_all = _bits(cube.n)
-    for b in bits_all:
+    for b in _bits(cube.n):
         if b not in cube.vertices:
             raise CubeError(f"missing vertex {b!r}")
-    provenance = {}
-    for b in bits_all:
-        for k in range(cube.n):
-            key = (b, k)
-            if b[k] == "0":
-                if key not in cube.edges:
-                    raise CubeError(f"missing edge {b}->{_flip(b, k)}")
-                try:
-                    *_, w_out, provenance[key] = _interpret(cube.vertices[b], cube.edges[key])
-                except CobordismError as exc:
-                    raise CubeError(f"edge {b}/{k}: {exc}") from None
-                if w_out != tuple(cube.vertices[_flip(b, k)]):
-                    raise CubeError(
-                        f"edge {b}/{k}: move produces word {''.join(w_out)}, "
-                        f"vertex has {''.join(cube.vertices[_flip(b, k)])}")
-            elif key in cube.edges:
-                raise CubeError(f"edge {b}/{k} flips a 1-bit")
-
-    def path(b, first, second):
-        one, two = provenance[(b, first)], provenance[(_flip(b, first), second)]
-        return [{p for q in sources for p in one[q]} for sources in two]
-
+    moves = cube.numbered_edges[1]
     # every square must act on compatible circles: both orders of the two
     # flips must allow a common source set at every far-corner position (the
     # per-path provenance over-approximates the true one, so disjointness
     # certifies incompatibility)
-    for b in bits_all:
-        for k, l in itertools.combinations([k for k in range(cube.n) if b[k] == "0"], 2):
-            if any(not (s & t) for s, t in zip(path(b, k, l), path(b, l, k))):
-                raise CubeError(f"square at {b} (bits {k},{l}) does not commute")
+    for square, (b, k, l) in _squares(cube).items():
+        one, two = ([{p for q in sources for p in moves[first][5][q]}
+                     for sources in moves[second][5]] for first, second in square)
+        if any(not (s & t) for s, t in zip(one, two)):
+            raise CubeError(f"square at {b} (bits {k},{l}) does not commute")
     return True
 
 
@@ -109,8 +131,8 @@ def edge_map(cube: StateCube, pair: FrobeniusPair, b, k) -> LinMap:
     """The move on edge (b, k): its generator acts on the source circles and
     writes to the move's output positions; untouched circles keep their
     relative order, as in the positional tracking convention."""
-    w_in = tuple(cube.vertices[b])
-    gen, src, dst, _w_out, _provenance = _interpret(w_in, cube.edges[(b, k)])
+    key, moves = cube.numbered_edges
+    w_in, gen, src, dst, *_ = moves[key[b, k]]
     table = table_with(pair, [gen], CubeError)
     return act(LinMap.identity(pair.spec, word(w_in)), table[gen], src, dst)
 
@@ -145,24 +167,8 @@ class BlockMatrix:
 
 
 def vertex_keys(cube: StateCube, pair: FrobeniusPair, degree):
-    keys = []
-    for b in _bits(cube.n):
-        if _weight(b) != degree:
-            continue
-        for t in pair.spec.tuples(word(cube.vertices[b])):
-            keys.append((b, t))
-    return keys
-
-
-def _edge_numbers(cube: StateCube):
-    """({edge (b, k): number}, [descriptor by number]), numbering edges by their
-    (source word, move); a descriptor is the source word followed by the
-    edge's `_interpret`: generator, source slots, output slots, output word,
-    provenance."""
-    number = {}  # (source word, move) -> its number
-    key = {e: number.setdefault((tuple(cube.vertices[e[0]]), move), len(number))
-           for e, move in cube.edges.items()}
-    return key, [(w,) + _interpret(w, move) for w, move in number]
+    return [(b, t) for b in _bits(cube.n) if _weight(b) == degree
+            for t in pair.spec.tuples(word(cube.vertices[b]))]
 
 
 def _edges(cube: StateCube, i):
@@ -173,9 +179,7 @@ def _edges(cube: StateCube, i):
 
 def differential(cube: StateCube, pair: FrobeniusPair, i) -> BlockMatrix:
     """d_i: degree-i chain space -> degree-(i+1) chain space as a block matrix."""
-    cols = vertex_keys(cube, pair, i)
-    rows = vertex_keys(cube, pair, i + 1)
-    d = BlockMatrix(rows, cols, pair.ring)
+    d = BlockMatrix(vertex_keys(cube, pair, i + 1), vertex_keys(cube, pair, i), pair.ring)
     if i < 0 or i >= cube.n:
         return d
     for b, k, negate in _edges(cube, i):
@@ -220,12 +224,7 @@ def check_d_squared(cube: StateCube, pair: FrobeniusPair):
     at its first label.  A missing generator is the first in square_order,
     as comparing the cube's whole squares would meet it.
     """
-    key, moves = _edge_numbers(cube)
-    squares = {}  # square of edge numbers -> its first (b, k, l)
-    for b in _bits(cube.n):
-        for k, l in itertools.combinations([k for k in range(cube.n) if b[k] == "0"], 2):
-            square = ((key[b, k], key[_flip(b, k), l]), (key[b, l], key[_flip(b, l), k]))
-            squares.setdefault(square, (b, k, l))
+    moves, squares = cube.numbered_edges[1], _squares(cube)
     full, verdicts = list(squares), pair.square_verdicts
     table = table_with(pair, (moves[e][1] for s in square_order(full) for path in full[s]
                               for e in path), CubeError)
@@ -440,7 +439,7 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
     for b in _bits(cube.n):
         offset[b] = dims[_weight(b)]  # b's first place in its degree
         dims[_weight(b)] += pair.spec.dim(cube.vertices[b])
-    key, moves = _edge_numbers(cube)
+    key, moves = cube.numbered_edges
     constants = {}  # generator -> its entries as (column, output tuple, constant), by column
     blocks = {}  # edge number -> [(out place, in place, constant)] of its edge map
     ranks = [0] * (cube.n + 1)  # ranks[i] = rank of d_i; d_n = 0

@@ -130,12 +130,14 @@ def verify(pair: FrobeniusPair, equations=None, groups=None) -> VerifyReport:
     skipped.  Witnesses are deterministic: the lexicographically first
     domain basis tuple on which the two sides differ, with both columns.
     Sides that start with the same layers on the same domain share their
-    evaluation: each distinct prefix is evaluated once per call.
+    evaluation: each distinct prefix is evaluated once per call.  A scored
+    equation's words are bounded first: TensorError refuses one that spans
+    more than tensor.MAX_TUPLES basis tuples.
     """
     if equations is None:
         equations = load_axioms()
     table = pair.generator_table()
-    memo = {}
+    memo, bounded = {}, set()  # bounded: the words check_dim passed
     records = []
     for eq in equations:
         if groups is not None and eq.group not in groups:
@@ -144,6 +146,10 @@ def verify(pair: FrobeniusPair, equations=None, groups=None) -> VerifyReport:
         if missing:
             records.append(VerifyRecord(eq.name, eq.group, eq.provenance, "skip", missing=missing))
             continue
+        for w in eq.words:
+            if w not in bounded:
+                pair.spec.check_dim(w)
+                bounded.add(w)
         ok, witness = _check_equation(eq, table, pair.spec, memo)
         if ok:
             records.append(VerifyRecord(eq.name, eq.group, eq.provenance, "pass"))

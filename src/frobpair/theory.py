@@ -252,7 +252,8 @@ class Equation:
     """Two terms that typecheck to the same words, checked when made.
 
     sides holds the Prefix chains of lhs and rhs on their domain, interned in
-    `pieces`, so that the equations made with one dict share their prefixes.
+    `pieces`, so that the equations made with one dict share their prefixes;
+    words holds every word that evaluating them meets.
     """
 
     name: str
@@ -262,10 +263,11 @@ class Equation:
     rhs: tuple
     pieces: InitVar[dict] = None
     sides: tuple = field(init=False, compare=False, repr=False)
+    words: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, pieces):
-        ld, lc, _ = typecheck(self.lhs)
-        rd, rc, _ = typecheck(self.rhs)
+        ld, lc, l_ins = typecheck(self.lhs)
+        rd, rc, r_ins = typecheck(self.rhs)
         if (ld, lc) != (rd, rc):
             raise TheoryError(f"equation {self.name}: sides typecheck to {ld}->{lc} vs {rd}->{rc}")
         if self.group not in GROUPS:
@@ -275,6 +277,7 @@ class Equation:
         pieces = {} if pieces is None else pieces
         object.__setattr__(self, "sides", (_prefixes(ld, self.lhs, pieces),
                                            _prefixes(ld, self.rhs, pieces)))
+        object.__setattr__(self, "words", (*l_ins, lc, *r_ins[1:]))
 
     def generators(self):
         return generators_used(self.lhs) | generators_used(self.rhs)

@@ -14,8 +14,8 @@ and `rank_gf2`, which the sparse rank routines of `frobpair.cube` are checked
 against; the d^2 oracle `d_squared_by_differentials`, which `check_d_squared`
 is checked against; `block_product` and `euler_characteristic` on differentials
 and homology reports; `product_by_multiplying`, the sparse product that
-`compose` and `act` are checked against; `validate_by_correspondence`, the
-edge-by-edge cube validation that `validate_cube` is checked against; and
+`compose` and `act` are checked against; `first_refusal_by_correspondence`,
+the edge-by-edge cube validation that `validate_cube` is checked against; and
 `diamond_by_paths`, the path-by-path exchange suite that
 `diamond_exchange_suite` is checked against; and `square_circles` and
 `local_square_key`, forward circle tracking around a square, which the
@@ -23,12 +23,16 @@ local squares of `check_d_squared` are checked against.
 
 And two pieces of the package that only tests use: `cube_to_json`, the cube
 file writer, and `lemma_first_conditions`, the X-action statement that
-criterion 07 checks.
+criterion 07 checks.  `item_one_cubes` gives the five benchmark-generator
+cubes of the ROADMAP's non-complex repro.
 """
 
+import importlib.util
 import itertools
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 from frobpair.cobordism import (
     DIAMOND_CASES,
@@ -39,7 +43,8 @@ from frobpair.cobordism import (
     _reverse_events,
     evaluate,
 )
-from frobpair.cube import CubeError, EdgeMove, StateCube, _bits, differential, validate_cube
+from frobpair.cube import (CubeError, EdgeMove, StateCube, _bits, cube_from_json, differential,
+                           validate_cube)
 from frobpair.pair import (
     _EXPONENT_OF_GEN,
     DOUBLE_SEARCH_EQUATIONS,
@@ -286,24 +291,41 @@ def _square_provenance(cube, b, first, second):
     return [frozenset().union(*(prov1[q - 1] for q in sources)) for sources in prov2]
 
 
-def validate_by_correspondence(cube) -> bool:
-    """True iff every edge of a cube with all its vertices and edges is legal
-    and produces its target word, and every square commutes; each square
-    re-reads its four edges.  The edge rules are written out per kind."""
-    for (b, k), move in cube.edges.items():
-        try:
-            w_out, _ = _correspondence(cube.vertices[b], move)
-        except CubeError:
-            return False
-        if w_out != tuple(cube.vertices[b[:k] + "1" + b[k + 1:]]):
-            return False
-    for b in cube.vertices:
+def item_one_cubes():
+    """Five cubes of the benchmark's cube generator, loaded from its file,
+    with n = 3, 4, 4, 5, 5 from random.Random(3); under `it` at t=1 the
+    fourth is not a chain complex."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "cubegen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_cubegen", path)
+    cubegen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cubegen)
+    rng = random.Random(3)
+    return [cube_from_json(cubegen.random_cube_json(rng, n, (0, 10 ** 12)))
+            for n in (3, 4, 4, 5, 5)]
+
+
+def first_refusal_by_correspondence(cube):
+    """The first edge or square of a cube with all its vertices and edges that
+    is refused: an edge that is illegal or misses its target's word, as
+    "edge b/k", else a square whose paths do not commute, as "square at b
+    (bits k,l)"; None if there is none.  The scan takes vertices in numeric
+    order and bits ascending, every edge before any square; each edge is read
+    afresh by the per-kind rules wherever it is met, and no edge is numbered."""
+    for b in _bits_all(cube.n):
+        for k in [k for k in range(cube.n) if b[k] == "0"]:
+            try:
+                w_out, _ = _correspondence(cube.vertices[b], cube.edges[(b, k)])
+            except CubeError:
+                return f"edge {b}/{k}"
+            if w_out != tuple(cube.vertices[_flip(b, k)]):
+                return f"edge {b}/{k}"
+    for b in _bits_all(cube.n):
         for k, l in itertools.combinations([k for k in range(cube.n) if b[k] == "0"], 2):
             one = _square_provenance(cube, b, k, l)
             two = _square_provenance(cube, b, l, k)
             if any(not (s & t) for s, t in zip(one, two)):
-                return False
-    return True
+                return f"square at {b} (bits {k},{l})"
+    return None
 
 
 def square_circles(cube, b, k, l):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from frobpair.cli import main
-from helpers import cube_to_json, random_cube
+from frobpair.theory import SIGNATURE
+from helpers import cube_to_json, item_one_cubes, random_cube
 
 
 def run(capsys, *argv):
@@ -552,6 +553,36 @@ def test_cube_over_tuple_limit_exit_two(tmp_path, capsys):
     assert "spans 262144 basis tuples, over the limit of 65536" in err
     code, out, _ = run(capsys, "cube", "--builtin", "aps", str(path))
     assert code == 0 and out.startswith("betti: 512\n")
+
+
+def test_verify_over_tuple_limit_exit_two(tmp_path, capsys):
+    # 120 labels a sort keep every one- and two-circle word under the limit,
+    # but AAA spans 120**3 tuples; the word is refused before it is evaluated
+    maps = {name: [] for name in SIGNATURE if name not in ("beta", "gamma")}
+    maps["eta"] = [{"in": [], "out": [{"basis": ["a0"], "coeff": "1"}]}]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "ring": {"domain": "integers", "vars": []}, "maps": maps,
+        "basis": {"A": [f"a{i}" for i in range(120)], "E": [f"e{i}" for i in range(120)]}}))
+    code, out, err = run(capsys, "verify", "--pair", str(path))
+    assert_one_line_error(code, out, err)
+    assert err == "error: the word AAA spans 1728000 basis tuples, over the limit of 65536\n"
+
+
+@pytest.mark.parametrize("coeff,code,first", [
+    ("q", 1, "FAIL square at 00010 (bits 2,4)"),
+    ("z", 1, "FAIL square at 00010 (bits 2,4)"),
+    ("z2", 0, "betti: 4 8 8 0 4 4"),
+])
+def test_cube_negative_betti_names_the_failing_square(tmp_path, capsys, coeff, code, first):
+    # under it at t=1 the fourth item-one cube is not a chain complex: over q and
+    # z its Betti numbers come out negative, so the first square with d^2 != 0 is
+    # named in their place; mod 2 the numbers stay non-negative and are printed
+    path = tmp_path / "item1.cube"
+    path.write_text(cube_to_json(item_one_cubes()[3]))
+    got = run(capsys, "cube", "--builtin", "it", "--specialize", "t=1", "--coeff", coeff,
+              str(path))
+    assert got == (code, first + "\nsign: (-1)^(ones before flipped index)\n", "")
 
 
 @pytest.mark.parametrize("text,message", [

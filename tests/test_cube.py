@@ -1,11 +1,9 @@
 import dataclasses
 import importlib.resources
-import importlib.util
 import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -47,12 +45,13 @@ from helpers import (
     cube_to_json,
     d_squared_by_differentials,
     euler_characteristic,
+    first_refusal_by_correspondence,
+    item_one_cubes,
     local_square_key,
     random_cube,
     rank_fraction,
     rank_gf2,
     square_circles,
-    validate_by_correspondence,
 )
 
 Z = ring(INTEGERS)
@@ -144,20 +143,22 @@ def perturbed(rng, cube):
 
 
 def test_validate_matches_correspondence_oracle():
-    # the one interpreter accepts and refuses exactly what the per-kind edge
-    # rules of the old validation did, which re-read each edge per square
+    # the one edge scan accepts and refuses exactly what the per-kind edge rules
+    # of the old validation did, which re-read each edge per square, and a
+    # refusal names the first refused edge or square in scan order
     rng = random.Random(17)
     verdicts = set()
     for _ in range(150):
         cube = perturbed(rng, random_cube(rng, n=rng.randint(2, 4)))
+        first = first_refusal_by_correspondence(cube)
         try:
             ok = validate_cube(cube)
         except CubeError as exc:
             ok = False
-            assert str(exc).startswith(("edge ", "square at ")), exc
-        assert ok == validate_by_correspondence(cube)
-        verdicts.add(ok)
-    assert verdicts == {True, False}
+            assert first is not None and str(exc).startswith(first), (exc, first)
+        assert ok == (first is None)
+        verdicts.add(first.split()[0] if first else None)
+    assert verdicts == {None, "edge", "square"}
 
 
 def test_validated_squares_take_passive_circles_to_the_same_far_slot():
@@ -184,16 +185,27 @@ def test_validated_squares_take_passive_circles_to_the_same_far_slot():
 
 
 def test_load_interprets_each_edge_once(monkeypatch):
+    # loading interprets each distinct (source word, move) once; after that, d^2,
+    # homology over every coefficient ring and every edge map read what it kept
     import frobpair.cube as cube_mod
 
     calls = []
     real = cube_mod._interpret
-    monkeypatch.setattr(cube_mod, "_interpret", lambda w, m: calls.append(m) or real(w, m))
+    monkeypatch.setattr(cube_mod, "_interpret", lambda w, m: calls.append((w, m)) or real(w, m))
+    aps = build_aps()
     for n in (1, 3, 5):
         cube = random_cube(random.Random(n), n=n, max_circles=8)
+        distinct = {(cube.vertices[b], move) for (b, _k), move in cube.edges.items()}
         calls.clear()
-        cube_from_json(cube_to_json(cube))
-        assert len(calls) == n * 2 ** (n - 1)
+        cube = cube_from_json(cube_to_json(cube))
+        assert len(calls) == len(set(calls)) and set(calls) == distinct
+        assert check_d_squared(cube, aps) == (True, None)
+        for coeff in ("q", "z", "z2"):
+            homology(cube, aps, coeff)
+        for b, k in cube.edges:
+            edge_map(cube, aps, b, k)
+        assert len(calls) == len(distinct)
+    assert len(distinct) < len(cube.edges)  # the n = 5 cube repeats some (word, move)
 
 
 def test_edge_errors_name_the_edge():
@@ -258,19 +270,6 @@ def test_d_squared_fails_for_it_on_consistency_square():
 
 def test_d_squared_single_crossing_trivial():
     assert check_d_squared(split1_cube(), build_aps()) == (True, None)
-
-
-def item_one_cubes():
-    """Five cubes of the benchmark's cube generator, loaded from its file,
-    with n = 3, 4, 4, 5, 5 from random.Random(3); under `it` at t=1 the
-    fourth is not a chain complex."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "cubegen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_cubegen", path)
-    cubegen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cubegen)
-    rng = random.Random(3)
-    return [cube_from_json(cubegen.random_cube_json(rng, n, (0, 10 ** 12)))
-            for n in (3, 4, 4, 5, 5)]
 
 
 def test_d_squared_matches_differential_oracle():
