@@ -14,19 +14,13 @@ import sys
 from fractions import Fraction
 
 from . import cube as cube_mod
+from . import pair as pair_mod
 from .cobordism import CobordismError, diamond_exchange_suite, evaluate, parse_cobordism, \
-    is_essential, pole_degree, total_degree
+    pole_degree
 from .pair import (
-    BUILTIN_PAIRS,
-    DOUBLE_EXPONENTS,
     PairError,
-    Rank2Params,
-    build_double,
-    build_it,
-    build_rank2,
     load_pair,
     pair_to_json,
-    universal_algebra,
     verify,
 )
 from .ring import INTEGERS, MOD2, RATIONALS, RingError, ring
@@ -61,55 +55,61 @@ RANK2_KEYS = {"a": "a", "cYY": "c_yy", "cYZ": "c_yz", "cZZ": "c_zz",
 
 DOUBLE_KEYS = ("e0", "e1", "e2", "nu0", "nu1", "nu2")
 
-#: the --params keys of the parameterised builtins; every other builtin takes none
-PARAM_KEYS = {"rank2": tuple(RANK2_KEYS), "double": ("algebra",) + DOUBLE_KEYS}
+#: the double algebras k[X]/(X^2 - hX - t): domain, h, t and the inverse of
+#: the handle element as {label: coefficient}
+DOUBLE_ALGEBRAS = {"q1": (RATIONALS, 0, 1, {"X": Fraction(1, 2)}),
+                   "z2h1": (MOD2, 1, 0, {"1": 1})}
 
-#: every --builtin name: pair.BUILTIN_PAIRS plus the parameterised rank2 and double
-BUILTIN_NAMES = (*BUILTIN_PAIRS, *PARAM_KEYS)
+
+def _integer(name, key, val):
+    try:
+        return int(val)
+    except ValueError:
+        raise InputError(f"{name} parameter {key} must be an integer") from None
+
+
+def _build_rank2(params, strict_partial):
+    kw = {field: 0 for field in RANK2_KEYS.values()}
+    kw.update({RANK2_KEYS[key]: _integer("rank2", key, val) for key, val in params.items()})
+    return pair_mod.build_rank2(pair_mod.Rank2Params.over(ring(INTEGERS), **kw))
+
+
+def _build_double(params, strict_partial):
+    exps = tuple(_integer("double", key, params[key]) if key in params else default
+                 for key, default in zip(DOUBLE_KEYS, pair_mod.DOUBLE_EXPONENTS))
+    algebra = params.get("algebra", "q1")
+    if algebra not in DOUBLE_ALGEBRAS:
+        raise InputError(f"unknown double algebra {algebra!r} (use q1 or z2h1)")
+    domain, h, t, phi_inv = DOUBLE_ALGEBRAS[algebra]
+    decl = ring(domain)
+    return pair_mod.build_double(pair_mod.universal_algebra(decl, decl.const(h), decl.const(t)),
+                                 {label: decl.const(c) for label, c in phi_inv.items()}, exps)
+
+
+#: every --builtin pair: name -> (the --params keys it takes, its builder
+#: (params, strict_partial)); each builder looks its constructor up in the pair
+#: module when called, so that rebinding it there reaches CLI builds too
+BUILTINS = {
+    "aps": ((), lambda params, strict_partial: pair_mod.build_aps()),
+    "tt": ((), lambda params, strict_partial: pair_mod.build_tt()),
+    "it": ((), lambda params, strict_partial: pair_mod.build_it(strict_partial=strict_partial)),
+    "sqrt": ((), lambda params, strict_partial: pair_mod.build_laurent_sqrt()),
+    "rank2": (tuple(RANK2_KEYS), _build_rank2),
+    "double": (("algebra",) + DOUBLE_KEYS, _build_double),
+}
 
 
 def build_builtin(name, params, strict_partial=False):
     if strict_partial and name != "it":
         raise InputError(f"--strict-partial applies to --builtin it, not to {name}")
-    accepted = PARAM_KEYS.get(name, ())
+    accepted, builder = BUILTINS.get(name, ((), None))
     for key in params:
         if key not in accepted:
             takes = f"takes {', '.join(accepted)}" if accepted else "takes no parameters"
             raise InputError(f"unknown {name} parameter {key!r}: {name} {takes}")
-    if name == "it":
-        return build_it(strict_partial=strict_partial)
-    if name in BUILTIN_PAIRS:
-        return BUILTIN_PAIRS[name]()
-    if name == "rank2":
-        decl = ring(INTEGERS)
-        kw = {field: 0 for field in RANK2_KEYS.values()}
-        for key, val in params.items():
-            try:
-                kw[RANK2_KEYS[key]] = int(val)
-            except ValueError:
-                raise InputError(f"rank2 parameter {key} must be an integer") from None
-        return build_rank2(Rank2Params.over(decl, **kw))
-    if name == "double":
-        exps = list(DOUBLE_EXPONENTS)
-        algebra = params.get("algebra", "q1")
-        for i, key in enumerate(DOUBLE_KEYS):
-            if key in params:
-                try:
-                    exps[i] = int(params[key])
-                except ValueError:
-                    raise InputError(f"double parameter {key} must be an integer") from None
-        if algebra == "q1":
-            decl = ring(RATIONALS)
-            alg = universal_algebra(decl, decl.zero(), decl.one())
-            phi_inv = {"X": decl.const(Fraction(1, 2))}
-        elif algebra == "z2h1":
-            decl = ring(MOD2)
-            alg = universal_algebra(decl, decl.one(), decl.zero())
-            phi_inv = {"1": decl.one()}
-        else:
-            raise InputError(f"unknown double algebra {algebra!r} (use q1 or z2h1)")
-        return build_double(alg, phi_inv, tuple(exps))
-    raise InputError(f"unknown builtin {name!r}")
+    if builder is None:
+        raise InputError(f"unknown builtin {name!r}")
+    return builder(params, strict_partial)
 
 
 def get_pair(args, params=None):
@@ -286,8 +286,8 @@ def cmd_cube(args) -> int:
 
 def cmd_degree(args) -> int:
     degrees = [pole_degree(w) for w in args.poles]
-    total = total_degree(args.poles)
-    label = "essential" if is_essential(args.poles) else "inessential"
+    total = sum(degrees)
+    label = "essential" if total > 0 else "inessential"
     print(" ".join(str(d) for d in degrees) +
           (" " if degrees else "") + f"total={total} {label}")
     return 0
@@ -320,7 +320,7 @@ def _parser():
 
     def add_pair_args(p, with_params=True):
         p.add_argument("--pair", help="structure file")
-        p.add_argument("--builtin", choices=BUILTIN_NAMES)
+        p.add_argument("--builtin", choices=BUILTINS)
         if with_params:
             p.add_argument("--params", action="append", default=[],
                            help="builtin parameters KEY=VAL[,KEY=VAL...]")
@@ -335,7 +335,7 @@ def _parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", help="build a builtin pair and write its file")
-    p.add_argument("--builtin", required=True, choices=BUILTIN_NAMES)
+    p.add_argument("--builtin", required=True, choices=BUILTINS)
     p.add_argument("--params", action="append", default=[])
     p.add_argument("--strict-partial", action="store_true")
     p.add_argument("-o", "--output")

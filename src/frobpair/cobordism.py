@@ -248,30 +248,19 @@ def _normalize_pole(w):
 
 
 def pole_degree(w) -> int:
-    """Cancel cyclically-adjacent same-side pole pairs until none remain;
-    the surviving word alternates and has length 2*degree."""
+    """Cancel adjacent same-side pole pairs in one stack pass.  The survivor
+    alternates and has even length, so its two ends differ and no cyclic pair
+    is left: it has length 2*degree."""
     w = _normalize_pole(w)
     if len(w) % 2:
         raise CobordismError("pole count must be even")
-    changed = True
-    while changed and w:
-        changed = False
-        n = len(w)
-        for i in range(n):
-            j = (i + 1) % n
-            if i != j and w[i] == w[j]:
-                w = [w[k] for k in range(n) if k not in (i, j)]
-                changed = True
-                break
-    return len(w) // 2
-
-
-def total_degree(components) -> int:
-    return sum(pole_degree(c) for c in components)
-
-
-def is_essential(components) -> bool:
-    return total_degree(components) > 0
+    stack = []
+    for side in w:
+        if stack and stack[-1] == side:
+            stack.pop()
+        else:
+            stack.append(side)
+    return len(stack) // 2
 
 
 # -- the two-saddle exchange suite ------------------------------------------------

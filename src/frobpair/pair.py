@@ -293,38 +293,6 @@ def _chain(spec, w, *moves) -> LinMap:
 # -- builders ------------------------------------------------------------------
 
 
-def build_aps() -> FrobeniusPair:
-    """The integral pair with A = Z[X]/(X^2), E = <Y, Z>, YZ = X, nu(1) = Y + Z."""
-    decl = ring(INTEGERS)
-    spec = BasisSpec(("1", "X"), ("Y", "Z"), decl)
-    alg = universal_algebra(decl, decl.zero(), decl.zero())
-    maps = _algebra_maps(alg, spec)
-    one = decl.one()
-
-    mu_ae = {("1", e): {(e,): one} for e in ("Y", "Z")}
-    mu_ae.update({("X", e): {} for e in ("Y", "Z")})
-    maps["mu_AE"] = _linmap(spec, word("AE"), word("E"), mu_ae)
-    maps["mu_EA"] = _mirror(maps["mu_AE"])
-    d_ae = {("Y",): {("X", "Y"): one}, ("Z",): {("X", "Z"): one}}
-    maps["Delta_AE"] = _linmap(spec, word("E"), word("AE"), d_ae)
-    maps["Delta_EA"] = _mirror(maps["Delta_AE"])
-    maps["mu_E"] = LinMap.zero(spec, word("EE"), word("E"))
-    maps["Delta_E"] = LinMap.zero(spec, word("E"), word("EE"))
-    maps["mu_EEA"] = _linmap(spec, word("EE"), word("A"), {
-        ("Y", "Z"): {("X",): one}, ("Z", "Y"): {("X",): one},
-        ("Y", "Y"): {}, ("Z", "Z"): {},
-    })
-    maps["Delta_AEE"] = _linmap(spec, word("A"), word("EE"), {
-        ("1",): {("Y", "Z"): one, ("Z", "Y"): one}, ("X",): {},
-    })
-    maps["nu_AE"] = _linmap(spec, word("A"), word("E"),
-                            {("1",): {("Y",): one, ("Z",): one}, ("X",): {}})
-    maps["nu_EA"] = _linmap(spec, word("E"), word("A"),
-                            {("Y",): {("X",): one}, ("Z",): {("X",): one}})
-    maps["nu_EE"] = LinMap.zero(spec, word("E"), word("E"))
-    return FrobeniusPair(decl, spec, maps, name="aps")
-
-
 def build_sqrt(alg: FrobeniusAlgebra, xi: dict, name="sqrt") -> FrobeniusPair:
     """Square-root pair: E = A with all structure maps those of A and every
     Mobius map equal to multiplication by xi, where xi^2 must be the handle
@@ -421,6 +389,23 @@ def build_rank2(p: Rank2Params) -> FrobeniusPair:
     """The rank-2 family table over A = k[X]/((X-a)^2), E = <Y, Z> with trivial
     mu_E and Delta_E; admissibility is not enforced here (see
     check_rank2_constraints)."""
+    pair = _rank2_pair(p, "rank2")
+    pair.notes["rank2_family"] = (
+        "nu_EA(Y) uses e_Y(X-a), not e_Y(X-t); admissibility constraints are"
+        " checked as exact base-ring equalities"
+    )
+    return pair
+
+
+def build_aps() -> FrobeniusPair:
+    """The integral pair with A = Z[X]/(X^2), E = <Y, Z>, YZ = X, nu(1) = Y + Z:
+    the rank-2 family at a = 0 with C = D = [[0,1],[1,0]] and e = f = (1,1)."""
+    return _rank2_pair(Rank2Params.over(ring(INTEGERS), a=0, c_yy=0, c_yz=1, c_zz=0, d_yy=0,
+                                        d_yz=1, d_zz=0, e_y=1, e_z=1, f_y=1, f_z=1), "aps")
+
+
+def _rank2_pair(p: Rank2Params, name) -> FrobeniusPair:
+    """The rank-2 family table at p, under name and with no notes."""
     decl = p.a.ring
     a = p.a
     h, t = a + a, -(a * a)
@@ -431,8 +416,8 @@ def build_rank2(p: Rank2Params) -> FrobeniusPair:
 
     x_minus_a = {("X",): one, ("1",): -a}  # (X - a) as an A-column
 
-    def a_vec(c):
-        return {k: c * v for k, v in x_minus_a.items() if not (c * v).is_zero()}
+    def a_vec(c):  # _linmap drops the zero entries
+        return {k: c * v for k, v in x_minus_a.items()}
 
     mu_ae = {("1", e): {(e,): one} for e in ("Y", "Z")}
     mu_ae.update({("X", e): {(e,): a} for e in ("Y", "Z")})
@@ -457,12 +442,7 @@ def build_rank2(p: Rank2Params) -> FrobeniusPair:
     maps["nu_EA"] = _linmap(spec, word("E"), word("A"),
                             {("Y",): a_vec(p.e_y), ("Z",): a_vec(p.e_z)})
     maps["nu_EE"] = LinMap.zero(spec, word("E"), word("E"))
-    pair = FrobeniusPair(decl, spec, maps, name="rank2")
-    pair.notes["rank2_family"] = (
-        "nu_EA(Y) uses e_Y(X-a), not e_Y(X-t); admissibility constraints are"
-        " checked as exact base-ring equalities"
-    )
-    return pair
+    return FrobeniusPair(decl, spec, maps, name=name)
 
 
 def check_rank2_constraints(p: Rank2Params) -> list:
@@ -714,10 +694,3 @@ def pair_from_json(text) -> FrobeniusPair:
                          unit_label=need(meta, "unit", "$.meta", str, default=spec.basis_a[0]),
                          notes=dict(need(meta, "notes", "$.meta", dict, default={})))
 
-
-BUILTIN_PAIRS = {
-    "aps": build_aps,
-    "tt": build_tt,
-    "it": build_it,
-    "sqrt": build_laurent_sqrt,
-}

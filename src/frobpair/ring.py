@@ -422,8 +422,7 @@ class _Parser:
             return self.ring.const(Fraction(num, den))
         if kind == "name":
             self.take()
-            var = self.ring.var(val)
-            if var is None:
+            if self.ring.var(val) is None:
                 raise RingError(f"unknown variable {val}")
             power = 1
             if self.peek()[:2] == ("op", "^"):
@@ -437,11 +436,7 @@ class _Parser:
                     raise RingError(f"expected integer exponent at position {p2}")
                 self.take()
                 power = sign * self.integer(v2, p2)
-            if power < 0 and not var.invertible:
-                raise RingError(f"negative exponent on non-invertible variable {val}")
-            if power == 0:
-                return self.ring.one()
-            return RingElem(self.ring, {((val, power),): _coerce(self.ring.domain, 1)})
+            return self.ring.gen(val, power)
         if (kind, val) == ("op", "("):
             self.take()
             e = self.expr()

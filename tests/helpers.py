@@ -17,9 +17,11 @@ and homology reports; `product_by_multiplying`, the sparse product that
 `compose` and `act` are checked against; `first_refusal_by_correspondence`,
 the edge-by-edge cube validation that `validate_cube` is checked against; and
 `diamond_by_paths`, the path-by-path exchange suite that
-`diamond_exchange_suite` is checked against; and `square_circles` and
+`diamond_exchange_suite` is checked against; `square_circles` and
 `local_square_key`, forward circle tracking around a square, which the
-local squares of `check_d_squared` are checked against.
+local squares of `check_d_squared` are checked against; and
+`cancel_pole_pairs`, the pass-by-pass cyclic cancellation that
+`pole_degree` is checked against.
 
 And two pieces of the package that only tests use: `cube_to_json`, the cube
 file writer, and `lemma_first_conditions`, the X-action statement that
@@ -77,6 +79,23 @@ def brute_force_pole_degrees(w):
         if not reducible:
             results.add(len(cur) // 2)
     return results
+
+
+def cancel_pole_pairs(w):
+    """Pole degree by cancelling one cyclically-adjacent same-side pair per
+    pass until none remain; the survivor has length 2*degree."""
+    w = list(w)
+    changed = True
+    while changed and w:
+        changed = False
+        n = len(w)
+        for i in range(n):
+            j = (i + 1) % n
+            if i != j and w[i] == w[j]:
+                w = [w[k] for k in range(n) if k not in (i, j)]
+                changed = True
+                break
+    return len(w) // 2
 
 
 def rank_fraction(mat) -> int:

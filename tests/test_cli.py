@@ -1,10 +1,12 @@
+import argparse
 import importlib.resources
 import json
 import random
 
 import pytest
 
-from frobpair.cli import main
+from frobpair.cli import BUILTINS, InputError, _parser, build_builtin, main
+from frobpair.pair import FrobeniusPair
 from frobpair.theory import SIGNATURE
 from helpers import cube_to_json, item_one_cubes, random_cube
 
@@ -426,11 +428,50 @@ def test_verify_unknown_group_exit_two(capsys):
     assert "'nosuch'" in err and all(g in err for g in GROUPS)
 
 
-def test_builtin_names_cover_the_registry():
-    from frobpair.cli import BUILTIN_NAMES
-    from frobpair.pair import BUILTIN_PAIRS
+def test_builtin_choices_are_the_registry():
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {command: [a.choices for a in p._actions if "--builtin" in a.option_strings]
+               for command, p in sub.choices.items()}
+    assert {command for command, c in choices.items() if c} == \
+        {"verify", "construct", "eval", "diamond", "cube"}
+    for command, found in choices.items():
+        assert all(list(c) == list(BUILTINS) for c in found), command
 
-    assert set(BUILTIN_NAMES) == set(BUILTIN_PAIRS) | {"rank2", "double"}
+
+def test_every_builtin_builds_with_its_defaults():
+    for name in BUILTINS:
+        pair = build_builtin(name, {})
+        assert isinstance(pair, FrobeniusPair)
+        assert pair.name in (name, "laurent-sqrt")
+
+
+def test_unknown_key_lists_exactly_the_entry_keys():
+    for name, (keys, _builder) in BUILTINS.items():
+        with pytest.raises(InputError) as exc:
+            build_builtin(name, {"zz": "1"})
+        head, _, listed = str(exc.value).partition(f": {name} takes ")
+        assert head == f"unknown {name} parameter 'zz'"
+        assert listed.split(", ") == list(keys) if keys else listed == "no parameters"
+
+
+@pytest.mark.parametrize("name,params,strict,message", [
+    ("aps", {"a": "5"}, True, "--strict-partial applies to --builtin it, not to aps"),
+    ("nosuch", {"a": "1"}, True, "--strict-partial applies to --builtin it, not to nosuch"),
+    ("nosuch", {"a": "1"}, False, "unknown nosuch parameter 'a': nosuch takes no parameters"),
+    ("rank2", {"a": "x", "zz": "1"}, False, "unknown rank2 parameter 'zz': rank2 takes a, "
+     "cYY, cYZ, cZZ, dYY, dYZ, dZZ, eY, eZ, fY, fZ"),
+    ("rank2", {"cYY": "1", "a": "x", "fZ": "y"}, False, "rank2 parameter a must be an integer"),
+    ("double", {"algebra": "foo", "e0": "y"}, False, "double parameter e0 must be an integer"),
+    ("double", {"nu2": "q", "e1": "w"}, False, "double parameter e1 must be an integer"),
+    ("double", {"algebra": "foo"}, False, "unknown double algebra 'foo' (use q1 or z2h1)"),
+    ("nosuch", {}, False, "unknown builtin 'nosuch'"),
+], ids=["strict_before_key", "strict_before_name", "key_before_name", "key_before_value",
+        "rank2_value", "double_value_before_algebra", "double_values_in_key_order",
+        "double_algebra", "name"])
+def test_builtin_refusals_in_order(name, params, strict, message):
+    with pytest.raises(InputError) as exc:
+        build_builtin(name, params, strict_partial=strict)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("text,message", [

@@ -10,16 +10,14 @@ from frobpair.cobordism import (
     death,
     diamond_exchange_suite,
     evaluate,
-    is_essential,
     merge,
     mobius,
     parse_cobordism,
     pole_degree,
     split,
     swap,
-    total_degree,
 )
-from frobpair.cli import build_builtin
+from frobpair.cli import build_builtin, main
 from frobpair.pair import (
     FrobeniusPair,
     Rank2Params,
@@ -214,7 +212,8 @@ def test_pole_degree_odd_rejected():
         pole_degree("LLR")
 
 
-from helpers import brute_force_pole_degrees as brute_force_degrees, diamond_by_paths
+from helpers import brute_force_pole_degrees as brute_force_degrees, cancel_pole_pairs, \
+    diamond_by_paths
 
 
 def test_pole_degree_confluence_up_to_8():
@@ -236,11 +235,27 @@ def test_pole_degree_rotation_and_insertion_invariance():
         assert pole_degree(w[:i] + [side, side] + w[i:]) == d
 
 
-def test_total_degree_and_essential():
-    assert total_degree(["LR", "LL"]) == 1
-    assert is_essential(["LR", "LL"])
-    assert total_degree(["", ""]) == 0
-    assert not is_essential(["", ""])
+def test_pole_degree_matches_cancellation_oracle():
+    # every even word of up to 14 letters: 21,845 words
+    for n in range(0, 15, 2):
+        for w in itertools.product("LR", repeat=n):
+            assert pole_degree(w) == cancel_pole_pairs(w), w
+
+
+def test_pole_degree_long_word():
+    # 4,000 alternating pairs; 1,500 "RL" cancel the last 1,500 of them,
+    # and the same-side pairs cancel among themselves
+    w = "LR" * 4000 + "LL" * 3000 + "RL" * 1500 + "RR" * 1500
+    assert len(w) == 20000
+    assert pole_degree(w) == pole_degree(w[7:] + w[:7]) == 2500
+
+
+def test_degree_total_and_essential(capsys):
+    assert [pole_degree(w) for w in ("LR", "LL")] == [1, 0]
+    assert main(["degree", "LR", "LL"]) == 0
+    assert capsys.readouterr().out == "1 0 total=1 essential\n"
+    assert main(["degree", "", ""]) == 0
+    assert capsys.readouterr().out == "0 0 total=0 inessential\n"
     assert pole_degree("LRRL") == 0
 
 

@@ -1,10 +1,10 @@
+import importlib.resources
 import random
 from fractions import Fraction
 
 import pytest
 
 from frobpair.pair import (
-    BUILTIN_PAIRS,
     DOUBLE_EXPONENTS,
     DOUBLE_SEARCH_EQUATIONS,
     FrobeniusPair,
@@ -200,8 +200,10 @@ def test_it_strict_partial_skips():
 
 
 def test_rank2_aps_parameters_reproduce_aps():
+    # against the shipped file, since build_aps is the same construction
     pair = build_rank2(Rank2Params.over(Z, **APS_PARAMS))
-    aps = build_aps()
+    aps = pair_from_json(importlib.resources.files("frobpair").joinpath("data/aps.json")
+                         .read_text())
     assert set(pair.maps) == set(aps.maps)
     for name in aps.maps:
         assert equal(pair.maps[name], aps.maps[name])[0], name
@@ -551,8 +553,3 @@ def test_load_partial_pair_verifies_restricted():
         assert (r.status == "skip") == mentions_nu
         if r.status == "skip":
             assert set(r.missing) <= nus
-
-
-def test_builtin_registry():
-    for name, builder in BUILTIN_PAIRS.items():
-        assert builder().name in (name, "laurent-sqrt")
