@@ -9,11 +9,12 @@ Frobenius pair to the circles it touches; the other circles pass through.
 
 from __future__ import annotations
 
+import importlib.resources
+import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
 
-from .tensor import MAX_CIRCLES, SORTS, LinMap, act, compose, equal, word
+from .tensor import MAX_CIRCLES, LinMap, act, compose, equal, word
 from .pair import VerifyRecord, VerifyReport
 
 class CobordismError(ValueError):
@@ -119,13 +120,6 @@ def _read(current, event):
     dst = tuple(range(p, p + len(event.sorts)))
     gen, w, _provenance = interpret(current, event.kind, src, dst, event.sorts)
     return gen, src, dst, w
-
-
-def step(current, event):
-    """Apply one event to a running word; returns (generator, new word), the
-    generator None for a swap, which only reorders circles."""
-    gen, _src, _dst, w = _read(tuple(current), event)
-    return gen, w
 
 
 def _capped(w):
@@ -269,7 +263,8 @@ def pole_degree(w) -> int:
 # fixes the number of circles at the bottom vertex and the four edges as
 # position-level saddle templates ("merge"/"split"/"cross" plus bookkeeping
 # swaps); the sort labelling of every circle at every vertex is enumerated
-# mechanically from the generator signature.  A "cross" is a saddle taking a
+# mechanically from the generator signature by tests/diamonds.py, which ships
+# the labelled squares as data/diamonds.json.  A "cross" is a saddle taking a
 # connected circle to a connected circle: it can only be labelled by a nu
 # generator, which enforces that at least one side is essential.
 
@@ -302,59 +297,6 @@ DIAMOND_CASES = [
     ("case13_self_far_bridge", 3,
      [("split", 1)], [("merge", 3)], [("merge", 2)], [("split", 1)]),
 ]
-
-
-def _edge_labelings(w, steps):
-    """All (events, out_word) pairs realizing the position templates on w."""
-    options = [([], tuple(w))]
-    for kind, pos in steps:
-        nxt = []
-        for events, cur in options:
-            if kind == "swap":
-                labelled = [swap(pos)]
-            else:
-                move = "mobius" if kind == "cross" else kind
-                arity, table = MOVES[move]
-                labelled = [Event(move, pos, key[arity:]) for key in sorted(table)
-                            if key[:arity] == cur[pos - 1:pos - 1 + arity]]
-            nxt.extend((events + [ev], step(cur, ev)[1]) for ev in labelled)
-        options = nxt
-    return options
-
-
-#: move kind -> the kind of the same move read upside down
-REVERSED = {"merge": "split", "split": "merge", "mobius": "mobius"}
-
-
-def _reverse_events(start, events):
-    """The upside-down edge of events on start, from their end back to start:
-    each move read in the other direction, writing the sorts it consumed."""
-    words = CobordismWord(start, events).words
-    return [ev if ev.kind == "swap" else
-            Event(REVERSED[ev.kind], ev.pos, before[ev.pos - 1:ev.pos - 1 + MOVES[ev.kind][0]])
-            for ev, before in zip(reversed(events), reversed(words[:-1]))]
-
-
-def _labelled_squares(cases):
-    """(record name, path, other path) for both directions of every
-    signature-legal labelling of every case.  A path is its two edges in the
-    order they apply, each a (start word, events) pair."""
-    for name, n0, v_a, w_b, w_a, v_c in cases:
-        for a_word in product(SORTS, repeat=n0):
-            for v_events, b_word in _edge_labelings(a_word, v_a):
-                for w_events, d_word in _edge_labelings(b_word, w_b):
-                    for w2_events, c_word in _edge_labelings(a_word, w_a):
-                        for v2_events, d2_word in _edge_labelings(c_word, v_c):
-                            if d_word != d2_word:
-                                continue
-                            label = f"{name}[{''.join(a_word)}>{''.join(b_word)}|" \
-                                f"{''.join(c_word)}>{''.join(d_word)}]"
-                            v, w = (a_word, tuple(v_events)), (b_word, tuple(w_events))
-                            w2, v2 = (a_word, tuple(w2_events)), (c_word, tuple(v2_events))
-                            rev_v = (b_word, tuple(_reverse_events(a_word, v_events)))
-                            rev_v2 = (d_word, tuple(_reverse_events(c_word, v2_events)))
-                            yield f"{label}/bottom", (v, w), (w2, v2)
-                            yield f"{label}/side", (rev_v, w2), (w, rev_v2)
 
 
 def _held(memo, uses, key, make):
@@ -401,23 +343,34 @@ def diamond_exchange_suite(pair, cases=None) -> VerifyReport:
     the two saddle orders around the square, in both directions:
     bottom paths A->B->D vs A->C->D and side paths B->A->C vs B->D->C.
 
-    Each path is the composite of its two edges, compared by compare_squares:
-    the 230 labellings of DIAMOND_CASES give 460 squares with 920 paths, but
-    only 363 distinct paths over 173 distinct edges.  Squares are reported in their own
+    The squares of cases (all of DIAMOND_CASES by default) are read from
+    data/diamonds.json: the 230 labellings give 460 squares with 920 paths,
+    but only 363 distinct paths over 173 distinct edges.  Each edge is one
+    move, its swaps folded into its slots, and acts once on the identity;
+    compare_squares composes the paths.  Squares are reported in their own
     order.  Every edge is checked against the pair first, in the order the
-    squares meet them, so a missing generator is reported as the first one met.
+    squares meet them, so a missing generator or an over-wide running word is
+    reported as the first one met.
     """
     if cases is None:
         cases = DIAMOND_CASES
-    squares = list(_labelled_squares(cases))
-    # edges go to compare_squares as numbers, which hash far faster than events
-    number = {}  # (start word, events) -> its number, in the order the squares meet them
-    numbered = [tuple(tuple(number.setdefault(edge, len(number)) for edge in path)
-                      for path in paths) for _name, *paths in squares]
-    words = [CobordismWord(*edge) for edge in number]
-    for cob in words:
-        _table_for(cob, pair)
-    verdicts = compare_squares(numbered, lambda e: evaluate(words[e], pair))
+    names = {case[0] for case in cases}
+    data = json.loads(importlib.resources.files("frobpair").joinpath("data/diamonds.json")
+                      .read_text())
+    squares = [(name, four) for name, four in data["squares"]
+               if name[:name.index("[")] in names]
+    number = {}  # shipped edge number -> its number here, in the order the squares meet them
+    numbered = [tuple(tuple(number.setdefault(e, len(number)) for e in path)
+                      for path in (four[:2], four[2:])) for _name, four in squares]
+    edges = [data["edges"][e] for e in number]
+    for edge in edges:
+        for w in edge["words"]:
+            pair.spec.check_dim(w)
+        table_with(pair, (edge["gen"],))
+    table = pair.generator_table()
+    verdicts = compare_squares(numbered, lambda e: act(
+        LinMap.identity(pair.spec, word(edges[e]["words"][0])), table[edges[e]["gen"]],
+        edges[e]["src"], edges[e]["dst"]))
     records = [VerifyRecord(name, "diamond", "paper", "pass" if ok else "fail", witness=witness)
-               for (name, *_paths), (ok, witness) in zip(squares, verdicts)]
+               for (name, _four), (ok, witness) in zip(squares, verdicts)]
     return VerifyReport(pair.name, records, meta={"cases": len(cases)})

@@ -74,6 +74,19 @@ class StateCube:
                                     f"vertex has {''.join(target)}")
         return key, moves
 
+    @cached_property
+    def squares(self):
+        """{square of edge numbers: its first (b, k, l)} in scan order, b flipping
+        bits k < l; a square is ((edge b/k, then l), (edge b/l, then k)).
+        validate_cube enumerates them once, and check_d_squared reads them."""
+        key = self.numbered_edges[0]
+        squares = {}
+        for b in _bits(self.n):
+            for k, l in itertools.combinations([k for k in range(self.n) if b[k] == "0"], 2):
+                square = ((key[b, k], key[_flip(b, k), l]), (key[b, l], key[_flip(b, l), k]))
+                squares.setdefault(square, (b, k, l))
+        return squares
+
 
 def _bits(n):
     return [format(v, f"0{n}b") if n else "" for v in range(2 ** n)]
@@ -97,18 +110,6 @@ def _interpret(w_in, move):
     return gen, src, dst, w_out, provenance
 
 
-def _squares(cube: StateCube):
-    """{square of edge numbers: its first (b, k, l)} in scan order, b flipping
-    bits k < l; a square is ((edge b/k, then l), (edge b/l, then k))."""
-    key = cube.numbered_edges[0]
-    squares = {}
-    for b in _bits(cube.n):
-        for k, l in itertools.combinations([k for k in range(cube.n) if b[k] == "0"], 2):
-            square = ((key[b, k], key[_flip(b, k), l]), (key[b, l], key[_flip(b, l), k]))
-            squares.setdefault(square, (b, k, l))
-    return squares
-
-
 def validate_cube(cube: StateCube):
     """Check the cube invariants; raises CubeError on the first violation."""
     for b in _bits(cube.n):
@@ -119,7 +120,7 @@ def validate_cube(cube: StateCube):
     # flips must allow a common source set at every far-corner position (the
     # per-path provenance over-approximates the true one, so disjointness
     # certifies incompatibility)
-    for square, (b, k, l) in _squares(cube).items():
+    for square, (b, k, l) in cube.squares.items():
         one, two = ([{p for q in sources for p in moves[first][5][q]}
                      for sources in moves[second][5]] for first, second in square)
         if any(not (s & t) for s, t in zip(one, two)):
@@ -224,7 +225,7 @@ def check_d_squared(cube: StateCube, pair: FrobeniusPair):
     at its first label.  A missing generator is the first in square_order,
     as comparing the cube's whole squares would meet it.
     """
-    moves, squares = cube.numbered_edges[1], _squares(cube)
+    moves, squares = cube.numbered_edges[1], cube.squares
     full, verdicts = list(squares), pair.square_verdicts
     table = table_with(pair, (moves[e][1] for s in square_order(full) for path in full[s]
                               for e in path), CubeError)

@@ -408,7 +408,11 @@ def _rank2_pair(p: Rank2Params, name) -> FrobeniusPair:
     """The rank-2 family table at p, under name and with no notes."""
     decl = p.a.ring
     a = p.a
-    h, t = a + a, -(a * a)
+
+    def times(x, y):  # _linmap drops the zero entries, so a zero factor skips the product
+        return x if x.is_zero() else y if y.is_zero() else x * y
+
+    h, t = a + a, -times(a, a)
     alg = universal_algebra(decl, h, t)
     spec = BasisSpec(("1", "X"), ("Y", "Z"), decl)
     maps = _algebra_maps(alg, spec)
@@ -416,8 +420,8 @@ def _rank2_pair(p: Rank2Params, name) -> FrobeniusPair:
 
     x_minus_a = {("X",): one, ("1",): -a}  # (X - a) as an A-column
 
-    def a_vec(c):  # _linmap drops the zero entries
-        return {k: c * v for k, v in x_minus_a.items()}
+    def a_vec(c):
+        return {k: times(c, v) for k, v in x_minus_a.items()}
 
     mu_ae = {("1", e): {(e,): one} for e in ("Y", "Z")}
     mu_ae.update({("X", e): {(e,): a} for e in ("Y", "Z")})
@@ -431,13 +435,13 @@ def _rank2_pair(p: Rank2Params, name) -> FrobeniusPair:
     maps["Delta_EA"] = _mirror(maps["Delta_AE"])
     d1 = {("Y", "Y"): p.d_yy, ("Y", "Z"): p.d_yz, ("Z", "Y"): p.d_yz, ("Z", "Z"): p.d_zz}
     maps["Delta_AEE"] = _linmap(spec, word("A"), word("EE"), {
-        ("1",): d1, ("X",): {k: a * v for k, v in d1.items()},
+        ("1",): d1, ("X",): {k: times(a, v) for k, v in d1.items()},
     })
     maps["mu_E"] = LinMap.zero(spec, word("EE"), word("E"))
     maps["Delta_E"] = LinMap.zero(spec, word("E"), word("EE"))
     nu1 = {("Y",): p.f_y, ("Z",): p.f_z}
     maps["nu_AE"] = _linmap(spec, word("A"), word("E"), {
-        ("1",): nu1, ("X",): {k: a * v for k, v in nu1.items()},
+        ("1",): nu1, ("X",): {k: times(a, v) for k, v in nu1.items()},
     })
     maps["nu_EA"] = _linmap(spec, word("E"), word("A"),
                             {("Y",): a_vec(p.e_y), ("Z",): a_vec(p.e_z)})

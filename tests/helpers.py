@@ -36,15 +36,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from frobpair.cobordism import (
-    DIAMOND_CASES,
-    MERGE_GEN,
-    SPLIT_GEN,
-    CobordismWord,
-    _edge_labelings,
-    _reverse_events,
-    evaluate,
-)
+from frobpair.cobordism import DIAMOND_CASES, MERGE_GEN, SPLIT_GEN, CobordismWord, evaluate
 from frobpair.cube import (CubeError, EdgeMove, StateCube, _bits, cube_from_json, differential,
                            validate_cube)
 from frobpair.pair import (
@@ -55,6 +47,8 @@ from frobpair.pair import (
 )
 from frobpair.tensor import equal, sparse_product
 from frobpair.theory import evaluate_term, load_axioms
+
+from diamonds import edge_labelings, reverse_events
 
 
 def brute_force_pole_degrees(w):
@@ -231,10 +225,10 @@ def diamond_by_paths(pair, cases=DIAMOND_CASES) -> list:
     records = []
     for name, n0, v_a, w_b, w_a, v_c in cases:
         for a_word in itertools.product("AE", repeat=n0):
-            for v_events, b_word in _edge_labelings(a_word, v_a):
-                for w_events, d_word in _edge_labelings(b_word, w_b):
-                    for w2_events, c_word in _edge_labelings(a_word, w_a):
-                        for v2_events, d2_word in _edge_labelings(c_word, v_c):
+            for v_events, b_word in edge_labelings(a_word, v_a):
+                for w_events, d_word in edge_labelings(b_word, w_b):
+                    for w2_events, c_word in edge_labelings(a_word, w_a):
+                        for v2_events, d2_word in edge_labelings(c_word, v_c):
                             if d_word != d2_word:
                                 continue
                             label = "".join(a_word) + ">" + "".join(b_word) + "|" + \
@@ -242,9 +236,9 @@ def diamond_by_paths(pair, cases=DIAMOND_CASES) -> list:
                             abd = CobordismWord(a_word, v_events + w_events)
                             acd = CobordismWord(a_word, w2_events + v2_events)
                             bac = CobordismWord(
-                                b_word, _reverse_events(a_word, v_events) + w2_events)
+                                b_word, reverse_events(a_word, v_events) + w2_events)
                             bdc = CobordismWord(
-                                b_word, w_events + _reverse_events(c_word, v2_events))
+                                b_word, w_events + reverse_events(c_word, v2_events))
                             for which, lhs, rhs in (("bottom", abd, acd), ("side", bac, bdc)):
                                 ok, witness = equal(evaluate(lhs, pair), evaluate(rhs, pair))
                                 records.append(VerifyRecord(

@@ -1,9 +1,13 @@
+import importlib.resources
 import itertools
+import json
 import random
+from collections import Counter
 
 import pytest
 
 from frobpair.cobordism import (
+    DIAMOND_CASES,
     CobordismError,
     CobordismWord,
     birth,
@@ -30,9 +34,11 @@ from frobpair.pair import (
     universal_algebra,
     _algebra_maps,
 )
-from frobpair.tensor import MAX_CIRCLES
 from frobpair.ring import INTEGERS, MOD2, ring
-from frobpair.tensor import BasisSpec, LinMap, compose, equal, word
+from frobpair.tensor import (MAX_CIRCLES, MAX_TUPLES, BasisSpec, LinMap, TensorError, act, compose,
+                             equal, word)
+from frobpair.theory import SIGNATURE
+from diamonds import build_diamonds, labelled_squares, numbered_squares, step
 
 
 def universal_pair():
@@ -129,8 +135,6 @@ def test_functoriality_on_random_words():
 
 
 def random_events(rng, w, n):
-    from frobpair.cobordism import step
-
     events = []
     current = w
     for _ in range(n):
@@ -261,6 +265,8 @@ def test_degree_total_and_essential(capsys):
 
 # -- diamond suite ---------------------------------------------------------------
 
+DIAMOND_CASE1 = [c for c in DIAMOND_CASES if c[0] == "case01_one_circle_linked"]
+
 
 def test_diamond_passes_for_aps_and_fails_for_it():
     assert diamond_exchange_suite(build_aps()).ok()
@@ -305,26 +311,101 @@ def test_diamond_matches_path_oracle(build):
     assert len(got) == 460
 
 
-def test_diamond_evaluates_each_edge_once(monkeypatch):
+def shipped_diamonds_text():
+    return importlib.resources.files("frobpair").joinpath("data/diamonds.json").read_text()
+
+
+def shipped_diamonds():
+    return json.loads(shipped_diamonds_text())
+
+
+def test_diamonds_file_is_frozen():
+    # golden gate: the shipped suite is exactly what the generator produces
+    shipped = shipped_diamonds_text()
+    assert shipped == build_diamonds()
+    data = json.loads(shipped)
+    assert data["cases"] == [case[0] for case in DIAMOND_CASES]
+    assert (len(data["edges"]), len(data["squares"])) == (173, 460)
+
+
+@pytest.mark.parametrize("cases", [DIAMOND_CASES[:1], DIAMOND_CASE1, DIAMOND_CASES[9:],
+                                   DIAMOND_CASES[12:] + DIAMOND_CASES[:2]],
+                         ids=["first", "case1_by_name", "last_four", "out_of_order"])
+def test_diamond_cases_select_their_records_in_generator_order(cases):
+    names = {case[0] for case in cases}
+    want = [name for name, *_paths in labelled_squares(DIAMOND_CASES)
+            if name.split("[")[0] in names]
+    report = diamond_exchange_suite(build_aps(), cases=cases)
+    assert [r.name for r in report.records] == want
+    assert report.meta == {"cases": len(cases)}
+
+
+def test_diamond_edges_act_as_their_event_words():
+    # folding an edge's swaps into its slots leaves its map unchanged
+    edges = numbered_squares()[0]
+    shipped = shipped_diamonds()["edges"]
+    for pair in (build_aps(), build_builtin("double", {})):
+        table = pair.generator_table()
+        for (start, events), e in zip(edges, shipped, strict=True):
+            got = act(LinMap.identity(pair.spec, word(e["words"][0])), table[e["gen"]],
+                      e["src"], e["dst"])
+            want = evaluate(CobordismWord(start, events), pair)
+            assert equal(got, want)[0], events
+
+
+def test_diamond_edges_keep_their_running_words():
+    edges = numbered_squares()[0]
+    for (start, events), e in zip(edges, shipped_diamonds()["edges"], strict=True):
+        assert e["words"] == ["".join(w) for w in CobordismWord(start, events).words]
+
+
+def wide_pair(n_a, n_e):
+    """Zero maps on n_a A labels and n_e E labels: the diamond edges refuse a
+    word before any map acts."""
+    decl = ring(INTEGERS)
+    spec = BasisSpec(tuple(f"a{k}" for k in range(n_a)), tuple(f"e{k}" for k in range(n_e)), decl)
+    return FrobeniusPair(decl, spec, {g: LinMap.zero(spec, dom, cod) for g, (dom, cod)
+                                      in SIGNATURE.items() if g not in ("eta", "beta", "gamma")},
+                         name="wide")
+
+
+@pytest.mark.parametrize("n_a,n_e,cases,named", [
+    (2, 257, None, "EE spans 66049"),
+    (2, 257, DIAMOND_CASES[2:3], "AEE spans 132098"),
+    (257, 2, None, "AA spans 66049"),
+    (16, 41, DIAMOND_CASES[11:12], "AAAE spans 167936"),
+], ids=["two_e", "case03_three_circles", "two_a", "case12_four_circles"])
+def test_diamond_refuses_the_first_wide_word_met(n_a, n_e, cases, named):
+    # the texts of evaluating every edge's events in the order the squares meet them
+    with pytest.raises(TensorError, match=f"^the word {named} basis tuples, "
+                                          f"over the limit of {MAX_TUPLES}$"):
+        diamond_exchange_suite(wide_pair(n_a, n_e), cases)
+
+
+def test_diamond_acts_once_per_edge(monkeypatch):
+    # each of the 173 shipped edges acts once on the identity, under the
+    # generator and slots it ships with
     import frobpair.cobordism as cob_mod
 
-    keys = []
-    real = cob_mod.evaluate
-    monkeypatch.setattr(cob_mod, "evaluate",
-                        lambda cob, pair: keys.append((cob.input, tuple(cob.events)))
-                        or real(cob, pair))
     pair = build_aps()
+    gen_name = {id(m): g for g, m in pair.generator_table().items()}
+    shipped = Counter((tuple(e["words"][0]), e["gen"], tuple(e["src"]), tuple(e["dst"]))
+                      for e in shipped_diamonds()["edges"])
+    calls = []
+    real = cob_mod.act
+    monkeypatch.setattr(cob_mod, "act", lambda f, gen, src, dst: calls.append(
+        (f.dom, gen_name[id(gen)], tuple(src), tuple(dst))) or real(f, gen, src, dst))
     for _ in range(2):  # the memo lives for one call
-        keys.clear()
+        calls.clear()
         diamond_exchange_suite(pair)
-        assert len(keys) == len(set(keys)) == 173
+        assert len(calls) == 173 and Counter(calls) == shipped
 
 
 def test_diamond_composes_each_path_once(monkeypatch):
     # the 460 squares compare 920 paths, of which 363 are distinct
     import frobpair.cobordism as cob_mod
 
-    squares = list(cob_mod._labelled_squares(cob_mod.DIAMOND_CASES))
+    squares = list(labelled_squares(DIAMOND_CASES))
     paths = [path for _name, *two in squares for path in two]
     assert (len(squares), len(paths), len(set(paths))) == (460, 920, 363)
     calls = []
@@ -361,7 +442,6 @@ def test_diamond_products_by_one_are_skipped(monkeypatch):
     # act and compose pass the other operand through when an entry is 1, so no
     # product of the double suite over all 13 cases has an operand equal to 1;
     # each distinct path is composed once, so the count is exact
-    from frobpair.cobordism import DIAMOND_CASES
     from frobpair.ring import RingElem
 
     pair = build_builtin("double", {})
@@ -393,10 +473,6 @@ def test_parse_reads_each_event_once(monkeypatch):
 def test_parse_illegal_event_names_its_line(text, message):
     with pytest.raises(CobordismError, match=f"^{message}"):
         parse_cobordism(text)
-
-
-DIAMOND_CASE1 = [c for c in __import__("frobpair.cobordism", fromlist=["DIAMOND_CASES"]).DIAMOND_CASES
-                 if c[0] == "case01_one_circle_linked"]
 
 
 def test_parse_circle_limit():

@@ -18,7 +18,6 @@ from frobpair.cobordism import (
     MOBIUS_GEN,
     SPLIT_GEN,
     CobordismWord,
-    _labelled_squares,
     evaluate,
     parse_cobordism,
 )
@@ -26,6 +25,7 @@ from frobpair.cube import edge_map
 from frobpair.pair import build_aps, build_it, build_tt, verify
 from frobpair.theory import SIGNATURE, evaluate_term, load_axioms, typecheck
 
+from diamonds import labelled_squares
 from helpers import random_cube
 
 
@@ -154,7 +154,7 @@ def naive_run(cob, pair, columns, start):
 
 def diamond_words(cases):
     """The four cobordism words of every square the exchange suite compares."""
-    for _name, *paths in _labelled_squares(cases):
+    for _name, *paths in labelled_squares(cases):
         for (start, first), (_middle, second) in paths:
             yield CobordismWord(start, first + second)
 

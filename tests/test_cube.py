@@ -208,6 +208,22 @@ def test_load_interprets_each_edge_once(monkeypatch):
     assert len(distinct) < len(cube.edges)  # the n = 5 cube repeats some (word, move)
 
 
+def test_load_enumerates_the_squares_once(monkeypatch):
+    # validation fills the cube's squares and d^2 reads them; a cube built
+    # directly enumerates them on first use
+    import frobpair.cube as cube_mod
+
+    made = random_cube(random.Random(5), n=5, max_circles=8)
+    direct = StateCube(made.n, made.vertices, made.edges)
+    assert "squares" not in vars(direct)
+    cube = cube_from_json(cube_to_json(made))
+    squares = vars(cube)["squares"]
+    assert direct.squares == squares and len(squares) > 40
+    monkeypatch.setattr(cube_mod, "_bits", lambda n: pytest.fail("squares enumerated again"))
+    assert check_d_squared(cube, build_aps()) == (True, None)
+    assert cube.squares is squares
+
+
 def test_edge_errors_name_the_edge():
     cube = StateCube(1, {"0": ("A",), "1": ("A", "E")},
                      {("0", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "E"))})
