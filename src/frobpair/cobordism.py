@@ -307,21 +307,23 @@ def _held(memo, uses, key, make):
     return memo[key] if uses[key] else memo.pop(key)
 
 
-def compare_squares(squares, edge_map) -> list:
+def compare_squares(squares, table, spec) -> list:
     """tensor.equal's (ok, witness) for each square, in list order.  A square
-    is two paths, a path is two edge keys in the order they apply, and
-    edge_map(key) makes the LinMap of an edge.
+    is two paths, a path is two moves in the order they apply, and a move is
+    (word, generator, source slots, output slots): the generator, from table,
+    acts on the identity of the word at those slots.
 
-    Each distinct edge and each distinct path is made once and dropped after
+    Each distinct move and each distinct path is made once and dropped after
     its last use.  Squares are compared in square_order.
     """
     path_uses = Counter(path for square in squares for path in square)
-    edge_uses = Counter(edge for path in path_uses for edge in path)
-    edges, paths = {}, {}
+    move_uses = Counter(move for path in path_uses for move in path)
+    moves, paths = {}, {}
 
     def path_map(path):
         def make():
-            m1, m2 = (_held(edges, edge_uses, edge, lambda: edge_map(edge)) for edge in path)
+            m1, m2 = (_held(moves, move_uses, (w, gen, src, dst), lambda: act(
+                LinMap.identity(spec, w), table[gen], src, dst)) for w, gen, src, dst in path)
             return compose(m2, m1)
         return _held(paths, path_uses, path, make)
 
@@ -344,13 +346,13 @@ def diamond_exchange_suite(pair, cases=None) -> VerifyReport:
     bottom paths A->B->D vs A->C->D and side paths B->A->C vs B->D->C.
 
     The squares of cases (all of DIAMOND_CASES by default) are read from
-    data/diamonds.json: the 230 labellings give 460 squares with 920 paths,
-    but only 363 distinct paths over 173 distinct edges.  Each edge is one
-    move, its swaps folded into its slots, and acts once on the identity;
-    compare_squares composes the paths.  Squares are reported in their own
-    order.  Every edge is checked against the pair first, in the order the
-    squares meet them, so a missing generator or an over-wide running word is
-    reported as the first one met.
+    data/diamonds.json: the 230 labellings give 460 squares with 920 paths.
+    Each shipped edge is one move, its swaps folded into its slots, and
+    compare_squares takes the squares by value: it acts each of the 153
+    distinct moves once and composes each of the 350 distinct paths once.
+    Squares are reported in their own order.  Every shipped edge is checked
+    against the pair first, in the order the squares meet them, so a missing
+    generator or an over-wide running word is reported as the first one met.
     """
     if cases is None:
         cases = DIAMOND_CASES
@@ -359,18 +361,16 @@ def diamond_exchange_suite(pair, cases=None) -> VerifyReport:
                       .read_text())
     squares = [(name, four) for name, four in data["squares"]
                if name[:name.index("[")] in names]
-    number = {}  # shipped edge number -> its number here, in the order the squares meet them
-    numbered = [tuple(tuple(number.setdefault(e, len(number)) for e in path)
-                      for path in (four[:2], four[2:])) for _name, four in squares]
-    edges = [data["edges"][e] for e in number]
-    for edge in edges:
+    for e in dict.fromkeys(e for _name, four in squares for e in four):
+        edge = data["edges"][e]
         for w in edge["words"]:
             pair.spec.check_dim(w)
         table_with(pair, (edge["gen"],))
-    table = pair.generator_table()
-    verdicts = compare_squares(numbered, lambda e: act(
-        LinMap.identity(pair.spec, word(edges[e]["words"][0])), table[edges[e]["gen"]],
-        edges[e]["src"], edges[e]["dst"]))
+    moves = [(word(edge["words"][0]), edge["gen"], tuple(edge["src"]), tuple(edge["dst"]))
+             for edge in data["edges"]]
+    verdicts = compare_squares([((moves[a], moves[b]), (moves[c], moves[d]))
+                                for _name, (a, b, c, d) in squares],
+                               pair.generator_table(), pair.spec)
     records = [VerifyRecord(name, "diamond", "paper", "pass" if ok else "fail", witness=witness)
                for (name, _four), (ok, witness) in zip(squares, verdicts)]
     return VerifyReport(pair.name, records, meta={"cases": len(cases)})

@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .cobordism import (MOVES, CobordismError, compare_squares, interpret, square_order,
@@ -219,11 +218,11 @@ def check_d_squared(cube: StateCube, pair: FrobeniusPair):
     a circle to two far slots.  So on every cube it accepts, a square's
     verdict is that of its local square (`_local_square`), which depends on
     the pair only: `pair.square_verdicts` keeps it, and compare_squares
-    compares each local square the table lacks.  The witness (b, k, l, t) is
-    the first failing square, at b flipping bits k < l, and the lex-first
-    tuple t where its paths differ: the local witness with every other circle
-    at its first label.  A missing generator is the first in square_order,
-    as comparing the cube's whole squares would meet it.
+    compares each local square the table lacks, its edges already moves.  The
+    witness (b, k, l, t) is the first failing square, at b flipping bits
+    k < l, and the lex-first tuple t where its paths differ: the local witness
+    with every other circle at its first label.  A missing generator is the
+    first in square_order, as comparing the cube's whole squares would meet it.
     """
     moves, squares = cube.numbered_edges[1], cube.squares
     full, verdicts = list(squares), pair.square_verdicts
@@ -231,8 +230,7 @@ def check_d_squared(cube: StateCube, pair: FrobeniusPair):
                               for e in path), CubeError)
     local = [_local_square(moves, square) for square in full]
     new = list(dict.fromkeys(square for _slots, square in local if square not in verdicts))
-    verdicts.update(zip(new, compare_squares(new, lambda e: act(
-        LinMap.identity(pair.spec, e[0]), table[e[1]], e[2], e[3]))))
+    verdicts.update(zip(new, compare_squares(new, table, pair.spec)))
     for (slots, square), (b, k, l) in zip(local, squares.values()):
         ok, witness = verdicts[square]
         if not ok:
@@ -255,15 +253,24 @@ def specialize_pair(pair: FrobeniusPair, assignment) -> FrobeniusPair:
 
 def sparse_rank_fraction(rows) -> int:
     """Rank over Q of sparse rows ({col: int or Fraction} dicts).  Clearing
-    each row's denominators keeps the rank, so the +-1 pivots go in integer
-    arithmetic; any residual is finished over Q, every nonzero a unit."""
+    each row's denominators keeps the rank, and the rank over Q of integer
+    rows is their rank over Z, so `_integer_rank` finishes them."""
     cleared = []
     for row in rows:
         scale = math.lcm(*(x.denominator for x in row.values()))
         cleared.append({c: x.numerator * scale // x.denominator for c, x in row.items()})
-    count, residual = _unit_pivots(cleared)
-    rest = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in residual]
-    return count + (_unit_pivots(rest, bool)[0] if any(rest) else 0)
+    return _integer_rank(cleared)[0]
+
+
+def _integer_rank(rows):
+    """(rank, invariant factors > 1) over Z of sparse integer rows, changed in
+    place: the +-1 pivots (`_unit_pivots`) and the Smith normal form of the
+    residual, whose nonzero diagonal entries add to the pivot count."""
+    count, residual = _unit_pivots(rows)
+    snf, _u, _v = smith_normal_form(residual)
+    width = len(residual[0]) if residual else 0
+    diagonal = [snf[k][k] for k in range(min(len(residual), width))]
+    return count + sum(1 for x in diagonal if x), [x for x in diagonal if x > 1]
 
 
 def sparse_rank_gf2(rows) -> int:
@@ -352,16 +359,16 @@ def smith_normal_form(mat):
     return d, u, v
 
 
-def _unit_pivots(rows, unit=lambda x: x == 1 or x == -1, modulus=None):
-    """Eliminate the pivots `unit` accepts (+-1 by default) from sparse rows
-    ({col: value} dicts, changed in place; residues mod a prime `modulus`
-    if given); returns (count, residual), the residual as dense rows.
+def _unit_pivots(rows, modulus=None):
+    """Eliminate the +-1 pivots of sparse integer rows ({col: value} dicts,
+    changed in place; residues mod 2 if `modulus` is 2, where every nonzero is
+    1); returns (count, residual), the residual as dense rows.
 
-    Each elimination is an invertible change of basis, so over Z with +-1
-    pivots SNF(rows) = I_count (+) SNF(residual), and over a field the rank
-    is count + rank(residual).  Pivots go in order of the Markowitz cost
+    Each elimination is an invertible change of basis, so over Z
+    SNF(rows) = I_count (+) SNF(residual), and mod 2 the rank is count.  A
+    pivot is its own inverse.  Pivots go in order of the Markowitz cost
     (row length - 1) * (column length - 1), which bounds the fill-in each one
-    can cause.  An entry is queued when it is or becomes a unit, and its cost
+    can cause.  An entry is queued when it is or becomes +-1, and its cost
     is rechecked when taken from the heap.
     """
     rows = dict(enumerate(rows))
@@ -370,13 +377,13 @@ def _unit_pivots(rows, unit=lambda x: x == 1 or x == -1, modulus=None):
         for c in row:
             cols.setdefault(c, set()).add(r)
     heap = [((len(row) - 1) * (len(cols[c]) - 1), r, c)
-            for r, row in rows.items() for c, x in row.items() if unit(x)]
+            for r, row in rows.items() for c, x in row.items() if x == 1 or x == -1]
     heapq.heapify(heap)
     count = 0
     while heap:
         cost, p, c = heapq.heappop(heap)
         pivot = rows.get(p)
-        if pivot is None or not unit(pivot.get(c, 0)):
+        if pivot is None or pivot.get(c, 0) not in (1, -1):
             continue
         now = (len(pivot) - 1) * (len(cols[c]) - 1)
         if now > cost:
@@ -384,13 +391,12 @@ def _unit_pivots(rows, unit=lambda x: x == 1 or x == -1, modulus=None):
             continue
         count += 1
         v = pivot.pop(c)
-        inv = v if v == 1 or v == -1 else pow(v, -1, modulus) if modulus else 1 / v
         del rows[p]
         for cc in pivot:
             cols[cc].discard(p)
         for r in cols.pop(c) - {p}:
             row = rows[r]
-            f = row.pop(c) * inv
+            f = row.pop(c) * v
             for cc, x in pivot.items():
                 old = row.get(cc, 0)
                 y = old - f * x
@@ -400,7 +406,7 @@ def _unit_pivots(rows, unit=lambda x: x == 1 or x == -1, modulus=None):
                     if cc not in row:
                         cols[cc].add(r)
                     row[cc] = y
-                    if unit(y) and not unit(old):
+                    if (y == 1 or y == -1) and old != 1 and old != -1:
                         heapq.heappush(heap, ((len(row) - 1) * (len(cols[cc]) - 1), r, cc))
                 else:
                     del row[cc]
@@ -421,11 +427,11 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
     torsion is always empty over a field.  Each generator's entries become
     constants once, each distinct (source word, move) edge's `_block` is built
     from them once, d_i's sparse rows scatter the blocks with each edge's sign,
-    and one elimination of their unit pivots (`_unit_pivots`) reduces them:
-    over q through `sparse_rank_fraction`, over z2 through `sparse_rank_gf2`,
-    over z followed by the Smith normal form of the residual block only.  Over
-    z the rank is the pivot count plus the residual's nonzero diagonal
-    entries, and the residual's entries > 1 are the torsion of degree i+1.
+    and one elimination of their +-1 pivots (`_unit_pivots`) reduces them.  Over
+    z2 (`sparse_rank_gf2`) it leaves no residual; over q (`sparse_rank_fraction`,
+    which clears denominators first) and z, `_integer_rank` takes the Smith
+    normal form of the residual block only, and over z the residual's entries
+    > 1 are the torsion of degree i+1.
     Entries must be constants in the pair's ring (specialize first), and
     integers over z and z2: CubeError refuses d_i's first fraction, sign
     included, rather than truncate it.  A Z/2 pair takes only z2: its residues
@@ -482,12 +488,7 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
                 rows.setdefault(r + o, {})[c + t] = -x if negate else x
         rows = list(rows.values())
         if coefficients == "z":
-            count, residual = _unit_pivots(rows)
-            snf, _u, _v = smith_normal_form(residual)
-            width = len(residual[0]) if residual else 0
-            diagonal = [snf[k][k] for k in range(min(len(residual), width))]
-            ranks[i] = count + sum(1 for x in diagonal if x)
-            torsion[i + 1] = [x for x in diagonal if x > 1]
+            ranks[i], torsion[i + 1] = _integer_rank(rows)
         else:
             rank = sparse_rank_gf2 if coefficients == "z2" else sparse_rank_fraction
             ranks[i] = rank(rows)

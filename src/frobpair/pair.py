@@ -105,11 +105,8 @@ class VerifyReport:
             slot[r.status] += 1
         return out
 
-    def failures(self, include_quarantine=False):
-        return [
-            r for r in self.records
-            if r.status == "fail" and (include_quarantine or r.group != "quarantine")
-        ]
+    def failures(self):
+        return [r for r in self.records if r.status == "fail" and r.group != "quarantine"]
 
     def ok(self) -> bool:
         """True iff no scored (non-quarantine) equation fails."""

@@ -383,14 +383,16 @@ def test_diamond_refuses_the_first_wide_word_met(n_a, n_e, cases, named):
 
 
 def test_diamond_acts_once_per_edge(monkeypatch):
-    # each of the 173 shipped edges acts once on the identity, under the
-    # generator and slots it ships with
+    # the 173 shipped edges fold to 153 distinct moves (word, generator, slots),
+    # and each distinct move acts once on the identity
     import frobpair.cobordism as cob_mod
 
     pair = build_aps()
     gen_name = {id(m): g for g, m in pair.generator_table().items()}
-    shipped = Counter((tuple(e["words"][0]), e["gen"], tuple(e["src"]), tuple(e["dst"]))
-                      for e in shipped_diamonds()["edges"])
+    edges = shipped_diamonds()["edges"]
+    shipped = Counter(set((tuple(e["words"][0]), e["gen"], tuple(e["src"]), tuple(e["dst"]))
+                          for e in edges))
+    assert (len(edges), len(shipped)) == (173, 153)
     calls = []
     real = cob_mod.act
     monkeypatch.setattr(cob_mod, "act", lambda f, gen, src, dst: calls.append(
@@ -398,16 +400,22 @@ def test_diamond_acts_once_per_edge(monkeypatch):
     for _ in range(2):  # the memo lives for one call
         calls.clear()
         diamond_exchange_suite(pair)
-        assert len(calls) == 173 and Counter(calls) == shipped
+        assert len(calls) == 153 and Counter(calls) == shipped
 
 
 def test_diamond_composes_each_path_once(monkeypatch):
-    # the 460 squares compare 920 paths, of which 363 are distinct
+    # the 460 squares compare 920 paths, of which 363 are distinct as events and
+    # 350 as moves: one compose per distinct path by value
     import frobpair.cobordism as cob_mod
 
     squares = list(labelled_squares(DIAMOND_CASES))
     paths = [path for _name, *two in squares for path in two]
     assert (len(squares), len(paths), len(set(paths))) == (460, 920, 363)
+    data = shipped_diamonds()
+    moves = [(e["words"][0], e["gen"], tuple(e["src"]), tuple(e["dst"])) for e in data["edges"]]
+    by_value = {(moves[four[k]], moves[four[k + 1]]) for _name, four in data["squares"]
+                for k in (0, 2)}
+    assert len(by_value) == 350
     calls = []
     real = cob_mod.compose
     monkeypatch.setattr(cob_mod, "compose", lambda g, f: calls.append((g, f)) or real(g, f))
@@ -415,7 +423,7 @@ def test_diamond_composes_each_path_once(monkeypatch):
     for _ in range(2):  # the memo lives for one call
         calls.clear()
         diamond_exchange_suite(pair)
-        assert len(calls) == 363
+        assert len(calls) == 350
 
 
 def aps_without(*names):

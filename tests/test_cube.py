@@ -344,9 +344,11 @@ def test_d_squared_names_the_first_missing_generator():
                     one, two, three, four = ((cube.vertices[x], cube.edges[x, y]) for x, y in (
                         (b, k), (bk, l), (b, l), (bl, k)))
                     squares.setdefault(((one, two), (three, four)))
+                keys = list(squares)  # each edge map built whole, in square_order
+                order = [e for k in cobordism.square_order(keys) for path in keys[k] for e in path]
                 try:
-                    cobordism.compare_squares(list(squares),
-                                              lambda e: edge_map(cube, pair, *at[e]))
+                    for e in dict.fromkeys(order):
+                        edge_map(cube, pair, *at[e])
                     expected = None
                 except CubeError as exc:
                     expected = str(exc)
@@ -383,9 +385,9 @@ def test_d_squared_builds_each_edge_map_and_square_once(monkeypatch):
     import frobpair.cube as cube_mod
 
     acts, compared = [], []
-    real_act, real_equal = cube_mod.act, cobordism.equal
+    real_act, real_equal = cobordism.act, cobordism.equal
     monkeypatch.setattr(cube_mod, "edge_map", lambda *a: pytest.fail("whole-word edge map"))
-    monkeypatch.setattr(cube_mod, "act", lambda f, gen, src, dst: acts.append(
+    monkeypatch.setattr(cobordism, "act", lambda f, gen, src, dst: acts.append(
         (f.dom, gen.dom, gen.cod, src, dst)) or real_act(f, gen, src, dst))
     monkeypatch.setattr(cobordism, "equal", lambda f, g: compared.append(1) or real_equal(f, g))
     aps = build_aps()
@@ -532,6 +534,14 @@ def dense_z_report(cube, pair):
              "torsion": torsion[i]} for i in range(cube.n + 1)]
 
 
+def dense_q_report(cube, pair):
+    """Rational homology from the dense rank of each full differential."""
+    dims = [len(vertex_keys(cube, pair, i)) for i in range(cube.n + 1)]
+    ranks = [rank_fraction(differential(cube, pair, i).dense()) for i in range(cube.n)] + [0]
+    return [{"betti": dims[i] - ranks[i] - (ranks[i - 1] if i else 0), "torsion": []}
+            for i in range(cube.n + 1)]
+
+
 def test_unit_pivots_match_dense_snf():
     # entries in -3..3 leave non-unit pivots behind, so some residuals are nonempty
     rng = random.Random(21)
@@ -568,6 +578,20 @@ def test_integer_homology_matches_dense_snf(monkeypatch):
         assert report == dense_z_report(cube, aps)
         torsion += [x for s in report for x in s["torsion"]]
     assert any(residuals) and torsion and all(x > 1 for x in torsion)
+    # over q the Smith form finishes the residual too: rank2 at a = 1 and sqrt at
+    # a = b = 1 have entries other than +-1, and each leaves nonempty residuals
+    finished = []
+    real_snf = cube_mod.smith_normal_form
+    monkeypatch.setattr(cube_mod, "smith_normal_form",
+                        lambda m: finished.append(bool(m)) or real_snf(m))
+    rng = random.Random(0)
+    sqrt = specialize_pair(build_laurent_sqrt(), {"a": 1, "b": 1})
+    for pair in (build_builtin("rank2", {"a": "1"}), sqrt):
+        finished.clear()
+        for _ in range(12):
+            cube = random_cube(rng, n=rng.randint(2, 4))
+            assert homology(cube, pair, "q") == dense_q_report(cube, pair)
+        assert any(finished), pair.name
 
 
 @pytest.mark.parametrize("coeff,reducer", [("q", "sparse_rank_fraction"),
@@ -577,8 +601,8 @@ def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, 
     # each d_i is scattered from constant edge blocks, with no differential, no
     # BlockMatrix and no edge map: one block per distinct (source word, move) for
     # all degrees, built from the generators' entries, each made a constant once;
-    # it goes through one unit-pivot elimination and is never made dense; over z
-    # the Smith form then runs on its residual only
+    # it goes through one unit-pivot elimination and is never made dense; over q
+    # and z the Smith form then runs on its residual only
     import frobpair.cube as cube_mod
     from frobpair.ring import RingElem
 
@@ -613,13 +637,14 @@ def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, 
     assert set(built) == {(w,) + cube_mod._interpret(w, move)[:3] for w, move in distinct}
     gens = {gen for _w, gen, *_ in built}
     assert len(constants) == sum(len(aps.generator_table()[gen].entries) for gen in gens)
-    if coeff == "z":
-        assert reduced == ["_unit_pivots", reducer] * cube.n
+    if coeff == "z2":
+        assert reduced == [reducer, "_unit_pivots"] * cube.n
+    else:
+        # over q sparse_rank_fraction clears denominators, then takes the z route
+        route = ["_unit_pivots", "smith_normal_form"]
+        assert reduced == ([reducer] + route if coeff == "q" else route) * cube.n
         dims = [len(vertex_keys(cube, aps, i)) for i in range(cube.n + 1)]
         assert sum(cells) < sum(dims[i] * dims[i + 1] for i in range(cube.n))
-    else:
-        # this cube leaves no residual over q, so no second pass over Q runs
-        assert reduced == [reducer, "_unit_pivots"] * cube.n
 
 
 def differential_rows(cube, pair, i, coeff):
@@ -872,7 +897,7 @@ def test_sparse_ranks_match_dense_oracle(monkeypatch):
     import frobpair.cube as cube_mod
     from frobpair.cube import sparse_rank_fraction, sparse_rank_gf2
 
-    # residuals the +-1 pass leaves over q, which the pass over Q then finishes
+    # residuals the +-1 pass leaves over q, which the Smith form then finishes
     residuals = []
     real = cube_mod._unit_pivots
 

@@ -87,7 +87,7 @@ def test_aps_table_examples():
 def test_aps_passes_complete_suite():
     report = verify(build_aps())
     assert report.ok()
-    assert not report.failures(include_quarantine=True)
+    assert not [r for r in report.records if r.status == "fail"]
 
 
 def test_aps_nu_roundtrip_value():
@@ -102,7 +102,7 @@ def test_aps_nu_roundtrip_value():
 def test_tt_passes_complete_suite():
     report = verify(build_tt())
     assert report.ok()
-    assert not report.failures(include_quarantine=True)
+    assert not [r for r in report.records if r.status == "fail"]
 
 
 def test_tt_table_examples():
@@ -164,7 +164,7 @@ def test_laurent_sqrt_specialization_example():
 def test_laurent_sqrt_passes_suite():
     report = verify(build_laurent_sqrt())
     assert report.ok()
-    assert not report.failures(include_quarantine=True)
+    assert not [r for r in report.records if r.status == "fail"]
 
 
 # -- IT ---------------------------------------------------------------------------
@@ -182,7 +182,8 @@ def test_it_fails_exactly_in_consistency_plus_quarantine():
     scored = sorted(r.name for r in report.failures())
     assert scored == ["cons_1"]
     assert all(r.group == "consistency" for r in report.failures())
-    quarantined = sorted(r.name for r in report.failures(True) if r.group == "quarantine")
+    quarantined = sorted(r.name for r in report.records
+                         if r.status == "fail" and r.group == "quarantine")
     assert quarantined == ["q_dup_l5", "q_l6", "q_nuEE_square"]
 
 
@@ -358,7 +359,7 @@ def test_double_over_unit_handle_algebra_passes_all_but_units():
     decl = ring(MOD2)
     alg = universal_algebra(decl, decl.one(), decl.zero())  # Z/2[X]/(X^2 - X), phi = 1
     pair = build_double(alg, {"1": decl.one()}, name="double-z2")
-    failing = sorted(r.name for r in verify(pair).failures(include_quarantine=True))
+    failing = sorted(r.name for r in verify(pair).records if r.status == "fail")
     assert failing == ["comod_counit", "mod_unit"]
 
 
