@@ -83,7 +83,7 @@ def _build_double(params, strict_partial):
     domain, h, t, phi_inv = DOUBLE_ALGEBRAS[algebra]
     decl = ring(domain)
     return pair_mod.build_double(pair_mod.universal_algebra(decl, decl.const(h), decl.const(t)),
-                                 {label: decl.const(c) for label, c in phi_inv.items()}, exps)
+                                 phi_inv, exps)
 
 
 #: every --builtin pair: name -> (the --params keys it takes, its builder
@@ -154,11 +154,12 @@ def _witness_obj(witness):
 
 
 def report_json(report, version) -> str:
+    summary = report.summary()
     obj = {
         **({"manifest_version": version} if version is not None else {}),
         "pair": report.pair_name,
         "ok": report.ok(),
-        "summary": {g: report.summary()[g] for g in sorted(report.summary())},
+        "summary": {g: summary[g] for g in sorted(summary)},
         "meta": {k: report.meta[k] for k in sorted(report.meta)},
         "equations": [
             {
@@ -189,8 +190,9 @@ def report_text(report) -> str:
             else:
                 detail = str(w)
             lines.append(f"FAIL {r.name} [{r.group}] ({r.provenance}) {detail}")
-    for group in sorted(report.summary()):
-        c = report.summary()[group]
+    summary = report.summary()
+    for group in sorted(summary):
+        c = summary[group]
         lines.append(f"group {group}: {c['pass']} pass, {c['fail']} fail, {c['skip']} skip")
     lines.append("RESULT: " + ("ok" if report.ok() else "FAILED"))
     return "\n".join(lines)

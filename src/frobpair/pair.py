@@ -25,7 +25,7 @@ from .ring import (
     ring,
     unit_invert,
 )
-from .tensor import ONE_TERMS, BasisSpec, LinMap, act, compose, equal, word
+from .tensor import BasisSpec, LinMap, act, compose, equal, word
 from .theory import SIGNATURE, evaluate_side, load_axioms
 
 
@@ -155,108 +155,86 @@ def verify(pair: FrobeniusPair, equations=None, groups=None) -> VerifyReport:
     return VerifyReport(pair.name, records, meta=dict(pair.notes))
 
 
-# -- structure-constant helpers ----------------------------------------------------
-
-
-def _mul(x, y):
-    """x * y, passing one factor through when the other is 1, as act does."""
-    return y if x.terms == ONE_TERMS else x if y.terms == ONE_TERMS else x * y
+# -- the algebra A ------------------------------------------------------------------
 
 
 @dataclass
 class FrobeniusAlgebra:
-    """Rank-n commutative Frobenius algebra as label-keyed structure constants."""
+    """Rank-n commutative Frobenius algebra as its four maps mu_A, Delta_A, eta
+    and eps over BasisSpec(labels, labels, ring).  An element is a
+    {label: coefficient} dict; arithmetic acts A's maps on it as a map () -> A."""
 
     ring: RingDecl
     labels: tuple
     unit_label: str
-    mul_table: dict      # (l1, l2) -> {label: RingElem}
-    delta_table: dict    # l -> {(l1, l2): RingElem}
-    counit_table: dict   # l -> RingElem
-
-    def unit_vec(self):
-        return {self.unit_label: self.ring.one()}
+    maps: dict
 
     def mul_vec(self, v1, v2):
-        out = {}
-        for l1, c1 in v1.items():
-            for l2, c2 in v2.items():
-                for l3, c3 in self.mul_table[(l1, l2)].items():
-                    out[l3] = out.get(l3, self.ring.zero()) + _mul(_mul(c1, c2), c3)
-        return {l: c for l, c in out.items() if not c.is_zero()}
+        """v1 * v2: v2 placed beside v1, then mu_A."""
+        mu = self.maps["mu_A"]
+        both = act(_element(mu.spec, v1), _element(mu.spec, v2), (), (1,))
+        return _coords(act(both, mu, (0, 1), (0,)))
 
     def handle_vec(self):
-        out = {}
-        for (l1, l2), c in self.delta_table[self.unit_label].items():
-            for l3, c3 in self.mul_table[(l1, l2)].items():
-                out[l3] = out.get(l3, self.ring.zero()) + _mul(c, c3)
-        return {l: c for l, c in out.items() if not c.is_zero()}
+        """mu_A(Delta_A(1)), the handle element."""
+        return _coords(compose(self.maps["mu_A"], compose(self.maps["Delta_A"], self.maps["eta"])))
 
     def power_vec(self, v, k, v_inv):
         """v**k in the algebra; negative powers are powers of v_inv, v's inverse."""
         if k < 0:
             v, k = v_inv, -k
-        out = self.unit_vec()
+        out = _coords(self.maps["eta"])
         for _ in range(k):
             out = self.mul_vec(out, v)
         return out
+
+
+def _element(spec, v) -> LinMap:
+    """The element v = {label: coefficient} of A as the map () -> A; a
+    coefficient that is not a ring element is taken into spec's ring."""
+    coerce = spec.ring.const
+    return LinMap(spec, (), word("A"), {((l,), ()): c if isinstance(c, RingElem) else coerce(c)
+                                        for l, c in v.items()})
+
+
+def _coords(m) -> dict:
+    """The map m: () -> A as the element {label: coefficient}."""
+    return {o[0]: c for (o, _), c in m.entries.items()}
 
 
 def universal_algebra(ring_decl, h, t) -> FrobeniusAlgebra:
     """k[X]/(X^2 - hX - t) with the universal Khovanov Frobenius structure:
     eps(1)=0, eps(X)=1, Delta(1)=1&X + X&1 - h 1&1, Delta(X)=X&X + t 1&1."""
     labels = one, x = "1", "X"
-    e1, eh, et = ring_decl.one(), h, t
-    mul = {
-        (one, one): {one: e1},
-        (one, x): {x: e1},
-        (x, one): {x: e1},
-        (x, x): {x: eh, one: et},
+    spec, e1 = BasisSpec(labels, labels, ring_decl), ring_decl.one()
+    maps = {
+        "mu_A": _linmap(spec, word("AA"), word("A"), {
+            (one, one): {(one,): e1}, (one, x): {(x,): e1}, (x, one): {(x,): e1},
+            (x, x): {(x,): h, (one,): t}}),
+        "Delta_A": _linmap(spec, word("A"), word("AA"), {
+            (one,): {(one, x): e1, (x, one): e1, (one, one): -h},
+            (x,): {(x, x): e1, (one, one): t}}),
+        "eta": _linmap(spec, (), word("A"), {(): {(one,): e1}}),
+        "eps": _linmap(spec, word("A"), (), {(x,): {(): e1}}),
     }
-    delta = {
-        one: {(one, x): e1, (x, one): e1, (one, one): -eh},
-        x: {(x, x): e1, (one, one): et},
-    }
-    counit = {one: ring_decl.zero(), x: e1}
-    mul = {k: {l: c for l, c in v.items() if not c.is_zero()} for k, v in mul.items()}
-    delta = {k: {l: c for l, c in v.items() if not c.is_zero()} for k, v in delta.items()}
-    return FrobeniusAlgebra(ring_decl, labels, one, mul, delta, counit)
+    return FrobeniusAlgebra(ring_decl, labels, one, maps)
 
 
 def _linmap(spec, dom, cod, table) -> LinMap:
     """Build a LinMap from {in_tuple: {out_tuple: RingElem}}."""
-    entries = {}
-    for t, col in table.items():
-        for o, c in col.items():
-            if isinstance(c, int):
-                c = spec.ring.const(c)
-            if not c.is_zero():
-                entries[(o, t)] = c
+    entries = {(o, t): c for t, col in table.items() for o, c in col.items() if not c.is_zero()}
     return LinMap(spec, dom, cod, entries, _normalized=True)
 
 
 def _algebra_maps(alg, spec):
-    """The four A-generators of an algebra as LinMaps over a basis spec."""
-    labels = alg.labels
-    mu = {
-        (a, b): {(l,): c for l, c in alg.mul_table[(a, b)].items()}
-        for a, b in product(labels, labels)
-    }
-    delta = {(l,): dict(alg.delta_table[l]) for l in labels}
-    eta = {(): {(alg.unit_label,): alg.ring.one()}}
-    eps = {(l,): ({(): alg.counit_table[l]} if not alg.counit_table[l].is_zero() else {})
-           for l in labels}
-    return {
-        "mu_A": _linmap(spec, word("AA"), word("A"), mu),
-        "Delta_A": _linmap(spec, word("A"), word("AA"), delta),
-        "eta": _linmap(spec, (), word("A"), eta),
-        "eps": _linmap(spec, word("A"), (), eps),
-    }
+    """The four A-generators of an algebra as LinMaps over a basis spec whose
+    A labels are the algebra's."""
+    return {name: LinMap(spec, m.dom, m.cod, m.entries, _normalized=True)
+            for name, m in alg.maps.items()}
 
 
 def _vec_str(vec) -> str:
-    return " + ".join(f"({c})*{'&'.join(l)}" if isinstance(l, tuple) else f"({c})*{l}"
-                      for l, c in sorted(vec.items())) or "0"
+    return " + ".join(f"({c})*{l}" for l, c in sorted(vec.items())) or "0"
 
 
 def _mirror(m) -> LinMap:
@@ -275,8 +253,8 @@ def _times(mu_a, v) -> LinMap:
     """Multiplication by the algebra element v = {label: coefficient}, as the
     map A -> A that puts v beside its input and applies mu_A."""
     spec = mu_a.spec
-    vec = LinMap(spec, (), word("A"), {((l,), ()): c for l, c in v.items()})
-    return act(act(LinMap.identity(spec, word("A")), vec, (), (0,)), mu_a, (0, 1), (0,))
+    return act(act(LinMap.identity(spec, word("A")), _element(spec, v), (), (0,)),
+               mu_a, (0, 1), (0,))
 
 
 def _chain(spec, w, *moves) -> LinMap:
@@ -294,7 +272,6 @@ def build_sqrt(alg: FrobeniusAlgebra, xi: dict, name="sqrt") -> FrobeniusPair:
     """Square-root pair: E = A with all structure maps those of A and every
     Mobius map equal to multiplication by xi, where xi^2 must be the handle
     element."""
-    xi = {l: (alg.ring.const(c) if isinstance(c, int) else c) for l, c in xi.items()}
     xi_sq = alg.mul_vec(xi, xi)
     phi = alg.handle_vec()
     if xi_sq != phi:
@@ -490,9 +467,7 @@ def build_double(alg: FrobeniusAlgebra, phi_inv: dict, exponents=DOUBLE_EXPONENT
     scaled by powers of the handle element; comultiplications carry none."""
     e0, e1, e2, n0, n1, n2 = exponents
     phi = alg.handle_vec()
-    phi_inv = {l: (alg.ring.const(c) if isinstance(c, int) else c)
-               for l, c in phi_inv.items()}
-    if alg.mul_vec(phi, phi_inv) != alg.unit_vec():
+    if alg.mul_vec(phi, phi_inv) != _coords(alg.maps["eta"]):
         raise PairError("phi_inv is not an inverse of the handle element")
 
     labels = alg.labels

@@ -16,6 +16,9 @@ INTEGERS = "integers"
 RATIONALS = "rationals"
 MOD2 = "integers-mod-2"
 DOMAINS = (INTEGERS, RATIONALS, MOD2)
+#: the largest exponent specialize raises a value to, unless the value is 0 or
+#: +-1 times a monomial, whose powers stay one term with coefficient +-1
+MAX_POWER = 64
 
 class RingError(ValueError):
     """Malformed ring input: mismatched rings, bad parses, non-units."""
@@ -109,12 +112,6 @@ def _mono_mul(m1, m2):
         else:
             d[v] = e2
     return tuple(sorted(d.items()))
-
-
-def _mono_pow(m, k):
-    if k == 0:
-        return ()
-    return tuple(sorted((v, e * k) for v, e in m))
 
 
 class RingElem:
@@ -216,8 +213,9 @@ class RingElem:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- structure -----------------------------------------------------------
@@ -299,13 +297,15 @@ def unit_invert(x: RingElem) -> RingElem:
         inv = Fraction(1) / c
     else:
         inv = c  # +-1 over Z, 1 over Z/2
-    return RingElem(x.ring, {_mono_pow(m, -1): inv})
+    return RingElem(x.ring, {tuple((v, -e) for v, e in m): inv})
 
 
 def specialize(x: RingElem, assignment) -> RingElem:
     """Substitute ring elements (or literals) for variables, then normalize.
 
-    Invertible variables must be assigned units of the same ring.
+    Invertible variables must be assigned units of the same ring.  A value
+    that is not 0 or +-1 times a monomial is raised to no exponent past
+    MAX_POWER in absolute value: RingError refuses such a power.
     """
     values = {}
     for name, val in assignment.items():
@@ -326,7 +326,12 @@ def specialize(x: RingElem, assignment) -> RingElem:
         term = x.ring.const(c)
         for v, e in m:
             if v in values:
-                term = term * (values[v] ** e)
+                val = values[v]
+                if abs(e) > MAX_POWER and (len(val.terms) > 1 or
+                                           any(abs(coef) != 1 for coef in val.terms.values())):
+                    raise RingError(f"the power {v}^{e} is over the limit of {MAX_POWER} "
+                                    f"for the value {val}")
+                term = term * (val ** e)
             else:
                 term = term * x.ring.gen(v, e)
         out = out + term

@@ -21,7 +21,9 @@ the edge-by-edge cube validation that `validate_cube` is checked against; and
 `local_square_key`, forward circle tracking around a square, which the
 local squares of `check_d_squared` are checked against; and
 `cancel_pole_pairs`, the pass-by-pass cyclic cancellation that
-`pole_degree` is checked against.
+`pole_degree` is checked against; and `TableAlgebra`, k[X]/(X^2 - hX - t)
+as hand-written structure constants, which the element arithmetic of
+`frobpair.pair.FrobeniusAlgebra` is checked against.
 
 And two pieces of the package that only tests use: `cube_to_json`, the cube
 file writer, and `lemma_first_conditions`, the X-action statement that
@@ -173,6 +175,40 @@ def search_by_box(alg, phi_inv, lo, hi) -> list:
 
     return [exps for exps in itertools.product(range(lo, hi + 1), repeat=6)
             if all(row_passes(i, exps) for i in range(len(battery)))]
+
+
+class TableAlgebra:
+    """k[X]/(X^2 - hX - t) as structure constants: the product of two basis
+    labels and Delta(1), each {label: coefficient}, multiplied out term by term."""
+
+    def __init__(self, decl, h, t):
+        one, self.zero = decl.one(), decl.zero()
+        self.unit = {"1": one}
+        self.mul_table = {("1", "1"): {"1": one}, ("1", "X"): {"X": one},
+                          ("X", "1"): {"X": one}, ("X", "X"): {"X": h, "1": t}}
+        self.delta_one = {("1", "X"): one, ("X", "1"): one, ("1", "1"): -h}
+
+    def _sum(self, terms):
+        out = {}
+        for label, c in terms:
+            out[label] = out.get(label, self.zero) + c
+        return {label: c for label, c in out.items() if not c.is_zero()}
+
+    def mul(self, v1, v2):
+        return self._sum((l3, c1 * c2 * c3) for l1, c1 in v1.items() for l2, c2 in v2.items()
+                         for l3, c3 in self.mul_table[(l1, l2)].items())
+
+    def handle(self):
+        return self._sum((l3, c * c3) for pair, c in self.delta_one.items()
+                         for l3, c3 in self.mul_table[pair].items())
+
+    def power(self, v, k, v_inv):
+        if k < 0:
+            v, k = v_inv, -k
+        out = self.unit
+        for _ in range(k):
+            out = self.mul(out, v)
+        return out
 
 
 def lemma_first_conditions(a0, a1, b0, b1, h, t) -> list:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from frobpair.cli import BUILTINS, InputError, _parser, build_builtin, main
-from frobpair.pair import FrobeniusPair
+from frobpair.pair import FrobeniusPair, pair_to_json
 from frobpair.theory import SIGNATURE
 from helpers import cube_to_json, item_one_cubes, random_cube
 
@@ -379,6 +379,27 @@ def test_repeated_specialize_key_exit_two(capsys):
                          "--specialize", "l=2,l=3", "--coeff", "z2")
     assert_one_line_error(code, out, err)
     assert "parameter 'l' given more than once" in err
+
+
+def test_cube_specialize_refuses_a_power_past_the_limit(tmp_path, capsys):
+    # t^65 at t = 3 would be a 104-bit constant: specialize refuses it, while
+    # t = 1 still answers at any exponent
+    cube = importlib.resources.files("frobpair").joinpath("data/merge1.cube")
+    plain = pair_to_json(build_builtin("it", {}))
+
+    def cube_at(power, value):
+        path = tmp_path / "it.json"
+        path.write_text(plain.replace('"coeff": "t"', f'"coeff": "{power}"'))
+        return run(capsys, "cube", "--pair", str(path), str(cube),
+                   "--specialize", f"t={value}", "--coeff", "q")
+
+    assert cube_at("t", 3)[0] == 0
+    code, out, err = cube_at("t^65", 3)
+    assert_one_line_error(code, out, err)
+    assert err == "error: the power t^65 is over the limit of 64 for the value 3\n"
+    want = cube_at("t", 1)
+    assert want[0] == 0
+    assert cube_at("t^65", 1) == cube_at(f"t^{10 ** 12}", 1) == want
 
 
 @pytest.mark.parametrize("argv,item", [

@@ -29,7 +29,7 @@ from frobpair.pair import (
 from frobpair.ring import INTEGERS, MOD2, RATIONALS, ring
 from frobpair.tensor import BasisSpec, equal
 from frobpair.theory import evaluate_side, evaluate_term, load_axioms, parse_term
-from helpers import lemma_first_conditions, search_by_box
+from helpers import TableAlgebra, lemma_first_conditions, search_by_box
 
 Z = ring(INTEGERS)
 APS_PARAMS = dict(a=0, c_yy=0, c_yz=1, c_zz=0, d_yy=0, d_yz=1, d_zz=0,
@@ -159,6 +159,52 @@ def test_laurent_sqrt_specialization_example():
     alg = universal_algebra(decl, decl.zero(), decl.const(-1))
     xi = {"1": decl.one(), "X": decl.one()}
     assert alg.mul_vec(xi, xi) == {"X": decl.const(2)}
+
+
+def _random_scalar(rng, decl):
+    c = rng.randint(-3, 3)
+    return decl.const(Fraction(c, rng.randint(1, 3)) if decl.domain == RATIONALS else c)
+
+
+def _random_poly(rng, decl):
+    """A random element of Z[h, t]: up to three terms of degree at most 2."""
+    out = decl.zero()
+    for _ in range(rng.randint(0, 3)):
+        out = out + decl.const(rng.randint(-3, 3)) * decl.gen("h", rng.randint(0, 2)) \
+            * decl.gen("t", rng.randint(0, 2))
+    return out
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, RATIONALS, MOD2, "symbolic"])
+def test_algebra_arithmetic_matches_structure_constants(domain):
+    # mu_A acting on the elements as maps () -> A agrees with multiplying out
+    # the structure constants, at random h, t and random elements; over Z[h, t]
+    # h and t are the variables and the coefficients are random polynomials
+    rng = random.Random(f"algebra-{domain}")
+    if domain == "symbolic":
+        decl = ring(INTEGERS, "h", "t")
+        draw = _random_poly
+        params = [(decl.gen("h"), decl.gen("t"))]
+    else:
+        decl = ring(domain)
+        draw = _random_scalar
+        params = [(draw(rng, decl), draw(rng, decl)) for _ in range(8)]
+    for h, t in params:
+        alg, oracle = universal_algebra(decl, h, t), TableAlgebra(decl, h, t)
+        assert alg.handle_vec() == oracle.handle()
+        for _ in range(12):
+            v, w = ({label: draw(rng, decl) for label in rng.sample(("1", "X"), rng.randint(0, 2))}
+                    for _ in range(2))
+            assert alg.mul_vec(v, w) == oracle.mul(v, w)
+            for k in range(-3, 4):
+                assert alg.power_vec(v, k, w) == oracle.power(v, k, w)
+
+
+def test_algebra_arithmetic_takes_int_coefficients():
+    decl = ring(INTEGERS)
+    alg = universal_algebra(decl, decl.const(2), decl.const(3))
+    assert alg.mul_vec({"X": 2, "1": 0}, {"X": 1}) == {"X": decl.const(4), "1": decl.const(6)}
+    assert alg.power_vec({"X": 1}, 0, {}) == {"1": decl.one()}
 
 
 def test_laurent_sqrt_passes_suite():
@@ -319,10 +365,10 @@ def test_double_delta_aee_example():
     alg, phi_inv = q_double_algebra()
     pair = build_double(alg, phi_inv)
     col = pair.maps["Delta_AEE"].column(("1",))
-    expected = set()
+    delta, expected = alg.maps["Delta_A"], set()
     for a, b in (("1", "X"), ("X", "1")):
-        for m1, m2 in alg.delta_table[a]:
-            for m3, m4 in alg.delta_table[b]:
+        for m1, m2 in delta.column((a,)):
+            for m3, m4 in delta.column((b,)):
                 expected.add((f"{m1}|{m3}", f"{m2}|{m4}"))
     assert set(col) == expected
     assert len(col) == 8

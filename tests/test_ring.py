@@ -5,6 +5,7 @@ import pytest
 
 from frobpair.ring import (
     INTEGERS,
+    MAX_POWER,
     MOD2,
     RATIONALS,
     RingElem,
@@ -103,6 +104,45 @@ def test_specialize_requires_unit_for_invertible():
 def test_specialize_noop_is_identity():
     x = ZH.parse("h^2*t - 3*h + 1")
     assert specialize(x, {}) == x
+
+
+@pytest.mark.parametrize("decl,text,value", [
+    (ZH, f"t^{MAX_POWER + 1}", "3"),
+    (ZH, f"h*t^{MAX_POWER + 1} + 1", "t + 1"),
+    (ZH, "t^1000", "-2"),
+    (ring(RATIONALS, "t^-1"), f"t^-{MAX_POWER + 1}", "2"),
+], ids=["past_limit", "binomial", "far_past_limit", "negative"])
+def test_specialize_refuses_powers_past_the_limit(decl, text, value):
+    # a power of a value with two terms or a coefficient other than +-1 grows
+    # with its exponent, so the exponent is bounded before any product
+    with pytest.raises(RingError) as refusal:
+        specialize(decl.parse(text), {"t": value})
+    e = text.split("t^")[1].split()[0]
+    assert str(refusal.value) == f"the power t^{e} is over the limit of {MAX_POWER} " \
+                                 f"for the value {decl.parse(value)}"
+
+
+def test_specialize_takes_any_power_of_a_signed_monomial():
+    big = 10 ** 12
+    assert specialize(ZH.parse(f"t^{MAX_POWER}"), {"t": 3}) == ZH.const(3 ** MAX_POWER)
+    assert specialize(ZH.parse(f"h*t^{big}"), {"t": 1}) == ZH.gen("h")
+    assert specialize(ZH.parse(f"t^{big}"), {"t": -1}) == ZH.one()
+    assert specialize(ZH.parse(f"t^{big + 1}"), {"t": -1}) == -ZH.one()
+    assert specialize(ZH.parse(f"t^{big}"), {"t": 0}).is_zero()
+    assert specialize(ZH.parse(f"t^{big}"), {"t": "-h^2"}) == ZH.gen("h", 2 * big)
+    assert specialize(ZL.gen("l", -big), {"l": -1}) == ZL.one()
+
+
+def test_pow_squares_the_base_only_while_bits_remain(monkeypatch):
+    # (h + 1)^5: out = x, base = x^2, base = x^4, out = x * x^4, and no x^8
+    x = ZH.parse("h + 1")
+    want = x * x * x * x * x
+    products = []
+    real_mul = RingElem.__mul__
+    monkeypatch.setattr(RingElem, "__mul__",
+                        lambda a, b: products.append((a, b)) or real_mul(a, b))
+    assert x ** 5 == want
+    assert len(products) == 4
 
 
 def test_unit_invert():
