@@ -25,7 +25,7 @@ from .pair import (
 )
 from .ring import INTEGERS, MOD2, RATIONALS, RingError, ring
 from .tensor import TensorError
-from .theory import GROUPS, TheoryError, load_axioms, manifest_version
+from .theory import GROUPS, TheoryError, read_manifest
 
 
 class InputError(Exception):
@@ -131,7 +131,7 @@ def get_pair(args, params=None):
 def get_axioms(args):
     path = getattr(args, "axioms", None) or os.environ.get("FROBPAIR_AXIOMS")
     try:
-        return load_axioms(path), manifest_version(path)
+        return read_manifest(path)
     except (OSError, TheoryError) as exc:
         raise InputError(f"cannot load axioms: {exc}") from None
 

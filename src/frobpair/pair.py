@@ -180,11 +180,11 @@ class FrobeniusAlgebra:
         return _coords(compose(self.maps["mu_A"], compose(self.maps["Delta_A"], self.maps["eta"])))
 
     def power_vec(self, v, k, v_inv):
-        """v**k in the algebra; negative powers are powers of v_inv, v's inverse."""
+        """v**k by k - 1 products (1 when k = 0); negative powers are powers of v_inv = 1/v."""
         if k < 0:
             v, k = v_inv, -k
-        out = _coords(self.maps["eta"])
-        for _ in range(k):
+        out = v = _coords(_element(self.maps["eta"].spec, v) if k else self.maps["eta"])
+        for _ in range(k - 1):
             out = self.mul_vec(out, v)
         return out
 

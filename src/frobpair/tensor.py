@@ -10,6 +10,7 @@ chosen factors of a word and passes the others through unchanged.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -79,12 +80,13 @@ class BasisSpec:
 class LinMap:
     """Exact sparse matrix between tensor words of A/E free modules."""
 
-    __slots__ = ("spec", "dom", "cod", "entries")
+    __slots__ = ("spec", "dom", "cod", "entries", "_columns")
 
     def __init__(self, spec, dom, cod, entries, _normalized=False):
         self.spec = spec
         self.dom = tuple(dom)
         self.cod = tuple(cod)
+        self._columns = None
         if _normalized:
             self.entries = entries
         else:
@@ -109,15 +111,27 @@ class LinMap:
     def column(self, in_tuple) -> dict:
         return {out: v for (out, t), v in self.entries.items() if t == in_tuple}
 
+    def columns(self) -> dict:
+        """The entries grouped by input tuple (see _by_input), built on first use."""
+        if self._columns is None:
+            self._columns = _by_input(self.entries)
+        return self._columns
+
     def __repr__(self):
         return f"LinMap({''.join(self.dom) or '()'} -> {''.join(self.cod) or '()'}, {len(self.entries)} entries)"
 
 
+def _by_input(entries: dict) -> dict:
+    """{col: [(row, value, value is 1)]} of a {(row, col): value} table."""
+    by_col = {}
+    for (out, col), v in entries.items():
+        by_col.setdefault(col, []).append((out, v, v.terms == ONE_TERMS))
+    return by_col
+
+
 def sparse_product(g_entries: dict, f_entries: dict) -> dict:
     """Nonzero entries of the product g*f of two {(row, col): value} tables."""
-    by_mid = {}
-    for (out, mid), v in g_entries.items():
-        by_mid.setdefault(mid, []).append((out, v, v.terms == ONE_TERMS))
+    by_mid = _by_input(g_entries)
     entries = {}
     for (mid, t), fv in f_entries.items():
         f_one = fv.terms == ONE_TERMS
@@ -131,7 +145,7 @@ def sparse_product(g_entries: dict, f_entries: dict) -> dict:
 
 def compose(g: LinMap, f: LinMap) -> LinMap:
     """Matrix product g after f (diagram order: f is applied first)."""
-    if f.spec != g.spec:
+    if f.spec is not g.spec and f.spec != g.spec:
         raise TensorError("basis-spec mismatch")
     if f.cod != g.dom:
         raise TensorError(f"word mismatch: {f.cod} then {g.dom}")
@@ -145,31 +159,12 @@ def act(f: LinMap, gen, src, dst) -> LinMap:
     factor passes through in its relative order.  With gen None the factors
     at src move to the slots dst unchanged, with no ring multiplication.
     """
-    src, dst, cod = tuple(src), tuple(dst), f.cod
-    if len(set(src) & set(range(len(cod)))) != len(src):
-        raise TensorError(f"source slots {src} out of range for word {cod}")
-    if gen is not None and gen.spec != f.spec:
-        raise TensorError("basis-spec mismatch")
-    if gen is not None and gen.dom != tuple(cod[p] for p in src):
-        raise TensorError(f"word mismatch: {gen.dom} at slots {src} of {cod}")
-    head = () if gen is None else gen.cod
-    slots = range(len(cod) - len(src) + len(dst))
-    if len(dst) != (len(src) if gen is None else len(head)) or \
-            len(set(dst) & set(slots)) != len(dst):
-        raise TensorError(f"target slots {dst} do not fit the image of slots {src} of {cod}")
-    # slot q of the new word takes item gather[q] of (gen output + old factors)
-    placed = dict(zip(dst, src if gen is None else range(len(head))))
-    rest = (len(head) + p for p in range(len(cod)) if p not in src)
-    gather = [placed[q] if q in placed else next(rest) for q in slots]
-    place = _picker(gather)
-    new_cod = place(head + cod)
+    sig = None if gen is None else (gen.dom, gen.cod, gen.spec is f.spec or gen.spec == f.spec)
+    place, pick, new_cod = _move_plan(f.cod, tuple(src), tuple(dst), sig)
     if gen is None:
         entries = {(place(out), t): v for (out, t), v in f.entries.items()}
         return LinMap(f.spec, f.dom, new_cod, entries, _normalized=True)
-    pick = _picker(src)
-    columns = {}
-    for (o, i), v in gen.entries.items():
-        columns.setdefault(i, []).append((o, v, v.terms == ONE_TERMS))
+    columns = gen.columns()
     entries = {}
     for (out, t), fv in f.entries.items():
         f_one = fv.terms == ONE_TERMS
@@ -179,6 +174,29 @@ def act(f: LinMap, gen, src, dst) -> LinMap:
             p = fv if g_one else gv if f_one else gv * fv
             entries[key] = p if s is None else s + p
     return LinMap(f.spec, f.dom, new_cod, entries)
+
+
+# 512: a bench pass plans 191 moves on algebra jobs, 140-232 on cubes; refusals aren't kept
+@functools.lru_cache(maxsize=512)
+def _move_plan(cod, src, dst, sig):
+    """act's checks, then the move's pickers place and pick and its new codomain."""
+    if len(set(src) & set(range(len(cod)))) != len(src):
+        raise TensorError(f"source slots {src} out of range for word {cod}")
+    if sig is not None and not sig[2]:
+        raise TensorError("basis-spec mismatch")
+    if sig is not None and sig[0] != tuple(cod[p] for p in src):
+        raise TensorError(f"word mismatch: {sig[0]} at slots {src} of {cod}")
+    head = () if sig is None else sig[1]
+    slots = range(len(cod) - len(src) + len(dst))
+    if len(dst) != (len(src) if sig is None else len(head)) or \
+            len(set(dst) & set(slots)) != len(dst):
+        raise TensorError(f"target slots {dst} do not fit the image of slots {src} of {cod}")
+    # slot q of the new word takes item gather[q] of (gen output + old factors)
+    placed = dict(zip(dst, src if sig is None else range(len(head))))
+    rest = (len(head) + p for p in range(len(cod)) if p not in src)
+    gather = [placed[q] if q in placed else next(rest) for q in slots]
+    place = _picker(gather)
+    return place, _picker(src), place(head + cod)
 
 
 def _picker(slots):
@@ -193,7 +211,7 @@ def _picker(slots):
 
 def tensor(f: LinMap, g: LinMap) -> LinMap:
     """Kronecker product on concatenated words."""
-    if f.spec != g.spec:
+    if f.spec is not g.spec and f.spec != g.spec:
         raise TensorError("basis-spec mismatch")
     entries = {}
     for (o1, i1), v1 in f.entries.items():
@@ -209,7 +227,7 @@ def equal(f: LinMap, g: LinMap):
     ("shape", (dom, cod), (dom, cod)); otherwise it is the lexicographically
     first domain basis tuple where the columns differ, with both columns.
     """
-    if f.spec != g.spec or f.dom != g.dom or f.cod != g.cod:
+    if (f.spec is not g.spec and f.spec != g.spec) or f.dom != g.dom or f.cod != g.cod:
         return False, ("shape", (f.dom, f.cod), (g.dom, g.cod))
     if f.entries == g.entries:
         return True, None

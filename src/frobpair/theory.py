@@ -9,6 +9,7 @@ in tests/manifest.py.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import re
 from dataclasses import InitVar, dataclass, field
@@ -334,12 +335,18 @@ def _manifest_text(path):
 
 
 def load_axioms(path=None) -> list:
-    """Load the axiom manifest from a file, or the shipped default."""
-    return parse_theory(_manifest_text(path))
+    """The axioms of a manifest file, or of the shipped default."""
+    return read_manifest(path)[0]
 
 
-def manifest_version(path=None):
-    """The value of the first `# version:` line of a manifest file (or the
-    shipped one), or None if it has none."""
-    found = re.search(r"^# version:(.*)$", _manifest_text(path), re.MULTILINE)
-    return found and found.group(1).strip()
+def read_manifest(path=None):
+    """(axioms as a new list, value of the first `# version:` line or None) of a
+    manifest file or the shipped default, from one read; each text is parsed once."""
+    equations, version = _parsed_manifest(_manifest_text(path))
+    return list(equations), version
+
+
+@functools.lru_cache(maxsize=8)  # keyed on the text, so an edited file is parsed again
+def _parsed_manifest(text) -> tuple:
+    found = re.search(r"^# version:(.*)$", text, re.MULTILINE)
+    return tuple(parse_theory(text)), found and found.group(1).strip()

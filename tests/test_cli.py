@@ -195,6 +195,25 @@ def test_axioms_file_version_in_json_report(tmp_path, capsys, monkeypatch, heade
     assert ("manifest_version" in obj) == (version is not None)
 
 
+def test_verify_reads_the_axioms_file_once(tmp_path, capsys, monkeypatch):
+    # the version and the equations come from one read, so they cannot disagree
+    custom = tmp_path / "axioms.eq"
+    custom.write_text("# version: 3\neq only [frobA]: mu_A == mu_A\n")
+    real_open, opened = open, []
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(custom):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, out, _ = run(capsys, "verify", "--builtin", "aps", "--report", "json",
+                       "--axioms", str(custom))
+    obj = json.loads(out)
+    assert code == 0 and obj["manifest_version"] == "3"
+    assert [e["name"] for e in obj["equations"]] == ["only"]
+    assert len(opened) == 1
+
 def test_verify_strict_partial_it(capsys):
     code, out, _ = run(capsys, "verify", "--builtin", "it", "--strict-partial")
     assert code == 0

@@ -1,0 +1,87 @@
+"""Golden digests of whole CLI runs: the same argv must give the same bytes.
+
+Each digest is the sha256 of the exit code, stdout and stderr of one
+in-process `frobpair` run.  A change that claims to keep every answer keeps
+every digest here; a change that means to alter an answer records the new
+digest and says why.  Print the current table with
+
+    PYTHONPATH=src python3 tests/test_cli_digests.py
+"""
+
+import contextlib
+import hashlib
+import importlib.resources
+import io
+import json
+
+import pytest
+
+from frobpair.cli import main
+
+APS_FILE = str(importlib.resources.files("frobpair").joinpath("data/aps.json"))
+
+SOURCES = {
+    "aps": ("--builtin", "aps"),
+    "tt": ("--builtin", "tt"),
+    "it": ("--builtin", "it"),
+    "sqrt": ("--builtin", "sqrt"),
+    "rank2": ("--builtin", "rank2"),
+    "double": ("--builtin", "double"),
+    "it-strict": ("--builtin", "it", "--strict-partial"),
+    "aps-file": ("--pair", APS_FILE),
+}
+
+COMMANDS = {
+    "verify-text": ("verify",),
+    "verify-json": ("verify", "--report", "json"),
+    "diamond": ("diamond",),
+}
+
+DIGESTS = {
+    ("aps", "verify-text"): "89e32f3c72615aab1c26516327e2b4461c453d913d05f3fad4a68fc5c5a01899",
+    ("aps", "verify-json"): "af30dfe98f7171afdc681a3bd459a33b482f6bf624a8ea96963e33a90e65cb31",
+    ("aps", "diamond"): "30a1bdb344eb5b2db8951154c13696ae89ecce4d82a46cdf11ffe33523aadd09",
+    ("tt", "verify-text"): "89e32f3c72615aab1c26516327e2b4461c453d913d05f3fad4a68fc5c5a01899",
+    ("tt", "verify-json"): "09bfbff7d8b1116485d835a3667905fe5ed342c7b3770245c28ff762b2da2f90",
+    ("tt", "diamond"): "30a1bdb344eb5b2db8951154c13696ae89ecce4d82a46cdf11ffe33523aadd09",
+    ("it", "verify-text"): "45ff74cd8e9bf7c0131a3a51c7527ce8eddd6ac68966695f9ff8b96106af4ed7",
+    ("it", "verify-json"): "aec619fa5c81fedbd36790715e52205657f2de4e9dd490ceeb88b8bd1ef5b702",
+    ("it", "diamond"): "3dcf49d4a055660662ed6770ccadfe06d707a1b3946efe9b61ff2c9ce91fbe7e",
+    ("sqrt", "verify-text"): "89e32f3c72615aab1c26516327e2b4461c453d913d05f3fad4a68fc5c5a01899",
+    ("sqrt", "verify-json"): "7a2f7ba9677b2f40ef44b4d0a93d321887b13e81eebebbab415d61464febaf94",
+    ("sqrt", "diamond"): "30a1bdb344eb5b2db8951154c13696ae89ecce4d82a46cdf11ffe33523aadd09",
+    ("rank2", "verify-text"): "6bb4cae5187581f47ffc75deb8c83977857f1b28bb0cdff94ad2cbe603a32406",
+    ("rank2", "verify-json"): "9b3317dc7750db5140c646dd0e7f6a4bae7d215f1769d7ef561291b6ae539dd7",
+    ("rank2", "diamond"): "2e6efd134627c5c08bc2db4ac30a0208332987e1efe1a602c6bb0b9fa6733b28",
+    ("double", "verify-text"): "d98f2ed3ff3f7a2203567e9beff830b5a7f5fb9e0104388f4d021470a068015b",
+    ("double", "verify-json"): "3af70a114a3db7fcaac815566c4afafc50cd3cea01eb8ab34b3830c826c90604",
+    ("double", "diamond"): "200f1cf86fb2bfe253638ca1c205c912b14d5b97ed7fed3f45af225c3e3a18b9",
+    ("it-strict", "verify-text"): "8f35448c7d97367569251d35eed26c4b4b57be6db0552e8962ea368cd23f998f",
+    ("it-strict", "verify-json"): "d316a5d6a07705ab367b0e8f2b994c5ce7c0b9e0b4a8dffad9080046125d1668",
+    ("it-strict", "diamond"): "c8deb258d52db2d951bf478b2460919a6edd250130b1b13e294ed88b3ec0bcba",
+    ("aps-file", "verify-text"): "89e32f3c72615aab1c26516327e2b4461c453d913d05f3fad4a68fc5c5a01899",
+    ("aps-file", "verify-json"): "af30dfe98f7171afdc681a3bd459a33b482f6bf624a8ea96963e33a90e65cb31",
+    ("aps-file", "diamond"): "30a1bdb344eb5b2db8951154c13696ae89ecce4d82a46cdf11ffe33523aadd09",
+}
+
+
+def digest(source, command) -> str:
+    """sha256 of the exit code, stdout and stderr of one CLI run."""
+    argv = [*COMMANDS[command][:1], *SOURCES[source], *COMMANDS[command][1:]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("source,command", sorted(DIGESTS))
+def test_cli_run_digest(source, command, monkeypatch):
+    monkeypatch.delenv("FROBPAIR_AXIOMS", raising=False)
+    assert digest(source, command) == DIGESTS[source, command]
+
+
+if __name__ == "__main__":
+    for source in SOURCES:
+        for command in COMMANDS:
+            print(f'    ("{source}", "{command}"): "{digest(source, command)}",')

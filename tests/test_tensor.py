@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from frobpair import tensor as tensor_mod
+from frobpair.cli import build_builtin
+from frobpair.pair import verify
 from frobpair.ring import INTEGERS, MOD2, RATIONALS, ring
 from frobpair.tensor import (
     BasisSpec,
@@ -14,6 +17,7 @@ from frobpair.tensor import (
     tensor,
     word,
 )
+from frobpair.theory import load_axioms
 
 from helpers import product_by_multiplying
 
@@ -299,3 +303,95 @@ def test_act_and_compose_refuse_mixed_rings():
             compose(mu, LinMap.identity(spec, word("AA")))
         with pytest.raises(TensorError, match="basis-spec mismatch"):
             act(LinMap.identity(spec, word("AA")), mu, (0, 1), (0,))
+
+
+# -- move plans and column indices ----------------------------------------------------
+
+def test_act_refusals_read_the_same_on_a_cold_and_a_warm_plan_cache():
+    # the plan cache keeps no refusal: each one raises its own text every time,
+    # whether or not a valid move on the same word was planned before it
+    mu, delta = aps_mu_a(), aps_delta_a()
+    other = BasisSpec(SPEC.basis_a, SPEC.basis_e, ring(RATIONALS))
+    ae, aa = LinMap.identity(SPEC, word("AE")), LinMap.identity(SPEC, word("AA"))
+    refusals = [
+        (ae, mu, (0, 2), (0,), "source slots (0, 2) out of range for word ('A', 'E')"),
+        (ae, mu, (0, -1), (0,), "source slots (0, -1) out of range for word ('A', 'E')"),
+        (ae, mu, (0, 1), (0,), "word mismatch: ('A', 'A') at slots (0, 1) of ('A', 'E')"),
+        (aa, mu, (0, 1), (1,), "target slots (1,) do not fit the image of slots (0, 1) "
+                               "of ('A', 'A')"),
+        (aa, delta, (0,), (0, 0), "target slots (0, 0) do not fit the image of slots (0,) "
+                                  "of ('A', 'A')"),
+        (aa, None, (0, 1), (0,), "target slots (0,) do not fit the image of slots (0, 1) "
+                                 "of ('A', 'A')"),
+        (LinMap.identity(other, word("AA")), mu, (0, 1), (0,), "basis-spec mismatch"),
+        # out of range is named before a spec mismatch, as it always was
+        (LinMap.identity(other, word("AA")), mu, (0, 5), (0,),
+         "source slots (0, 5) out of range for word ('A', 'A')"),
+    ]
+    valid = {word("AE"): (None, (0, 1), (1, 0)), word("AA"): (mu, (0, 1), (0,))}
+    for f, gen, src, dst, text in refusals:
+        tensor_mod._move_plan.cache_clear()
+        with pytest.raises(TensorError) as cold:
+            act(f, gen, src, dst)
+        good = valid[f.cod]
+        act(LinMap.identity(SPEC, f.cod), *good)
+        act(LinMap.identity(SPEC, f.cod), *good)
+        for _ in range(2):
+            with pytest.raises(TensorError) as warm:
+                act(f, gen, src, dst)
+            assert str(warm.value) == str(cold.value) == text
+        assert tensor_mod._move_plan.cache_info().currsize == 1
+
+
+def test_a_second_verify_of_the_same_pair_plans_no_new_move():
+    pair, axioms = build_builtin("rank2", {}), load_axioms()
+    first = verify(pair, axioms)
+    before = tensor_mod._move_plan.cache_info()
+    second = verify(pair, axioms)
+    after = tensor_mod._move_plan.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    assert [(r.name, r.status) for r in first.records] == \
+        [(r.name, r.status) for r in second.records]
+
+
+def test_columns_group_the_entries_by_input_tuple():
+    rng = random.Random(29)
+    for d in ORACLE_RINGS:
+        spec, pool = BasisSpec(("1", "X"), ("Y", "Z"), d), entry_pool(d)
+        for dom, cod in ((word("AA"), word("A")), (word("E"), word("AE")), ((), word("A")),
+                         (word("A"), ())):
+            m = pooled_map(rng, spec, dom, cod, pool)
+            grouped = {}
+            for (o, t), v in m.entries.items():
+                grouped.setdefault(t, {})[o] = v
+            columns = m.columns()
+            assert {t: {o: v for o, v, _ in col} for t, col in columns.items()} == grouped
+            assert all(one == (v == d.one()) for col in columns.values() for _, v, one in col)
+            assert m.columns() is columns  # built once
+
+
+def test_act_matches_the_multiplying_oracle_on_unit_zero_and_other_entries():
+    # generators whose entries are 1, -1, 0 (dropped when the map is made) and
+    # other values; each generator acts twice, the second time on a built index
+    rng = random.Random(31)
+    words = [word("A"), word("E"), word("AE"), word("AA"), word("EAE")]
+    for d in ORACLE_RINGS:
+        spec = BasisSpec(("1", "X"), ("Y", "Z"), d)
+        pool = entry_pool(d)
+        gen_pool = [d.one(), -d.one(), d.zero(), d.zero(), *pool]
+        for _ in range(25):
+            mid = rng.choice(words)
+            src = tuple(rng.sample(range(len(mid)), rng.randint(0, min(2, len(mid)))))
+            gcod = rng.choice([(), *words[:4]])
+            dst = tuple(rng.sample(range(len(mid) - len(src) + len(gcod)), len(gcod)))
+            gdom = tuple(mid[p] for p in src)
+            gen = LinMap(spec, gdom, gcod, {(o, t): rng.choice(gen_pool)
+                                            for t in spec.tuples(gdom)
+                                            for o in spec.tuples(gcod)})
+            assert all(not v.is_zero() for v in gen.entries.values())
+            layer = layer_entries(spec, mid, gen, src, dst)
+            for dom in rng.sample(words, 2):
+                f = pooled_map(rng, spec, dom, mid, pool)
+                got = act(f, gen, src, dst)
+                assert got.entries == product_by_multiplying(layer, f.entries)
+                assert all(not v.is_zero() for v in got.entries.values())

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import frobpair
 from frobpair.ring import INTEGERS, ring
 from frobpair.tensor import BasisSpec, LinMap, compose, equal, word
 from frobpair.theory import (
@@ -11,6 +15,7 @@ from frobpair.theory import (
     load_axioms,
     parse_term,
     parse_theory,
+    read_manifest,
     term_to_text,
     typecheck,
 )
@@ -193,3 +198,48 @@ def test_parse_theory_rejects_bad_metadata():
 def test_ambiguous_swap_rejected():
     with pytest.raises(TheoryError, match="ambiguous"):
         typecheck(parse_term("swap"))
+
+
+# -- the manifest cache ---------------------------------------------------------------
+
+def test_load_axioms_returns_a_new_list_each_call():
+    first = load_axioms()
+    names = [e.name for e in first]
+    first.pop()
+    first.append("junk")
+    second = load_axioms()
+    assert second is not first and [e.name for e in second] == names
+    assert load_axioms() is not second
+
+
+def test_load_axioms_reads_a_rewritten_file_again(tmp_path):
+    path = tmp_path / "axioms.eq"
+    path.write_text("eq x [frobA]: mu_A == mu_A\n")
+    assert [e.name for e in load_axioms(str(path))] == ["x"]
+    path.write_text("eq y [frobA]: eps == eps\neq z [frobA]: eta == eta\n")
+    eqs = load_axioms(str(path))
+    assert [(e.name, e.lhs) for e in eqs] == [("y", parse_term("eps")), ("z", parse_term("eta"))]
+    path.write_text("eq x [frobA]: mu_A == mu_A\n")
+    assert [e.name for e in load_axioms(str(path))] == ["x"]
+
+
+def test_read_manifest_gives_the_equations_and_version_of_one_text(tmp_path):
+    eqs, version = read_manifest()
+    assert version == "1" and [e.name for e in eqs] == [e.name for e in load_axioms()]
+    path = tmp_path / "axioms.eq"
+    path.write_text("# version: 7\neq x [frobA]: mu_A == mu_A\n")
+    eqs, version = read_manifest(path)
+    assert [e.name for e in eqs] == ["x"] and version == "7"
+    path.write_text("eq x [frobA]: mu_A == mu_A\n")
+    assert read_manifest(path)[1] is None
+
+
+def test_importing_the_cli_parses_no_manifest():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(frobpair.__file__)))
+    # parse_theory is counted from before the other modules load
+    code = ("import frobpair.theory as t; calls = []; parse = t.parse_theory; "
+            "t.parse_theory = lambda text: calls.append(text) or parse(text); "
+            "import frobpair.cli; print(len(calls), t._parsed_manifest.cache_info().misses)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          check=True, text=True)
+    assert proc.stdout.split() == ["0", "0"]
