@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .tensor import MAX_CIRCLES, LinMap, act, compose, equal, word
+from .tensor import MAX_CIRCLES, LinMap, equal, word
 from .pair import VerifyRecord, VerifyReport
+from .theory import evaluate_side, prefix_chain
 
 class CobordismError(ValueError):
     """Illegal events, positions, or sort transitions."""
@@ -217,13 +217,10 @@ def _table_for(cob: CobordismWord, pair):
 
 def evaluate(cob: CobordismWord, pair) -> LinMap:
     """The composite LinMap of a cobordism word under a pair's generator table:
-    each event's generator, read once when the word was built, acts on its
-    slots of the running word."""
-    table = _table_for(cob, pair)
-    current = LinMap.identity(pair.spec, word(cob.input))
-    for gen, src, dst in cob.moves:
-        current = act(current, None if gen is None else table[gen], src, dst)
-    return current
+    one chain of the moves read when the word was built, through
+    theory.evaluate_side."""
+    chain = prefix_chain(word(cob.input), (tuple(cob.moves),), {})
+    return evaluate_side(chain, _table_for(cob, pair), pair.spec, {})
 
 
 # -- pole words -----------------------------------------------------------------
@@ -299,37 +296,24 @@ DIAMOND_CASES = [
 ]
 
 
-def _held(memo, uses, key, make):
-    """memo[key], made by make() on its first use and dropped after its last."""
-    if key not in memo:
-        memo[key] = make()
-    uses[key] -= 1
-    return memo[key] if uses[key] else memo.pop(key)
-
-
 def compare_squares(squares, table, spec) -> list:
     """tensor.equal's (ok, witness) for each square, in list order.  A square
     is two paths, a path is two moves in the order they apply, and a move is
     (word, generator, source slots, output slots): the generator, from table,
-    acts on the identity of the word at those slots.
+    acts at those slots of the word.
 
-    Each distinct move and each distinct path is made once and dropped after
-    its last use.  Squares are compared in square_order.
+    Each path is a chain of two pieces on its bottom word, one per move,
+    interned in one dict, so theory.evaluate_side acts each distinct first
+    move once on the identity and each distinct path's second move once on
+    that map, each made map held until its last use.  Squares are compared in
+    square_order.
     """
-    path_uses = Counter(path for square in squares for path in square)
-    move_uses = Counter(move for path in path_uses for move in path)
-    moves, paths = {}, {}
-
-    def path_map(path):
-        def make():
-            m1, m2 = (_held(moves, move_uses, (w, gen, src, dst), lambda: act(
-                LinMap.identity(spec, w), table[gen], src, dst)) for w, gen, src, dst in path)
-            return compose(m2, m1)
-        return _held(paths, path_uses, path, make)
-
+    interned, memo = {}, {}
+    chains = [[prefix_chain(path[0][0], tuple((move[1:],) for move in path), interned)
+               for path in square] for square in squares]
     verdicts = [None] * len(squares)
     for k in square_order(squares):
-        verdicts[k] = equal(*map(path_map, squares[k]))
+        verdicts[k] = equal(*(evaluate_side(chain, table, spec, memo) for chain in chains[k]))
     return verdicts
 
 
@@ -348,8 +332,9 @@ def diamond_exchange_suite(pair, cases=None) -> VerifyReport:
     The squares of cases (all of DIAMOND_CASES by default) are read from
     data/diamonds.json: the 230 labellings give 460 squares with 920 paths.
     Each shipped edge is one move, its swaps folded into its slots, and
-    compare_squares takes the squares by value: it acts each of the 153
-    distinct moves once and composes each of the 350 distinct paths once.
+    compare_squares takes the squares by value: it acts each of the 133
+    distinct first moves once on the identity and each of the 350 distinct
+    paths' second moves once on that map.
     Squares are reported in their own order.  Every shipped edge is checked
     against the pair first, in the order the squares meet them, so a missing
     generator or an over-wide running word is reported as the first one met.

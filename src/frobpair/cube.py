@@ -425,7 +425,7 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
 
     Returns a list (degree 0..n) of {"betti": int, "torsion": [int, ...]};
     torsion is always empty over a field.  Each generator's entries become
-    constants once, each distinct (source word, move) edge's `_block` is built
+    constants, and over z and z2 integers, once per call, each distinct (source word, move) edge's `_block` is built
     from them once, d_i's sparse rows scatter the blocks with each edge's sign,
     and one elimination of their +-1 pivots (`_unit_pivots`) reduces them.  Over
     z2 (`sparse_rank_gf2`) it leaves no residual; over q (`sparse_rank_fraction`,
@@ -455,26 +455,25 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
         # d_i's edges: (row offset, column offset, number, sign is -1); -1 = 1 over Z/2
         edges = [(offset[_flip(b, k)], offset[b], key[b, k], negate and pair.ring.domain != MOD2)
                  for b, k, negate in _edges(cube, i)]
-        new = {}  # edge number -> its first edge's sign, in scan order
+        new, fresh = {}, {}  # edge number, generator new to this call -> its first edge's sign
         for _r, _c, e, negate in edges:
             if e not in blocks:
                 new.setdefault(e, negate)
+                if moves[e][1] not in constants:
+                    fresh.setdefault(moves[e][1], negate)
         table = table_with(pair, (moves[e][1] for e in new), CubeError)
         # an edge map meets its generator's columns in order, so its first bad
         # entry is its generator's; convert all before testing any for integers
-        for e, negate in new.items():
-            gen = moves[e][1]
-            if gen not in constants:
-                m = table[gen]
-                column = {t: c for c, t in enumerate(pair.spec.tuples(m.dom))}
-                entries = sorted([(column[t], o, v) for (o, t), v in m.entries.items()],
-                                 key=lambda entry: entry[0])
-                bad = next((v for *_, v in entries if not v.is_constant()), None)
-                if bad is not None:
-                    raise CubeError(f"specialize first: not a constant: {-bad if negate else bad}")
-                constants[gen] = [(c, o, v.constant_value()) for c, o, v in entries]
-        for e, negate in new.items() if coefficients != "q" else ():
-            gen = moves[e][1]
+        for gen, negate in fresh.items():
+            m = table[gen]
+            column = {t: c for c, t in enumerate(pair.spec.tuples(m.dom))}
+            entries = sorted([(column[t], o, v) for (o, t), v in m.entries.items()],
+                             key=lambda entry: entry[0])
+            bad = next((v for *_, v in entries if not v.is_constant()), None)
+            if bad is not None:
+                raise CubeError(f"specialize first: not a constant: {-bad if negate else bad}")
+            constants[gen] = [(c, o, v.constant_value()) for c, o, v in entries]
+        for gen, negate in fresh.items() if coefficients != "q" else ():
             bad = next((x for *_, x in constants[gen] if x.denominator != 1), None)
             if bad is not None:
                 raise CubeError(f"d_{i} has the non-integral entry {-bad if negate else bad}; "

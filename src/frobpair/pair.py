@@ -349,14 +349,8 @@ class Rank2Params:
 
     @staticmethod
     def over(decl: RingDecl, **kw) -> "Rank2Params":
-        def coerce(v):
-            if isinstance(v, RingElem):
-                return v
-            if isinstance(v, str):
-                return decl.parse(v)
-            return decl.const(v)
-
-        return Rank2Params(**{k: coerce(v) for k, v in kw.items()})
+        """The parameters kw, numbers, as constants of decl."""
+        return Rank2Params(**{k: decl.const(v) for k, v in kw.items()})
 
 
 def build_rank2(p: Rank2Params) -> FrobeniusPair:

@@ -14,7 +14,7 @@ import importlib.resources
 import re
 from dataclasses import InitVar, dataclass, field
 
-from .tensor import LinMap, act, word
+from .tensor import LinMap, act
 
 A, E = "A", "E"
 
@@ -85,7 +85,7 @@ def term_to_text(term) -> str:
 
 
 class _Var:
-    """Sort unknown introduced by a swap in a leading layer."""
+    """Sort unknown of a strand that enters the first layer."""
 
     __slots__ = ()
 
@@ -111,27 +111,16 @@ def _unify(x, y, subst):
 def typecheck(term):
     """Infer (domain, codomain) words; returns (dom, cod, per-layer in-words).
 
-    Swap sorts are inferred by unification; a term whose swap sorts stay
-    undetermined is rejected as ambiguous.
+    The domain starts as one fresh unknown per strand of the first layer, and
+    every sort, swap sorts included, is inferred by unification; a term whose
+    swap sorts stay undetermined is rejected as ambiguous.
     """
     subst = {}
     layer_ins = []
-    current = None  # None until the first layer fixes the domain
+    width = sum(1 if item in ("id_A", "id_E") else 2 if item == "swap" else len(SIGNATURE[item][0])
+                for item in term[0])
+    current = term_dom = tuple(_Var() for _ in range(width))
     for layer in term:
-        if current is None:
-            # build the domain from the items themselves
-            dom = []
-            for item in layer:
-                if item == "id_A":
-                    dom.append(A)
-                elif item == "id_E":
-                    dom.append(E)
-                elif item == "swap":
-                    dom.extend((_Var(), _Var()))
-                else:
-                    dom.extend(SIGNATURE[item][0])
-            current = tuple(dom)
-            term_dom = current
         layer_ins.append(current)
         out, pos = [], 0
         for item in layer:
@@ -175,32 +164,55 @@ def generators_used(term):
     return {item for layer in term for item in layer if item in SIGNATURE}
 
 
+def _term_pieces(term) -> tuple:
+    """The act moves of each layer of a term, each move (generator name, or
+    None for a swap, source slots, target slots) in the partly rewritten word;
+    identity strands make none."""
+    pieces = []
+    for layer in term:
+        moves, pos = [], 0  # pos: slot of the next item in the partly rewritten word
+        for item in layer:
+            if item == "swap":
+                moves.append((None, (pos, pos + 1), (pos + 1, pos)))
+                pos += 2
+            elif item in SIGNATURE:
+                gdom, gcod = SIGNATURE[item]
+                moves.append((item, tuple(range(pos, pos + len(gdom))),
+                              tuple(range(pos, pos + len(gcod)))))
+                pos += len(gcod)
+            else:
+                pos += 1
+        pieces.append(tuple(moves))
+    return tuple(pieces)
+
+
 @dataclass(eq=False)
 class Prefix:
-    """The first layers of a term over its domain (layer None for none), and
-    how many equation sides start with them."""
+    """One piece of a chain on the word dom: the act moves it applies after
+    the pieces before it (after the identity on dom, if it is the first), and
+    how many chains start with the prefix it ends."""
 
-    layer: tuple
+    moves: tuple
     dom: tuple
     uses: int = 0
 
 
-def _prefixes(dom, term, pieces) -> tuple:
-    """The Prefix chain of a term on the domain dom, from no layer to every
-    layer: each prefix is interned in pieces and counted as one more use."""
+def prefix_chain(dom, pieces, interned) -> tuple:
+    """The Prefix chain on the word dom of a sequence of pieces, each a tuple
+    of moves: each prefix is interned in interned and counted as one more use."""
     chain = []
-    for k in range(len(term) + 1):
-        piece = pieces.get((dom, term[:k]))
+    for k in range(1, len(pieces) + 1):
+        piece = interned.get((dom, pieces[:k]))
         if piece is None:
-            piece = pieces[(dom, term[:k])] = Prefix(term[k - 1] if k else None, dom)
+            piece = interned[(dom, pieces[:k])] = Prefix(pieces[k - 1], dom)
         piece.uses += 1
         chain.append(piece)
     return tuple(chain)
 
 
 def evaluate_side(side, gen_maps, spec, memo) -> LinMap:
-    """The LinMap of a Prefix chain: each generator or swap of a layer acts on
-    its own strands through act(); identity strands pass through untouched.
+    """The LinMap of a Prefix chain: from the identity on its domain, each
+    move acts in turn through act(), its generator taken from gen_maps.
 
     A prefix with more than one use is held in memo (Prefix -> [LinMap, uses
     left]) until its last use, so each distinct prefix is evaluated once.
@@ -213,20 +225,10 @@ def evaluate_side(side, gen_maps, spec, memo) -> LinMap:
             if not held[1]:
                 del memo[piece]
             continue
-        if piece.layer is None:
-            current = LinMap.identity(spec, word(piece.dom))
-        pos = 0  # slot of the next item in the partly rewritten word
-        for item in piece.layer or ():
-            if item == "swap":
-                current = act(current, None, (pos, pos + 1), (pos + 1, pos))
-                pos += 2
-            elif item in SIGNATURE:
-                gen = gen_maps[item]
-                current = act(current, gen, range(pos, pos + len(gen.dom)),
-                              range(pos, pos + len(gen.cod)))
-                pos += len(gen.cod)
-            else:
-                pos += 1
+        if current is None:
+            current = LinMap.identity(spec, piece.dom)
+        for gen, src, dst in piece.moves:
+            current = act(current, None if gen is None else gen_maps[gen], src, dst)
         if piece.uses > 1:
             memo[piece] = [current, piece.uses - 1]
     return current
@@ -235,7 +237,7 @@ def evaluate_side(side, gen_maps, spec, memo) -> LinMap:
 def evaluate_term(term, gen_maps, spec) -> LinMap:
     """The LinMap of a term, layer by layer from the identity on its domain."""
     dom, _cod, _layer_ins = typecheck(term)
-    return evaluate_side(_prefixes(dom, term, {}), gen_maps, spec, {})
+    return evaluate_side(prefix_chain(dom, _term_pieces(term), {}), gen_maps, spec, {})
 
 
 # -- equations -------------------------------------------------------------------
@@ -252,8 +254,9 @@ PROVENANCES = ("paper", "corrected", "generated")
 class Equation:
     """Two terms that typecheck to the same words, checked when made.
 
-    sides holds the Prefix chains of lhs and rhs on their domain, interned in
-    `pieces`, so that the equations made with one dict share their prefixes;
+    sides holds the Prefix chains of lhs and rhs on their domain, one piece
+    per layer with the layer's moves, interned in `pieces`, so that the
+    equations made with one dict share their prefixes;
     words holds every word that evaluating them meets.
     """
 
@@ -276,8 +279,8 @@ class Equation:
         if self.provenance not in PROVENANCES:
             raise TheoryError(f"equation {self.name}: unknown provenance {self.provenance}")
         pieces = {} if pieces is None else pieces
-        object.__setattr__(self, "sides", (_prefixes(ld, self.lhs, pieces),
-                                           _prefixes(ld, self.rhs, pieces)))
+        object.__setattr__(self, "sides", tuple(prefix_chain(ld, _term_pieces(term), pieces)
+                                                for term in (self.lhs, self.rhs)))
         object.__setattr__(self, "words", (*l_ins, lc, *r_ins[1:]))
 
     def generators(self):

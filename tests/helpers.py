@@ -23,7 +23,9 @@ local squares of `check_d_squared` are checked against; and
 `cancel_pole_pairs`, the pass-by-pass cyclic cancellation that
 `pole_degree` is checked against; and `TableAlgebra`, k[X]/(X^2 - hX - t)
 as hand-written structure constants, which the element arithmetic of
-`frobpair.pair.FrobeniusAlgebra` is checked against.
+`frobpair.pair.FrobeniusAlgebra` is checked against; and
+`record_act_chains`, which names the chain of moves each `act` of
+`theory.evaluate_side` ends.
 
 And two pieces of the package that only tests use: `cube_to_json`, the cube
 file writer, and `lemma_first_conditions`, the X-action statement that
@@ -542,3 +544,25 @@ def _assign_sorts(rng, n, cycles, moves, tries):
         if ok:
             return sorts
     raise AssertionError("all-A fallback labelling must always be legal")
+
+
+def record_act_chains(monkeypatch, pair):
+    """Patch theory.act to record, for each call, the chain of moves it ends:
+    (bottom word, ((generator name or None, source slots, target slots), ...)).
+    A map that no recorded act made is taken as the identity on its domain.
+    Returns the list the calls are appended to."""
+    import frobpair.theory as theory_mod
+
+    real, calls, made = theory_mod.act, [], {}  # made: id -> (chain, map), kept alive
+    names = {id(m): g for g, m in pair.generator_table().items()}
+
+    def act(f, gen, src, dst):
+        w, moves = made[id(f)][0] if id(f) in made else (f.dom, ())
+        chain = (w, moves + ((None if gen is None else names[id(gen)], tuple(src), tuple(dst)),))
+        calls.append(chain)
+        out = real(f, gen, src, dst)
+        made[id(out)] = (chain, out)
+        return out
+
+    monkeypatch.setattr(theory_mod, "act", act)
+    return calls

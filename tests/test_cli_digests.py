@@ -13,12 +13,18 @@ import hashlib
 import importlib.resources
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from frobpair.cli import main
+from helpers import cube_to_json, item_one_cubes
 
-APS_FILE = str(importlib.resources.files("frobpair").joinpath("data/aps.json"))
+DATA = importlib.resources.files("frobpair").joinpath("data")
+APS_FILE = str(DATA.joinpath("aps.json"))
+#: stands in an argv for the path of the ROADMAP's non-complex repro cube
+REPRO = "<repro cube>"
 
 SOURCES = {
     "aps": ("--builtin", "aps"),
@@ -29,12 +35,18 @@ SOURCES = {
     "double": ("--builtin", "double"),
     "it-strict": ("--builtin", "it", "--strict-partial"),
     "aps-file": ("--pair", APS_FILE),
+    "tt-l1": ("--builtin", "tt", "--specialize", "l=1"),
+    "it-t1": ("--builtin", "it", "--specialize", "t=1"),
 }
 
 COMMANDS = {
     "verify-text": ("verify",),
     "verify-json": ("verify", "--report", "json"),
     "diamond": ("diamond",),
+    "eval-torus": ("eval", str(DATA.joinpath("torus.cob"))),
+    **{f"cube-{name}-{coeff}": ("cube", str(DATA.joinpath(f"{name}.cube")), "--coeff", coeff)
+       for name in ("fig13", "merge1", "split1") for coeff in ("q", "z", "z2")},
+    "cube-repro-q": ("cube", REPRO, "--coeff", "q"),
 }
 
 DIGESTS = {
@@ -62,12 +74,40 @@ DIGESTS = {
     ("aps-file", "verify-text"): "89e32f3c72615aab1c26516327e2b4461c453d913d05f3fad4a68fc5c5a01899",
     ("aps-file", "verify-json"): "af30dfe98f7171afdc681a3bd459a33b482f6bf624a8ea96963e33a90e65cb31",
     ("aps-file", "diamond"): "30a1bdb344eb5b2db8951154c13696ae89ecce4d82a46cdf11ffe33523aadd09",
+    ("aps", "eval-torus"): "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5",
+    ("tt", "eval-torus"): "c20c606b7cf2283c7babbadd203a9105202b7934867a946ea1cd86b1f22fabba",
+    ("it", "eval-torus"): "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5",
+    ("sqrt", "eval-torus"): "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5",
+    ("aps-file", "eval-torus"): "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5",
+    ("aps", "cube-fig13-q"): "1aae485e21f4c33c9df5dbccc01b0f0fc2f19387ac78647b39c45a160b40e26d",
+    ("aps", "cube-fig13-z"): "950d9cc2287414ff55dacac9864a4cf2cc9f4878f3c6d6fe405ab227776869b8",
+    ("aps", "cube-fig13-z2"): "1aae485e21f4c33c9df5dbccc01b0f0fc2f19387ac78647b39c45a160b40e26d",
+    ("aps", "cube-merge1-q"): "ac524f96060acb9e01c39e47a2f721a77c042ad3d618144477bc27398d0b9451",
+    ("aps", "cube-merge1-z"): "2189507307f7fcf213d802ea411702dc818821b9da458f01e660064a56f1c33e",
+    ("aps", "cube-merge1-z2"): "ac524f96060acb9e01c39e47a2f721a77c042ad3d618144477bc27398d0b9451",
+    ("aps", "cube-split1-q"): "4f42a96e3fffd273e2cb96bb0abc3c3a06e0c6a895a796c87312c72676aadc6a",
+    ("aps", "cube-split1-z"): "37a3c63bf475ac6cc7caa78e8526593f72069d9e996a8ca379f0f7ad9130ce2d",
+    ("aps", "cube-split1-z2"): "4f42a96e3fffd273e2cb96bb0abc3c3a06e0c6a895a796c87312c72676aadc6a",
+    ("tt-l1", "cube-fig13-z2"): "7b3d3598fe30de1ab25ec3ae8661081a2e384031b7340b45086e1d7fd547d810",
+    ("tt-l1", "cube-merge1-z2"): "ac524f96060acb9e01c39e47a2f721a77c042ad3d618144477bc27398d0b9451",
+    ("tt-l1", "cube-split1-z2"): "4f42a96e3fffd273e2cb96bb0abc3c3a06e0c6a895a796c87312c72676aadc6a",
+    ("it-t1", "cube-repro-q"): "3c2d77cb7fea68471d255a9b12421cb7c13c28af6c904a06d53c939a7191d2ae",
 }
 
 
-def digest(source, command) -> str:
-    """sha256 of the exit code, stdout and stderr of one CLI run."""
+def repro_cube(directory) -> str:
+    """The path of the fourth of helpers.item_one_cubes, written under directory:
+    under `it` at t=1 it is not a chain complex, which `cube` finds by d^2."""
+    path = Path(directory) / "repro.cube"
+    path.write_text(cube_to_json(item_one_cubes()[3]), encoding="utf-8")
+    return str(path)
+
+
+def digest(source, command, repro=None) -> str:
+    """sha256 of the exit code, stdout and stderr of one CLI run; repro is the
+    path that stands for REPRO."""
     argv = [*COMMANDS[command][:1], *SOURCES[source], *COMMANDS[command][1:]]
+    argv = [repro if arg == REPRO else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -75,13 +115,19 @@ def digest(source, command) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def repro(tmp_path_factory):
+    return repro_cube(tmp_path_factory.mktemp("cubes"))
+
+
 @pytest.mark.parametrize("source,command", sorted(DIGESTS))
-def test_cli_run_digest(source, command, monkeypatch):
+def test_cli_run_digest(source, command, repro, monkeypatch):
     monkeypatch.delenv("FROBPAIR_AXIOMS", raising=False)
-    assert digest(source, command) == DIGESTS[source, command]
+    assert digest(source, command, repro) == DIGESTS[source, command]
 
 
 if __name__ == "__main__":
-    for source in SOURCES:
-        for command in COMMANDS:
-            print(f'    ("{source}", "{command}"): "{digest(source, command)}",')
+    with tempfile.TemporaryDirectory() as scratch:
+        path = repro_cube(scratch)
+        for source, command in DIGESTS:
+            print(f'    ("{source}", "{command}"): "{digest(source, command, path)}",')

@@ -22,6 +22,7 @@ from frobpair.cobordism import (
     swap,
 )
 from frobpair.cli import build_builtin, main
+from frobpair.cube import check_d_squared
 from frobpair.pair import (
     FrobeniusPair,
     Rank2Params,
@@ -217,7 +218,7 @@ def test_pole_degree_odd_rejected():
 
 
 from helpers import brute_force_pole_degrees as brute_force_degrees, cancel_pole_pairs, \
-    diamond_by_paths
+    diamond_by_paths, random_cube, record_act_chains
 
 
 def test_pole_degree_confluence_up_to_8():
@@ -382,48 +383,44 @@ def test_diamond_refuses_the_first_wide_word_met(n_a, n_e, cases, named):
         diamond_exchange_suite(wide_pair(n_a, n_e), cases)
 
 
-def test_diamond_acts_once_per_edge(monkeypatch):
-    # the 173 shipped edges fold to 153 distinct moves (word, generator, slots),
-    # and each distinct move acts once on the identity
-    import frobpair.cobordism as cob_mod
-
+def test_diamond_acts_each_first_move_and_path_once(monkeypatch):
+    # the 920 paths of the 460 squares are 363 distinct as events, 350 by value,
+    # and start with 133 distinct moves; each path is a two-piece chain on its
+    # bottom word, and each distinct (word, prefix) is acted exactly once per call
+    events = [path for _name, *two in labelled_squares(DIAMOND_CASES) for path in two]
+    assert (len(events), len(set(events))) == (920, 363)
     pair = build_aps()
-    gen_name = {id(m): g for g, m in pair.generator_table().items()}
-    edges = shipped_diamonds()["edges"]
-    shipped = Counter(set((tuple(e["words"][0]), e["gen"], tuple(e["src"]), tuple(e["dst"]))
-                          for e in edges))
-    assert (len(edges), len(shipped)) == (173, 153)
-    calls = []
-    real = cob_mod.act
-    monkeypatch.setattr(cob_mod, "act", lambda f, gen, src, dst: calls.append(
-        (f.dom, gen_name[id(gen)], tuple(src), tuple(dst))) or real(f, gen, src, dst))
-    for _ in range(2):  # the memo lives for one call
-        calls.clear()
-        diamond_exchange_suite(pair)
-        assert len(calls) == 153 and Counter(calls) == shipped
-
-
-def test_diamond_composes_each_path_once(monkeypatch):
-    # the 460 squares compare 920 paths, of which 363 are distinct as events and
-    # 350 as moves: one compose per distinct path by value
-    import frobpair.cobordism as cob_mod
-
-    squares = list(labelled_squares(DIAMOND_CASES))
-    paths = [path for _name, *two in squares for path in two]
-    assert (len(squares), len(paths), len(set(paths))) == (460, 920, 363)
     data = shipped_diamonds()
-    moves = [(e["words"][0], e["gen"], tuple(e["src"]), tuple(e["dst"])) for e in data["edges"]]
-    by_value = {(moves[four[k]], moves[four[k + 1]]) for _name, four in data["squares"]
-                for k in (0, 2)}
-    assert len(by_value) == 350
-    calls = []
-    real = cob_mod.compose
-    monkeypatch.setattr(cob_mod, "compose", lambda g, f: calls.append((g, f)) or real(g, f))
-    pair = build_aps()
+    moves = [(tuple(e["words"][0]), e["gen"], tuple(e["src"]), tuple(e["dst"]))
+             for e in data["edges"]]
+    paths = {(moves[four[k]], moves[four[k + 1]]) for _name, four in data["squares"]
+             for k in (0, 2)}
+    firsts = {one for one, _two in paths}
+    assert (len(data["squares"]), len(firsts), len(paths)) == (460, 133, 350)
+    want = Counter([(one[0], (one[1:],)) for one in firsts]
+                   + [(one[0], (one[1:], two[1:])) for one, two in paths])
+    calls = record_act_chains(monkeypatch, pair)
     for _ in range(2):  # the memo lives for one call
         calls.clear()
         diamond_exchange_suite(pair)
-        assert len(calls) == 350
+        assert len(calls) == 133 + 350 and Counter(calls) == want
+
+
+def test_compare_squares_never_composes(monkeypatch):
+    # a path's second move acts on its first move's map, so neither the diamond
+    # suite nor d^2 composes two maps (the pair's beta and gamma are made first)
+    import frobpair.cobordism as cob_mod
+    import frobpair.cube as cube_mod
+    import frobpair.pair as pair_mod
+    import frobpair.tensor as tensor_mod
+
+    pair = build_aps()
+    pair.generator_table()
+    for module in (tensor_mod, pair_mod, cube_mod, cob_mod):
+        if hasattr(module, "compose"):
+            monkeypatch.setattr(module, "compose", lambda g, f: pytest.fail("compose called"))
+    assert diamond_exchange_suite(pair).ok()
+    assert check_d_squared(random_cube(random.Random(8), n=4), pair) == (True, None)
 
 
 def aps_without(*names):

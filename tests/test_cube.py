@@ -51,6 +51,7 @@ from helpers import (
     random_cube,
     rank_fraction,
     rank_gf2,
+    record_act_chains,
     square_circles,
 )
 
@@ -380,17 +381,16 @@ def _square_paths(cube, pair, b, k, l):
 def test_d_squared_builds_each_edge_map_and_square_once(monkeypatch):
     # each square is read on the circles it touches, and the pair keeps each local
     # square's verdict: across two cubes each distinct local square is compared
-    # exactly once, each call builds each local edge map it needs once, no
+    # exactly once, each call acts each distinct (local word, prefix) once, no
     # whole-word edge map is built, and a repeated check makes no act call at all
     import frobpair.cube as cube_mod
 
-    acts, compared = [], []
-    real_act, real_equal = cobordism.act, cobordism.equal
+    compared = []
+    real_equal = cobordism.equal
     monkeypatch.setattr(cube_mod, "edge_map", lambda *a: pytest.fail("whole-word edge map"))
-    monkeypatch.setattr(cobordism, "act", lambda f, gen, src, dst: acts.append(
-        (f.dom, gen.dom, gen.cod, src, dst)) or real_act(f, gen, src, dst))
     monkeypatch.setattr(cobordism, "equal", lambda f, g: compared.append(1) or real_equal(f, g))
     aps = build_aps()
+    acts = record_act_chains(monkeypatch, aps)
     cubes = [random_cube(random.Random(8), n=4), random_cube(random.Random(4), n=4)]
     seen, shared, squares = set(), set(), set()
     for cube in cubes:
@@ -403,7 +403,7 @@ def test_d_squared_builds_each_edge_map_and_square_once(monkeypatch):
         compared.clear()
         assert check_d_squared(cube, aps) == (True, None)
         assert len(compared) == len(local - seen) > 0
-        assert acts and len(acts) == len(set(acts)) and all(len(w) <= 4 for w, *_ in acts)
+        assert acts and len(acts) == len(set(acts)) and all(len(w) <= 4 for w, _moves in acts)
         shared |= local & seen
         seen |= local
     assert shared  # the second cube meets local squares that the first compared
@@ -722,6 +722,24 @@ def test_homology_refusals_name_d_i_first_entry_with_its_sign():
         with pytest.raises(CubeError) as refusal:
             homology(cube, pair, coeff)
         assert str(refusal.value) == f"specialize first: not a constant: {v}"
+
+
+def test_homology_refuses_a_fraction_met_in_two_degrees_by_its_first_edge():
+    # under `double`, mu_EEA (entries 1/4) first serves d_1 with sign -1 and then
+    # d_2 with sign +1: the refusal names d_1 and the sign of mu_EEA's first edge
+    import frobpair.cube as cube_mod
+
+    double = build_builtin("double", {})
+    cube = random_cube(random.Random(44), n=3)
+    key, moves = cube.numbered_edges
+    signs = {(i, negate) for i in range(cube.n) for b, k, negate in cube_mod._edges(cube, i)
+             if moves[key[b, k]][1] == "mu_EEA"}
+    assert signs == {(1, 1), (2, 0)}
+    for coeff in ("z", "z2"):
+        with pytest.raises(CubeError) as refusal:
+            homology(cube, double, coeff)
+        assert str(refusal.value) == ("d_1 has the non-integral entry -1/4; "
+                                      f"homology over {coeff} needs integers")
 
 
 def test_generator_table_derives_beta_gamma_once(monkeypatch):

@@ -55,6 +55,41 @@ def test_swap_sorts_inferred():
     assert dom == word("EA") and cod == word("E")
 
 
+#: term -> (dom, cod, per-layer in-words), or the TheoryError text, for first
+#: layers made of id_A, id_E, swap and generators
+FIRST_LAYERS = {
+    "id_A": ("A", "A", ("A",)),
+    "id_E ; nu_EA": ("E", "A", ("E", "E")),
+    "(id_A (x) id_E) ; mu_AE": ("AE", "E", ("AE", "AE")),
+    "swap ; mu_AE": ("EA", "E", ("EA", "AE")),
+    "(swap (x) id_A) ; (mu_AE (x) id_A)": ("EAA", "EA", ("EAA", "AEA")),
+    "(mu_A (x) id_E) ; mu_AE": ("AAE", "E", ("AAE", "AE")),
+    "(eta (x) id_E) ; mu_AE": ("E", "E", ("E", "AE")),
+    "(eps (x) swap) ; mu_EA": ("AAE", "E", ("AAE", "EA")),
+    "(id_E (x) swap) ; (id_E (x) mu_EEA)": ("EEE", "EA", ("EEE", "EEE")),
+    "(Delta_E (x) swap) ; (mu_E (x) id_A (x) id_E)": ("EEA", "EAE", ("EEA", "EEAE")),
+    "swap": "ambiguous swap sorts in term swap",
+    "id_A ; id_E": "sort mismatch: A vs E",
+    "id_A ; mu_A": "layer ('mu_A',) too wide for word ('A',)",
+    "(id_A (x) id_E) ; id_A": "layer ('id_A',) does not cover word ('A', 'E')",
+    "swap ; (id_A (x) id_A) ; mu_AE": "sort mismatch: A vs E",
+    "eta ; swap": "swap needs two strands in word ('A',)",
+    "(id_E (x) eta) ; mu_AE": "sort mismatch: E vs A",
+}
+
+
+@pytest.mark.parametrize("text", sorted(FIRST_LAYERS))
+def test_typecheck_first_layers(text):
+    want = FIRST_LAYERS[text]
+    if isinstance(want, str):
+        with pytest.raises(TheoryError) as refusal:
+            typecheck(parse_term(text))
+        assert str(refusal.value) == want
+    else:
+        dom, cod, ins = typecheck(parse_term(text))
+        assert ("".join(dom), "".join(cod), tuple("".join(w) for w in ins)) == want
+
+
 def test_unknown_generator():
     with pytest.raises(TheoryError, match="unknown generator"):
         parse_term("mu_A ; flux")
