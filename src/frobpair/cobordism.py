@@ -330,11 +330,13 @@ def diamond_exchange_suite(pair, cases=None) -> VerifyReport:
     bottom paths A->B->D vs A->C->D and side paths B->A->C vs B->D->C.
 
     The squares of cases (all of DIAMOND_CASES by default) are read from
-    data/diamonds.json: the 230 labellings give 460 squares with 920 paths.
-    Each shipped edge is one move, its swaps folded into its slots, and
-    compare_squares takes the squares by value: it acts each of the 133
-    distinct first moves once on the identity and each of the 350 distinct
-    paths' second moves once on that map.
+    data/diamonds.json: the 230 labellings give 460 squares in 215 classes.
+    The squares of a class differ only by the order of their circles or of
+    their two paths, so they share a verdict: compare_squares takes the first
+    selected square of each class, then the other squares of a failing class,
+    so that each keeps its own witness.  Each shipped edge is one move, its
+    swaps folded into its slots; on the 215 representatives compare_squares
+    acts 98 distinct first moves and 260 distinct paths' second moves.
     Squares are reported in their own order.  Every shipped edge is checked
     against the pair first, in the order the squares meet them, so a missing
     generator or an over-wide running word is reported as the first one met.
@@ -344,18 +346,28 @@ def diamond_exchange_suite(pair, cases=None) -> VerifyReport:
     names = {case[0] for case in cases}
     data = json.loads(importlib.resources.files("frobpair").joinpath("data/diamonds.json")
                       .read_text())
-    squares = [(name, four) for name, four in data["squares"]
+    squares = [(name, four, cls) for name, four, cls in data["squares"]
                if name[:name.index("[")] in names]
-    for e in dict.fromkeys(e for _name, four in squares for e in four):
+    for e in dict.fromkeys(e for _name, four, _cls in squares for e in four):
         edge = data["edges"][e]
         for w in edge["words"]:
             pair.spec.check_dim(w)
         table_with(pair, (edge["gen"],))
     moves = [(word(edge["words"][0]), edge["gen"], tuple(edge["src"]), tuple(edge["dst"]))
              for edge in data["edges"]]
-    verdicts = compare_squares([((moves[a], moves[b]), (moves[c], moves[d]))
-                                for _name, (a, b, c, d) in squares],
-                               pair.generator_table(), pair.spec)
+    moved = [((moves[a], moves[b]), (moves[c], moves[d])) for _name, (a, b, c, d), _cls in squares]
+
+    def compare(ks):  # {k: compare_squares' verdict} for the squares ks
+        return dict(zip(ks, compare_squares([moved[k] for k in ks], pair.generator_table(),
+                                            pair.spec)))
+
+    rep = {}  # class -> its first selected square
+    for k, (_name, _four, cls) in enumerate(squares):
+        rep.setdefault(cls, k)
+    verdicts = compare(list(rep.values()))
+    verdicts.update(compare([k for k, (_name, _four, cls) in enumerate(squares)
+                             if k not in verdicts and not verdicts[rep[cls]][0]]))
     records = [VerifyRecord(name, "diamond", "paper", "pass" if ok else "fail", witness=witness)
-               for (name, _four), (ok, witness) in zip(squares, verdicts)]
+               for k, (name, _four, _cls) in enumerate(squares)
+               for ok, witness in [verdicts.get(k, (True, None))]]
     return VerifyReport(pair.name, records, meta={"cases": len(cases)})

@@ -53,6 +53,8 @@ class RingDecl:
     # -- element constructors ------------------------------------------------
 
     def const(self, c) -> "RingElem":
+        if not isinstance(c, (int, Fraction)):
+            raise RingError(f"constant {c!r} is neither an int nor a Fraction")
         c = _coerce(self.domain, c)
         return RingElem(self, {(): c} if c != 0 else {})
 

@@ -7,13 +7,17 @@ side one.  A square is two paths and a path is two edges, each edge the
 events of one saddle plus bookkeeping swaps on a start word.
 
 The file holds the case names, the distinct edges numbered in the order the
-squares meet them, and the squares in record order, each by its record name
-and the edge numbers of its two paths.  An edge is folded into one move, its
-swaps absorbed into the slot maps: the generator, the 0-based source slots it
-reads and the output slots it writes, every other circle keeping its relative
-order (as `tensor.act` places them).  It keeps its running words, the start
-word first, so that the program refuses an over-wide word by the same name as
-evaluating the edge's events would.
+squares meet them, and the squares in record order, each by its record name,
+the edge numbers of its two paths and its relabelling class.  Two squares are
+in one class when they differ only by the order of their circles or of their
+two paths (see relabelling_key); they then pass or fail together, and a class
+is numbered by the index of its first square.  The 460 squares fall into 215
+classes.  An edge is folded into one move, its swaps absorbed into the slot
+maps: the generator, the 0-based source slots it reads and the output slots
+it writes, every other circle keeping its relative order (as `tensor.act`
+places them).  It keeps its running words, the start word first, so that the
+program refuses an over-wide word by the same name as evaluating the edge's
+events would.
 
 The program only loads the frozen file; `tests/test_cobordism.py` checks that
 it equals build_diamonds(), byte for byte.  To change the suite, edit
@@ -24,7 +28,7 @@ DIAMOND_CASES or the enumeration here and write
 """
 
 import json
-from itertools import product
+from itertools import permutations, product
 
 from frobpair.cobordism import DIAMOND_CASES, MOVES, CobordismWord, Event, swap
 from frobpair.tensor import SORTS
@@ -122,12 +126,54 @@ def fold(start, events):
     return cob.words, gen, tuple(src), tuple(origin.index(~j) for j in range(len(outputs)))
 
 
+def relabelling_key(paths):
+    """The least description of a square over every renaming of its bottom
+    circles and both orders of its two paths; paths are two paths of two
+    folded moves (running words, generator, source slots, output slots).
+
+    A bottom circle is named by its new number and a circle a move makes by
+    (path, step, output index); each move is recorded as (generator, input
+    names, output names), and the top word as the sorted (first path's name,
+    second path's name) pairs, slot by slot.  Two squares with one key have
+    path maps that differ by the same input and output slot permutations on
+    both sides, so they are equal for one exactly when they are for the other.
+    """
+    bottom = paths[0][0][0][0]
+    keys = []
+    for perm in permutations(range(len(bottom))):
+        sorts = tuple(bottom[perm.index(k)] for k in range(len(bottom)))
+        for order in (paths, paths[::-1]):
+            moves, tops = [], []
+            for p, path in enumerate(order):
+                names = [(-1, 0, k) for k in perm]  # slot -> circle name
+                for s, (_words, gen, src, dst) in enumerate(path):
+                    outs = {q: (p, s, j) for j, q in enumerate(dst)}
+                    moves.append((gen, tuple(names[q] for q in src), tuple(outs.values())))
+                    rest = iter([n for q, n in enumerate(names) if q not in src])
+                    names = [outs[q] if q in outs else next(rest)
+                             for q in range(len(names) - len(src) + len(dst))]
+                tops.append(names)
+            keys.append((sorts, tuple(moves), tuple(sorted(zip(*tops)))))
+    return min(keys)
+
+
+def relabelling_classes(folded, squares) -> list:
+    """For each square (record name, four edge numbers), the index of the
+    first square with its relabelling_key; folded holds the folded edges."""
+    first = {}
+    return [first.setdefault(relabelling_key(((folded[a], folded[b]), (folded[c], folded[d]))), k)
+            for k, (_name, (a, b, c, d)) in enumerate(squares)]
+
+
 def build_diamonds() -> str:
     """Render the suite file; data/diamonds.json is this string, verbatim."""
     edges, squares = numbered_squares()
+    folded = [fold(*edge) for edge in edges]
     rows = [json.dumps({"words": ["".join(w) for w in words], "gen": gen, "src": src,
                         "dst": dst})
-            for words, gen, src, dst in (fold(*edge) for edge in edges)]
+            for words, gen, src, dst in folded]
+    classed = [[name, four, cls] for (name, four), cls
+               in zip(squares, relabelling_classes(folded, squares))]
     return "{\n" + f'"cases": {json.dumps([case[0] for case in DIAMOND_CASES])},\n' + \
         '"edges": [\n' + ",\n".join(rows) + "\n],\n" + \
-        '"squares": [\n' + ",\n".join(json.dumps(square) for square in squares) + "\n]\n}\n"
+        '"squares": [\n' + ",\n".join(json.dumps(square) for square in classed) + "\n]\n}\n"

@@ -30,7 +30,8 @@ as hand-written structure constants, which the element arithmetic of
 And two pieces of the package that only tests use: `cube_to_json`, the cube
 file writer, and `lemma_first_conditions`, the X-action statement that
 criterion 07 checks.  `item_one_cubes` gives the five benchmark-generator
-cubes of the ROADMAP's non-complex repro.
+cubes of the ROADMAP's non-complex repro, and `rank2_at_a1` and `double_z2`
+the benchmark's two pair files.
 """
 
 import importlib.util
@@ -46,9 +47,13 @@ from frobpair.cube import (CubeError, EdgeMove, StateCube, _bits, cube_from_json
 from frobpair.pair import (
     _EXPONENT_OF_GEN,
     DOUBLE_SEARCH_EQUATIONS,
+    Rank2Params,
     VerifyRecord,
     build_double,
+    build_rank2,
+    universal_algebra,
 )
+from frobpair.ring import INTEGERS, MOD2, ring
 from frobpair.tensor import equal, sparse_product
 from frobpair.theory import evaluate_term, load_axioms
 
@@ -353,6 +358,19 @@ def item_one_cubes():
     rng = random.Random(3)
     return [cube_from_json(cubegen.random_cube_json(rng, n, (0, 10 ** 12)))
             for n in (3, 4, 4, 5, 5)]
+
+
+def rank2_at_a1():
+    """The rank-2 pair at the benchmark's RANK2_A1 parameters, over Z."""
+    return build_rank2(Rank2Params.over(ring(INTEGERS), a=1, c_yy=0, c_yz=1, c_zz=0, d_yy=0,
+                                        d_yz=1, d_zz=0, e_y=1, e_z=1, f_y=1, f_z=1))
+
+
+def double_z2():
+    """The double construction over Z/2 with handle 1, as the benchmark writes it."""
+    z2 = ring(MOD2)
+    return build_double(universal_algebra(z2, z2.one(), z2.zero()), {"1": z2.one()},
+                        name="double-z2")
 
 
 def first_refusal_by_correspondence(cube):

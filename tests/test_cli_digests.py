@@ -19,12 +19,16 @@ from pathlib import Path
 import pytest
 
 from frobpair.cli import main
-from helpers import cube_to_json, item_one_cubes
+from frobpair.pair import pair_to_json
+from helpers import cube_to_json, double_z2, item_one_cubes, rank2_at_a1
 
 DATA = importlib.resources.files("frobpair").joinpath("data")
 APS_FILE = str(DATA.joinpath("aps.json"))
-#: stands in an argv for the path of the ROADMAP's non-complex repro cube
+#: stand in an argv for the paths of the files the test writes: the ROADMAP's
+#: non-complex repro cube and the benchmark's two pair files
 REPRO = "<repro cube>"
+RANK2_A1 = "<rank2-a1 pair>"
+DOUBLE_Z2 = "<double-z2 pair>"
 
 SOURCES = {
     "aps": ("--builtin", "aps"),
@@ -37,6 +41,8 @@ SOURCES = {
     "aps-file": ("--pair", APS_FILE),
     "tt-l1": ("--builtin", "tt", "--specialize", "l=1"),
     "it-t1": ("--builtin", "it", "--specialize", "t=1"),
+    "rank2-a1-file": ("--pair", RANK2_A1),
+    "double-z2-file": ("--pair", DOUBLE_Z2),
 }
 
 COMMANDS = {
@@ -92,22 +98,31 @@ DIGESTS = {
     ("tt-l1", "cube-merge1-z2"): "ac524f96060acb9e01c39e47a2f721a77c042ad3d618144477bc27398d0b9451",
     ("tt-l1", "cube-split1-z2"): "4f42a96e3fffd273e2cb96bb0abc3c3a06e0c6a895a796c87312c72676aadc6a",
     ("it-t1", "cube-repro-q"): "3c2d77cb7fea68471d255a9b12421cb7c13c28af6c904a06d53c939a7191d2ae",
+    ("rank2-a1-file", "diamond"): "30a1bdb344eb5b2db8951154c13696ae89ecce4d82a46cdf11ffe33523aadd09",
+    ("double-z2-file", "diamond"): "30a1bdb344eb5b2db8951154c13696ae89ecce4d82a46cdf11ffe33523aadd09",
 }
 
 
-def repro_cube(directory) -> str:
-    """The path of the fourth of helpers.item_one_cubes, written under directory:
-    under `it` at t=1 it is not a chain complex, which `cube` finds by d^2."""
-    path = Path(directory) / "repro.cube"
-    path.write_text(cube_to_json(item_one_cubes()[3]), encoding="utf-8")
-    return str(path)
+def write_inputs(directory) -> dict:
+    """{placeholder: path} of the files the runs read, written under directory:
+    the fourth of helpers.item_one_cubes, which under `it` at t=1 is not a
+    chain complex (`cube` finds it by d^2), and the pair files that the
+    benchmark writes with pair_to_json."""
+    texts = {REPRO: ("repro.cube", cube_to_json(item_one_cubes()[3])),
+             RANK2_A1: ("rank2-a1.json", pair_to_json(rank2_at_a1())),
+             DOUBLE_Z2: ("double-z2.json", pair_to_json(double_z2()))}
+    paths = {}
+    for placeholder, (name, text) in texts.items():
+        paths[placeholder] = Path(directory) / name
+        paths[placeholder].write_text(text, encoding="utf-8")
+    return {placeholder: str(path) for placeholder, path in paths.items()}
 
 
-def digest(source, command, repro=None) -> str:
-    """sha256 of the exit code, stdout and stderr of one CLI run; repro is the
-    path that stands for REPRO."""
+def digest(source, command, inputs) -> str:
+    """sha256 of the exit code, stdout and stderr of one CLI run; inputs maps
+    each placeholder to the path it stands for."""
     argv = [*COMMANDS[command][:1], *SOURCES[source], *COMMANDS[command][1:]]
-    argv = [repro if arg == REPRO else arg for arg in argv]
+    argv = [inputs.get(arg, arg) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -116,18 +131,18 @@ def digest(source, command, repro=None) -> str:
 
 
 @pytest.fixture(scope="module")
-def repro(tmp_path_factory):
-    return repro_cube(tmp_path_factory.mktemp("cubes"))
+def inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("inputs"))
 
 
 @pytest.mark.parametrize("source,command", sorted(DIGESTS))
-def test_cli_run_digest(source, command, repro, monkeypatch):
+def test_cli_run_digest(source, command, inputs, monkeypatch):
     monkeypatch.delenv("FROBPAIR_AXIOMS", raising=False)
-    assert digest(source, command, repro) == DIGESTS[source, command]
+    assert digest(source, command, inputs) == DIGESTS[source, command]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
-        path = repro_cube(scratch)
+        paths = write_inputs(scratch)
         for source, command in DIGESTS:
-            print(f'    ("{source}", "{command}"): "{digest(source, command, path)}",')
+            print(f'    ("{source}", "{command}"): "{digest(source, command, paths)}",')

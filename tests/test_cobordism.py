@@ -11,6 +11,7 @@ from frobpair.cobordism import (
     CobordismError,
     CobordismWord,
     birth,
+    compare_squares,
     death,
     diamond_exchange_suite,
     evaluate,
@@ -25,17 +26,14 @@ from frobpair.cli import build_builtin, main
 from frobpair.cube import check_d_squared
 from frobpair.pair import (
     FrobeniusPair,
-    Rank2Params,
     build_aps,
-    build_double,
     build_it,
     build_laurent_sqrt,
-    build_rank2,
     build_tt,
     universal_algebra,
     _algebra_maps,
 )
-from frobpair.ring import INTEGERS, MOD2, ring
+from frobpair.ring import INTEGERS, ring
 from frobpair.tensor import (MAX_CIRCLES, MAX_TUPLES, BasisSpec, LinMap, TensorError, act, compose,
                              equal, word)
 from frobpair.theory import SIGNATURE
@@ -218,7 +216,7 @@ def test_pole_degree_odd_rejected():
 
 
 from helpers import brute_force_pole_degrees as brute_force_degrees, cancel_pole_pairs, \
-    diamond_by_paths, random_cube, record_act_chains
+    diamond_by_paths, double_z2, rank2_at_a1, random_cube, record_act_chains
 
 
 def test_pole_degree_confluence_up_to_8():
@@ -287,21 +285,14 @@ def test_diamond_case1_uses_both_equality_families():
     assert report.ok()
 
 
-def rank2_at_a1():
-    return build_rank2(Rank2Params.over(ring(INTEGERS), a=1, c_yy=0, c_yz=1, c_zz=0, d_yy=0,
-                                        d_yz=1, d_zz=0, e_y=1, e_z=1, f_y=1, f_z=1))
-
-
-def double_z2():
-    z2 = ring(MOD2)
-    return build_double(universal_algebra(z2, z2.one(), z2.zero()), {"1": z2.one()},
-                        name="double-z2")
-
-
-@pytest.mark.parametrize("build", [
+#: the pairs the benchmark runs `diamond` on
+DIAMOND_PAIRS = pytest.mark.parametrize("build", [
     build_aps, build_tt, build_it, build_laurent_sqrt, lambda: build_builtin("double", {}),
     rank2_at_a1, double_z2,
 ], ids=["aps", "tt", "it", "sqrt", "double", "rank2-a1", "double-z2"])
+
+
+@DIAMOND_PAIRS
 def test_diamond_matches_path_oracle(build):
     # composing memoised edges gives the verdicts and witnesses of evaluating
     # every path whole
@@ -327,6 +318,53 @@ def test_diamonds_file_is_frozen():
     data = json.loads(shipped)
     assert data["cases"] == [case[0] for case in DIAMOND_CASES]
     assert (len(data["edges"]), len(data["squares"])) == (173, 460)
+
+
+def shipped_squares():
+    """[(record name, square of moves, class id)] of the shipped suite."""
+    data = shipped_diamonds()
+    moves = [(tuple(e["words"][0]), e["gen"], tuple(e["src"]), tuple(e["dst"]))
+             for e in data["edges"]]
+    return [(name, ((moves[a], moves[b]), (moves[c], moves[d])), cls)
+            for name, (a, b, c, d), cls in data["squares"]]
+
+
+def test_diamond_classes_are_numbered_by_their_first_square():
+    squares = shipped_squares()
+    assert (len(squares), len({sq for _n, sq, _c in squares}),
+            len({cls for _n, _sq, cls in squares})) == (460, 300, 215)
+    assert all(cls <= k and squares[cls][2] == cls for k, (_n, _sq, cls) in enumerate(squares))
+
+
+@DIAMOND_PAIRS
+def test_diamond_class_members_share_a_verdict(build):
+    # every square compared by itself: the squares of a relabelling class
+    # differ by slot permutations only, so they pass or fail together
+    pair = build()
+    squares = shipped_squares()
+    verdicts = compare_squares([sq for _n, sq, _c in squares], pair.generator_table(), pair.spec)
+    by_class = {}
+    for (_name, _sq, cls), (ok, _witness) in zip(squares, verdicts, strict=True):
+        by_class.setdefault(cls, set()).add(ok)
+    assert len(by_class) == 215 and all(len(oks) == 1 for oks in by_class.values())
+
+
+@pytest.mark.parametrize("build,cases,failed", [
+    (build_it, DIAMOND_CASES[6:7], 0), (build_it, DIAMOND_CASES[6:], 8),
+    (lambda: build_builtin("double", {}), DIAMOND_CASES[6:7], 2),
+    (lambda: build_builtin("double", {}), DIAMOND_CASES[6:], 13),
+], ids=["it-case07", "it-case07_on", "double-case07", "double-case07_on"])
+def test_diamond_subsets_compare_classes_that_start_outside_them(build, cases, failed):
+    # a class's first square may lie in a case left out: the first selected
+    # square stands for it instead, and a failing member keeps its own witness
+    names = {case[0] for case in cases}
+    selected = {k: cls for k, (name, _sq, cls) in enumerate(shipped_squares())
+                if name.split("[")[0] in names}
+    assert any(cls not in selected for cls in selected.values())  # a class starts outside
+    pair = build()
+    got = [(r.name, r.status, r.witness) for r in diamond_exchange_suite(pair, cases).records]
+    assert got == [(r.name, r.status, r.witness) for r in diamond_by_paths(pair, cases)]
+    assert sum(status == "fail" for _n, status, _w in got) == failed
 
 
 @pytest.mark.parametrize("cases", [DIAMOND_CASES[:1], DIAMOND_CASE1, DIAMOND_CASES[9:],
@@ -384,26 +422,26 @@ def test_diamond_refuses_the_first_wide_word_met(n_a, n_e, cases, named):
 
 
 def test_diamond_acts_each_first_move_and_path_once(monkeypatch):
-    # the 920 paths of the 460 squares are 363 distinct as events, 350 by value,
-    # and start with 133 distinct moves; each path is a two-piece chain on its
-    # bottom word, and each distinct (word, prefix) is acted exactly once per call
+    # the 920 paths of the 460 squares are 363 distinct as events, 350 by value;
+    # the first square of each of the 215 classes stands for it, and their
+    # paths are 260 by value and start with 98 distinct moves.  Each path is a
+    # two-piece chain on its bottom word, and each distinct (word, prefix) is
+    # acted exactly once per call
     events = [path for _name, *two in labelled_squares(DIAMOND_CASES) for path in two]
     assert (len(events), len(set(events))) == (920, 363)
+    assert len({path for _n, sq, _c in shipped_squares() for path in sq}) == 350
     pair = build_aps()
-    data = shipped_diamonds()
-    moves = [(tuple(e["words"][0]), e["gen"], tuple(e["src"]), tuple(e["dst"]))
-             for e in data["edges"]]
-    paths = {(moves[four[k]], moves[four[k + 1]]) for _name, four in data["squares"]
-             for k in (0, 2)}
+    paths = {path for k, (_n, sq, cls) in enumerate(shipped_squares()) if k == cls
+             for path in sq}
     firsts = {one for one, _two in paths}
-    assert (len(data["squares"]), len(firsts), len(paths)) == (460, 133, 350)
+    assert (len(firsts), len(paths)) == (98, 260)
     want = Counter([(one[0], (one[1:],)) for one in firsts]
                    + [(one[0], (one[1:], two[1:])) for one, two in paths])
     calls = record_act_chains(monkeypatch, pair)
     for _ in range(2):  # the memo lives for one call
         calls.clear()
-        diamond_exchange_suite(pair)
-        assert len(calls) == 133 + 350 and Counter(calls) == want
+        assert diamond_exchange_suite(pair).ok()
+        assert len(calls) == 98 + 260 and Counter(calls) == want
 
 
 def test_compare_squares_never_composes(monkeypatch):
@@ -446,7 +484,9 @@ def test_diamond_reports_the_first_missing_generator_met():
 def test_diamond_products_by_one_are_skipped(monkeypatch):
     # act and compose pass the other operand through when an entry is 1, so no
     # product of the double suite over all 13 cases has an operand equal to 1;
-    # each distinct path is composed once, so the count is exact
+    # each distinct path of the 215 class representatives, and then of the 30
+    # other squares of the 45 failing classes, is acted once, so the count is
+    # exact
     from frobpair.ring import RingElem
 
     pair = build_builtin("double", {})
@@ -456,7 +496,7 @@ def test_diamond_products_by_one_are_skipped(monkeypatch):
                         lambda x, y: products.append((x, y)) or real_mul(x, y))
     report = diamond_exchange_suite(pair, DIAMOND_CASES)
     assert report.meta["cases"] == len(DIAMOND_CASES) == 13 and len(report.records) == 460
-    assert len(products) == 15212
+    assert len(products) == 10604
     assert not any({(): 1} in (x.terms, y.terms) for x, y in products)
 
 

@@ -26,7 +26,7 @@ from frobpair.pair import (
     verify,
     _algebra_maps,
 )
-from frobpair.ring import INTEGERS, MOD2, RATIONALS, ring
+from frobpair.ring import INTEGERS, MOD2, RATIONALS, RingError, ring
 from frobpair.tensor import BasisSpec, equal
 from frobpair.theory import evaluate_side, evaluate_term, load_axioms, parse_term, parse_theory
 from helpers import TableAlgebra, lemma_first_conditions, search_by_box
@@ -244,6 +244,12 @@ def test_it_strict_partial_skips():
 
 
 # -- rank 2 ------------------------------------------------------------------------
+
+
+def test_rank2_params_refuse_a_float():
+    # a=0.5 over Z was truncated to a=0, which builds aps
+    with pytest.raises(RingError, match="^constant 0.5 is neither an int nor a Fraction$"):
+        Rank2Params.over(ring(INTEGERS), **dict(APS_PARAMS, a=0.5))
 
 
 def test_rank2_aps_parameters_reproduce_aps():

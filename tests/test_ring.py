@@ -332,6 +332,16 @@ def test_constant_value_zero_constant_and_non_constant(domain, zero, constant):
     assert str(d.parse("t + 1")) == "1 + t"
 
 
+@pytest.mark.parametrize("domain,value", [(INTEGERS, 1.5), (RATIONALS, 0.1), (MOD2, 1.5),
+                                          (INTEGERS, "2")])
+def test_const_refuses_anything_but_an_int_or_a_fraction(domain, value):
+    # over Z a float was truncated (1.5 gave 1), over Q 0.1 became its binary
+    # fraction 3602879701896397/36028797018963968, and over Z/2 the float was stored
+    with pytest.raises(RingError, match=f"^constant {value!r} is neither an int nor a Fraction$"):
+        ring(domain).const(value)
+    assert ring(domain).const(Fraction(4, 2)) == ring(domain).const(2) == 2
+
+
 def test_literal_operands_and_mismatch():
     q = ring(RATIONALS, "t")
     t = q.gen("t")
