@@ -55,6 +55,9 @@ RANK2_KEYS = {"a": "a", "cYY": "c_yy", "cYZ": "c_yz", "cZZ": "c_zz",
 
 DOUBLE_KEYS = ("e0", "e1", "e2", "nu0", "nu1", "nu2")
 
+#: the most rows or columns `snf` takes: it prints U (rows x rows) and V (cols x cols)
+MAX_SNF_SIDE = 512
+
 #: the double algebras k[X]/(X^2 - hX - t): domain, h, t and the inverse of
 #: the handle element as {label: coefficient}
 DOUBLE_ALGEBRAS = {"q1": (RATIONALS, 0, 1, {"X": Fraction(1, 2)}),
@@ -304,6 +307,9 @@ def cmd_snf(args) -> int:
     if (not isinstance(m, list) or not all(isinstance(r, list) for r in m)
             or len({len(r) for r in m}) > 1 or any(type(x) is not int for r in m for x in r)):
         raise InputError("matrix file must hold a JSON list of equal-length rows of integers")
+    for side, size in (("rows", len(m)), ("columns", len(m[0]) if m else 0)):
+        if size > MAX_SNF_SIDE:
+            raise InputError(f"the matrix has {size} {side}, over the limit of {MAX_SNF_SIDE}")
     d, u, v = cube_mod.smith_normal_form(m)
     for name, mat in (("D", d), ("U", u), ("V", v)):
         print(name + ":")

@@ -425,8 +425,8 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
 
     Returns a list (degree 0..n) of {"betti": int, "torsion": [int, ...]};
     torsion is always empty over a field.  Each generator's entries become
-    constants, and over z and z2 integers, once per call, each distinct (source word, move) edge's `_block` is built
-    from them once, d_i's sparse rows scatter the blocks with each edge's sign,
+    constants, and over z and z2 integers, once per call; d_i's sparse rows
+    scatter each edge's `_block`, built from them when first met, with its sign,
     and one elimination of their +-1 pivots (`_unit_pivots`) reduces them.  Over
     z2 (`sparse_rank_gf2`) it leaves no residual; over q (`sparse_rank_fraction`,
     which clears denominators first) and z, `_integer_rank` takes the Smith
@@ -455,13 +455,11 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
         # d_i's edges: (row offset, column offset, number, sign is -1); -1 = 1 over Z/2
         edges = [(offset[_flip(b, k)], offset[b], key[b, k], negate and pair.ring.domain != MOD2)
                  for b, k, negate in _edges(cube, i)]
-        new, fresh = {}, {}  # edge number, generator new to this call -> its first edge's sign
+        fresh = {}  # generator new to this call -> its first edge's sign
         for _r, _c, e, negate in edges:
-            if e not in blocks:
-                new.setdefault(e, negate)
-                if moves[e][1] not in constants:
-                    fresh.setdefault(moves[e][1], negate)
-        table = table_with(pair, (moves[e][1] for e in new), CubeError)
+            if moves[e][1] not in constants:
+                fresh.setdefault(moves[e][1], negate)
+        table = table_with(pair, fresh, CubeError)
         # an edge map meets its generator's columns in order, so its first bad
         # entry is its generator's; convert all before testing any for integers
         for gen, negate in fresh.items():
@@ -479,10 +477,10 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
                 raise CubeError(f"d_{i} has the non-integral entry {-bad if negate else bad}; "
                                 f"homology over {coefficients} needs integers")
             constants[gen] = [(c, o, int(x)) for c, o, x in constants[gen]]
-        for e in new:
-            blocks[e] = _block(pair.spec, moves[e], constants[moves[e][1]])
         rows = {}
         for r, c, e, negate in edges:
+            if e not in blocks:
+                blocks[e] = _block(pair.spec, moves[e], constants[moves[e][1]])
             for o, t, x in blocks[e]:
                 rows.setdefault(r + o, {})[c + t] = -x if negate else x
         rows = list(rows.values())

@@ -26,7 +26,7 @@ SORTS = (SORT_A, SORT_E)
 MAX_CIRCLES = 16
 #: the most basis tuples such a word may span under the chosen pair
 MAX_TUPLES = 2 ** 16
-#: the terms of the ring's 1 in Z, Q and Z/2: act and compose pass the other factor through
+#: the terms of the ring's 1 in Z, Q and Z/2: act passes the other factor through
 ONE_TERMS = {(): 1}
 
 
@@ -109,47 +109,23 @@ class LinMap:
         return LinMap(self.spec, self.dom, self.cod, {k: fn(v) for k, v in self.entries.items()})
 
     def column(self, in_tuple) -> dict:
-        return {out: v for (out, t), v in self.entries.items() if t == in_tuple}
+        return {out: v for out, v, _one in self.columns().get(in_tuple, ())}
 
     def columns(self) -> dict:
-        """The entries grouped by input tuple (see _by_input), built on first use."""
+        """{col: [(row, value, value is 1)]} of the entries, built on first use."""
         if self._columns is None:
-            self._columns = _by_input(self.entries)
+            self._columns = by_col = {}
+            for (out, col), v in self.entries.items():
+                by_col.setdefault(col, []).append((out, v, v.terms == ONE_TERMS))
         return self._columns
 
     def __repr__(self):
         return f"LinMap({''.join(self.dom) or '()'} -> {''.join(self.cod) or '()'}, {len(self.entries)} entries)"
 
 
-def _by_input(entries: dict) -> dict:
-    """{col: [(row, value, value is 1)]} of a {(row, col): value} table."""
-    by_col = {}
-    for (out, col), v in entries.items():
-        by_col.setdefault(col, []).append((out, v, v.terms == ONE_TERMS))
-    return by_col
-
-
-def sparse_product(g_entries: dict, f_entries: dict) -> dict:
-    """Nonzero entries of the product g*f of two {(row, col): value} tables."""
-    by_mid = _by_input(g_entries)
-    entries = {}
-    for (mid, t), fv in f_entries.items():
-        f_one = fv.terms == ONE_TERMS
-        for out, gv, g_one in by_mid.get(mid, ()):
-            key = (out, t)
-            s = entries.get(key)
-            p = fv if g_one else gv if f_one else gv * fv
-            entries[key] = p if s is None else s + p
-    return {k: v for k, v in entries.items() if not v.is_zero()}
-
-
 def compose(g: LinMap, f: LinMap) -> LinMap:
     """Matrix product g after f (diagram order: f is applied first)."""
-    if f.spec is not g.spec and f.spec != g.spec:
-        raise TensorError("basis-spec mismatch")
-    if f.cod != g.dom:
-        raise TensorError(f"word mismatch: {f.cod} then {g.dom}")
-    return LinMap(f.spec, f.dom, g.cod, sparse_product(g.entries, f.entries), _normalized=True)
+    return act(f, g, range(len(f.cod)), range(len(g.cod)))
 
 
 def act(f: LinMap, gen, src, dst) -> LinMap:
@@ -210,14 +186,11 @@ def _picker(slots):
 
 
 def tensor(f: LinMap, g: LinMap) -> LinMap:
-    """Kronecker product on concatenated words."""
-    if f.spec is not g.spec and f.spec != g.spec:
-        raise TensorError("basis-spec mismatch")
-    entries = {}
-    for (o1, i1), v1 in f.entries.items():
-        for (o2, i2), v2 in g.entries.items():
-            entries[(o1 + o2, i1 + i2)] = v1 * v2
-    return LinMap(f.spec, f.dom + g.dom, f.cod + g.cod, entries)
+    """Kronecker product on concatenated words: f, then g, each acting on its
+    own factors of the identity on f.dom + g.dom."""
+    n, m = len(f.cod), len(g.dom)
+    fx = act(LinMap.identity(f.spec, f.dom + g.dom), f, range(len(f.dom)), range(n))
+    return act(fx, g, range(n, n + m), range(n, n + len(g.cod)))
 
 
 def equal(f: LinMap, g: LinMap):

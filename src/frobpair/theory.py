@@ -109,21 +109,25 @@ def _unify(x, y, subst):
 
 
 def typecheck(term):
-    """Infer (domain, codomain) words; returns (dom, cod, per-layer in-words).
+    """Infer (domain, codomain) words; returns (dom, cod, per-layer in-words,
+    per-layer act moves).
 
     The domain starts as one fresh unknown per strand of the first layer, and
     every sort, swap sorts included, is inferred by unification; a term whose
-    swap sorts stay undetermined is rejected as ambiguous.
+    swap sorts stay undetermined is rejected as ambiguous.  A layer's moves are
+    (generator name, or None for a swap, source slots, target slots) in the
+    partly rewritten word; identity strands make none.
     """
     subst = {}
-    layer_ins = []
+    layer_ins, pieces = [], []
     width = sum(1 if item in ("id_A", "id_E") else 2 if item == "swap" else len(SIGNATURE[item][0])
                 for item in term[0])
     current = term_dom = tuple(_Var() for _ in range(width))
     for layer in term:
         layer_ins.append(current)
-        out, pos = [], 0
+        out, pos, moves = [], 0, []
         for item in layer:
+            slot = len(out)  # the item's first slot in the partly rewritten word
             if item in ("id_A", "id_E"):
                 want = A if item == "id_A" else E
                 if pos >= len(current):
@@ -135,6 +139,7 @@ def typecheck(term):
                 if pos + 1 >= len(current):
                     raise TheoryError(f"swap needs two strands in word {current}")
                 out.extend((current[pos + 1], current[pos]))
+                moves.append((None, (slot, slot + 1), (slot + 1, slot)))
                 pos += 2
             else:
                 gdom, gcod = SIGNATURE[item]
@@ -143,10 +148,13 @@ def typecheck(term):
                 for k, want in enumerate(gdom):
                     _unify(current[pos + k], want, subst)
                 out.extend(gcod)
+                moves.append((item, tuple(range(slot, slot + len(gdom))),
+                              tuple(range(slot, slot + len(gcod)))))
                 pos += len(gdom)
         if pos != len(current):
             raise TheoryError(f"layer {layer} does not cover word {current}")
         current = tuple(out)
+        pieces.append(tuple(moves))
 
     def ground(w):
         out = []
@@ -157,33 +165,11 @@ def typecheck(term):
             out.append(s)
         return tuple(out)
 
-    return ground(term_dom), ground(current), [ground(w) for w in layer_ins]
+    return ground(term_dom), ground(current), [ground(w) for w in layer_ins], tuple(pieces)
 
 
 def generators_used(term):
     return {item for layer in term for item in layer if item in SIGNATURE}
-
-
-def _term_pieces(term) -> tuple:
-    """The act moves of each layer of a term, each move (generator name, or
-    None for a swap, source slots, target slots) in the partly rewritten word;
-    identity strands make none."""
-    pieces = []
-    for layer in term:
-        moves, pos = [], 0  # pos: slot of the next item in the partly rewritten word
-        for item in layer:
-            if item == "swap":
-                moves.append((None, (pos, pos + 1), (pos + 1, pos)))
-                pos += 2
-            elif item in SIGNATURE:
-                gdom, gcod = SIGNATURE[item]
-                moves.append((item, tuple(range(pos, pos + len(gdom))),
-                              tuple(range(pos, pos + len(gcod)))))
-                pos += len(gcod)
-            else:
-                pos += 1
-        pieces.append(tuple(moves))
-    return tuple(pieces)
 
 
 @dataclass(eq=False)
@@ -236,8 +222,8 @@ def evaluate_side(side, gen_maps, spec, memo) -> LinMap:
 
 def evaluate_term(term, gen_maps, spec) -> LinMap:
     """The LinMap of a term, layer by layer from the identity on its domain."""
-    dom, _cod, _layer_ins = typecheck(term)
-    return evaluate_side(prefix_chain(dom, _term_pieces(term), {}), gen_maps, spec, {})
+    dom, _cod, _layer_ins, pieces = typecheck(term)
+    return evaluate_side(prefix_chain(dom, pieces, {}), gen_maps, spec, {})
 
 
 # -- equations -------------------------------------------------------------------
@@ -270,8 +256,8 @@ class Equation:
     words: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, pieces):
-        ld, lc, l_ins = typecheck(self.lhs)
-        rd, rc, r_ins = typecheck(self.rhs)
+        ld, lc, l_ins, l_pieces = typecheck(self.lhs)
+        rd, rc, r_ins, r_pieces = typecheck(self.rhs)
         if (ld, lc) != (rd, rc):
             raise TheoryError(f"equation {self.name}: sides typecheck to {ld}->{lc} vs {rd}->{rc}")
         if self.group not in GROUPS:
@@ -279,8 +265,8 @@ class Equation:
         if self.provenance not in PROVENANCES:
             raise TheoryError(f"equation {self.name}: unknown provenance {self.provenance}")
         pieces = {} if pieces is None else pieces
-        object.__setattr__(self, "sides", tuple(prefix_chain(ld, _term_pieces(term), pieces)
-                                                for term in (self.lhs, self.rhs)))
+        object.__setattr__(self, "sides", (prefix_chain(ld, l_pieces, pieces),
+                                           prefix_chain(ld, r_pieces, pieces)))
         object.__setattr__(self, "words", (*l_ins, lc, *r_ins[1:]))
 
     def generators(self):

@@ -54,7 +54,7 @@ from frobpair.pair import (
     universal_algebra,
 )
 from frobpair.ring import INTEGERS, MOD2, ring
-from frobpair.tensor import equal, sparse_product
+from frobpair.tensor import equal
 from frobpair.theory import evaluate_term, load_axioms
 
 from diamonds import edge_labelings, reverse_events
@@ -144,13 +144,13 @@ def rank_gf2(mat) -> int:
 
 def block_product(high, low) -> dict:
     """The nonzero entries of high * low (apply low first) for block matrices."""
-    return sparse_product(high.entries, low.entries)
+    return product_by_multiplying(high.entries, low.entries)
 
 
 def product_by_multiplying(g_entries, f_entries) -> dict:
     """The nonzero entries of g*f for two {(row, col): value} tables, with every
-    product computed, by 1 too: the oracle for tensor.sparse_product and act,
-    which pass the other operand through when an entry is 1."""
+    product computed, by 1 too: the oracle for tensor.act (and so compose and
+    tensor), which passes the other operand through when an entry is 1."""
     sums = {}
     for (row, mid), gv in g_entries.items():
         for (f_row, col), fv in f_entries.items():

@@ -1,14 +1,18 @@
 import argparse
 import importlib.resources
 import json
+import pathlib
 import random
 
 import pytest
 
+from frobpair import cli
 from frobpair.cli import BUILTINS, InputError, _parser, build_builtin, main
 from frobpair.pair import FrobeniusPair, pair_to_json
 from frobpair.theory import SIGNATURE
 from helpers import cube_to_json, item_one_cubes, random_cube
+
+TEST_DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -48,9 +52,7 @@ def test_verify_json_deterministic(capsys):
 
 
 def test_verify_json_matches_golden(capsys):
-    import pathlib
-
-    golden = pathlib.Path(__file__).parent / "data" / "golden_aps_report.json"
+    golden = TEST_DATA / "golden_aps_report.json"
     _, out, _ = run(capsys, "verify", "--builtin", "aps", "--report", "json")
     assert out == golden.read_text()
 
@@ -526,6 +528,49 @@ def test_snf_malformed_matrix_exit_two(tmp_path, capsys, text, message):
     code, out, err = run(capsys, "snf", str(path))
     assert_one_line_error(code, out, err)
     assert message in err
+
+
+@pytest.mark.parametrize("rows,cols,side", [(1, 513, "columns"), (513, 1, "rows")])
+def test_snf_refuses_a_side_over_the_limit(tmp_path, capsys, rows, cols, side):
+    # snf builds and prints U (rows x rows) and V (cols x cols): a thin matrix
+    # of a few KB would take memory and output quadratic in its long side
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[1] * cols for _ in range(rows)]))
+    code, out, err = run(capsys, "snf", str(path))
+    assert_one_line_error(code, out, err)
+    assert f"the matrix has 513 {side}, over the limit of 512" in err
+
+
+def test_snf_takes_a_side_at_the_limit(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[1] * 512]))
+    code, out, _ = run(capsys, "snf", str(path))
+    assert code == 0
+    assert out.splitlines()[:4] == ["D:", "  1" + " 0" * 511, "U:", "  1"]
+
+
+def test_eval_reads_the_entries_of_its_map_once(capsys, monkeypatch):
+    # eval prints one column per input tuple of a ten-circle word (2**10 under
+    # aps); the columns come from one pass over the entries, not one pass each
+    class CountingEntries(dict):
+        visits = 0
+
+        def items(self):
+            for item in dict.items(self):
+                CountingEntries.visits += 1
+                yield item
+
+    maps, evaluate = [], cli.evaluate
+
+    def counted(cob, pair):
+        maps.append(evaluate(cob, pair))
+        maps[0].entries = CountingEntries(maps[0].entries)
+        return maps[0]
+
+    monkeypatch.setattr(cli, "evaluate", counted)
+    code, out, _ = run(capsys, "eval", "--builtin", "aps", str(TEST_DATA / "mixed10.cob"))
+    assert code == 0 and len(out.splitlines()) == 1 + 2 ** 10
+    assert 0 < CountingEntries.visits <= len(maps[0].entries)
 
 
 MERGE1 = {"kind": "merge", "i": 1, "j": 2, "out": 1, "sort": "A"}

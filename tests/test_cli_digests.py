@@ -24,6 +24,8 @@ from helpers import cube_to_json, double_z2, item_one_cubes, rank2_at_a1
 
 DATA = importlib.resources.files("frobpair").joinpath("data")
 APS_FILE = str(DATA.joinpath("aps.json"))
+#: a ten-circle word of both sorts with merge, split, mobius and swap events
+MIXED10 = str(Path(__file__).parent / "data" / "mixed10.cob")
 #: stand in an argv for the paths of the files the test writes: the ROADMAP's
 #: non-complex repro cube and the benchmark's two pair files
 REPRO = "<repro cube>"
@@ -50,6 +52,7 @@ COMMANDS = {
     "verify-json": ("verify", "--report", "json"),
     "diamond": ("diamond",),
     "eval-torus": ("eval", str(DATA.joinpath("torus.cob"))),
+    "eval-mixed10": ("eval", MIXED10),
     **{f"cube-{name}-{coeff}": ("cube", str(DATA.joinpath(f"{name}.cube")), "--coeff", coeff)
        for name in ("fig13", "merge1", "split1") for coeff in ("q", "z", "z2")},
     "cube-repro-q": ("cube", REPRO, "--coeff", "q"),
@@ -85,6 +88,9 @@ DIGESTS = {
     ("it", "eval-torus"): "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5",
     ("sqrt", "eval-torus"): "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5",
     ("aps-file", "eval-torus"): "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5",
+    ("aps", "eval-mixed10"): "29395815e388e9e7262c38233368f0d49240b7685d53511588a5828c72d78886",
+    ("tt", "eval-mixed10"): "24e03738315169e419d3f88392abf02cce4992985d70658fb9d26eff9a66a491",
+    ("double", "eval-mixed10"): "6d18727e33eb8039fe5bf8acda461ca04547fdeeada255802214ba3a1dd87553",
     ("aps", "cube-fig13-q"): "1aae485e21f4c33c9df5dbccc01b0f0fc2f19387ac78647b39c45a160b40e26d",
     ("aps", "cube-fig13-z"): "950d9cc2287414ff55dacac9864a4cf2cc9f4878f3c6d6fe405ab227776869b8",
     ("aps", "cube-fig13-z2"): "1aae485e21f4c33c9df5dbccc01b0f0fc2f19387ac78647b39c45a160b40e26d",

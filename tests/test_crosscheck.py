@@ -31,7 +31,7 @@ from helpers import random_cube
 
 def naive_apply(term, columns, ring_decl, start):
     """Apply a term to a single basis tuple, layer by layer."""
-    _dom, _cod, layer_ins = typecheck(term)
+    _dom, _cod, layer_ins, _moves = typecheck(term)
     one = ring_decl.one()
     vec = {tuple(start): one}
     for layer, _in_word in zip(term, layer_ins):
@@ -78,7 +78,7 @@ def check_pair(pair):
     report = {r.name: r for r in verify(pair, load_axioms()).records}
     assert eqs
     for eq in eqs:
-        dom, _cod, _ = typecheck(eq.lhs)
+        dom, _cod, _, _ = typecheck(eq.lhs)
         differing = []
         for start in pair.spec.tuples(dom):
             lhs_direct = naive_apply(eq.lhs, columns, pair.ring, start)

@@ -291,6 +291,21 @@ def test_compose_and_act_match_the_multiplying_oracle():
             assert got.entries == want and all(not v.is_zero() for v in got.entries.values())
 
 
+def test_tensor_matches_the_kronecker_oracle():
+    # tensor is two acts on an identity; the oracle multiplies every pair of entries
+    rng = random.Random(31)
+    for d in ORACLE_RINGS:
+        spec, pool = BasisSpec(("1", "X"), ("Y", "Z"), d), entry_pool(d)
+        for _ in range(20):
+            f, g = (pooled_map(rng, spec, rng.choice(WORDS), rng.choice(WORDS), pool)
+                    for _ in range(2))
+            want = {(o1 + o2, i1 + i2): v1 * v2 for (o1, i1), v1 in f.entries.items()
+                    for (o2, i2), v2 in g.entries.items()}
+            got = tensor(f, g)
+            assert (got.dom, got.cod) == (f.dom + g.dom, f.cod + g.cod)
+            assert got.entries == {k: v for k, v in want.items() if not v.is_zero()}
+
+
 def test_act_and_compose_refuse_mixed_rings():
     # same labels over another RingDecl: products by 1 never reach the ring
     # check, so the spec check is what keeps the rings apart
@@ -303,6 +318,9 @@ def test_act_and_compose_refuse_mixed_rings():
             compose(mu, LinMap.identity(spec, word("AA")))
         with pytest.raises(TensorError, match="basis-spec mismatch"):
             act(LinMap.identity(spec, word("AA")), mu, (0, 1), (0,))
+        for f, g in ((LinMap.identity(spec, word("A")), mu), (mu, LinMap.identity(spec, word("A")))):
+            with pytest.raises(TensorError, match="basis-spec mismatch"):
+                tensor(f, g)  # two acts: a mismatch on either is refused
 
 
 # -- move plans and column indices ----------------------------------------------------
@@ -368,6 +386,7 @@ def test_columns_group_the_entries_by_input_tuple():
             assert {t: {o: v for o, v, _ in col} for t, col in columns.items()} == grouped
             assert all(one == (v == d.one()) for col in columns.values() for _, v, one in col)
             assert m.columns() is columns  # built once
+            assert all(m.column(t) == grouped.get(t, {}) for t in spec.tuples(dom))
 
 
 def test_act_matches_the_multiplying_oracle_on_unit_zero_and_other_entries():

@@ -27,7 +27,7 @@ SPEC = BasisSpec(("1", "X"), ("Y", "Z"), Z)
 
 def test_parse_and_typecheck_assoc():
     term = parse_term("(mu_A (x) id_A) ; mu_A")
-    dom, cod, _ = typecheck(term)
+    dom, cod, _, _ = typecheck(term)
     assert dom == word("AAA") and cod == word("A")
 
 
@@ -51,7 +51,7 @@ def test_mobius_generator_typing():
 
 
 def test_swap_sorts_inferred():
-    dom, cod, _ = typecheck(parse_term("swap ; mu_AE"))
+    dom, cod, _, _ = typecheck(parse_term("swap ; mu_AE"))
     assert dom == word("EA") and cod == word("E")
 
 
@@ -86,8 +86,49 @@ def test_typecheck_first_layers(text):
             typecheck(parse_term(text))
         assert str(refusal.value) == want
     else:
-        dom, cod, ins = typecheck(parse_term(text))
+        dom, cod, ins, _ = typecheck(parse_term(text))
         assert ("".join(dom), "".join(cod), tuple("".join(w) for w in ins)) == want
+
+
+#: term -> its per-layer act moves: (generator name, or None for a swap, source
+#: slots, target slots) in the partly rewritten word; identity strands make none
+LAYER_MOVES = {
+    "id_A": ((),),
+    "id_E ; nu_EA": ((), (("nu_EA", (0,), (0,)),)),
+    "(id_A (x) id_E) ; mu_AE": ((), (("mu_AE", (0, 1), (0,)),)),
+    "swap ; mu_AE": (((None, (0, 1), (1, 0)),), (("mu_AE", (0, 1), (0,)),)),
+    "(swap (x) id_A) ; (mu_AE (x) id_A)": (((None, (0, 1), (1, 0)),),
+                                           (("mu_AE", (0, 1), (0,)),)),
+    "(mu_A (x) id_E) ; mu_AE": ((("mu_A", (0, 1), (0,)),), (("mu_AE", (0, 1), (0,)),)),
+    "(eta (x) id_E) ; mu_AE": ((("eta", (), (0,)),), (("mu_AE", (0, 1), (0,)),)),
+    "(eps (x) swap) ; mu_EA": ((("eps", (0,), ()), (None, (0, 1), (1, 0))),
+                               (("mu_EA", (0, 1), (0,)),)),
+    "(id_E (x) swap) ; (id_E (x) mu_EEA)": (((None, (1, 2), (2, 1)),),
+                                            (("mu_EEA", (1, 2), (1,)),)),
+    "(Delta_E (x) swap) ; (mu_E (x) id_A (x) id_E)": (
+        (("Delta_E", (0,), (0, 1)), (None, (2, 3), (3, 2))), (("mu_E", (0, 1), (0,)),)),
+    "(id_A (x) id_E (x) swap) ; (id_A (x) mu_E (x) id_A)": (
+        ((None, (2, 3), (3, 2)),), (("mu_E", (1, 2), (1,)),)),
+    "(id_A (x) swap (x) Delta_A) ; (id_A (x) id_E (x) mu_EA (x) id_A)": (
+        ((None, (1, 2), (2, 1)), ("Delta_A", (3,), (3, 4))), (("mu_EA", (2, 3), (2,)),)),
+    "(swap (x) Delta_AE (x) id_A) ; (id_E (x) mu_A (x) mu_EA)": (
+        ((None, (0, 1), (1, 0)), ("Delta_AE", (2,), (2, 3))),
+        (("mu_A", (1, 2), (1,)), ("mu_EA", (2, 3), (2,)))),
+    "(eta (x) id_E (x) eps (x) eta) ; (mu_AE (x) id_A)": (
+        (("eta", (), (0,)), ("eps", (2,), ()), ("eta", (), (2,))), (("mu_AE", (0, 1), (0,)),)),
+    "(id_A (x) eps (x) gamma (x) beta) ; (mu_A (x) id_A)": (
+        (("eps", (1,), ()), ("gamma", (), (1, 2)), ("beta", (3, 4), ())),
+        (("mu_A", (0, 1), (0,)),)),
+}
+
+
+@pytest.mark.parametrize("text", sorted(LAYER_MOVES))
+def test_typecheck_gives_each_layers_moves(text):
+    assert typecheck(parse_term(text))[3] == LAYER_MOVES[text]
+
+
+def test_layer_moves_cover_the_first_layers():
+    assert {t for t, want in FIRST_LAYERS.items() if not isinstance(want, str)} <= set(LAYER_MOVES)
 
 
 def test_unknown_generator():
@@ -164,8 +205,8 @@ def test_evaluate_is_functorial():
     pairs = 0
     for t1 in usable:
         for t2 in usable:
-            _d1, c1, _ = typecheck(t1)
-            d2, _c2, _ = typecheck(t2)
+            _d1, c1, _, _ = typecheck(t1)
+            d2, _c2, _, _ = typecheck(t2)
             if c1 != d2:
                 continue
             joint = evaluate_term(t1 + t2, maps, SPEC)
