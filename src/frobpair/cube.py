@@ -20,7 +20,7 @@ from functools import cached_property
 from .cobordism import (MOVES, CobordismError, compare_squares, interpret, square_order,
                         table_with)
 from .pair import FrobeniusPair
-from .ring import MOD2, specialize
+from .ring import MOD2, substitution
 from .tensor import MAX_CIRCLES, LinMap, act, word
 
 
@@ -242,8 +242,8 @@ def check_d_squared(cube: StateCube, pair: FrobeniusPair):
 
 def specialize_pair(pair: FrobeniusPair, assignment) -> FrobeniusPair:
     """Apply a ring specialization to every generator entry."""
-    maps = {name: m.map_entries(lambda v: specialize(v, assignment))
-            for name, m in pair.maps.items()}
+    substitute = substitution(pair.ring, assignment)
+    maps = {name: m.map_entries(substitute) for name, m in pair.maps.items()}
     return FrobeniusPair(pair.ring, pair.spec, maps, name=pair.name,
                          unit_label=pair.unit_label, notes=dict(pair.notes))
 

@@ -517,7 +517,7 @@ DOUBLE_SEARCH_EQUATIONS = (
     "q_dup_l5",          # fixes n0 given e0, e2, n2
 )
 
-_EXPONENT_OF_GEN = {"mu_AE": 0, "mu_EEA": 1, "mu_E": 2, "nu_AE": 3, "nu_EA": 4, "nu_EE": 5}
+_EXPONENT_OF_GEN = dict(mu_AE=0, mu_EA=0, mu_EEA=1, mu_E=2, nu_AE=3, nu_EA=4, nu_EE=5)
 
 
 def search_double_exponents(alg: FrobeniusAlgebra, phi_inv: dict, lo=-3, hi=3) -> list:
@@ -527,8 +527,8 @@ def search_double_exponents(alg: FrobeniusAlgebra, phi_inv: dict, lo=-3, hi=3) -
     mentions.  The exponents are fixed one at a time, each row is checked as
     soon as the last exponent it depends on is fixed, and only the prefixes
     that pass every row checked so far are extended.  Verdicts are memoised
-    on each row's exponents; a row is checked on the pair of its prefix with
-    the unfixed exponents at lo, and only the last pair built is kept.
+    on each row's exponents; a row is checked on the table of its prefix with
+    the unfixed exponents at lo, assembled from at most hi - lo + 1 pairs.
     """
     by_name = {e.name: e for e in load_axioms()}
     rows_at = [[] for _ in range(7)]  # rows decided once that many exponents are fixed
@@ -536,16 +536,16 @@ def search_double_exponents(alg: FrobeniusAlgebra, phi_inv: dict, lo=-3, hi=3) -
         eq = by_name[name]
         deps = sorted({_EXPONENT_OF_GEN[g] for g in eq.generators() if g in _EXPONENT_OF_GEN})
         rows_at[deps[-1] + 1 if deps else 0].append((eq, deps, {}))
-    last = [None, None]  # exponents and pair of the last pair built
+    read = set().union(*(by_name[name].generators() for name in DOUBLE_SEARCH_EQUATIONS))
+    built = {}  # exponent value k: the spec and the read maps of the pair at (k,) * 6
 
     def extend(prefix):
         exps = prefix + (lo,) * (6 - len(prefix))
         for eq, deps, verdicts in rows_at[len(prefix)]:
             key = tuple(exps[j] for j in deps)
             if key not in verdicts:
-                if last[0] != exps:
-                    last[:] = exps, build_double(alg, phi_inv, exps)
-                verdicts[key] = _check_equation(eq, last[1].generator_table(), last[1].spec, {})[0]
+                verdicts[key] = _check_equation(
+                    eq, *_double_table(alg, phi_inv, exps, read, built), {})[0]
             if not verdicts[key]:
                 return []
         if len(prefix) == 6:
@@ -553,6 +553,16 @@ def search_double_exponents(alg: FrobeniusAlgebra, phi_inv: dict, lo=-3, hi=3) -
         return [found for x in range(lo, hi + 1) for found in extend(prefix + (x,))]
 
     return extend(())
+
+
+def _double_table(alg, phi_inv, exps, names, built):
+    """(table, spec) of build_double(alg, phi_inv, exps), cut to the maps names,
+    from the pairs at (k,) * 6 that built keeps by k, each built on first need:
+    each map of _EXPONENT_OF_GEN from the pair at its exponent, others at exps[0]."""
+    for k in set(exps) - built.keys():
+        pair = build_double(alg, phi_inv, (k,) * 6)
+        built[k] = pair.spec, {n: pair.generator_table()[n] for n in names}
+    return {n: built[exps[_EXPONENT_OF_GEN.get(n, 0)]][1][n] for n in names}, built[exps[0]][0]
 
 
 # -- serialization ----------------------------------------------------------------

@@ -16,7 +16,7 @@ INTEGERS = "integers"
 RATIONALS = "rationals"
 MOD2 = "integers-mod-2"
 DOMAINS = (INTEGERS, RATIONALS, MOD2)
-#: the largest exponent specialize raises a value to, unless the value is 0 or
+#: the largest exponent substitution raises a value to, unless the value is 0 or
 #: +-1 times a monomial, whose powers stay one term with coefficient +-1
 MAX_POWER = 64
 
@@ -302,42 +302,46 @@ def unit_invert(x: RingElem) -> RingElem:
     return RingElem(x.ring, {tuple((v, -e) for v, e in m): inv})
 
 
-def specialize(x: RingElem, assignment) -> RingElem:
-    """Substitute ring elements (or literals) for variables, then normalize.
+def substitution(decl: RingDecl, assignment):
+    """The function on elements of decl that substitutes assignment's values
+    (ring elements or literals) for variables; checked once, each power taken once.
 
     Invertible variables must be assigned units of the same ring.  A value
     that is not 0 or +-1 times a monomial is raised to no exponent past
     MAX_POWER in absolute value: RingError refuses such a power.
     """
-    values = {}
+    values, powers = {}, {}
     for name, val in assignment.items():
-        var = x.ring.var(name)
+        var = decl.var(name)
         if var is None:
             raise RingError(f"unknown variable {name}")
         if isinstance(val, str):
-            val = x.ring.parse(val)
+            val = decl.parse(val)
         elif isinstance(val, (int, Fraction)):
-            val = x.ring.const(val)
-        elif val.ring != x.ring:
+            val = decl.const(val)
+        elif val.ring != decl:
             raise RingError("ring mismatch")
         if var.invertible and not val.is_unit():
             raise RingError(f"non-unit assigned to invertible variable {name}")
         values[name] = val
-    out = x.ring.zero()
-    for m, c in x.terms.items():
-        term = x.ring.const(c)
-        for v, e in m:
-            if v in values:
-                val = values[v]
-                if abs(e) > MAX_POWER and (len(val.terms) > 1 or
-                                           any(abs(coef) != 1 for coef in val.terms.values())):
-                    raise RingError(f"the power {v}^{e} is over the limit of {MAX_POWER} "
-                                    f"for the value {val}")
-                term = term * (val ** e)
-            else:
-                term = term * x.ring.gen(v, e)
-        out = out + term
-    return out
+
+    def substitute(x: RingElem) -> RingElem:
+        out = decl.zero()
+        for m, c in x.terms.items():
+            term = decl.const(c)
+            for v, e in m:
+                if v in values and (v, e) not in powers:
+                    val = values[v]
+                    if abs(e) > MAX_POWER and (len(val.terms) > 1 or
+                                               any(abs(coef) != 1 for coef in val.terms.values())):
+                        raise RingError(f"the power {v}^{e} is over the limit of {MAX_POWER} "
+                                        f"for the value {val}")
+                    powers[v, e] = val ** e
+                term = term * (powers[v, e] if v in values else decl.gen(v, e))
+            out = out + term
+        return out
+
+    return substitute
 
 
 _TOKEN = re.compile(r"(\d+/\d+)|(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^])")

@@ -25,7 +25,9 @@ local squares of `check_d_squared` are checked against; and
 as hand-written structure constants, which the element arithmetic of
 `frobpair.pair.FrobeniusAlgebra` is checked against; and
 `record_act_chains`, which names the chain of moves each `act` of
-`theory.evaluate_side` ends.
+`theory.evaluate_side` ends; and `exponent_generators`, the generators each
+double-construction exponent scales, read off built pairs, on which the
+whole-box exponent search `search_by_box` rests.
 
 And two pieces of the package that only tests use: `cube_to_json`, the cube
 file writer, and `lemma_first_conditions`, the X-action statement that
@@ -45,7 +47,6 @@ from frobpair.cobordism import DIAMOND_CASES, MERGE_GEN, SPLIT_GEN, CobordismWor
 from frobpair.cube import (CubeError, EdgeMove, StateCube, _bits, cube_from_json, differential,
                            validate_cube)
 from frobpair.pair import (
-    _EXPONENT_OF_GEN,
     DOUBLE_SEARCH_EQUATIONS,
     Rank2Params,
     VerifyRecord,
@@ -150,23 +151,41 @@ def block_product(high, low) -> dict:
 def product_by_multiplying(g_entries, f_entries) -> dict:
     """The nonzero entries of g*f for two {(row, col): value} tables, with every
     product computed, by 1 too: the oracle for tensor.act (and so compose and
-    tensor), which passes the other operand through when an entry is 1."""
-    sums = {}
+    tensor), which passes the other operand through when an entry is 1.  f's
+    entries are grouped by row once, so each entry of g meets only its row."""
+    f_rows, sums = {}, {}
+    for (f_row, col), fv in f_entries.items():
+        f_rows.setdefault(f_row, []).append((col, fv))
     for (row, mid), gv in g_entries.items():
-        for (f_row, col), fv in f_entries.items():
-            if f_row == mid:
-                key = (row, col)
-                sums[key] = sums[key] + gv * fv if key in sums else gv * fv
+        for col, fv in f_rows.get(mid, ()):
+            key = (row, col)
+            sums[key] = sums[key] + gv * fv if key in sums else gv * fv
     return {k: v for k, v in sums.items() if not v.is_zero()}
+
+
+def exponent_generators(alg, phi_inv) -> dict:
+    """{generator: j} for each map of build_double that changes when exponent
+    j alone goes from 0 to 1: what each exponent scales, read off the pairs."""
+    base = build_double(alg, phi_inv, (0,) * 6).generator_table()
+    found = {}
+    for j in range(6):
+        moved = build_double(alg, phi_inv, tuple(int(i == j) for i in range(6)))
+        for name, m in moved.generator_table().items():
+            if not equal(m, base[name])[0]:
+                assert name not in found, f"{name} moves with exponents {found[name]} and {j}"
+                found[name] = j
+    return found
 
 
 def search_by_box(alg, phi_inv, lo, hi) -> list:
     """The exponent tuples in [lo, hi]^6 whose double pair passes every
-    battery row, in order, by walking the whole box; verdicts are memoised on
-    each row's exponents, so each tuple costs a lookup per row."""
+    battery row, in order, by walking the whole box; each row depends on the
+    exponents that exponent_generators finds for its generators, and verdicts
+    are memoised on those, so each tuple costs a lookup per row."""
     by_name = {e.name: e for e in load_axioms()}
     battery = [by_name[n] for n in DOUBLE_SEARCH_EQUATIONS]
-    deps = [sorted({_EXPONENT_OF_GEN[g] for g in eq.generators() if g in _EXPONENT_OF_GEN})
+    exponent_of = exponent_generators(alg, phi_inv)
+    deps = [sorted({exponent_of[g] for g in eq.generators() if g in exponent_of})
             for eq in battery]
     pairs, verdicts = {}, [{} for _ in battery]
 

@@ -43,6 +43,11 @@ SOURCES = {
     "aps-file": ("--pair", APS_FILE),
     "tt-l1": ("--builtin", "tt", "--specialize", "l=1"),
     "it-t1": ("--builtin", "it", "--specialize", "t=1"),
+    "sqrt-a1b1": ("--builtin", "sqrt", "--specialize", "a=1,b=1"),
+    # three refusals: an unknown variable and two non-units for invertible ones
+    "tt-q1": ("--builtin", "tt", "--specialize", "q=1"),
+    "tt-l0": ("--builtin", "tt", "--specialize", "l=0"),
+    "sqrt-a2b1": ("--builtin", "sqrt", "--specialize", "a=2,b=1"),
     "rank2-a1-file": ("--pair", RANK2_A1),
     "double-z2-file": ("--pair", DOUBLE_Z2),
 }
@@ -103,6 +108,11 @@ DIGESTS = {
     ("tt-l1", "cube-fig13-z2"): "7b3d3598fe30de1ab25ec3ae8661081a2e384031b7340b45086e1d7fd547d810",
     ("tt-l1", "cube-merge1-z2"): "ac524f96060acb9e01c39e47a2f721a77c042ad3d618144477bc27398d0b9451",
     ("tt-l1", "cube-split1-z2"): "4f42a96e3fffd273e2cb96bb0abc3c3a06e0c6a895a796c87312c72676aadc6a",
+    ("sqrt-a1b1", "cube-fig13-q"): "7b3d3598fe30de1ab25ec3ae8661081a2e384031b7340b45086e1d7fd547d810",
+    ("sqrt-a1b1", "cube-fig13-z"): "92973177f005ce70437f1566e7c11939a9fe590e8bed2a30e6e65ba47523aa90",
+    ("tt-q1", "cube-fig13-z2"): "5ae14c87c396cdba256ebe59992b7434a810cbac348894d7a3a8f187e18f9e0f",
+    ("tt-l0", "cube-fig13-z2"): "a62c3fc1d3d8f0053a7d84a655b5438232eb28882bffe0e5bdc2b398cbeebec5",
+    ("sqrt-a2b1", "cube-fig13-z"): "499cd667bcfbe95b81bd14febe0f5e55b2b8565dc454c3511da0b915b043df8c",
     ("it-t1", "cube-repro-q"): "3c2d77cb7fea68471d255a9b12421cb7c13c28af6c904a06d53c939a7191d2ae",
     ("rank2-a1-file", "diamond"): "30a1bdb344eb5b2db8951154c13696ae89ecce4d82a46cdf11ffe33523aadd09",
     ("double-z2-file", "diamond"): "30a1bdb344eb5b2db8951154c13696ae89ecce4d82a46cdf11ffe33523aadd09",

@@ -37,7 +37,7 @@ from frobpair.pair import (
     FrobeniusPair,
     Rank2Params,
 )
-from frobpair.ring import INTEGERS, ring
+from frobpair.ring import INTEGERS, RingElem, ring
 from frobpair.tensor import MAX_CIRCLES, BasisSpec, compose, equal, word
 
 from helpers import (
@@ -452,6 +452,42 @@ def test_specialize_identity_assignment():
     again = specialize_pair(aps, {})
     for name in aps.maps:
         assert equal(aps.maps[name], again.maps[name])[0]
+
+
+def test_specialize_pair_checks_once_and_takes_each_power_once(monkeypatch):
+    # sqrt at a = b = 1: its 64 entries hold 7 distinct (variable, exponent)
+    # pairs.  The assignment's two invertible variables are each checked for
+    # a unit once, and each distinct power is taken once; the unit check and
+    # the power inside a negative power are not counted
+    sqrt = build_laurent_sqrt()
+    assignment = {name: sqrt.ring.parse("1") for name in ("a", "b")}
+    distinct = {factor for m in sqrt.maps.values() for v in m.entries.values()
+                for mono in v.terms for factor in mono}
+    depth, units, powers = [0], [], []
+    real_is_unit, real_pow = RingElem.is_unit, RingElem.__pow__
+
+    def is_unit(self):
+        if not depth[0]:
+            units.append(self)
+        return real_is_unit(self)
+
+    def power(self, k):
+        if not depth[0]:
+            powers.append(k)
+        depth[0] += 1
+        try:
+            return real_pow(self, k)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(RingElem, "is_unit", is_unit)
+    monkeypatch.setattr(RingElem, "__pow__", power)
+    flat = specialize_pair(sqrt, assignment)
+    monkeypatch.undo()
+    assert sum(len(m.entries) for m in sqrt.maps.values()) == 64 and len(distinct) == 7
+    assert len(units) == 2
+    assert sorted(powers) == sorted(e for _v, e in distinct)
+    assert all(v.is_constant() for m in flat.maps.values() for v in m.entries.values())
 
 
 # -- homology -----------------------------------------------------------------------

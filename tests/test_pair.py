@@ -25,11 +25,12 @@ from frobpair.pair import (
     universal_algebra,
     verify,
     _algebra_maps,
+    _EXPONENT_OF_GEN,
 )
 from frobpair.ring import INTEGERS, MOD2, RATIONALS, RingError, ring
 from frobpair.tensor import BasisSpec, equal
 from frobpair.theory import evaluate_side, evaluate_term, load_axioms, parse_term, parse_theory
-from helpers import TableAlgebra, lemma_first_conditions, search_by_box
+from helpers import TableAlgebra, exponent_generators, lemma_first_conditions, search_by_box
 
 Z = ring(INTEGERS)
 APS_PARAMS = dict(a=0, c_yy=0, c_yz=1, c_zz=0, d_yy=0, d_yz=1, d_zz=0,
@@ -452,7 +453,7 @@ def test_search_matches_whole_box_oracle(make, lo, hi):
 
 def test_search_builds_and_checks(monkeypatch):
     # the q1 search over [-3, 3]^6 reaches 85 distinct (row, exponents)
-    # checks on 79 pairs, each pair built once and only the last one kept
+    # checks, and builds one pair for each exponent value, at (k,) * 6
     import frobpair.pair as pair_mod
 
     alg, phi_inv = q_double_algebra()
@@ -463,8 +464,41 @@ def test_search_builds_and_checks(monkeypatch):
     monkeypatch.setattr(pair_mod, "_check_equation",
                         lambda *a: checks.append(a[0].name) or real_check(*a))
     assert search_double_exponents(alg, phi_inv) == [DOUBLE_EXPONENTS]
-    assert len(builds) == len(set(builds)) == 79
+    assert len(builds) == 7 and set(builds) == {(k,) * 6 for k in range(-3, 4)}
     assert len(checks) == 85 and set(checks) == set(DOUBLE_SEARCH_EQUATIONS)
+
+
+def test_search_checks_each_row_on_the_whole_pair_table(monkeypatch):
+    # every table a row is checked on has the row's generators, and each of
+    # its maps is that of the pair built whole at the prefix's padded exponents
+    import frobpair.pair as pair_mod
+
+    alg, phi_inv = q_double_algebra()
+    tables, checked = [], []
+    real_table, real_check = pair_mod._double_table, pair_mod._check_equation
+
+    def record_table(*a):
+        tables.append((a[2], real_table(*a)))
+        return tables[-1][1]
+
+    monkeypatch.setattr(pair_mod, "_double_table", record_table)
+    monkeypatch.setattr(pair_mod, "_check_equation",
+                        lambda *a: checked.append((a[0], a[1])) or real_check(*a))
+    assert search_double_exponents(alg, phi_inv) == [DOUBLE_EXPONENTS]
+    assert len(tables) == len(checked) == 85
+    for (exps, (table, spec)), (eq, checked_table) in zip(tables, checked):
+        assert checked_table is table and eq.generators() <= set(table)
+        whole = build_double(alg, phi_inv, exps)
+        assert spec == whole.spec
+        for name, m in table.items():
+            assert equal(m, whole.generator_table()[name])[0], (exps, name)
+
+
+def test_exponent_of_gen_lists_what_each_exponent_scales():
+    # mu_EA is the mirror of mu_AE, so exponent 0 scales both
+    alg, phi_inv = q_double_algebra()
+    assert exponent_generators(alg, phi_inv) == _EXPONENT_OF_GEN
+    assert exponent_generators(*z2_double_algebra()) == {}  # phi = 1 there
 
 
 @pytest.mark.parametrize("build", [build_aps, build_tt], ids=["aps", "tt"])

@@ -12,7 +12,7 @@ from frobpair.ring import (
     RingError,
     parse_ring_elem,
     ring,
-    specialize,
+    substitution,
     unit_invert,
 )
 
@@ -20,6 +20,11 @@ ZH = ring(INTEGERS, "h", "t")
 ZL = ring(INTEGERS, "l^-1")
 Q = ring(RATIONALS)
 Z2L = ring(MOD2, "X", "l^-1")
+
+
+def specialize(x, assignment):
+    """x under the substitution of assignment, checked for x's ring."""
+    return substitution(x.ring, assignment)(x)
 
 
 def schoolbook_mul(pairs1, pairs2, decl):
