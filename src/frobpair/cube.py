@@ -10,7 +10,6 @@ names the output positions explicitly.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
@@ -366,53 +365,49 @@ def _unit_pivots(rows, modulus=None):
 
     Each elimination is an invertible change of basis, so over Z
     SNF(rows) = I_count (+) SNF(residual), and mod 2 the rank is count.  A
-    pivot is its own inverse.  Pivots go in order of the Markowitz cost
-    (row length - 1) * (column length - 1), which bounds the fill-in each one
-    can cause.  An entry is queued when it is or becomes +-1, and its cost
-    is rechecked when taken from the heap.
+    pivot is its own inverse.  Pivots are taken in column sweeps: a sweep
+    visits the columns shortest first, by their lengths when it starts, and
+    pivots each on its shortest row that holds a +-1.  Fill can make a +-1
+    in a column already passed, so sweeps repeat until one pivots nowhere.
+    Short columns and rows keep the fill-in small with no queue of costs: a
+    sweep sorts the columns once and scans each once, one pass over the
+    entries, and scanning a column costs its length, the number of rows its
+    pivot then updates, so choosing a pivot costs no more than applying it.
     """
     rows = dict(enumerate(rows))
     cols = {}
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
-    heap = [((len(row) - 1) * (len(cols[c]) - 1), r, c)
-            for r, row in rows.items() for c, x in row.items() if x == 1 or x == -1]
-    heapq.heapify(heap)
-    count = 0
-    while heap:
-        cost, p, c = heapq.heappop(heap)
-        pivot = rows.get(p)
-        if pivot is None or pivot.get(c, 0) not in (1, -1):
-            continue
-        now = (len(pivot) - 1) * (len(cols[c]) - 1)
-        if now > cost:
-            heapq.heappush(heap, (now, p, c))
-            continue
-        count += 1
-        v = pivot.pop(c)
-        del rows[p]
-        for cc in pivot:
-            cols[cc].discard(p)
-        for r in cols.pop(c) - {p}:
-            row = rows[r]
-            f = row.pop(c) * v
-            for cc, x in pivot.items():
-                old = row.get(cc, 0)
-                y = old - f * x
-                if modulus:
-                    y %= modulus
-                if y:
-                    if cc not in row:
-                        cols[cc].add(r)
-                    row[cc] = y
-                    if (y == 1 or y == -1) and old != 1 and old != -1:
-                        heapq.heappush(heap, ((len(row) - 1) * (len(cols[cc]) - 1), r, cc))
-                else:
-                    del row[cc]
-                    cols[cc].discard(r)
-            if not row:
-                del rows[r]
+    count, before = 0, None
+    while count != before:
+        before = count
+        for c in sorted(cols, key=lambda k: len(cols[k])):
+            units = [r for r in cols[c] if rows[r][c] in (1, -1)]
+            if not units:
+                continue
+            p = min(units, key=lambda r: len(rows[r]))
+            count += 1
+            pivot = rows.pop(p)
+            v = pivot.pop(c)
+            for cc in pivot:
+                cols[cc].discard(p)
+            for r in cols.pop(c) - {p}:
+                row = rows[r]
+                f = row.pop(c) * v
+                for cc, x in pivot.items():
+                    y = row.get(cc, 0) - f * x
+                    if modulus:
+                        y %= modulus
+                    if y:
+                        if cc not in row:
+                            cols[cc].add(r)
+                        row[cc] = y
+                    else:
+                        del row[cc]
+                        cols[cc].discard(r)
+                if not row:
+                    del rows[r]
     live = sorted({c for row in rows.values() for c in row})
     return count, [[row.get(c, 0) for c in live] for row in rows.values()]
 

@@ -13,6 +13,7 @@ import hashlib
 import importlib.resources
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -20,15 +21,17 @@ import pytest
 
 from frobpair.cli import main
 from frobpair.pair import pair_to_json
-from helpers import cube_to_json, double_z2, item_one_cubes, rank2_at_a1
+from helpers import cube_to_json, double_z2, item_one_cubes, random_cube, rank2_at_a1
 
 DATA = importlib.resources.files("frobpair").joinpath("data")
 APS_FILE = str(DATA.joinpath("aps.json"))
 #: a ten-circle word of both sorts with merge, split, mobius and swap events
 MIXED10 = str(Path(__file__).parent / "data" / "mixed10.cob")
 #: stand in an argv for the paths of the files the test writes: the ROADMAP's
-#: non-complex repro cube and the benchmark's two pair files
+#: non-complex repro cube, a random six-crossing cube and the benchmark's two
+#: pair files
 REPRO = "<repro cube>"
+RANDOM6 = "<random n=6 cube>"
 RANK2_A1 = "<rank2-a1 pair>"
 DOUBLE_Z2 = "<double-z2 pair>"
 
@@ -61,6 +64,7 @@ COMMANDS = {
     **{f"cube-{name}-{coeff}": ("cube", str(DATA.joinpath(f"{name}.cube")), "--coeff", coeff)
        for name in ("fig13", "merge1", "split1") for coeff in ("q", "z", "z2")},
     "cube-repro-q": ("cube", REPRO, "--coeff", "q"),
+    **{f"cube-random6-{coeff}": ("cube", RANDOM6, "--coeff", coeff) for coeff in ("q", "z", "z2")},
 }
 
 DIGESTS = {
@@ -114,6 +118,10 @@ DIGESTS = {
     ("tt-l0", "cube-fig13-z2"): "a62c3fc1d3d8f0053a7d84a655b5438232eb28882bffe0e5bdc2b398cbeebec5",
     ("sqrt-a2b1", "cube-fig13-z"): "499cd667bcfbe95b81bd14febe0f5e55b2b8565dc454c3511da0b915b043df8c",
     ("it-t1", "cube-repro-q"): "3c2d77cb7fea68471d255a9b12421cb7c13c28af6c904a06d53c939a7191d2ae",
+    ("aps", "cube-random6-q"): "67537056b494cdaba01583f20ca1622cdbdf2a281eb37a0fb212c890a544f2c2",
+    ("aps", "cube-random6-z"): "059098cc05f4384228d14394b78d1a3ac74629d65c650ead49cc10ba6a3001ea",
+    ("aps", "cube-random6-z2"): "2fcd2a787b257c25515e273295350411d41badc1b6a2be755eed87279ba4f223",
+    ("rank2-a1-file", "cube-random6-q"): "67537056b494cdaba01583f20ca1622cdbdf2a281eb37a0fb212c890a544f2c2",
     ("rank2-a1-file", "diamond"): "30a1bdb344eb5b2db8951154c13696ae89ecce4d82a46cdf11ffe33523aadd09",
     ("double-z2-file", "diamond"): "30a1bdb344eb5b2db8951154c13696ae89ecce4d82a46cdf11ffe33523aadd09",
 }
@@ -122,9 +130,11 @@ DIGESTS = {
 def write_inputs(directory) -> dict:
     """{placeholder: path} of the files the runs read, written under directory:
     the fourth of helpers.item_one_cubes, which under `it` at t=1 is not a
-    chain complex (`cube` finds it by d^2), and the pair files that the
-    benchmark writes with pair_to_json."""
+    chain complex (`cube` finds it by d^2), a random cube with six crossings,
+    whose integer homology under `aps` has torsion 2 in degrees 1, 2 and 4,
+    and the pair files that the benchmark writes with pair_to_json."""
     texts = {REPRO: ("repro.cube", cube_to_json(item_one_cubes()[3])),
+             RANDOM6: ("random6.cube", cube_to_json(random_cube(random.Random(6), n=6))),
              RANK2_A1: ("rank2-a1.json", pair_to_json(rank2_at_a1())),
              DOUBLE_Z2: ("double-z2.json", pair_to_json(double_z2()))}
     paths = {}

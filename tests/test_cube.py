@@ -581,16 +581,38 @@ def dense_q_report(cube, pair):
 def test_unit_pivots_match_dense_snf():
     # entries in -3..3 leave non-unit pivots behind, so some residuals are nonempty
     rng = random.Random(21)
-    residual_torsion = 0
+    small = []
     for _ in range(80):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        m = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(cols)]
-             for _ in range(rows)]
+        small.append([[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(cols)]
+                      for _ in range(rows)])
+    # the pivot on column 1 leaves a +-1 in column 0 after a first sweep
+    # (shortest columns first: 2, 0, 1) has passed column 0
+    late_unit = [[2, 1, 0], [3, 1, 0], [0, 1, 1]]
+    residual_torsion = 0
+    for m in small + [late_unit]:
         count, residual = _unit_pivots([{c: x for c, x in enumerate(row) if x} for row in m])
+        assert not any(x in (1, -1) for row in residual for x in row)
         rest = snf_diagonal(residual)
         assert [1] * count + [x for x in rest if x] == [x for x in snf_diagonal(m) if x]
         residual_torsion += any(x > 1 for x in rest)
     assert residual_torsion
+    assert _unit_pivots([{c: x for c, x in enumerate(row) if x} for row in late_unit]) == (3, [])
+    # larger sparse matrices, mostly +-1 with some +-2, fill in over many pivots.
+    # The dense Smith form of one of them (24 x 27) runs for minutes as its
+    # entries grow, so over Z the residual is checked by its ranks over Q and
+    # GF(2): the rank and the number of even invariant factors
+    for _ in range(30):
+        rows, cols = rng.randint(10, 30), rng.randint(10, 30)
+        m = [[rng.choice((1, -1, 1, -1, 1, -1, 2, -2)) if rng.random() < 0.15 else 0
+              for _ in range(cols)] for _ in range(rows)]
+        count, residual = _unit_pivots([{c: x for c, x in enumerate(row) if x} for row in m])
+        assert not any(x in (1, -1) for row in residual for x in row)
+        assert count + rank_fraction(residual) == rank_fraction(m)
+        assert count + rank_gf2(residual) == rank_gf2(m)
+        count, residual = _unit_pivots([{c: x % 2 for c, x in enumerate(row) if x % 2}
+                                        for row in m], modulus=2)
+        assert not any(residual) and count == rank_gf2(m)
 
 
 def test_integer_homology_matches_dense_snf(monkeypatch):
