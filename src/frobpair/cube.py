@@ -44,46 +44,19 @@ class StateCube:
 
     @cached_property
     def numbered_edges(self):
-        """({edge (b, k): number}, [descriptor by number]): the cube's one read
-        of its edges, in validate_cube's order (b in _bits, k ascending), which
-        refuses the first missing edge, edge on a 1-bit, illegal move or move
-        that misses its target's word.  Edges are numbered by (source word,
+        """({edge (b, k): number} in scan order, [descriptor by number]), as
+        validate_cube's scan keeps them.  Edges are numbered by (source word,
         move); a descriptor is the source word and the edge's `_interpret`."""
-        number, key, moves = {}, {}, []  # (source word, move) -> its number
-        for b in _bits(self.n):
-            w_in = tuple(self.vertices[b])
-            for k in range(self.n):
-                move = self.edges.get((b, k))
-                if b[k] == "1":
-                    if move is not None:
-                        raise CubeError(f"edge {b}/{k} flips a 1-bit")
-                    continue
-                if move is None:
-                    raise CubeError(f"missing edge {b}->{_flip(b, k)}")
-                e = key[b, k] = number.setdefault((w_in, move), len(number))
-                if e == len(moves):
-                    try:
-                        moves.append((w_in,) + _interpret(w_in, move))
-                    except CobordismError as exc:
-                        raise CubeError(f"edge {b}/{k}: {exc}") from None
-                target = self.vertices[_flip(b, k)]
-                if moves[e][4] != tuple(target):
-                    raise CubeError(f"edge {b}/{k}: move produces word {''.join(moves[e][4])}, "
-                                    f"vertex has {''.join(target)}")
-        return key, moves
+        validate_cube(self)
+        return vars(self)["numbered_edges"]
 
     @cached_property
     def squares(self):
         """{square of edge numbers: its first (b, k, l)} in scan order, b flipping
         bits k < l; a square is ((edge b/k, then l), (edge b/l, then k)).
-        validate_cube enumerates them once, and check_d_squared reads them."""
-        key = self.numbered_edges[0]
-        squares = {}
-        for b in _bits(self.n):
-            for k, l in itertools.combinations([k for k in range(self.n) if b[k] == "0"], 2):
-                square = ((key[b, k], key[_flip(b, k), l]), (key[b, l], key[_flip(b, l), k]))
-                squares.setdefault(square, (b, k, l))
-        return squares
+        validate_cube's scan keeps them, and check_d_squared reads them."""
+        validate_cube(self)
+        return vars(self)["squares"]
 
 
 def _bits(n):
@@ -109,20 +82,56 @@ def _interpret(w_in, move):
 
 
 def validate_cube(cube: StateCube):
-    """Check the cube invariants; raises CubeError on the first violation."""
-    for b in _bits(cube.n):
-        if b not in cube.vertices:
-            raise CubeError(f"missing vertex {b!r}")
-    moves = cube.numbered_edges[1]
-    # every square must act on compatible circles: both orders of the two
-    # flips must allow a common source set at every far-corner position (the
-    # per-path provenance over-approximates the true one, so disjointness
-    # certifies incompatibility)
-    for square, (b, k, l) in cube.squares.items():
-        one, two = ([{p for q in sources for p in moves[first][5][q]}
-                     for sources in moves[second][5]] for first, second in square)
-        if any(not (s & t) for s, t in zip(one, two)):
-            raise CubeError(f"square at {b} (bits {k},{l}) does not commute")
+    """Check the cube invariants in one scan of the vertices (b in _bits order,
+    k ascending) and keep what it reads as the cube's numbered_edges and
+    squares.  Raises CubeError on the first violation: a missing vertex; else
+    the first edge on a 1-bit, missing edge, illegal move or move that misses
+    its target's word; else the first square whose paths allow no common
+    source set at some far-corner position (the per-path provenance
+    over-approximates the true one, so disjointness certifies that they do not
+    commute).  Each vertex numbers its edges, and those its squares reach, by
+    (source word, move); a number is interpreted at its first edge."""
+    n, edges, bits = cube.n, cube.edges, _bits(cube.n)
+    try:
+        words = [tuple(cube.vertices[b]) for b in bits]
+    except KeyError as exc:
+        raise CubeError(f"missing vertex {exc.args[0]!r}") from None
+    masks = [1 << n - 1 - k for k in range(n)]
+    number, rows, key, moves, squares = {}, [None] * len(bits), {}, [], {}
+
+    def row(v):  # v's edge numbers by flipped bit, None on a 1-bit or a missing edge
+        rows[v] = [None if v & m or (move := edges.get((bits[v], k))) is None
+                   else number.setdefault((words[v], move), len(number))
+                   for k, m in enumerate(masks)]
+        moves.extend([None] * (len(number) - len(moves)))
+        return rows[v]
+
+    for v, b in enumerate(bits):
+        out = rows[v] or row(v)
+        for k, (m, e) in enumerate(zip(masks, out)):
+            if v & m:
+                if (b, k) in edges:
+                    raise CubeError(f"edge {b}/{k} flips a 1-bit")
+                continue
+            if e is None:
+                raise CubeError(f"missing edge {b}->{bits[v ^ m]}")
+            key[b, k] = e
+            try:
+                moves[e] = moves[e] or (words[v],) + _interpret(words[v], edges[b, k])
+            except CobordismError as exc:
+                raise CubeError(f"edge {b}/{k}: {exc}") from None
+            if moves[e][4] != words[v ^ m]:
+                raise CubeError(f"edge {b}/{k}: move produces word {''.join(moves[e][4])}, "
+                                f"vertex has {''.join(words[v ^ m])}")
+        far = [e is not None and (rows[v ^ m] or row(v ^ m)) for m, e in zip(masks, out)]
+        for k, l in itertools.combinations([k for k in range(n) if far[k]], 2):
+            squares.setdefault(((out[k], far[k][l]), (out[l], far[l][k])), (b, k, l))
+    for ((e, far_e), (f, far_f)), (b, k, l) in squares.items():
+        one, two = moves[e][5], moves[f][5]  # each path's first provenance
+        for s, t in zip(moves[far_e][5], moves[far_f][5]):
+            if {p for q in s for p in one[q]}.isdisjoint([p for q in t for p in two[q]]):
+                raise CubeError(f"square at {b} (bits {k},{l}) does not commute")
+    vars(cube).update(numbered_edges=(key, moves), squares=squares)
     return True
 
 
@@ -170,20 +179,12 @@ def vertex_keys(cube: StateCube, pair: FrobeniusPair, degree):
             for t in pair.spec.tuples(word(cube.vertices[b]))]
 
 
-def _edges(cube: StateCube, i):
-    """d_i's edges (b, k) in scan order, each with whether its sign is -1."""
-    return [(b, k, _weight(b[:k]) % 2) for b in _bits(cube.n) if _weight(b) == i
-            for k in range(cube.n) if b[k] == "0"]
-
-
 def differential(cube: StateCube, pair: FrobeniusPair, i) -> BlockMatrix:
     """d_i: degree-i chain space -> degree-(i+1) chain space as a block matrix."""
     d = BlockMatrix(vertex_keys(cube, pair, i + 1), vertex_keys(cube, pair, i), pair.ring)
-    if i < 0 or i >= cube.n:
-        return d
-    for b, k, negate in _edges(cube, i):
+    for b, k in [(b, k) for b, k in cube.numbered_edges[0] if _weight(b) == i]:  # scan order
         for (o, t), v in edge_map(cube, pair, b, k).entries.items():
-            d.add((_flip(b, k), o), (b, t), -v if negate else v)
+            d.add((_flip(b, k), o), (b, t), -v if _weight(b[:k]) % 2 else v)
     return d
 
 
@@ -251,14 +252,15 @@ def specialize_pair(pair: FrobeniusPair, assignment) -> FrobeniusPair:
 
 
 def sparse_rank_fraction(rows) -> int:
-    """Rank over Q of sparse rows ({col: int or Fraction} dicts).  Clearing
-    each row's denominators keeps the rank, and the rank over Q of integer
-    rows is their rank over Z, so `_integer_rank` finishes them."""
-    cleared = []
+    """Rank over Q of sparse rows ({col: int or Fraction} dicts), changed in
+    place, as by `_integer_rank`, which finishes them: clearing the
+    denominators of a row that is not all ints keeps the rank, and the rank
+    over Q of integer rows is their rank over Z."""
     for row in rows:
-        scale = math.lcm(*(x.denominator for x in row.values()))
-        cleared.append({c: x.numerator * scale // x.denominator for c, x in row.items()})
-    return _integer_rank(cleared)[0]
+        if not {int}.issuperset(map(type, row.values())):
+            scale = math.lcm(*(x.denominator for x in row.values()))
+            row.update({c: x.numerator * scale // x.denominator for c, x in row.items()})
+    return _integer_rank(rows)[0]
 
 
 def _integer_rank(rows):
@@ -419,14 +421,16 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
     """Per-degree homology of the cube complex.
 
     Returns a list (degree 0..n) of {"betti": int, "torsion": [int, ...]};
-    torsion is always empty over a field.  Each generator's entries become
-    constants, and over z and z2 integers, once per call; d_i's sparse rows
-    scatter each edge's `_block`, built from them when first met, with its sign,
-    and one elimination of their +-1 pivots (`_unit_pivots`) reduces them.  Over
-    z2 (`sparse_rank_gf2`) it leaves no residual; over q (`sparse_rank_fraction`,
-    which clears denominators first) and z, `_integer_rank` takes the Smith
-    normal form of the residual block only, and over z the residual's entries
-    > 1 are the torsion of degree i+1.
+    torsion is always empty over a field.  One walk of numbered_edges' key
+    sorts the edges by degree, in scan order, each with its sign.  Each
+    generator's entries become constants, and over z and z2 integers, once per
+    call; d_i's sparse rows scatter each edge's `_block`, built from them when
+    first met, with its sign, and one elimination of their +-1 pivots
+    (`_unit_pivots`) reduces them.  Over z2 (`sparse_rank_gf2`) it leaves no
+    residual; over q (`sparse_rank_fraction`, which clears denominators
+    first) and z, `_integer_rank` takes the Smith normal form of the residual
+    block only, and over z the residual's entries > 1 are the torsion of
+    degree i+1.
     Entries must be constants in the pair's ring (specialize first), and
     integers over z and z2: CubeError refuses d_i's first fraction, sign
     included, rather than truncate it.  A Z/2 pair takes only z2: its residues
@@ -442,16 +446,18 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
         offset[b] = dims[_weight(b)]  # b's first place in its degree
         dims[_weight(b)] += pair.spec.dim(cube.vertices[b])
     key, moves = cube.numbered_edges
+    # d_i's edges: (row offset, column offset, number, sign is -1); -1 = 1 over Z/2
+    edges, signed = [[] for _ in range(cube.n)], pair.ring.domain != MOD2
+    for (b, k), e in key.items():
+        edges[_weight(b)].append((offset[_flip(b, k)], offset[b], e,
+                                  signed and _weight(b[:k]) % 2 == 1))
     constants = {}  # generator -> its entries as (column, output tuple, constant), by column
     blocks = {}  # edge number -> [(out place, in place, constant)] of its edge map
     ranks = [0] * (cube.n + 1)  # ranks[i] = rank of d_i; d_n = 0
     torsion = [[] for _ in dims]
     for i in range(cube.n):
-        # d_i's edges: (row offset, column offset, number, sign is -1); -1 = 1 over Z/2
-        edges = [(offset[_flip(b, k)], offset[b], key[b, k], negate and pair.ring.domain != MOD2)
-                 for b, k, negate in _edges(cube, i)]
         fresh = {}  # generator new to this call -> its first edge's sign
-        for _r, _c, e, negate in edges:
+        for _r, _c, e, negate in edges[i]:
             if moves[e][1] not in constants:
                 fresh.setdefault(moves[e][1], negate)
         table = table_with(pair, fresh, CubeError)
@@ -473,7 +479,7 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
                                 f"homology over {coefficients} needs integers")
             constants[gen] = [(c, o, int(x)) for c, o, x in constants[gen]]
         rows = {}
-        for r, c, e, negate in edges:
+        for r, c, e, negate in edges[i]:
             if e not in blocks:
                 blocks[e] = _block(pair.spec, moves[e], constants[moves[e][1]])
             for o, t, x in blocks[e]:
@@ -525,6 +531,8 @@ def _edge_from_json(key, mv) -> EdgeMove:
             move = EdgeMove(kind, mv["i"], mv["j"], (mv["out"],), (mv["sort"],))
         elif kind == "split":
             move = EdgeMove(kind, mv["i"], 0, tuple(mv["outs"]), tuple(mv["sorts"]))
+            if not (isinstance(mv["outs"], list) and isinstance(mv["sorts"], list)):
+                raise TypeError  # a string or an object reads as a sequence too
         else:
             raise CubeError(f"edge {key!r}: unknown kind {kind!r}")
     except KeyError as exc:
@@ -532,9 +540,9 @@ def _edge_from_json(key, mv) -> EdgeMove:
     except TypeError:
         raise CubeError(f"edge {key!r}: outs and sorts must be lists") from None
     arity = 1 if kind == "merge" else 2
-    if (not all(type(p) is int for p in (move.i, move.j) + move.outs)
+    if (set(map(type, (move.i, move.j) + move.outs)) != {int}
             or not len(move.outs) == len(move.sorts) == arity
-            or not all(s in ("A", "E") for s in move.sorts)):
+            or move.sorts.count("A") + move.sorts.count("E") != arity):
         raise CubeError(f"edge {key!r}: a {kind} takes integer positions "
                         f"and {arity} output sort(s) A/E")
     return move
@@ -561,7 +569,7 @@ def cube_from_json(text) -> StateCube:
         raise CubeError(f"n = {n} needs 2**{n} vertices, found {count}")
     vertices = {}
     for b, w in raw_vertices.items():
-        if not isinstance(w, list) or not all(s in ("A", "E") for s in w):
+        if not isinstance(w, list) or w.count("A") + w.count("E") != len(w):
             raise CubeError(f"vertex {b!r}: expected a list of sorts A/E")
         if len(w) > MAX_CIRCLES:
             raise CubeError(f"vertex {b!r}: a word of {len(w)} circles is over the "
@@ -569,7 +577,7 @@ def cube_from_json(text) -> StateCube:
         vertices[b] = tuple(w)
     edges = {}
     for key, mv in raw_edges.items():
-        if key.count("*") != 1 or len(key) != n or set(key) - set("01*"):
+        if key.count("*") != 1 or len(key) != n or key.strip("01*"):  # a char not in 01*
             raise CubeError(f"bad edge key {key!r}")
         edges[(key.replace("*", "0"), key.index("*"))] = _edge_from_json(key, mv)
     cube = StateCube(n, vertices, edges)

@@ -34,6 +34,11 @@ REPRO = "<repro cube>"
 RANDOM6 = "<random n=6 cube>"
 RANK2_A1 = "<rank2-a1 pair>"
 DOUBLE_Z2 = "<double-z2 pair>"
+#: malformed cube files, one for each refusal that loading a cube file can
+#: give once its fields parse: each of the vertex scan's, and a bad edge key
+#: (a file cannot hold an edge on a 1-bit: an edge key's * reads as a 0)
+BAD_CUBES = ("missing-vertex", "missing-edge", "illegal-move", "wrong-word", "square",
+             "edge-key")
 
 SOURCES = {
     "aps": ("--builtin", "aps"),
@@ -65,6 +70,7 @@ COMMANDS = {
        for name in ("fig13", "merge1", "split1") for coeff in ("q", "z", "z2")},
     "cube-repro-q": ("cube", REPRO, "--coeff", "q"),
     **{f"cube-random6-{coeff}": ("cube", RANDOM6, "--coeff", coeff) for coeff in ("q", "z", "z2")},
+    **{f"cube-bad-{name}": ("cube", f"<{name} cube>", "--coeff", "q") for name in BAD_CUBES},
 }
 
 DIGESTS = {
@@ -124,7 +130,37 @@ DIGESTS = {
     ("rank2-a1-file", "cube-random6-q"): "67537056b494cdaba01583f20ca1622cdbdf2a281eb37a0fb212c890a544f2c2",
     ("rank2-a1-file", "diamond"): "30a1bdb344eb5b2db8951154c13696ae89ecce4d82a46cdf11ffe33523aadd09",
     ("double-z2-file", "diamond"): "30a1bdb344eb5b2db8951154c13696ae89ecce4d82a46cdf11ffe33523aadd09",
+    ("aps", "cube-bad-missing-vertex"): "d17fbb3aefbae7651237dfd8e6ff83b525de14db8b0640dcb1a01296fc88c53c",
+    ("aps", "cube-bad-missing-edge"): "7dc1b801a94a4155782bee9ebded5236625673040a76cc41583c0bb1e59edc4d",
+    ("aps", "cube-bad-illegal-move"): "53a526671cd7ac87cb9f3af13c086179bb034b1565147f253f1f0c5c29219d8a",
+    ("aps", "cube-bad-wrong-word"): "127154dba30b0406fd2b08eccafa36f6458306c336fe09ff24549372b86baae2",
+    ("aps", "cube-bad-square"): "b1d1bace731085021e585ea593994e0923e06433503d6de1cb6a3061213fa3eb",
+    ("aps", "cube-bad-edge-key"): "4834fba5e98c740d913c5ca57d113fe47af62d36ee771bc0a2f68bc3cda92c7e",
 }
+
+
+def bad_cubes() -> dict:
+    """{name: text} of the BAD_CUBES: a random cube with three crossings and one
+    flaw each, and two splits whose square sends an untouched circle to two
+    far slots."""
+    def flawed(change):
+        obj = json.loads(cube_to_json(random_cube(random.Random(3), n=3)))
+        change(obj["vertices"], obj["edges"])
+        return json.dumps(obj)
+
+    def split(i, *outs):
+        return {"kind": "split", "i": i, "outs": list(outs), "sorts": ["A", "A"]}
+
+    square = {"n": 2, "vertices": {"00": ["A"] * 2, "01": ["A"] * 3, "10": ["A"] * 3,
+                                   "11": ["A"] * 4},
+              "edges": {"*0": split(1, 1, 2), "0*": split(2, 2, 3), "1*": split(3, 3, 4),
+                        "*1": split(1, 1, 4)}}
+    return {"missing-vertex": flawed(lambda v, e: v.update({"0x1": v.pop("011")})),
+            "missing-edge": flawed(lambda v, e: e.pop("1*0")),
+            "illegal-move": flawed(lambda v, e: e["01*"].update(j=5)),
+            "wrong-word": flawed(lambda v, e: v.update({"111": ["A", "E"]})),
+            "square": json.dumps(square),
+            "edge-key": flawed(lambda v, e: e.update({"0x*": e["00*"]}))}
 
 
 def write_inputs(directory) -> dict:
@@ -132,11 +168,13 @@ def write_inputs(directory) -> dict:
     the fourth of helpers.item_one_cubes, which under `it` at t=1 is not a
     chain complex (`cube` finds it by d^2), a random cube with six crossings,
     whose integer homology under `aps` has torsion 2 in degrees 1, 2 and 4,
-    and the pair files that the benchmark writes with pair_to_json."""
+    the pair files that the benchmark writes with pair_to_json, and the
+    malformed cubes of bad_cubes."""
     texts = {REPRO: ("repro.cube", cube_to_json(item_one_cubes()[3])),
              RANDOM6: ("random6.cube", cube_to_json(random_cube(random.Random(6), n=6))),
              RANK2_A1: ("rank2-a1.json", pair_to_json(rank2_at_a1())),
-             DOUBLE_Z2: ("double-z2.json", pair_to_json(double_z2()))}
+             DOUBLE_Z2: ("double-z2.json", pair_to_json(double_z2())),
+             **{f"<{name} cube>": (f"{name}.cube", text) for name, text in bad_cubes().items()}}
     paths = {}
     for placeholder, (name, text) in texts.items():
         paths[placeholder] = Path(directory) / name

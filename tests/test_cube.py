@@ -225,6 +225,46 @@ def test_load_enumerates_the_squares_once(monkeypatch):
     assert cube.squares is squares
 
 
+def test_load_scans_the_vertices_once_and_homology_walks_the_edges_once(monkeypatch):
+    # loading lists the vertices (`_bits`) once, for one scan that numbers the
+    # edges, fills the squares and tests them; homology lists them at most once
+    # more, for the chain dimensions, and takes every d_i's edges from one walk
+    # of the numbered edges rather than a rescan of the vertices for each degree
+    import frobpair.cube as cube_mod
+
+    calls = []
+    real = cube_mod._bits
+    monkeypatch.setattr(cube_mod, "_bits", lambda n: calls.append(n) or real(n))
+    aps = build_aps()
+    for n in (3, 5):
+        text = cube_to_json(random_cube(random.Random(n), n=n))
+        calls.clear()
+        cube = cube_from_json(text)
+        assert calls == [n]
+        for coeff in ("q", "z", "z2"):
+            calls.clear()
+            homology(cube, aps, coeff)
+            assert len(calls) <= 1, (n, coeff, calls)
+
+
+def test_validate_refuses_an_edge_on_a_one_bit_in_scan_order():
+    # a cube built directly can hold an edge out of a vertex on a bit that is
+    # already 1 (a cube file cannot: an edge key's * reads as 0); the scan
+    # refuses it where it meets it, after the edges of earlier vertices and
+    # before those of later ones
+    cube = StateCube(1, {"0": ("A",), "1": ("A", "A")},
+                     {("1", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A"))})
+    with pytest.raises(CubeError, match=r"^missing edge 0->1$"):
+        validate_cube(cube)
+    cube = StateCube(2, {"00": ("A",), "01": ("A", "A"), "10": ("A", "A"), "11": ("A",) * 3},
+                     {("00", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
+                      ("00", 1): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
+                      ("01", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
+                      ("01", 1): EdgeMove("split", 1, 0, (1, 2), ("A", "A"))})
+    with pytest.raises(CubeError, match=r"^edge 01/1 flips a 1-bit$"):
+        validate_cube(cube)
+
+
 def test_edge_errors_name_the_edge():
     cube = StateCube(1, {"0": ("A",), "1": ("A", "E")},
                      {("0", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "E"))})
@@ -785,13 +825,11 @@ def test_homology_refusals_name_d_i_first_entry_with_its_sign():
 def test_homology_refuses_a_fraction_met_in_two_degrees_by_its_first_edge():
     # under `double`, mu_EEA (entries 1/4) first serves d_1 with sign -1 and then
     # d_2 with sign +1: the refusal names d_1 and the sign of mu_EEA's first edge
-    import frobpair.cube as cube_mod
-
     double = build_builtin("double", {})
     cube = random_cube(random.Random(44), n=3)
     key, moves = cube.numbered_edges
-    signs = {(i, negate) for i in range(cube.n) for b, k, negate in cube_mod._edges(cube, i)
-             if moves[key[b, k]][1] == "mu_EEA"}
+    signs = {(b.count("1"), b[:k].count("1") % 2) for (b, k), e in key.items()
+             if moves[e][1] == "mu_EEA"}
     assert signs == {(1, 1), (2, 0)}
     for coeff in ("z", "z2"):
         with pytest.raises(CubeError) as refusal:
@@ -952,6 +990,19 @@ def test_cube_file_errors():
                        '"edges": {"*": {"kind": "twist"}}}')
 
 
+def test_cube_file_refuses_split_outs_and_sorts_that_are_not_lists():
+    # a string or an object is a sequence too: "sorts": "AA" once read as
+    # ["A", "A"], and split1 with it loaded and gave homology
+    text = importlib.resources.files("frobpair").joinpath("data/split1.cube").read_text()
+    for field, value in (("sorts", "AA"), ("outs", {"1": 0, "2": 0}), ("sorts", {"A": 0, "E": 1}),
+                         ("outs", "12"), ("sorts", 5)):
+        obj = json.loads(text)
+        obj["edges"]["*"][field] = value
+        with pytest.raises(CubeError, match=r"^edge '\*': outs and sorts must be lists$"):
+            cube_from_json(json.dumps(obj))
+    assert cube_from_json(text).edges[("0", 0)].sorts == ("A", "A")
+
+
 def test_cube_file_circle_limit():
     def one_vertex(k):
         return json.dumps({"n": 0, "vertices": {"": ["E"] * k}, "edges": {}})
@@ -996,7 +1047,8 @@ def test_sparse_ranks_match_dense_oracle(monkeypatch):
                  for _ in range(rows)]
             sparse = [{c: v for c, v in enumerate(row) if v} for row in m]
             residuals.clear()
-            assert sparse_rank_fraction(sparse) == rank_fraction(m)
+            # sparse_rank_fraction changes its rows in place; sparse_rank_gf2 reads them next
+            assert sparse_rank_fraction([dict(row) for row in sparse]) == rank_fraction(m)
             assert len(residuals) == 1
             left_over += residuals[0]
             if kind == "even":  # no +-1 entry, so all of the rank is left over
