@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -282,82 +283,59 @@ def sparse_rank_gf2(rows) -> int:
 
 
 def smith_normal_form(mat):
-    """(D, U, V) with U*mat*V = D diagonal, d_k | d_{k+1}, U and V unimodular."""
+    """(D, U, V) with U*mat*V = D diagonal, d_k | d_{k+1}, U and V unimodular.
+
+    One grid holds all three: its first rows are mat's rows, each followed by
+    U's row, so a row operation moves mat and U together; V's rows come after
+    them, so a column operation moves mat and V together.  Each pivot is a
+    least |entry| of the remaining block, a tie going to the fewest other
+    entries in its row and column; it is made positive and quotients are
+    rounded to nearest, so every remainder is at most half the pivot: with
+    floor quotients the entries grew without bound even on 8 x 8 inputs."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    a = [[int(x) for x in row] for row in mat]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    g = ([[int(x) for x in row] + [int(i == j) for j in range(rows)] for i, row in enumerate(mat)]
+         + [[int(i == j) for j in range(cols)] for i in range(cols)])
 
     def row_op(i, j, c):  # Ri += c Rj
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        g[i] = [x + c * y for x, y in zip(g[i], g[j])]
 
     def col_op(i, j, c):  # Ci += c Cj
-        for r in range(rows):
-            a[r][i] += c * a[r][j]
-        for r in range(cols):
-            v[r][i] += c * v[r][j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        for row in g:
+            row[i] += c * row[j]
 
     t = 0
-    while True:
-        pivots = [(abs(a[r][c]), r, c) for r in range(t, rows) for c in range(t, cols)
-                  if a[r][c]]
-        if not pivots:
+    while t < min(rows, cols):
+        live = [(r, c) for r in range(t, rows) for c in range(t, cols) if g[r][c]]
+        if not live:
             break
-        _, pr, pc = min(pivots)
-        row_swap(t, pr)
-        col_swap(t, pc)
-        while True:
-            # clear column t, then row t; restart if a remainder survives
-            dirty = False
-            for r in range(t + 1, rows):
-                if a[r][t]:
-                    q = a[r][t] // a[t][t]
-                    row_op(r, t, -q)
-                    if a[r][t]:
-                        row_swap(t, r)
-                        dirty = True
-            for c in range(t + 1, cols):
-                if a[t][c]:
-                    q = a[t][c] // a[t][t]
-                    col_op(c, t, -q)
-                    if a[t][c]:
-                        col_swap(t, c)
-                        dirty = True
-            if not dirty:
-                break
-        # force divisibility of the remaining block by the pivot
-        bad = next(((r, c) for r in range(t + 1, rows) for c in range(t + 1, cols)
-                    if a[r][c] % a[t][t]), None)
-        if bad is not None:
-            row_op(t, bad[0], 1)
-            continue
-        if a[t][t] < 0:
-            row_negate(t)
-        t += 1
-        if t == min(rows, cols):
-            break
-    d = [[a[r][c] if r == c else 0 for c in range(cols)] for r in range(rows)]
+        in_row, in_col = Counter(r for r, _ in live), Counter(c for _, c in live)
+        pr, pc = min(live, key=lambda rc: (abs(g[rc[0]][rc[1]]), in_row[rc[0]] + in_col[rc[1]]))
+        g[t], g[pr] = g[pr], g[t]
+        for row in g:
+            row[t], row[pc] = row[pc], row[t]
+        if g[t][t] < 0:
+            g[t] = [-x for x in g[t]]
+        p = g[t][t]
+        for r in range(t + 1, rows):
+            if g[r][t]:
+                row_op(r, t, -((g[r][t] + p // 2) // p))
+        for c in range(t + 1, cols):
+            if g[t][c]:
+                col_op(c, t, -((g[t][c] + p // 2) // p))
+        if any(g[t][t + 1:cols]) or any(g[r][t] for r in range(t + 1, rows)):
+            continue  # a remainder, at most p/2, is a smaller pivot
+        bad = next((r for r in range(t + 1, rows) for x in g[r][t + 1:cols] if x % p), None)
+        if bad is None:
+            t += 1
+        else:
+            row_op(t, bad, 1)  # bring an entry that p does not divide into row t
+    d = [[g[r][c] if r == c else 0 for c in range(cols)] for r in range(rows)]
     for r in range(rows):
         for c in range(cols):
-            if r != c and a[r][c]:
+            if r != c and g[r][c]:
                 raise AssertionError("SNF did not terminate diagonal")
-    return d, u, v
+    return d, [row[cols:] for row in g[:rows]], g[rows:]
 
 
 def _unit_pivots(rows, modulus=None):

@@ -32,8 +32,9 @@ whole-box exponent search `search_by_box` rests.
 And two pieces of the package that only tests use: `cube_to_json`, the cube
 file writer, and `lemma_first_conditions`, the X-action statement that
 criterion 07 checks.  `item_one_cubes` gives the five benchmark-generator
-cubes of the ROADMAP's non-complex repro, and `rank2_at_a1` and `double_z2`
-the benchmark's two pair files.
+cubes of the ROADMAP's non-complex repro, `rank2_at_a1` and `double_z2`
+the benchmark's two pair files, and `unit_pivot_inputs` the seeded integer
+matrices that the unit-pivot elimination and `snf` are checked on.
 """
 
 import importlib.util
@@ -141,6 +142,26 @@ def rank_gf2(mat) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def unit_pivot_inputs():
+    """(small, sparse) integer matrices drawn from random.Random(21): 80 small
+    ones, 1-7 x 1-7 with half their entries in -3..3, then 30 sparse ones,
+    10-30 x 10-30 with density 0.15, mostly +-1 with some +-2.  The fifth
+    sparse one is 24 x 27; a Smith normal form that pivots by size alone with
+    floor quotients grew its entries to millions of bits."""
+    rng = random.Random(21)
+    small = []
+    for _ in range(80):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        small.append([[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(cols)]
+                      for _ in range(rows)])
+    sparse = []
+    for _ in range(30):
+        rows, cols = rng.randint(10, 30), rng.randint(10, 30)
+        sparse.append([[rng.choice((1, -1, 1, -1, 1, -1, 2, -2)) if rng.random() < 0.15 else 0
+                        for _ in range(cols)] for _ in range(rows)])
+    return small, sparse
 
 
 def block_product(high, low) -> dict:

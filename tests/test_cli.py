@@ -1,8 +1,11 @@
 import argparse
 import importlib.resources
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +13,7 @@ from frobpair import cli
 from frobpair.cli import BUILTINS, InputError, _parser, build_builtin, main
 from frobpair.pair import FrobeniusPair, pair_to_json
 from frobpair.theory import SIGNATURE
-from helpers import cube_to_json, item_one_cubes, random_cube
+from helpers import cube_to_json, item_one_cubes, random_cube, unit_pivot_inputs
 
 TEST_DATA = pathlib.Path(__file__).parent / "data"
 
@@ -166,6 +169,28 @@ def test_snf_output(tmp_path, capsys):
     code, out, _ = run(capsys, "snf", str(path))
     assert code == 0
     assert "D:" in out and "1 0" in out and "0 6" in out
+
+
+@pytest.mark.parametrize("matrix,diagonal", [
+    ([[-5, 9, -7, -1, -6, 6, 5, 6], [3, -3, -6, 6, -9, 3, 4, -9], [5, -1, -2, 9, -6, 1, -9, -9],
+      [-9, 8, -9, 3, -3, 4, -9, 7], [-2, 5, 6, 8, -2, 2, -2, -2], [5, 0, -9, 4, 8, -6, -4, 0],
+      [-6, 1, 7, 4, 7, -3, 0, 0], [9, 6, 7, 3, 9, -8, 6, -2]], [1] * 7 + [15047580]),
+    (unit_pivot_inputs()[1][4], [1] * 23 + [4]),
+], ids=["dense-8x8", "sparse-24x27"])
+def test_snf_finishes_where_entries_grew(tmp_path, matrix, diagonal):
+    # pivots by size alone with floor quotients grew the entries of these two
+    # without bound: snf ran for minutes.  A child process, so a hang times out
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)),
+         *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "frobpair.cli", "snf", str(path)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    d = [[int(x) for x in line.split()] for line in lines[1:lines.index("U:")]]
+    assert [d[k][k] for k in range(min(len(d), len(d[0])))] == diagonal
 
 
 def test_axioms_env_override(tmp_path, capsys, monkeypatch):

@@ -39,6 +39,10 @@ DOUBLE_Z2 = "<double-z2 pair>"
 #: (a file cannot hold an edge on a 1-bit: an edge key's * reads as a 0)
 BAD_CUBES = ("missing-vertex", "missing-edge", "illegal-move", "wrong-word", "square",
              "edge-key")
+#: `snf` inputs, so that a change to the text of U or V declares itself:
+#: a diagonal matrix, a zero matrix and a 3 x 4 matrix with torsion 2, 2, 6
+SNF_MATRICES = {"diagonal": [[2, 0], [0, 3]], "zero": [[0, 0, 0], [0, 0, 0]],
+                "torsion": [[2, 4, 4, 0], [-6, 6, 12, 2], [10, -4, -16, 6]]}
 
 SOURCES = {
     "aps": ("--builtin", "aps"),
@@ -58,6 +62,7 @@ SOURCES = {
     "sqrt-a2b1": ("--builtin", "sqrt", "--specialize", "a=2,b=1"),
     "rank2-a1-file": ("--pair", RANK2_A1),
     "double-z2-file": ("--pair", DOUBLE_Z2),
+    "matrix": (),  # snf reads no pair
 }
 
 COMMANDS = {
@@ -71,6 +76,7 @@ COMMANDS = {
     "cube-repro-q": ("cube", REPRO, "--coeff", "q"),
     **{f"cube-random6-{coeff}": ("cube", RANDOM6, "--coeff", coeff) for coeff in ("q", "z", "z2")},
     **{f"cube-bad-{name}": ("cube", f"<{name} cube>", "--coeff", "q") for name in BAD_CUBES},
+    **{f"snf-{name}": ("snf", f"<{name} matrix>") for name in SNF_MATRICES},
 }
 
 DIGESTS = {
@@ -136,6 +142,9 @@ DIGESTS = {
     ("aps", "cube-bad-wrong-word"): "127154dba30b0406fd2b08eccafa36f6458306c336fe09ff24549372b86baae2",
     ("aps", "cube-bad-square"): "b1d1bace731085021e585ea593994e0923e06433503d6de1cb6a3061213fa3eb",
     ("aps", "cube-bad-edge-key"): "4834fba5e98c740d913c5ca57d113fe47af62d36ee771bc0a2f68bc3cda92c7e",
+    ("matrix", "snf-diagonal"): "914d33e1181f74d695f048ec4f1f050d9e183a2345eb6f8094e646f379551706",
+    ("matrix", "snf-zero"): "97cd607927937bffba851e702fe81deda77e61745d938ea1cca77b14de4bc68d",
+    ("matrix", "snf-torsion"): "3cdac35ac0d0904339626f562aa3c5e299c1583aecc9fa905e19288673a0ed90",
 }
 
 
@@ -169,12 +178,14 @@ def write_inputs(directory) -> dict:
     chain complex (`cube` finds it by d^2), a random cube with six crossings,
     whose integer homology under `aps` has torsion 2 in degrees 1, 2 and 4,
     the pair files that the benchmark writes with pair_to_json, and the
-    malformed cubes of bad_cubes."""
+    malformed cubes of bad_cubes and the SNF_MATRICES."""
     texts = {REPRO: ("repro.cube", cube_to_json(item_one_cubes()[3])),
              RANDOM6: ("random6.cube", cube_to_json(random_cube(random.Random(6), n=6))),
              RANK2_A1: ("rank2-a1.json", pair_to_json(rank2_at_a1())),
              DOUBLE_Z2: ("double-z2.json", pair_to_json(double_z2())),
-             **{f"<{name} cube>": (f"{name}.cube", text) for name, text in bad_cubes().items()}}
+             **{f"<{name} cube>": (f"{name}.cube", text) for name, text in bad_cubes().items()},
+             **{f"<{name} matrix>": (f"{name}.json", json.dumps(m))
+                for name, m in SNF_MATRICES.items()}}
     paths = {}
     for placeholder, (name, text) in texts.items():
         paths[placeholder] = Path(directory) / name

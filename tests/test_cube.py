@@ -53,6 +53,7 @@ from helpers import (
     rank_gf2,
     record_act_chains,
     square_circles,
+    unit_pivot_inputs,
 )
 
 Z = ring(INTEGERS)
@@ -619,40 +620,28 @@ def dense_q_report(cube, pair):
 
 
 def test_unit_pivots_match_dense_snf():
-    # entries in -3..3 leave non-unit pivots behind, so some residuals are nonempty
-    rng = random.Random(21)
-    small = []
-    for _ in range(80):
-        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        small.append([[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(cols)]
-                      for _ in range(rows)])
+    # entries in -3..3 leave non-unit pivots behind, so some residuals are
+    # nonempty; the sparse matrices, mostly +-1 with some +-2, fill in over
+    # many pivots.  The ranks over Q and GF(2), which share no code with the
+    # Smith form, check the rank and the number of even invariant factors
+    small, sparse = unit_pivot_inputs()
     # the pivot on column 1 leaves a +-1 in column 0 after a first sweep
     # (shortest columns first: 2, 0, 1) has passed column 0
     late_unit = [[2, 1, 0], [3, 1, 0], [0, 1, 1]]
     residual_torsion = 0
-    for m in small + [late_unit]:
+    for m in small + [late_unit] + sparse:
         count, residual = _unit_pivots([{c: x for c, x in enumerate(row) if x} for row in m])
         assert not any(x in (1, -1) for row in residual for x in row)
         rest = snf_diagonal(residual)
         assert [1] * count + [x for x in rest if x] == [x for x in snf_diagonal(m) if x]
-        residual_torsion += any(x > 1 for x in rest)
-    assert residual_torsion
-    assert _unit_pivots([{c: x for c, x in enumerate(row) if x} for row in late_unit]) == (3, [])
-    # larger sparse matrices, mostly +-1 with some +-2, fill in over many pivots.
-    # The dense Smith form of one of them (24 x 27) runs for minutes as its
-    # entries grow, so over Z the residual is checked by its ranks over Q and
-    # GF(2): the rank and the number of even invariant factors
-    for _ in range(30):
-        rows, cols = rng.randint(10, 30), rng.randint(10, 30)
-        m = [[rng.choice((1, -1, 1, -1, 1, -1, 2, -2)) if rng.random() < 0.15 else 0
-              for _ in range(cols)] for _ in range(rows)]
-        count, residual = _unit_pivots([{c: x for c, x in enumerate(row) if x} for row in m])
-        assert not any(x in (1, -1) for row in residual for x in row)
         assert count + rank_fraction(residual) == rank_fraction(m)
         assert count + rank_gf2(residual) == rank_gf2(m)
+        residual_torsion += any(x > 1 for x in rest)
         count, residual = _unit_pivots([{c: x % 2 for c, x in enumerate(row) if x % 2}
                                         for row in m], modulus=2)
         assert not any(residual) and count == rank_gf2(m)
+    assert residual_torsion
+    assert _unit_pivots([{c: x for c, x in enumerate(row) if x} for row in late_unit]) == (3, [])
 
 
 def test_integer_homology_matches_dense_snf(monkeypatch):
@@ -941,13 +930,29 @@ def test_snf_examples():
 
 
 def test_snf_random_properties():
+    try:  # without sympy the other checks still run
+        import sympy
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    except ImportError:
+        sympy = None
     rng = random.Random(88)
-    for _ in range(120):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    inputs = []
+    for low, high in ((1, 4),) * 120 + ((5, 9),) * 20:
+        rows, cols = rng.randint(low, high), rng.randint(low, high)
+        inputs.append([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    # ROADMAP item 2's family: sparse matrices on which pivots by size alone,
+    # with floor quotients, grew U and V past millions of bits
+    rng = random.Random(7)
+    for _ in range(30):
+        rows, cols = rng.randint(5, 30), rng.randint(5, 30)
+        inputs.append([[rng.choice((1, -1, 2, -2, 3)) if rng.random() < 0.2 else 0
+                        for _ in range(cols)] for _ in range(rows)])
+    for m in inputs:
+        rows, cols = len(m), len(m[0])
         d, u, v = smith_normal_form(m)
         assert mat_mul(mat_mul(u, m), v) == d
         assert abs(det(u)) == 1 and abs(det(v)) == 1
+        assert all(abs(x).bit_length() <= 128 for row in u + v for x in row)
         diag = [d[i][i] for i in range(min(rows, cols))]
         for x, y in zip(diag, diag[1:]):
             assert x >= 0 and y >= 0
@@ -959,6 +964,9 @@ def test_snf_random_properties():
             for j in range(cols):
                 if i != j:
                     assert d[i][j] == 0
+        if sympy is not None:
+            snf = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
+            assert diag == [abs(int(snf[k, k])) for k in range(min(snf.shape))]
 
 
 # -- files ------------------------------------------------------------------------------
