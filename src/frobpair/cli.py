@@ -205,7 +205,7 @@ def cmd_verify(args) -> int:
     params = parse_params(args.params)
     pair = get_pair(args, params)
     equations, version = get_axioms(args)
-    groups = set(args.groups.split(",")) if args.groups else None
+    groups = None if args.groups is None else set(args.groups.split(","))
     if groups is not None and not groups <= set(GROUPS):
         raise InputError(f"unknown group(s) {', '.join(map(repr, sorted(groups - set(GROUPS))))}; "
                          f"known groups: {', '.join(GROUPS)}")

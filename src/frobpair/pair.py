@@ -134,12 +134,13 @@ def verify(pair: FrobeniusPair, equations=None, groups=None) -> VerifyReport:
     if equations is None:
         equations = load_axioms()
     table = pair.generator_table()
+    names = set(table)
     memo, bounded = {}, set()  # bounded: the words check_dim passed
     records = []
     for eq in equations:
         if groups is not None and eq.group not in groups:
             continue
-        missing = tuple(sorted(eq.generators() - set(table)))
+        missing = tuple(sorted(eq.generators - names))
         if missing:
             records.append(VerifyRecord(eq.name, eq.group, eq.provenance, "skip", missing=missing))
             continue
@@ -534,9 +535,9 @@ def search_double_exponents(alg: FrobeniusAlgebra, phi_inv: dict, lo=-3, hi=3) -
     rows_at = [[] for _ in range(7)]  # rows decided once that many exponents are fixed
     for name in DOUBLE_SEARCH_EQUATIONS:
         eq = by_name[name]
-        deps = sorted({_EXPONENT_OF_GEN[g] for g in eq.generators() if g in _EXPONENT_OF_GEN})
+        deps = sorted({_EXPONENT_OF_GEN[g] for g in eq.generators if g in _EXPONENT_OF_GEN})
         rows_at[deps[-1] + 1 if deps else 0].append((eq, deps, {}))
-    read = set().union(*(by_name[name].generators() for name in DOUBLE_SEARCH_EQUATIONS))
+    read = set().union(*(by_name[name].generators for name in DOUBLE_SEARCH_EQUATIONS))
     built = {}  # exponent value k: the spec and the read maps of the pair at (k,) * 6
 
     def extend(prefix):
@@ -645,7 +646,7 @@ def pair_from_json(text) -> FrobeniusPair:
     label_ok = {"A": set(spec.basis_a), "E": set(spec.basis_e)}
 
     raw_maps = need(obj, "maps", "$", dict)
-    maps = {}
+    maps, parsed = {}, {}  # parsed: each distinct coefficient text's element
     for gname in raw_maps:
         if gname not in SIGNATURE:
             raise PairError(f"$.maps: unknown map name {gname}")
@@ -660,8 +661,9 @@ def pair_from_json(text) -> FrobeniusPair:
                 o = labels(term, "basis", f"{path}.out[{j}]")
                 if len(o) != len(cod) or any(lab not in label_ok[s] for lab, s in zip(o, cod)):
                     raise PairError(f"signature mismatch for {gname}: bad output tuple {o}")
+                text = need(term, "coeff", f"{path}.out[{j}]", str)
                 try:
-                    c = decl.parse(need(term, "coeff", f"{path}.out[{j}]", str))
+                    c = parsed[text] if text in parsed else parsed.setdefault(text, decl.parse(text))
                 except RingError as exc:
                     raise PairError(f"{path}.out[{j}].coeff: {exc}") from None
                 if not c.is_zero():

@@ -303,14 +303,14 @@ def unit_invert(x: RingElem) -> RingElem:
 
 
 def substitution(decl: RingDecl, assignment):
-    """The function on elements of decl that substitutes assignment's values
-    (ring elements or literals) for variables; checked once, each power taken once.
+    """The function on elements of decl that substitutes assignment's values (ring elements
+    or literals) for variables: checked once, each power and each distinct element taken once.
 
     Invertible variables must be assigned units of the same ring.  A value
     that is not 0 or +-1 times a monomial is raised to no exponent past
     MAX_POWER in absolute value: RingError refuses such a power.
     """
-    values, powers = {}, {}
+    values, powers, images = {}, {}, {}  # images: each substituted element's image
     for name, val in assignment.items():
         var = decl.var(name)
         if var is None:
@@ -326,6 +326,8 @@ def substitution(decl: RingDecl, assignment):
         values[name] = val
 
     def substitute(x: RingElem) -> RingElem:
+        if x in images:
+            return images[x]
         out = decl.zero()
         for m, c in x.terms.items():
             term = decl.const(c)
@@ -339,6 +341,7 @@ def substitution(decl: RingDecl, assignment):
                     powers[v, e] = val ** e
                 term = term * (powers[v, e] if v in values else decl.gen(v, e))
             out = out + term
+        images[x] = out
         return out
 
     return substitute

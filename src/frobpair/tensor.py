@@ -90,7 +90,7 @@ class LinMap:
         if _normalized:
             self.entries = entries
         else:
-            self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
+            self.entries = {k: v for k, v in entries.items() if v.terms}
 
     # -- constructors ---------------------------------------------------------
 
@@ -100,8 +100,7 @@ class LinMap:
 
     @staticmethod
     def identity(spec, w) -> "LinMap":
-        one = spec.ring.one()
-        return LinMap(spec, w, w, {(t, t): one for t in spec.tuples(w)}, _normalized=True)
+        return _Identity(spec, w)
 
     # -- operations -----------------------------------------------------------
 
@@ -123,6 +122,22 @@ class LinMap:
         return f"LinMap({''.join(self.dom) or '()'} -> {''.join(self.cod) or '()'}, {len(self.entries)} entries)"
 
 
+class _Identity(LinMap):
+    """The identity on a word: act moves on it without its entries, built when first read."""
+
+    __slots__ = ()
+
+    def __init__(self, spec, w):
+        self.spec, self.dom, self.cod, self._columns = spec, tuple(w), tuple(w), None
+
+    def __getattr__(self, name):  # only an unset slot gets here: the entries
+        if name != "entries":
+            raise AttributeError(name)
+        self.entries = dict.fromkeys(((t, t) for t in self.spec.tuples(self.dom)),
+                                     self.spec.ring.one())
+        return self.entries
+
+
 def compose(g: LinMap, f: LinMap) -> LinMap:
     """Matrix product g after f (diagram order: f is applied first)."""
     return act(f, g, range(len(f.cod)), range(len(g.cod)))
@@ -137,6 +152,12 @@ def act(f: LinMap, gen, src, dst) -> LinMap:
     """
     sig = None if gen is None else (gen.dom, gen.cod, gen.spec is f.spec or gen.spec == f.spec)
     place, pick, new_cod = _move_plan(f.cod, tuple(src), tuple(dst), sig)
+    if type(f) is _Identity:  # each input tuple t moves, or takes gen's column at pick(t)
+        moved = gen is None and (((), f.spec.ring.one(), True),)  # a reordering: t itself
+        columns = {} if moved else gen.columns()
+        entries = {(place(o + t), t): v for t in f.spec.tuples(f.dom)
+                   for o, v, _one in moved or columns.get(pick(t), ())}
+        return LinMap(f.spec, f.dom, new_cod, entries, _normalized=True)
     if gen is None:
         entries = {(place(out), t): v for (out, t), v in f.entries.items()}
         return LinMap(f.spec, f.dom, new_cod, entries, _normalized=True)

@@ -243,7 +243,7 @@ class Equation:
     sides holds the Prefix chains of lhs and rhs on their domain, one piece
     per layer with the layer's moves, interned in `pieces`, so that the
     equations made with one dict share their prefixes;
-    words holds every word that evaluating them meets.
+    words holds every word that evaluating them meets; generators, the names they use.
     """
 
     name: str
@@ -254,6 +254,7 @@ class Equation:
     pieces: InitVar[dict] = None
     sides: tuple = field(init=False, compare=False, repr=False)
     words: tuple = field(init=False, compare=False, repr=False)
+    generators: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, pieces):
         ld, lc, l_ins, l_pieces = typecheck(self.lhs)
@@ -268,9 +269,7 @@ class Equation:
         object.__setattr__(self, "sides", (prefix_chain(ld, l_pieces, pieces),
                                            prefix_chain(ld, r_pieces, pieces)))
         object.__setattr__(self, "words", (*l_ins, lc, *r_ins[1:]))
-
-    def generators(self):
-        return generators_used(self.lhs) | generators_used(self.rhs)
+        object.__setattr__(self, "generators", frozenset(generators_used(self.lhs + self.rhs)))
 
 
 def parse_theory(text) -> list:

@@ -37,6 +37,7 @@ the benchmark's two pair files, and `unit_pivot_inputs` the seeded integer
 matrices that the unit-pivot elimination and `snf` are checked on.
 """
 
+import importlib.resources
 import importlib.util
 import itertools
 import json
@@ -206,7 +207,7 @@ def search_by_box(alg, phi_inv, lo, hi) -> list:
     by_name = {e.name: e for e in load_axioms()}
     battery = [by_name[n] for n in DOUBLE_SEARCH_EQUATIONS]
     exponent_of = exponent_generators(alg, phi_inv)
-    deps = [sorted({exponent_of[g] for g in eq.generators() if g in exponent_of})
+    deps = [sorted({exponent_of[g] for g in eq.generators if g in exponent_of})
             for eq in battery]
     pairs, verdicts = {}, [{} for _ in battery]
 
@@ -411,6 +412,16 @@ def double_z2():
     z2 = ring(MOD2)
     return build_double(universal_algebra(z2, z2.one(), z2.zero()), {"1": z2.one()},
                         name="double-z2")
+
+
+def twice_bad_coefficient_pair():
+    """The shipped aps pair file with the coefficient text "2 +", which does not
+    parse, in two rows: $.maps.Delta_A[1].out[0] and $.maps.mu_A[2].out[0]."""
+    text = importlib.resources.files("frobpair").joinpath("data/aps.json").read_text()
+    obj = json.loads(text)
+    for gname, i in (("Delta_A", 1), ("mu_A", 2)):
+        obj["maps"][gname][i]["out"][0]["coeff"] = "2 +"
+    return json.dumps(obj)
 
 
 def first_refusal_by_correspondence(cube):

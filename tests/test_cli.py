@@ -495,6 +495,15 @@ def test_verify_unknown_group_exit_two(capsys):
     assert "'nosuch'" in err and all(g in err for g in GROUPS)
 
 
+def test_verify_empty_group_name_exit_two(capsys):
+    # an empty filter names one group, '', as "frobA," names it beside frobA:
+    # both are refused, not read as "no filter"
+    for groups in ("", "frobA,"):
+        code, out, err = run(capsys, "verify", "--builtin", "aps", "--groups", groups)
+        assert_one_line_error(code, out, err)
+        assert "unknown group(s) ''; known groups:" in err
+
+
 def test_builtin_choices_are_the_registry():
     sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
     choices = {command: [a.choices for a in p._actions if "--builtin" in a.option_strings]

@@ -21,19 +21,21 @@ import pytest
 
 from frobpair.cli import main
 from frobpair.pair import pair_to_json
-from helpers import cube_to_json, double_z2, item_one_cubes, random_cube, rank2_at_a1
+from helpers import (cube_to_json, double_z2, item_one_cubes, random_cube, rank2_at_a1,
+                     twice_bad_coefficient_pair)
 
 DATA = importlib.resources.files("frobpair").joinpath("data")
 APS_FILE = str(DATA.joinpath("aps.json"))
 #: a ten-circle word of both sorts with merge, split, mobius and swap events
 MIXED10 = str(Path(__file__).parent / "data" / "mixed10.cob")
 #: stand in an argv for the paths of the files the test writes: the ROADMAP's
-#: non-complex repro cube, a random six-crossing cube and the benchmark's two
-#: pair files
+#: non-complex repro cube, a random six-crossing cube, the benchmark's two
+#: pair files and a pair file with one bad coefficient text in two rows
 REPRO = "<repro cube>"
 RANDOM6 = "<random n=6 cube>"
 RANK2_A1 = "<rank2-a1 pair>"
 DOUBLE_Z2 = "<double-z2 pair>"
+BAD_COEFF = "<twice bad coefficient pair>"
 #: malformed cube files, one for each refusal that loading a cube file can
 #: give once its fields parse: each of the vertex scan's, and a bad edge key
 #: (a file cannot hold an edge on a 1-bit: an edge key's * reads as a 0)
@@ -62,6 +64,10 @@ SOURCES = {
     "sqrt-a2b1": ("--builtin", "sqrt", "--specialize", "a=2,b=1"),
     "rank2-a1-file": ("--pair", RANK2_A1),
     "double-z2-file": ("--pair", DOUBLE_Z2),
+    "bad-coeff-file": ("--pair", BAD_COEFF),
+    # the benchmark's median algebra job: one rank-2 pair, admissible or not
+    "rank2-ok": ("--builtin", "rank2", "--params", "a=1,cYZ=1,dYZ=1,eY=1,eZ=1,fY=1,fZ=1"),
+    "rank2-bad": ("--builtin", "rank2", "--params", "a=-2,cYY=3,cYZ=-1,dZZ=2,eY=1,fZ=-3"),
     "matrix": (),  # snf reads no pair
 }
 
@@ -142,6 +148,11 @@ DIGESTS = {
     ("aps", "cube-bad-wrong-word"): "127154dba30b0406fd2b08eccafa36f6458306c336fe09ff24549372b86baae2",
     ("aps", "cube-bad-square"): "b1d1bace731085021e585ea593994e0923e06433503d6de1cb6a3061213fa3eb",
     ("aps", "cube-bad-edge-key"): "4834fba5e98c740d913c5ca57d113fe47af62d36ee771bc0a2f68bc3cda92c7e",
+    ("rank2-ok", "verify-text"): "89e32f3c72615aab1c26516327e2b4461c453d913d05f3fad4a68fc5c5a01899",
+    ("rank2-ok", "verify-json"): "6730bce46efaf2f4d69e8d0a3f95c9c28339ddf2f14a77a5bcf960c64aebcd92",
+    ("rank2-bad", "verify-text"): "ab45176e7b44779bfb7d641c998eeca98237e3849dd16e772990a916ae5f6d01",
+    ("rank2-bad", "verify-json"): "3380db0f0541befda8dcc4bb25db0182baf43a54d22ead4f5a7b4c06f5beb538",
+    ("bad-coeff-file", "verify-text"): "49addb634ca7f2297e0eac003e86d618e6ecb14ccb93505668e73b65495a4427",
     ("matrix", "snf-diagonal"): "914d33e1181f74d695f048ec4f1f050d9e183a2345eb6f8094e646f379551706",
     ("matrix", "snf-zero"): "97cd607927937bffba851e702fe81deda77e61745d938ea1cca77b14de4bc68d",
     ("matrix", "snf-torsion"): "3cdac35ac0d0904339626f562aa3c5e299c1583aecc9fa905e19288673a0ed90",
@@ -177,12 +188,14 @@ def write_inputs(directory) -> dict:
     the fourth of helpers.item_one_cubes, which under `it` at t=1 is not a
     chain complex (`cube` finds it by d^2), a random cube with six crossings,
     whose integer homology under `aps` has torsion 2 in degrees 1, 2 and 4,
-    the pair files that the benchmark writes with pair_to_json, and the
-    malformed cubes of bad_cubes and the SNF_MATRICES."""
+    the pair files that the benchmark writes with pair_to_json, the pair file
+    of helpers.twice_bad_coefficient_pair, and the malformed cubes of
+    bad_cubes and the SNF_MATRICES."""
     texts = {REPRO: ("repro.cube", cube_to_json(item_one_cubes()[3])),
              RANDOM6: ("random6.cube", cube_to_json(random_cube(random.Random(6), n=6))),
              RANK2_A1: ("rank2-a1.json", pair_to_json(rank2_at_a1())),
              DOUBLE_Z2: ("double-z2.json", pair_to_json(double_z2())),
+             BAD_COEFF: ("bad-coeff.json", twice_bad_coefficient_pair()),
              **{f"<{name} cube>": (f"{name}.cube", text) for name, text in bad_cubes().items()},
              **{f"<{name} matrix>": (f"{name}.json", json.dumps(m))
                 for name, m in SNF_MATRICES.items()}}

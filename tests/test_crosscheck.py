@@ -74,7 +74,7 @@ def column_table(pair):
 
 def check_pair(pair):
     columns = column_table(pair)
-    eqs = [e for e in load_axioms() if e.generators() <= set(columns)]
+    eqs = [e for e in load_axioms() if e.generators <= set(columns)]
     report = {r.name: r for r in verify(pair, load_axioms()).records}
     assert eqs
     for eq in eqs:

@@ -37,7 +37,7 @@ from frobpair.pair import (
     FrobeniusPair,
     Rank2Params,
 )
-from frobpair.ring import INTEGERS, RingElem, ring
+from frobpair.ring import INTEGERS, RingDecl, RingElem, ring
 from frobpair.tensor import MAX_CIRCLES, BasisSpec, compose, equal, word
 
 from helpers import (
@@ -529,6 +529,23 @@ def test_specialize_pair_checks_once_and_takes_each_power_once(monkeypatch):
     assert len(units) == 2
     assert sorted(powers) == sorted(e for _v, e in distinct)
     assert all(v.is_constant() for m in flat.maps.values() for v in m.entries.values())
+
+
+@pytest.mark.parametrize("build,assignment", [(build_tt, {"l": "1"}),
+                                               (build_laurent_sqrt, {"a": "1", "b": "1"})])
+def test_specialize_pair_substitutes_each_distinct_value_once(monkeypatch, build, assignment):
+    # tt's 48 entries hold 3 distinct values and sqrt's 64 hold 8; each
+    # substitution starts from one zero, so the zeros made count them
+    pair = build()
+    values = [v for m in pair.maps.values() for v in m.entries.values()]
+    zeros, real_zero = [], RingDecl.zero
+    monkeypatch.setattr(RingDecl, "zero", lambda decl: zeros.append(decl) or real_zero(decl))
+    flat = specialize_pair(pair, {k: pair.ring.parse(v) for k, v in assignment.items()})
+    monkeypatch.undo()
+    assert (len(values), len(set(values))) == ((48, 3) if build is build_tt else (64, 8))
+    assert len(zeros) == len(set(values))
+    again = specialize_pair(pair, assignment)
+    assert all(equal(flat.maps[name], m)[0] for name, m in again.maps.items())
 
 
 # -- homology -----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib.resources
+import json
 import random
 from fractions import Fraction
 
@@ -27,10 +28,11 @@ from frobpair.pair import (
     _algebra_maps,
     _EXPONENT_OF_GEN,
 )
-from frobpair.ring import INTEGERS, MOD2, RATIONALS, RingError, ring
+from frobpair.ring import INTEGERS, MOD2, RATIONALS, RingDecl, RingError, ring
 from frobpair.tensor import BasisSpec, equal
 from frobpair.theory import evaluate_side, evaluate_term, load_axioms, parse_term, parse_theory
-from helpers import TableAlgebra, exponent_generators, lemma_first_conditions, search_by_box
+from helpers import (TableAlgebra, exponent_generators, lemma_first_conditions, rank2_at_a1,
+                     search_by_box, twice_bad_coefficient_pair)
 
 Z = ring(INTEGERS)
 APS_PARAMS = dict(a=0, c_yy=0, c_yz=1, c_zz=0, d_yy=0, d_yz=1, d_zz=0,
@@ -487,7 +489,7 @@ def test_search_checks_each_row_on_the_whole_pair_table(monkeypatch):
     assert search_double_exponents(alg, phi_inv) == [DOUBLE_EXPONENTS]
     assert len(tables) == len(checked) == 85
     for (exps, (table, spec)), (eq, checked_table) in zip(tables, checked):
-        assert checked_table is table and eq.generators() <= set(table)
+        assert checked_table is table and eq.generators <= set(table)
         whole = build_double(alg, phi_inv, exps)
         assert spec == whole.spec
         for name, m in table.items():
@@ -613,8 +615,6 @@ def test_load_rejects_bad_ring():
 
 
 def test_load_rejects_wrong_shape():
-    import json
-
     aps = build_aps()
     obj = json.loads(pair_to_json(aps))
     obj["maps"]["mu_E"] = obj["maps"].pop("mu_A")  # A-labelled table at an EE->E slot
@@ -626,9 +626,28 @@ def test_load_rejects_wrong_shape():
         pair_from_json(json.dumps(obj2))
 
 
-def test_load_partial_pair_verifies_restricted():
-    import json
+def test_load_parses_each_distinct_coefficient_text_once(monkeypatch):
+    # the benchmark's rank2-a1 file holds 44 coefficients in 4 distinct texts
+    text = pair_to_json(rank2_at_a1())
+    coeffs = [term["coeff"] for rows in json.loads(text)["maps"].values()
+              for row in rows for term in row["out"]]
+    parsed, real_parse = [], RingDecl.parse
+    monkeypatch.setattr(RingDecl, "parse", lambda decl, s: parsed.append(s) or real_parse(decl, s))
+    loaded = pair_from_json(text)
+    monkeypatch.undo()
+    assert (len(coeffs), len(set(coeffs))) == (44, 4)
+    assert sorted(parsed) == sorted(set(coeffs))
+    assert pair_to_json(loaded) == text
 
+
+def test_load_names_the_first_row_of_a_bad_coefficient():
+    # the same bad text in two rows is refused at the first, with its path
+    with pytest.raises(PairError) as refused:
+        pair_from_json(twice_bad_coefficient_pair())
+    assert str(refused.value) == "$.maps.Delta_A[1].out[0].coeff: unexpected token '' at position 3"
+
+
+def test_load_partial_pair_verifies_restricted():
     aps = build_aps()
     obj = json.loads(pair_to_json(aps))
     for name in ("nu_AE", "nu_EA", "nu_EE"):
@@ -640,7 +659,7 @@ def test_load_partial_pair_verifies_restricted():
     by_name = {e.name: e for e in load_axioms()}
     nus = {"nu_AE", "nu_EA", "nu_EE"}
     for r in report.records:
-        mentions_nu = bool(by_name[r.name].generators() & nus)
+        mentions_nu = bool(by_name[r.name].generators & nus)
         assert (r.status == "skip") == mentions_nu
         if r.status == "skip":
             assert set(r.missing) <= nus

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from frobpair.tensor import (
 )
 from frobpair.theory import load_axioms
 
-from helpers import product_by_multiplying
+from helpers import product_by_multiplying, rank2_at_a1
 
 Z = ring(INTEGERS)
 SPEC = BasisSpec(("1", "X"), ("Y", "Z"), Z)
@@ -414,3 +415,55 @@ def test_act_matches_the_multiplying_oracle_on_unit_zero_and_other_entries():
                 got = act(f, gen, src, dst)
                 assert got.entries == product_by_multiplying(layer, f.entries)
                 assert all(not v.is_zero() for v in got.entries.values())
+
+
+# -- a chain's first move -----------------------------------------------------------
+
+def first_move_cases(table, w):
+    """Every legal (gen, src, dst) on the word w: each generator of table at
+    every ordered choice of slots that holds its domain, to every choice of
+    target slots, and each reordering of every choice of slots."""
+    for gen in (None, *table.values()):
+        for src in itertools.chain.from_iterable(
+                itertools.permutations(range(len(w)), k)
+                for k in ((len(gen.dom),) if gen else range(len(w) + 1))):
+            if gen and tuple(w[p] for p in src) != gen.dom:
+                continue
+            width = len(w) - len(src) + (len(gen.cod) if gen else len(src))
+            for dst in itertools.permutations(range(width), len(gen.cod) if gen else len(src)):
+                yield gen, src, dst
+
+
+def test_first_move_on_an_identity_matches_act_on_its_entries():
+    # act places a move on LinMap.identity without the identity's entries;
+    # the same move on a plain map with those entries takes act's general
+    # path, and both give the same entries in the same order, or the same
+    # refusal, on seeded words of up to four circles
+    rng = random.Random(38)
+    pairs = [build_builtin(name, {}) for name in ("aps", "tt", "sqrt", "double")]
+    moves, refusals = 0, set()
+    for p in (*pairs, rank2_at_a1()):
+        table = p.generator_table()
+        for n in (0, 1, 2, 3, 3, 4):
+            w = tuple(rng.choice("AE") for _ in range(n))
+            plain = LinMap(p.spec, w, w, dict(LinMap.identity(p.spec, w).entries))
+            assert type(plain) is LinMap
+            for gen, src, dst in first_move_cases(table, w):
+                got = act(LinMap.identity(p.spec, w), gen, src, dst)
+                want = act(plain, gen, src, dst)
+                assert (got.dom, got.cod) == (want.dom, want.cod)
+                assert list(got.entries.items()) == list(want.entries.items()), (gen, src, dst)
+                moves += 1
+            for gen in table.values():
+                bad = [tuple(range(len(gen.dom) - 1)) + (n,)] if gen.dom else []
+                if len(gen.dom) <= n and tuple(w[:len(gen.dom)]) != gen.dom:
+                    bad.append(tuple(range(len(gen.dom))))
+                for src in bad:
+                    texts = []
+                    for f in (LinMap.identity(p.spec, w), plain):
+                        with pytest.raises(TensorError) as refused:
+                            act(f, gen, src, tuple(range(len(gen.cod))))
+                        texts.append(str(refused.value))
+                    assert texts[0] == texts[1]
+                    refusals.add(texts[0].split(" ")[0])
+    assert moves > 1000 and refusals == {"source", "word"}, (moves, refusals)
