@@ -348,7 +348,7 @@ def _unit_pivots(rows, modulus=None):
     pivot is its own inverse.  Pivots are taken in column sweeps: a sweep
     visits the columns shortest first, by their lengths when it starts, and
     pivots each on its shortest row that holds a +-1.  Fill can make a +-1
-    in a column already passed, so sweeps repeat until one pivots nowhere.
+    in a column already passed, so sweeps repeat while a +-1 is left.
     Short columns and rows keep the fill-in small with no queue of costs: a
     sweep sorts the columns once and scans each once, one pass over the
     entries, and scanning a column costs its length, the number of rows its
@@ -359,9 +359,8 @@ def _unit_pivots(rows, modulus=None):
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
-    count, before = 0, None
-    while count != before:
-        before = count
+    count = 0
+    while any(v in (1, -1) for row in rows.values() for v in row.values()):
         for c in sorted(cols, key=lambda k: len(cols[k])):
             units = [r for r in cols[c] if rows[r][c] in (1, -1)]
             if not units:

@@ -35,6 +35,12 @@ criterion 07 checks.  `item_one_cubes` gives the five benchmark-generator
 cubes of the ROADMAP's non-complex repro, `rank2_at_a1` and `double_z2`
 the benchmark's two pair files, and `unit_pivot_inputs` the seeded integer
 matrices that the unit-pivot elimination and `snf` are checked on.
+
+`disjoint_saddles`, circle tracking by hand around a square of moves, and
+`cube_square_moves`, a cube's square as such moves, classify the squares
+whose two saddles touch disjoint circles, on which the interchange rule of
+`compare_squares` is checked; `random_integer_pair` gives the seeded
+random tables, not Frobenius pairs, that it is checked under.
 """
 
 import importlib.resources
@@ -50,6 +56,7 @@ from frobpair.cube import (CubeError, EdgeMove, StateCube, _bits, cube_from_json
                            validate_cube)
 from frobpair.pair import (
     DOUBLE_SEARCH_EQUATIONS,
+    FrobeniusPair,
     Rank2Params,
     VerifyRecord,
     build_double,
@@ -57,8 +64,8 @@ from frobpair.pair import (
     universal_algebra,
 )
 from frobpair.ring import INTEGERS, MOD2, ring
-from frobpair.tensor import equal
-from frobpair.theory import evaluate_term, load_axioms
+from frobpair.tensor import BasisSpec, LinMap, equal
+from frobpair.theory import SIGNATURE, evaluate_term, load_axioms
 
 from diamonds import edge_labelings, reverse_events
 
@@ -635,3 +642,64 @@ def record_act_chains(monkeypatch, pair):
 
     monkeypatch.setattr(theory_mod, "act", act)
     return calls
+
+
+def disjoint_saddles(square) -> bool:
+    """Whether the two saddles of a square of moves touch disjoint circles and
+    its two paths apply them in both orders.  A move is (word, generator,
+    source slots, output slots), a path two moves and a square two paths.
+    Each path is run by hand on a list of circle names, the bottom circles
+    named by their slots and a move's outputs by (generator, circles read,
+    output index): the square qualifies when each second move reads only
+    bottom circles, both paths read the same circles with the same
+    generators, and both end on the same list of names."""
+    ends = []
+    for path in square:
+        circles, made = list(range(len(path[0][0]))), []
+        for _word, gen, src, dst in path:
+            read = tuple(circles[p] for p in src)
+            if not all(isinstance(c, int) for c in read):
+                return False
+            outs = {q: (gen, read, j) for j, q in enumerate(dst)}
+            rest = iter([c for p, c in enumerate(circles) if p not in src])
+            circles = [outs[q] if q in outs else next(rest)
+                       for q in range(len(circles) - len(src) + len(dst))]
+            made.append((gen, read))
+        ends.append((tuple(path[0][0]), circles, sorted(made)))
+    return ends[0] == ends[1]
+
+
+def cube_square_moves(cube, b, k, l):
+    """The square at b flipping bits k and l as two paths of moves, read off
+    the cube's edges by the per-kind rules: a merge reads its two positions in
+    increasing order, a split its one, and a move's generator is named by its
+    kind, source sorts and output sorts."""
+    paths = []
+    for first, second in ((k, l), (l, k)):
+        vertex, path = b, []
+        for bit in (first, second):
+            move, w = cube.edges[(vertex, bit)], tuple(cube.vertices[vertex])
+            src = tuple(sorted(p - 1 for p in ((move.i, move.j) if move.kind == "merge"
+                                               else (move.i,))))
+            gen = (move.kind, tuple(w[p] for p in src), tuple(move.sorts))
+            path.append((w, gen, src, tuple(q - 1 for q in move.outs)))
+            vertex = vertex[:bit] + "1" + vertex[bit + 1:]
+        paths.append(tuple(path))
+    return tuple(paths)
+
+
+def random_integer_pair(rng, name="random"):
+    """A pair over Z on the labels 1, X of both sorts with a random table for
+    every generator of SIGNATURE: each entry is 1, -1, 2 or -2 with
+    probability 1/2 and 0 otherwise, except that eta(1) has coefficient 1 on
+    the unit label, as FrobeniusPair requires.  The tables obey no axiom."""
+    decl = ring(INTEGERS)
+    spec = BasisSpec(("1", "X"), ("1", "X"), decl)
+    maps = {}
+    for gen, (dom, cod) in SIGNATURE.items():
+        entries = {(o, t): decl.const(rng.choice((1, -1, 2, -2)))
+                   for t in spec.tuples(dom) for o in spec.tuples(cod) if rng.random() < 0.5}
+        if gen == "eta":
+            entries[(("1",), ())] = decl.one()
+        maps[gen] = LinMap(spec, dom, cod, entries)
+    return FrobeniusPair(decl, spec, maps, name=name)

@@ -21,8 +21,8 @@ import pytest
 
 from frobpair.cli import main
 from frobpair.pair import pair_to_json
-from helpers import (cube_to_json, double_z2, item_one_cubes, random_cube, rank2_at_a1,
-                     twice_bad_coefficient_pair)
+from helpers import (cube_to_json, double_z2, item_one_cubes, random_cube, random_integer_pair,
+                     rank2_at_a1, twice_bad_coefficient_pair)
 
 DATA = importlib.resources.files("frobpair").joinpath("data")
 APS_FILE = str(DATA.joinpath("aps.json"))
@@ -30,12 +30,14 @@ APS_FILE = str(DATA.joinpath("aps.json"))
 MIXED10 = str(Path(__file__).parent / "data" / "mixed10.cob")
 #: stand in an argv for the paths of the files the test writes: the ROADMAP's
 #: non-complex repro cube, a random six-crossing cube, the benchmark's two
-#: pair files and a pair file with one bad coefficient text in two rows
+#: pair files, a pair file with one bad coefficient text in two rows and a
+#: seeded random integer table, which fails many saddle-exchange squares
 REPRO = "<repro cube>"
 RANDOM6 = "<random n=6 cube>"
 RANK2_A1 = "<rank2-a1 pair>"
 DOUBLE_Z2 = "<double-z2 pair>"
 BAD_COEFF = "<twice bad coefficient pair>"
+RANDOM_TABLE = "<random integer table>"
 #: malformed cube files, one for each refusal that loading a cube file can
 #: give once its fields parse: each of the vertex scan's, and a bad edge key
 #: (a file cannot hold an edge on a 1-bit: an edge key's * reads as a 0)
@@ -65,6 +67,7 @@ SOURCES = {
     "rank2-a1-file": ("--pair", RANK2_A1),
     "double-z2-file": ("--pair", DOUBLE_Z2),
     "bad-coeff-file": ("--pair", BAD_COEFF),
+    "random-table-file": ("--pair", RANDOM_TABLE),
     # the benchmark's median algebra job: one rank-2 pair, admissible or not
     "rank2-ok": ("--builtin", "rank2", "--params", "a=1,cYZ=1,dYZ=1,eY=1,eZ=1,fY=1,fZ=1"),
     "rank2-bad": ("--builtin", "rank2", "--params", "a=-2,cYY=3,cYZ=-1,dZZ=2,eY=1,fZ=-3"),
@@ -153,6 +156,7 @@ DIGESTS = {
     ("rank2-bad", "verify-text"): "ab45176e7b44779bfb7d641c998eeca98237e3849dd16e772990a916ae5f6d01",
     ("rank2-bad", "verify-json"): "3380db0f0541befda8dcc4bb25db0182baf43a54d22ead4f5a7b4c06f5beb538",
     ("bad-coeff-file", "verify-text"): "49addb634ca7f2297e0eac003e86d618e6ecb14ccb93505668e73b65495a4427",
+    ("random-table-file", "diamond"): "7fa068cb15b59668bccc733804aea2f0432dc38d0e318a7d648f89f6f3ade527",
     ("matrix", "snf-diagonal"): "914d33e1181f74d695f048ec4f1f050d9e183a2345eb6f8094e646f379551706",
     ("matrix", "snf-zero"): "97cd607927937bffba851e702fe81deda77e61745d938ea1cca77b14de4bc68d",
     ("matrix", "snf-torsion"): "3cdac35ac0d0904339626f562aa3c5e299c1583aecc9fa905e19288673a0ed90",
@@ -189,13 +193,16 @@ def write_inputs(directory) -> dict:
     chain complex (`cube` finds it by d^2), a random cube with six crossings,
     whose integer homology under `aps` has torsion 2 in degrees 1, 2 and 4,
     the pair files that the benchmark writes with pair_to_json, the pair file
-    of helpers.twice_bad_coefficient_pair, and the malformed cubes of
-    bad_cubes and the SNF_MATRICES."""
+    of helpers.twice_bad_coefficient_pair, helpers.random_integer_pair drawn
+    from random.Random(39), whose `diamond` run prints one FAIL line per
+    failing square, and the malformed cubes of bad_cubes and the SNF_MATRICES."""
     texts = {REPRO: ("repro.cube", cube_to_json(item_one_cubes()[3])),
              RANDOM6: ("random6.cube", cube_to_json(random_cube(random.Random(6), n=6))),
              RANK2_A1: ("rank2-a1.json", pair_to_json(rank2_at_a1())),
              DOUBLE_Z2: ("double-z2.json", pair_to_json(double_z2())),
              BAD_COEFF: ("bad-coeff.json", twice_bad_coefficient_pair()),
+             RANDOM_TABLE: ("random-table.json",
+                            pair_to_json(random_integer_pair(random.Random(39)))),
              **{f"<{name} cube>": (f"{name}.cube", text) for name, text in bad_cubes().items()},
              **{f"<{name} matrix>": (f"{name}.json", json.dumps(m))
                 for name, m in SNF_MATRICES.items()}}

@@ -8,6 +8,7 @@ import pytest
 
 from frobpair.cobordism import (
     DIAMOND_CASES,
+    MERGE_GEN,
     CobordismError,
     CobordismWord,
     birth,
@@ -21,6 +22,7 @@ from frobpair.cobordism import (
     pole_degree,
     split,
     swap,
+    _interchanged,
 )
 from frobpair.cli import build_builtin, main
 from frobpair.cube import check_d_squared
@@ -216,7 +218,8 @@ def test_pole_degree_odd_rejected():
 
 
 from helpers import brute_force_pole_degrees as brute_force_degrees, cancel_pole_pairs, \
-    diamond_by_paths, double_z2, rank2_at_a1, random_cube, record_act_chains
+    diamond_by_paths, disjoint_saddles, double_z2, rank2_at_a1, random_cube, \
+    random_integer_pair, record_act_chains
 
 
 def test_pole_degree_confluence_up_to_8():
@@ -424,24 +427,29 @@ def test_diamond_refuses_the_first_wide_word_met(n_a, n_e, cases, named):
 def test_diamond_acts_each_first_move_and_path_once(monkeypatch):
     # the 920 paths of the 460 squares are 363 distinct as events, 350 by value;
     # the first square of each of the 215 classes stands for it, and their
-    # paths are 260 by value and start with 98 distinct moves.  Each path is a
-    # two-piece chain on its bottom word, and each distinct (word, prefix) is
-    # acted exactly once per call
+    # paths are 260 by value and start with 98 distinct moves.  The 55 classes
+    # whose two saddles touch disjoint circles are decided without a map; the
+    # paths of the other 160 are 150 by value and start with 53 distinct
+    # moves.  Each path is a two-piece chain on its bottom word, and each
+    # distinct (word, prefix) is acted exactly once per call
     events = [path for _name, *two in labelled_squares(DIAMOND_CASES) for path in two]
     assert (len(events), len(set(events))) == (920, 363)
     assert len({path for _n, sq, _c in shipped_squares() for path in sq}) == 350
     pair = build_aps()
-    paths = {path for k, (_n, sq, cls) in enumerate(shipped_squares()) if k == cls
-             for path in sq}
+    reps = [sq for k, (_n, sq, cls) in enumerate(shipped_squares()) if k == cls]
+    assert len({one for sq in reps for one, _two in sq}) == 98
+    assert len({path for sq in reps for path in sq}) == 260
+    kept = [sq for sq in reps if not disjoint_saddles(sq)]
+    paths = {path for sq in kept for path in sq}
     firsts = {one for one, _two in paths}
-    assert (len(firsts), len(paths)) == (98, 260)
+    assert (len(kept), len(firsts), len(paths)) == (160, 53, 150)
     want = Counter([(one[0], (one[1:],)) for one in firsts]
                    + [(one[0], (one[1:], two[1:])) for one, two in paths])
     calls = record_act_chains(monkeypatch, pair)
     for _ in range(2):  # the memo lives for one call
         calls.clear()
         assert diamond_exchange_suite(pair).ok()
-        assert len(calls) == 98 + 260 and Counter(calls) == want
+        assert len(calls) == 53 + 150 and Counter(calls) == want
 
 
 def test_compare_squares_never_composes(monkeypatch):
@@ -459,6 +467,82 @@ def test_compare_squares_never_composes(monkeypatch):
             monkeypatch.setattr(module, "compose", lambda g, f: pytest.fail("compose called"))
     assert diamond_exchange_suite(pair).ok()
     assert check_d_squared(random_cube(random.Random(8), n=4), pair) == (True, None)
+
+
+def interchange_candidates():
+    """(record name, square, class) of the shipped squares whose two saddles
+    touch disjoint circles, by tests/helpers.disjoint_saddles."""
+    return [(name, sq, cls) for name, sq, cls in shipped_squares() if disjoint_saddles(sq)]
+
+
+def perturbed(square):
+    """The square with its second path's second move reading its two sources,
+    or writing its two outputs, in the other order; a merge of two sorts
+    takes the generator of the swapped sorts."""
+    one, (first, (w, gen, src, dst)) = square
+    if len(dst) == 2:
+        return one, (first, (w, gen, src, dst[::-1]))
+    sorts = tuple(w[p] for p in src[::-1]) + SIGNATURE[gen][1]
+    return one, (first, (w, MERGE_GEN[sorts], src[::-1], dst))
+
+
+def path_map(path, table, spec):
+    current = LinMap.identity(spec, path[0][0])
+    for _w, gen, src, dst in path:
+        current = act(current, table[gen], src, dst)
+    return current
+
+
+def test_interchange_rule_decides_the_disjoint_saddle_squares():
+    # exactly the squares of cases 10-13, whose saddles touch disjoint circles
+    pair = build_aps()
+    table = pair.generator_table()
+    squares = shipped_squares()
+    far = interchange_candidates()
+    assert len(far) == 200 and len({cls for _n, _sq, cls in far}) == 55
+    assert {name.split("[")[0] for name, _sq, _c in far} == {c[0] for c in DIAMOND_CASES[9:]}
+    assert sum(name.split("[")[0] in {c[0] for c in DIAMOND_CASES[9:]}
+               for name, _sq, _c in squares) == 200
+    assert [sq for _n, sq, _c in squares if _interchanged(sq, table, pair.spec)] == \
+        [sq for _n, sq, _c in far]
+
+
+@DIAMOND_PAIRS
+def test_interchange_rule_decides_no_failing_square(build):
+    # the whole-path oracle fails 28 squares of it and 75 of double, none of them decided
+    pair = build()
+    table = pair.generator_table()
+    failing = {r.name for r in diamond_by_paths(pair) if r.status == "fail"}
+    decided = {name for name, sq, _c in shipped_squares() if _interchanged(sq, table, pair.spec)}
+    assert len(decided) == 200 and not decided & failing
+
+
+def test_interchange_rule_decides_no_perturbed_square():
+    pair = build_aps()
+    table = pair.generator_table()
+    variants = [perturbed(sq) for _n, sq, _c in interchange_candidates()]
+    assert len(variants) == 200 and not any(map(disjoint_saddles, variants))
+    assert not any(_interchanged(sq, table, pair.spec) for sq in variants)
+
+
+def test_interchange_rule_is_exact_under_random_tables():
+    # random integer tables obey no axiom, so a square decided wrongly shows:
+    # every perturbed square evaluates unequal under one of them, and every
+    # square the rule decides, shipped or perturbed, evaluates equal under all
+    shipped = [sq for _n, sq, _c in shipped_squares()]
+    variants = [perturbed(sq) for _n, sq, _c in interchange_candidates()]
+    rng = random.Random(39)
+    pairs = [random_integer_pair(rng, f"random{k}") for k in range(3)]
+    unequal, perturbations = set(), set(variants)
+    for pair in pairs:
+        table = pair.generator_table()
+        for sq in shipped + variants:
+            ok = equal(*(path_map(path, table, pair.spec) for path in sq))[0]
+            if _interchanged(sq, table, pair.spec):
+                assert ok, sq
+            elif not ok and sq in perturbations:
+                unequal.add(sq)
+    assert unequal == set(variants)
 
 
 def aps_without(*names):
@@ -483,20 +567,34 @@ def test_diamond_reports_the_first_missing_generator_met():
 
 def test_diamond_products_by_one_are_skipped(monkeypatch):
     # act and compose pass the other operand through when an entry is 1, so no
-    # product of the double suite over all 13 cases has an operand equal to 1;
-    # each distinct path of the 215 class representatives, and then of the 30
-    # other squares of the 45 failing classes, is acted once, so the count is
-    # exact
+    # product of the double suite over all 13 cases has an operand equal to 1.
+    # Each distinct path of the class representatives whose saddles do not
+    # touch disjoint circles, and then of the 30 other squares of the 45
+    # failing classes, is acted once: the count is that of acting those paths
+    # one by one, and the 200 squares on disjoint circles add none
     from frobpair.ring import RingElem
 
     pair = build_builtin("double", {})
+    table = pair.generator_table()
+    squares = shipped_squares()
+    failing = {cls for (_n, _sq, cls), record in zip(squares, diamond_by_paths(pair), strict=True)
+               if record.status == "fail"}
+    assert len(failing) == 45 and not any(disjoint_saddles(squares[cls][1]) for cls in failing)
+    reps = {path for k, (_n, sq, cls) in enumerate(squares) if k == cls and not disjoint_saddles(sq)
+            for path in sq}
+    others = {path for k, (_n, sq, cls) in enumerate(squares) if k != cls and cls in failing
+              for path in sq}
     products = []
     real_mul = RingElem.__mul__
     monkeypatch.setattr(RingElem, "__mul__",
                         lambda x, y: products.append((x, y)) or real_mul(x, y))
+    for path in [*reps, *others]:
+        path_map(path, table, pair.spec)
+    want = len(products)
+    products.clear()
     report = diamond_exchange_suite(pair, DIAMOND_CASES)
     assert report.meta["cases"] == len(DIAMOND_CASES) == 13 and len(report.records) == 460
-    assert len(products) == 10604
+    assert len(products) == want == 2412
     assert not any({(): 1} in (x.terms, y.terms) for x, y in products)
 
 

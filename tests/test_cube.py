@@ -42,8 +42,10 @@ from frobpair.tensor import MAX_CIRCLES, BasisSpec, compose, equal, word
 
 from helpers import (
     block_product,
+    cube_square_moves,
     cube_to_json,
     d_squared_by_differentials,
+    disjoint_saddles,
     euler_characteristic,
     first_refusal_by_correspondence,
     item_one_cubes,
@@ -422,8 +424,10 @@ def _square_paths(cube, pair, b, k, l):
 def test_d_squared_builds_each_edge_map_and_square_once(monkeypatch):
     # each square is read on the circles it touches, and the pair keeps each local
     # square's verdict: across two cubes each distinct local square is compared
-    # exactly once, each call acts each distinct (local word, prefix) once, no
-    # whole-word edge map is built, and a repeated check makes no act call at all
+    # exactly once, unless its two saddles touch disjoint circles, which
+    # compare_squares decides unevaluated; each call acts each distinct (local
+    # word, prefix) once, no whole-word edge map is built, and a repeated check
+    # makes no act call at all
     import frobpair.cube as cube_mod
 
     compared = []
@@ -433,9 +437,14 @@ def test_d_squared_builds_each_edge_map_and_square_once(monkeypatch):
     aps = build_aps()
     acts = record_act_chains(monkeypatch, aps)
     cubes = [random_cube(random.Random(8), n=4), random_cube(random.Random(4), n=4)]
-    seen, shared, squares = set(), set(), set()
+    seen, shared, squares, counts = set(), set(), set(), []
     for cube in cubes:
-        local = {local_square_key(cube, *square) for square in _squares_in_scan_order(cube)}
+        far = {}  # local square -> whether its saddles touch disjoint circles
+        for square in _squares_in_scan_order(cube):
+            far.setdefault(local_square_key(cube, *square), set()).add(
+                disjoint_saddles(cube_square_moves(cube, *square)))
+        assert all(len(kinds) == 1 for kinds in far.values())
+        local = set(far)
         for b, k, l in _squares_in_scan_order(cube):
             bk, bl = b[:k] + "1" + b[k + 1:], b[:l] + "1" + b[l + 1:]
             squares.add((cube.vertices[b], cube.edges[(b, k)], cube.edges[(bk, l)],
@@ -443,11 +452,13 @@ def test_d_squared_builds_each_edge_map_and_square_once(monkeypatch):
         acts.clear()
         compared.clear()
         assert check_d_squared(cube, aps) == (True, None)
-        assert len(compared) == len(local - seen) > 0
+        assert len(compared) == len([key for key in local - seen if far[key] == {False}]) > 0
+        counts.append((len(local - seen), len(compared)))
         assert acts and len(acts) == len(set(acts)) and all(len(w) <= 4 for w, _moves in acts)
         shared |= local & seen
         seen |= local
     assert shared  # the second cube meets local squares that the first compared
+    assert counts[0] == (11, 10)
     assert len(seen) == len(aps.square_verdicts) < len(squares)
     for cube in cubes:
         acts.clear()
@@ -659,6 +670,28 @@ def test_unit_pivots_match_dense_snf():
         assert not any(residual) and count == rank_gf2(m)
     assert residual_torsion
     assert _unit_pivots([{c: x for c, x in enumerate(row) if x} for row in late_unit]) == (3, [])
+
+
+@pytest.mark.parametrize("m,count,sweeps", [
+    ([[1, 2], [2, 6]], 1, 1),  # the pivot leaves the residual [[2]]: no +-1, no second sweep
+    ([[2, 4], [0, 3]], 0, 0),  # no +-1 at all: no sweep
+    ([[2, 1, 0], [3, 1, 0], [0, 1, 1]], 3, 2),  # a +-1 made in a column already passed
+], ids=["residual", "no_unit", "late_unit"])
+def test_unit_pivots_sweep_while_a_unit_is_left(monkeypatch, m, count, sweeps):
+    # each sweep sorts the columns once, by their lengths
+    import builtins
+    import frobpair.cube as cube_mod
+
+    keyed = []
+
+    def counting(items, **kwargs):
+        keyed.extend(["key" in kwargs])
+        return builtins.sorted(items, **kwargs)
+
+    monkeypatch.setattr(cube_mod, "sorted", counting, raising=False)
+    got, residual = _unit_pivots([{c: x for c, x in enumerate(row) if x} for row in m])
+    assert got == count and sum(keyed) == sweeps
+    assert not any(x in (1, -1) for row in residual for x in row)
 
 
 def test_integer_homology_matches_dense_snf(monkeypatch):
