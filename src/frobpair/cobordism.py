@@ -56,16 +56,16 @@ def interpret(w, kind, src, dst, sorts):
         raise CobordismError(f"unknown move kind {kind!r}")
     arity, table = MOVES[kind]
     n_in, n_out = len(w), len(w) - arity + len(dst)
-    if len(src) != arity or not set(src) <= set(range(n_in)):
+    if len(src) != arity or src and not 0 <= min(src) <= max(src) < n_in:
         raise CobordismError(f"{kind} positions {','.join(str(p + 1) for p in src)} out of range")
-    if len(set(src)) < arity:  # a move reads at most two circles, so src[0] repeats
+    if arity == 2 and src[0] == src[1]:  # a move reads at most two circles
         raise CobordismError(f"{kind} names circle {src[0] + 1} twice")
     key = tuple([w[p] for p in src]) + tuple(sorts)
     if key not in table:
         raise CobordismError(f"no generator for {''.join(key[:arity])}->{''.join(key[arity:])}")
-    if not set(dst) <= set(range(n_out)):
+    if dst and not 0 <= min(dst) <= max(dst) < n_out:
         raise CobordismError(f"{kind} outputs {','.join(str(p + 1) for p in dst)} out of range")
-    if len(set(dst)) < len(dst):  # and writes at most two
+    if len(dst) == 2 and dst[0] == dst[1]:  # and a generator writes at most two
         raise CobordismError(f"{kind} names output {dst[0] + 1} twice")
     w_out, provenance = [None] * n_out, [tuple(src)] * n_out
     for p, sort in zip(dst, sorts):

@@ -13,23 +13,24 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import and_, mul
+from typing import NamedTuple
 
 from .cobordism import (MOVES, CobordismError, compare_squares, interpret, square_order,
                         table_with)
 from .pair import FrobeniusPair
 from .ring import MOD2, substitution
-from .tensor import MAX_CIRCLES, LinMap, act, word
+from .tensor import MAX_CIRCLES, SORTS, LinMap, act, word
 
 
 class CubeError(ValueError):
     """Structural violations in a state cube."""
 
 
-@dataclass(frozen=True)
-class EdgeMove:
+class EdgeMove(NamedTuple):
     kind: str          # merge | split, a key of cobordism.MOVES
     i: int             # 1-based source position (first circle for merge)
     j: int = 0         # second source position for merge
@@ -44,18 +45,25 @@ class StateCube:
     edges: dict       # (source bitstring, flipped index) -> EdgeMove
 
     @cached_property
-    def numbered_edges(self):
-        """({edge (b, k): number} in scan order, [descriptor by number]), as
-        validate_cube's scan keeps them.  Edges are numbered by (source word,
-        move); a descriptor is the source word and the edge's `_interpret`."""
+    def scan(self):
+        """(words, numbers, moves) of validate_cube's scan, by vertex index v (b in
+        base 2): v's word, v's edge numbers by flipped bit (None on a 1-bit), and
+        each number's descriptor: its source word and `_interpret` output."""
         validate_cube(self)
-        return vars(self)["numbered_edges"]
+        return vars(self)["scan"]
+
+    @cached_property
+    def numbered_edges(self):
+        """({edge (b, k): number} in scan order, [descriptor by number])."""
+        bits, (_words, numbers, moves) = _bits(self.n), self.scan
+        return {(bits[v], k): e for v, row in enumerate(numbers)
+                for k, e in enumerate(row) if e is not None}, moves
 
     @cached_property
     def squares(self):
-        """{square of edge numbers: its first (b, k, l)} in scan order, b flipping
-        bits k < l; a square is ((edge b/k, then l), (edge b/l, then k)).
-        validate_cube's scan keeps them, and check_d_squared reads them."""
+        """{square: its first (v, k, l)} in scan order, v flipping bits k < l: the
+        edge numbers of (edge v/k, then l) and (edge v/l, then k) in one int of
+        four `_field(n)`-bit fields.  validate_cube's scan keeps them."""
         validate_cube(self)
         return vars(self)["squares"]
 
@@ -72,6 +80,10 @@ def _weight(bits):
     return bits.count("1")
 
 
+def _field(n):
+    return (n << n).bit_length()  # an edge number is below n * 2**(n - 1)
+
+
 def _interpret(w_in, move):
     """`cobordism.interpret` of an edge move on the word w_in: (generator,
     source slots, output slots, output word, provenance), slots 0-based, the
@@ -82,57 +94,63 @@ def _interpret(w_in, move):
     return gen, src, dst, w_out, provenance
 
 
+def _reach(first, second):
+    """Per far slot of a path of two descriptors, the bitmask of source slots it may hold."""
+    mid = [1 << q[0] | 1 << q[-1] if q else 0 for q in first[5]]  # a move reads <= 2 slots
+    return [mid[q[0]] | mid[q[-1]] if q else 0 for q in second[5]]
+
+
 def validate_cube(cube: StateCube):
-    """Check the cube invariants in one scan of the vertices (b in _bits order,
-    k ascending) and keep what it reads as the cube's numbered_edges and
-    squares.  Raises CubeError on the first violation: a missing vertex; else
-    the first edge on a 1-bit, missing edge, illegal move or move that misses
-    its target's word; else the first square whose paths allow no common
-    source set at some far-corner position (the per-path provenance
-    over-approximates the true one, so disjointness certifies that they do not
-    commute).  Each vertex numbers its edges, and those its squares reach, by
-    (source word, move); a number is interpreted at its first edge."""
+    """Check the cube invariants in one scan of the vertices (v ascending, k
+    ascending) and keep what it reads as the cube's scan and squares.  Raises
+    CubeError on the first violation: a missing vertex; else the first edge on
+    a 1-bit, missing edge, illegal move or move that misses its target's word;
+    else the first square whose paths allow no common source set at some
+    far-corner position (the per-path provenance over-approximates the true
+    one, so disjointness certifies that they do not commute).  Each vertex
+    numbers its edges by (source word, move), interpreted at its first edge;
+    then each distinct square is checked once, by ANDing its paths' `_reach`
+    bitmasks, each built once per distinct path."""
     n, edges, bits = cube.n, cube.edges, _bits(cube.n)
     try:
         words = [tuple(cube.vertices[b]) for b in bits]
     except KeyError as exc:
         raise CubeError(f"missing vertex {exc.args[0]!r}") from None
     masks = [1 << n - 1 - k for k in range(n)]
-    number, rows, key, moves, squares = {}, [None] * len(bits), {}, [], {}
-
-    def row(v):  # v's edge numbers by flipped bit, None on a 1-bit or a missing edge
-        rows[v] = [None if v & m or (move := edges.get((bits[v], k))) is None
-                   else number.setdefault((words[v], move), len(number))
-                   for k, m in enumerate(masks)]
+    number, numbers, moves, reach, squares = {}, [], [], {}, {}
+    for v, (b, w) in enumerate(zip(bits, words)):
+        numbers.append(row := [None if v & m or (move := edges.get((b, k))) is None
+                               else number.setdefault((w, move), len(number))
+                               for k, m in enumerate(masks)])
         moves.extend([None] * (len(number) - len(moves)))
-        return rows[v]
-
-    for v, b in enumerate(bits):
-        out = rows[v] or row(v)
-        for k, (m, e) in enumerate(zip(masks, out)):
+        for k, (m, e) in enumerate(zip(masks, row)):
             if v & m:
                 if (b, k) in edges:
                     raise CubeError(f"edge {b}/{k} flips a 1-bit")
                 continue
             if e is None:
                 raise CubeError(f"missing edge {b}->{bits[v ^ m]}")
-            key[b, k] = e
             try:
-                moves[e] = moves[e] or (words[v],) + _interpret(words[v], edges[b, k])
+                moves[e] = moves[e] or (w,) + _interpret(w, edges[b, k])
             except CobordismError as exc:
                 raise CubeError(f"edge {b}/{k}: {exc}") from None
             if moves[e][4] != words[v ^ m]:
                 raise CubeError(f"edge {b}/{k}: move produces word {''.join(moves[e][4])}, "
                                 f"vertex has {''.join(words[v ^ m])}")
-        far = [e is not None and (rows[v ^ m] or row(v ^ m)) for m, e in zip(masks, out)]
-        for k, l in itertools.combinations([k for k in range(n) if far[k]], 2):
-            squares.setdefault(((out[k], far[k][l]), (out[l], far[l][k])), (b, k, l))
-    for ((e, far_e), (f, far_f)), (b, k, l) in squares.items():
-        one, two = moves[e][5], moves[f][5]  # each path's first provenance
-        for s, t in zip(moves[far_e][5], moves[far_f][5]):
-            if {p for q in s for p in one[q]}.isdisjoint([p for q in t for p in two[q]]):
-                raise CubeError(f"square at {b} (bits {k},{l}) does not commute")
-    vars(cube).update(numbered_edges=(key, moves), squares=squares)
+    s = _field(n)
+    for v, row in enumerate(numbers):
+        far = [numbers[v ^ m] for m in masks]
+        for k, l in itertools.combinations([k for k, e in enumerate(row) if e is not None], 2):
+            one, two = row[k] << s | far[k][l], row[l] << s | far[l][k]
+            if (square := one << 2 * s | two) in squares:
+                continue
+            squares[square] = v, k, l
+            for path in (one, two):
+                if path not in reach:
+                    reach[path] = _reach(moves[path >> s], moves[path & (1 << s) - 1])
+            if not all(map(and_, reach[one], reach[two])):
+                raise CubeError(f"square at {bits[v]} (bits {k},{l}) does not commute")
+    vars(cube).update(scan=(words, numbers, moves), squares=squares)
     return True
 
 
@@ -225,19 +243,19 @@ def check_d_squared(cube: StateCube, pair: FrobeniusPair):
     with every other circle at its first label.  A missing generator is the
     first in square_order, as comparing the cube's whole squares would meet it.
     """
-    moves, squares = cube.numbered_edges[1], cube.squares
-    full, verdicts = list(squares), pair.square_verdicts
-    table = table_with(pair, (moves[e][1] for s in square_order(full) for path in full[s]
+    (words, _numbers, moves), verdicts, s = cube.scan, pair.square_verdicts, _field(cube.n)
+    full = [tuple([divmod(path, 1 << s) for path in divmod(q, 1 << 2 * s)]) for q in cube.squares]
+    table = table_with(pair, (moves[e][1] for q in square_order(full) for path in full[q]
                               for e in path), CubeError)
     local = [_local_square(moves, square) for square in full]
     new = list(dict.fromkeys(square for _slots, square in local if square not in verdicts))
     verdicts.update(zip(new, compare_squares(new, table, pair.spec)))
-    for (slots, square), (b, k, l) in zip(local, squares.values()):
+    for (slots, square), (v, k, l) in zip(local, cube.squares.values()):
         ok, witness = verdicts[square]
         if not ok:
             at = dict(zip(slots, witness[0]))
-            return False, (b, k, l, tuple(at.get(p, pair.spec.labels(s)[0])
-                                          for p, s in enumerate(cube.vertices[b])))
+            return False, (format(v, f"0{cube.n}b"), k, l, tuple(
+                at.get(p, pair.spec.labels(sort)[0]) for p, sort in enumerate(words[v])))
     return True, None
 
 
@@ -350,37 +368,38 @@ def _unit_pivots(rows, modulus=None):
     pivots each on its shortest row that holds a +-1.  Fill can make a +-1
     in a column already passed, so sweeps repeat while a +-1 is left.
     Short columns and rows keep the fill-in small with no queue of costs: a
-    sweep sorts the columns once and scans each once, one pass over the
-    entries, and scanning a column costs its length, the number of rows its
-    pivot then updates, so choosing a pivot costs no more than applying it.
+    sweep sorts the columns once and scans each once, and scanning a column
+    costs its length, the number of rows its pivot then updates.  A lone +-1
+    is taken without comparing row lengths, and the pivot's column set is
+    emptied in place, so a column that holds one row meets no other row.
     """
-    rows = dict(enumerate(rows))
-    cols = {}
+    rows, cols = dict(enumerate(rows)), defaultdict(set)
     for r, row in rows.items():
         for c in row:
-            cols.setdefault(c, set()).add(r)
+            cols[c].add(r)
     count = 0
     while any(v in (1, -1) for row in rows.values() for v in row.values()):
         for c in sorted(cols, key=lambda k: len(cols[k])):
             units = [r for r in cols[c] if rows[r][c] in (1, -1)]
             if not units:
                 continue
-            p = min(units, key=lambda r: len(rows[r]))
+            p = units[0] if len(units) == 1 else min(units, key=lambda r: len(rows[r]))
             count += 1
             pivot = rows.pop(p)
             v = pivot.pop(c)
             for cc in pivot:
                 cols[cc].discard(p)
-            for r in cols.pop(c) - {p}:
+            others = cols.pop(c)
+            others.discard(p)
+            for r in others:
                 row = rows[r]
                 f = row.pop(c) * v
                 for cc, x in pivot.items():
-                    y = row.get(cc, 0) - f * x
-                    if modulus:
-                        y %= modulus
-                    if y:
-                        if cc not in row:
-                            cols[cc].add(r)
+                    y = row.get(cc)
+                    if y is None:  # fill: f * x is nonzero, also mod 2
+                        row[cc] = (-f * x) % modulus if modulus else -f * x
+                        cols[cc].add(r)
+                    elif y := (y - f * x) % modulus if modulus else y - f * x:
                         row[cc] = y
                     else:
                         del row[cc]
@@ -398,11 +417,12 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
     """Per-degree homology of the cube complex.
 
     Returns a list (degree 0..n) of {"betti": int, "torsion": [int, ...]};
-    torsion is always empty over a field.  One walk of numbered_edges' key
-    sorts the edges by degree, in scan order, each with its sign.  Each
-    generator's entries become constants, and over z and z2 integers, once per
-    call; d_i's sparse rows scatter each edge's `_block`, built from them when
-    first met, with its sign, and one elimination of their +-1 pivots
+    torsion is always empty over a field.  One walk of the scan's edge numbers
+    sorts the edges by degree, in scan order, each with offsets and sign read
+    off its vertex index.  Each generator's entries become constants, and over
+    z and z2 integers, once per call, outputs as label indices; d_i's sparse
+    rows scatter each edge's `_block`, built from them and the sorts' radices
+    when first met, with its sign, and one elimination of their +-1 pivots
     (`_unit_pivots`) reduces them.  Over z2 (`sparse_rank_gf2`) it leaves no
     residual; over q (`sparse_rank_fraction`, which clears denominators
     first) and z, `_integer_rank` takes the Smith normal form of the residual
@@ -418,21 +438,22 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
     if coefficients in ("q", "z") and pair.ring.domain == MOD2:
         name = "rational" if coefficients == "q" else "integer"
         raise CubeError(f"cannot take {name} coefficients of a Z/2 pair")
-    dims, offset = [0] * (cube.n + 1), {}
-    for b in _bits(cube.n):
-        offset[b] = dims[_weight(b)]  # b's first place in its degree
-        dims[_weight(b)] += pair.spec.dim(cube.vertices[b])
-    key, moves = cube.numbered_edges
+    n, (words, numbers, moves) = cube.n, cube.scan
+    radix = {sort: len(pair.spec.labels(sort)) for sort in SORTS}
+    dims, offset = [0] * (n + 1), []
+    for v, w in enumerate(words):
+        offset.append(dims[v.bit_count()])  # v's first place in its degree
+        dims[v.bit_count()] += pair.spec.dim(w)
     # d_i's edges: (row offset, column offset, number, sign is -1); -1 = 1 over Z/2
-    edges, signed = [[] for _ in range(cube.n)], pair.ring.domain != MOD2
-    for (b, k), e in key.items():
-        edges[_weight(b)].append((offset[_flip(b, k)], offset[b], e,
-                                  signed and _weight(b[:k]) % 2 == 1))
-    constants = {}  # generator -> its entries as (column, output tuple, constant), by column
+    edges, signed = [[] for _ in dims], pair.ring.domain != MOD2
+    for v, row in enumerate(numbers):
+        edges[v.bit_count()] += [(offset[v ^ 1 << n - 1 - k], offset[v], e, signed and (
+            v >> n - k).bit_count() % 2 == 1) for k, e in enumerate(row) if e is not None]
+    constants = {}  # generator -> its entries as (column, output label indices, constant)
     blocks = {}  # edge number -> [(out place, in place, constant)] of its edge map
-    ranks = [0] * (cube.n + 1)  # ranks[i] = rank of d_i; d_n = 0
+    ranks = [0] * (n + 1)  # ranks[i] = rank of d_i; d_n = 0
     torsion = [[] for _ in dims]
-    for i in range(cube.n):
+    for i in range(n):
         fresh = {}  # generator new to this call -> its first edge's sign
         for _r, _c, e, negate in edges[i]:
             if moves[e][1] not in constants:
@@ -448,19 +469,20 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
             bad = next((v for *_, v in entries if not v.is_constant()), None)
             if bad is not None:
                 raise CubeError(f"specialize first: not a constant: {-bad if negate else bad}")
-            constants[gen] = [(c, o, v.constant_value()) for c, o, v in entries]
+            constants[gen] = [(c, tuple([pair.spec.labels(s).index(x) for s, x in zip(m.cod, o)]),
+                               v.constant_value()) for c, o, v in entries]
         for gen, negate in fresh.items() if coefficients != "q" else ():
             bad = next((x for *_, x in constants[gen] if x.denominator != 1), None)
             if bad is not None:
                 raise CubeError(f"d_{i} has the non-integral entry {-bad if negate else bad}; "
                                 f"homology over {coefficients} needs integers")
             constants[gen] = [(c, o, int(x)) for c, o, x in constants[gen]]
-        rows = {}
+        rows = defaultdict(dict)
         for r, c, e, negate in edges[i]:
             if e not in blocks:
-                blocks[e] = _block(pair.spec, moves[e], constants[moves[e][1]])
+                blocks[e] = _block(radix, moves[e], constants[moves[e][1]])
             for o, t, x in blocks[e]:
-                rows.setdefault(r + o, {})[c + t] = -x if negate else x
+                rows[r + o][c + t] = -x if negate else x
         rows = list(rows.values())
         if coefficients == "z":
             ranks[i], torsion[i + 1] = _integer_rank(rows)
@@ -468,27 +490,30 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
             rank = sparse_rank_gf2 if coefficients == "z2" else sparse_rank_fraction
             ranks[i] = rank(rows)
     return [{"betti": dims[i] - ranks[i] - (ranks[i - 1] if i else 0),
-             "torsion": torsion[i]} for i in range(cube.n + 1)]
+             "torsion": torsion[i]} for i in range(n + 1)]
 
 
-def _block(spec, move, entries):
+def _block(radix, move, entries):
     """The (out place, in place, value) entries of an edge's map in act's order:
-    its generator's entries, each (column, output tuple, value), on the source
-    slots, tensored with the identity on the other circles.  A tuple's place
-    in its word is a mixed-radix number: a slot weighs the dimension after it."""
+    its generator's entries, each (column, output label indices, value), on the
+    source slots, tensored with the identity on the other circles.  A tuple's
+    place in its word is a mixed-radix number over the sorts' `radix` values."""
     w_in, _gen, src, dst, w_out, _provenance = move
-    out = [spec.dim(w_out[q + 1:]) for q in range(len(w_out))]
+    out, dim = [1] * len(w_out), 1  # an out slot's weight: dim of the slots after it
+    for q in range(len(w_out) - 1, -1, -1):
+        out[q], dim = dim, dim * radix[w_out[q]]
+    weigh, size = {}, 1  # a source slot's weight in its generator's columns
+    for p in reversed(src):
+        weigh[p], size = size, size * radix[w_in[p]]
     passive = iter([out[q] for q in range(len(w_out)) if q not in dst])
-    column, shift = [0], [0]  # by in place: its generator column, its passive out place
+    code = [0]  # by in place: its generator column times dim, plus its passive out place
     for p, s in enumerate(w_in):
-        x, y = (spec.dim([w_in[r] for r in src if r > p]), 0) if p in src else (0, next(passive))
-        labels = range(len(spec.labels(s)))
-        column = [c + d * x for c in column for d in labels]
-        shift = [h + d * y for h in shift for d in labels]
-    outs = [[] for _ in range(spec.dim([w_in[p] for p in src]))]
+        z = weigh[p] * dim if p in weigh else next(passive)
+        code = [h + d * z for h in code for d in range(radix[s])]
+    outs, at = [[] for _ in range(size)], [out[q] for q in dst]
     for c, o, v in entries:
-        outs[c].append((sum(spec.labels(w_out[q]).index(x) * out[q] for q, x in zip(dst, o)), v))
-    return [(o + h, c, v) for c, (g, h) in enumerate(zip(column, shift)) for o, v in outs[g]]
+        outs[c].append((sum(map(mul, o, at)), v))
+    return [(o + h % dim, c, v) for c, h in enumerate(code) for o, v in outs[h // dim]]
 
 
 def vertex_euler(cube: StateCube, pair: FrobeniusPair) -> int:
@@ -516,10 +541,10 @@ def _edge_from_json(key, mv) -> EdgeMove:
         raise CubeError(f"edge {key!r}: missing field {exc}") from None
     except TypeError:
         raise CubeError(f"edge {key!r}: outs and sorts must be lists") from None
+    _kind, i, j, outs, sorts = move
     arity = 1 if kind == "merge" else 2
-    if (set(map(type, (move.i, move.j) + move.outs)) != {int}
-            or not len(move.outs) == len(move.sorts) == arity
-            or move.sorts.count("A") + move.sorts.count("E") != arity):
+    if ({type(i), type(j), *map(type, outs)} != {int} or len(outs) != arity
+            or len(sorts) != arity or sorts.count("A") + sorts.count("E") != arity):
         raise CubeError(f"edge {key!r}: a {kind} takes integer positions "
                         f"and {arity} output sort(s) A/E")
     return move

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.resources
 import json
 import random
@@ -140,9 +139,9 @@ def perturbed(rng, cube):
     output shifted one place."""
     (b, k), move = rng.choice(sorted(cube.edges.items()))
     if move.kind == "split":
-        move = dataclasses.replace(move, outs=move.outs[::-1])
+        move = move._replace(outs=move.outs[::-1])
     else:
-        move = dataclasses.replace(move, outs=(move.outs[0] % (len(cube.vertices[b]) - 1) + 1,))
+        move = move._replace(outs=(move.outs[0] % (len(cube.vertices[b]) - 1) + 1,))
     return StateCube(cube.n, cube.vertices, {**cube.edges, (b, k): move})
 
 
@@ -153,7 +152,7 @@ def test_validate_matches_correspondence_oracle():
     rng = random.Random(17)
     verdicts = set()
     for _ in range(150):
-        cube = perturbed(rng, random_cube(rng, n=rng.randint(2, 4)))
+        cube = perturbed(rng, random_cube(rng, n=rng.randint(2, 5)))
         first = first_refusal_by_correspondence(cube)
         try:
             ok = validate_cube(cube)
@@ -172,7 +171,7 @@ def test_validated_squares_take_passive_circles_to_the_same_far_slot():
     rng = random.Random(23)
     accepted = refused = 0
     for _ in range(200):
-        cube = perturbed(rng, random_cube(rng, n=rng.randint(2, 4)))
+        cube = perturbed(rng, random_cube(rng, n=rng.randint(2, 5)))
         try:
             ok = validate_cube(cube)
         except CubeError as exc:
@@ -186,6 +185,72 @@ def test_validated_squares_take_passive_circles_to_the_same_far_slot():
         accepted += ok
         refused += not same
     assert accepted > 100 and refused > 20
+
+
+def broken(move):
+    """The move with its outputs at position 0, out of range on any word."""
+    return move._replace(outs=(0,) * len(move.outs))
+
+
+def test_validate_refuses_an_edge_before_an_earlier_square():
+    # squares are checked only after every edge: a cube whose first refused
+    # square sits at an earlier vertex than a refused edge is refused at the edge
+    rng = random.Random(41)
+    found = 0
+    for _ in range(120):
+        cube = perturbed(rng, random_cube(rng, n=rng.randint(3, 5)))
+        first = first_refusal_by_correspondence(cube)
+        if first is None or not first.startswith("square at "):
+            continue
+        at = int(first.split()[2], 2)
+        later = [(b, k) for b, k in sorted(cube.edges) if int(b, 2) > at]
+        if not later:
+            continue
+        b, k = rng.choice(later)
+        cube = StateCube(cube.n, cube.vertices, {**cube.edges, (b, k): broken(cube.edges[b, k])})
+        assert first_refusal_by_correspondence(cube) == f"edge {b}/{k}"
+        with pytest.raises(CubeError, match=rf"^edge {b}/{k}: "):
+            validate_cube(cube)
+        found += 1
+    assert found > 20
+
+
+def test_validate_refuses_the_first_of_two_bad_edges_in_scan_order():
+    # two illegal edges, at one vertex or two: the refusal names the first one
+    # the scan meets (vertices in numeric order, bits ascending)
+    rng = random.Random(43)
+    for _ in range(60):
+        cube = random_cube(rng, n=rng.randint(2, 5))
+        two = rng.sample(sorted(cube.edges), 2)
+        edges = {**cube.edges, **{key: broken(cube.edges[key]) for key in two}}
+        b, k = min(two, key=lambda key: (int(key[0], 2), key[1]))
+        with pytest.raises(CubeError, match=rf"^edge {b}/{k}: "):
+            validate_cube(StateCube(cube.n, cube.vertices, edges))
+
+
+def test_validate_builds_one_bitmask_per_distinct_path(monkeypatch):
+    # a path is its two edges' (source word, move) pairs; validation builds its
+    # `_reach` bitmasks once, however many squares share it
+    import frobpair.cube as cube_mod
+
+    calls = []
+    real = cube_mod._reach
+    monkeypatch.setattr(cube_mod, "_reach",
+                        lambda one, two: calls.append((id(one), id(two))) or real(one, two))
+    for n in (4, 5, 6):
+        made = random_cube(random.Random(n), n=n, max_circles=8)
+        paths, squares = set(), 0
+        for b in made.vertices:
+            zeros = [k for k in range(n) if b[k] == "0"]
+            for k, l in combinations(zeros, 2):
+                squares += 1
+                for first, second in ((k, l), (l, k)):
+                    mid = b[:first] + "1" + b[first + 1:]
+                    paths.add(((made.vertices[b], made.edges[b, first]),
+                               (made.vertices[mid], made.edges[mid, second])))
+        calls.clear()
+        cube = cube_from_json(cube_to_json(made))
+        assert len(calls) == len(set(calls)) == len(paths) < 2 * squares
 
 
 def test_load_interprets_each_edge_once(monkeypatch):
@@ -223,6 +288,9 @@ def test_load_enumerates_the_squares_once(monkeypatch):
     cube = cube_from_json(cube_to_json(made))
     squares = vars(cube)["squares"]
     assert direct.squares == squares and len(squares) > 40
+    # flat int keys, each with its first (vertex index, k, l)
+    assert {type(q) for q in squares} == {int}
+    assert all(type(v) is int and v < 2 ** cube.n for v, _k, _l in squares.values())
     monkeypatch.setattr(cube_mod, "_bits", lambda n: pytest.fail("squares enumerated again"))
     assert check_d_squared(cube, build_aps()) == (True, None)
     assert cube.squares is squares
@@ -749,8 +817,8 @@ def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, 
     monkeypatch.setattr(BlockMatrix, "add", lambda *a: pytest.fail(f"add over {coeff}"))
     monkeypatch.setattr(cube_mod, "edge_map", lambda *a: pytest.fail(f"edge_map over {coeff}"))
     real_block, real_constant = cube_mod._block, RingElem.constant_value
-    monkeypatch.setattr(cube_mod, "_block", lambda spec, move, entries: built.append(
-        move[:4]) or real_block(spec, move, entries))
+    monkeypatch.setattr(cube_mod, "_block", lambda radix, move, entries: built.append(
+        move[:4]) or real_block(radix, move, entries))
     monkeypatch.setattr(RingElem, "constant_value",
                         lambda v: constants.append(1) or real_constant(v))
 
@@ -782,6 +850,87 @@ def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, 
         assert reduced == ([reducer] + route if coeff == "q" else route) * cube.n
         dims = [len(vertex_keys(cube, aps, i)) for i in range(cube.n + 1)]
         assert sum(cells) < sum(dims[i] * dims[i + 1] for i in range(cube.n))
+
+
+def test_homology_forms_no_bit_string_per_edge(monkeypatch):
+    # offsets and signs come from vertex indices: once the cube is loaded,
+    # homology flips, weighs and lists no bit string
+    import frobpair.cube as cube_mod
+
+    cube, aps = random_cube(random.Random(6), n=6, max_circles=8), build_aps()
+    assert len(cube.edges) == 6 * 2 ** 5
+    formed = []
+    for name in ("_bits", "_flip", "_weight"):
+        real = getattr(cube_mod, name)
+        monkeypatch.setattr(cube_mod, name,
+                            lambda *a, real=real, name=name: formed.append(name) or real(*a))
+    for coeff in ("q", "z", "z2"):
+        homology(cube, aps, coeff)
+    assert formed == []
+
+
+def test_block_reads_the_sort_radices_once_per_homology_call(monkeypatch):
+    # every _block call of one homology call reads one radix table, built once
+    # by that call, and asks the basis spec nothing
+    import frobpair.cube as cube_mod
+    from frobpair.tensor import BasisSpec
+
+    tables, inside, asked = [], [], []
+    real_block = cube_mod._block
+
+    def block(radix, move, entries):
+        tables.append(radix)
+        inside.append(True)
+        try:
+            return real_block(radix, move, entries)
+        finally:
+            inside.pop()
+
+    for name in ("labels", "dim", "tuples"):
+        real = getattr(BasisSpec, name)
+        monkeypatch.setattr(BasisSpec, name, lambda self, *a, real=real, name=name: (
+            asked.append(name) if inside else None) or real(self, *a))
+    monkeypatch.setattr(cube_mod, "_block", block)
+    cube, aps = random_cube(random.Random(5), n=5, max_circles=8), build_aps()
+    distinct = {(cube.vertices[b], move) for (b, _k), move in cube.edges.items()}
+    for coeff in ("q", "z"):
+        tables.clear()
+        homology(cube, aps, coeff)
+        assert asked == []
+        assert len(tables) == len(distinct) and len({id(t) for t in tables}) == 1
+        assert tables[0] == {"A": 2, "E": 2}
+
+
+class RecordingRow(dict):
+    """A sparse row that logs each length read and each write, by row."""
+
+    log = []
+
+    def __len__(self):
+        RecordingRow.log.append(("len", id(self)))
+        return super().__len__()
+
+    def __setitem__(self, key, value):
+        RecordingRow.log.append(("write", id(self)))
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        RecordingRow.log.append(("write", id(self)))
+        super().__delitem__(key)
+
+    def pop(self, *args):
+        RecordingRow.log.append(("write", id(self)))
+        return super().pop(*args)
+
+
+def test_unit_pivots_take_a_lone_column_without_other_rows():
+    # columns 0 and 2 hold one row each, a +-1: each is that row's pivot, found
+    # with no row length compared, and only the pivot row is written (its
+    # pivot entry taken out); column 1 is then empty and column 3's 2 stays
+    rows = [RecordingRow({0: 1, 1: 2}), RecordingRow({1: 3, 2: -1}), RecordingRow({3: 2})]
+    RecordingRow.log.clear()
+    assert _unit_pivots(rows) == (2, [[2]])
+    assert RecordingRow.log == [("write", id(rows[0])), ("write", id(rows[1]))]
 
 
 def differential_rows(cube, pair, i, coeff):
