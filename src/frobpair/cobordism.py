@@ -13,7 +13,7 @@ import importlib.resources
 import json
 from dataclasses import dataclass, field
 
-from .tensor import MAX_CIRCLES, LinMap, _move_plan, equal, word
+from .tensor import MAX_CIRCLES, LinMap, equal, move_plan, word
 from .pair import VerifyRecord, VerifyReport
 from .theory import evaluate_side, prefix_chain
 
@@ -47,10 +47,10 @@ def interpret(w, kind, src, dst, sorts):
     """Read one move on the word w: (generator, output word, provenance).
 
     The generator reads the circles at the 0-based slots src in that order and
-    writes the output sorts to the slots dst of the new word; every other
-    circle keeps its relative order.  An output slot's provenance is the tuple
-    of source slots it may hold: its own for an untouched circle, all of src
-    for an output of the move.  Raises CobordismError on an illegal move.
+    writes the output sorts to the slots dst of the new word; tensor.move_plan
+    places them, every other circle in its relative order, and each slot's
+    provenance: the source slots it may hold, its own for an untouched circle
+    and all of src for an output.  Raises CobordismError on an illegal move.
     """
     if kind not in MOVES:
         raise CobordismError(f"unknown move kind {kind!r}")
@@ -67,13 +67,8 @@ def interpret(w, kind, src, dst, sorts):
         raise CobordismError(f"{kind} outputs {','.join(str(p + 1) for p in dst)} out of range")
     if len(dst) == 2 and dst[0] == dst[1]:  # and a generator writes at most two
         raise CobordismError(f"{kind} names output {dst[0] + 1} twice")
-    w_out, provenance = [None] * n_out, [tuple(src)] * n_out
-    for p, sort in zip(dst, sorts):
-        w_out[p] = sort
-    untouched = [p for p in range(n_in) if p not in src]
-    for p, q in zip(untouched, [q for q in range(n_out) if q not in dst]):
-        w_out[q], provenance[q] = w[p], (p,)
-    return table[key], tuple(w_out), provenance
+    place, _pick, w_out = move_plan(w, src, dst, (key[:arity], key[arity:], True))
+    return table[key], w_out, place((src,) * len(dst) + tuple(zip(range(n_in))))
 
 
 @dataclass(frozen=True)
@@ -114,8 +109,7 @@ def _read(current, event):
     if event.kind == "swap":
         if not 0 <= p < len(current) - 1:
             raise CobordismError(f"swap positions {p + 1},{p + 2} out of range")
-        return None, (p, p + 1), (p + 1, p), \
-            current[:p] + (current[p + 1], current[p]) + current[p + 2:]
+        return None, (p, p + 1), (p + 1, p), move_plan(current, (p, p + 1), (p + 1, p), None)[2]
     src = tuple(range(p, p + MOVES[event.kind][0])) if event.kind in MOVES else ()
     dst = tuple(range(p, p + len(event.sorts)))
     gen, w, _provenance = interpret(current, event.kind, src, dst, event.sorts)
@@ -305,7 +299,7 @@ def compare_squares(squares, table, spec) -> list:
     A square is (True, None) unevaluated when, on one bottom word, each path's
     second move reads only circles its first left untouched, and both paths
     apply the same generators to the same circles and put every output and
-    untouched circle in the same slot, traced by act's own tensor._move_plan
+    untouched circle in the same slot, traced by act's own tensor.move_plan
     pickers.  By the interchange law, (f x 1)(1 x g) = f x g = (1 x g)(f x 1),
     each entry of either composite is then one product of an f entry and a g
     entry, at a key no other product meets, in a commutative ring.
@@ -332,7 +326,7 @@ def _interchanged(square, table, spec) -> bool:
         w, names, made, applied = path[0][0], tuple(range(len(path[0][0]))), (), set()
         for _word, gen, src, dst in path:
             m = gen and table[gen]
-            place, pick, w = _move_plan(w, src, dst, m and (m.dom, m.cod, m.spec == spec))
+            place, pick, w = move_plan(w, src, dst, m and (m.dom, m.cod, m.spec == spec))
             read = pick(names)
             if not set(made).isdisjoint(read):
                 return False

@@ -4,8 +4,8 @@ A cube assigns a sort word to every vertex of {0,1}^n and a merge/split move
 to every bit-flip edge.  The differential in homological degree i is the
 signed sum of edge maps out of weight-i vertices, with the standard sign
 (-1)^(number of 1-bits before the flipped index).  Circle tracking across an
-edge is positional: untouched circles keep their relative order and the move
-names the output positions explicitly.
+edge is positional, by tensor.move_plan: untouched circles keep their relative
+order and the move names the output positions explicitly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .cobordism import (MOVES, CobordismError, compare_squares, interpret, squar
                         table_with)
 from .pair import FrobeniusPair
 from .ring import MOD2, substitution
-from .tensor import MAX_CIRCLES, SORTS, LinMap, act, word
+from .tensor import MAX_CIRCLES, SORTS, LinMap, TensorError, act, word
 
 
 class CubeError(ValueError):
@@ -51,13 +51,6 @@ class StateCube:
         each number's descriptor: its source word and `_interpret` output."""
         validate_cube(self)
         return vars(self)["scan"]
-
-    @cached_property
-    def numbered_edges(self):
-        """({edge (b, k): number} in scan order, [descriptor by number])."""
-        bits, (_words, numbers, moves) = _bits(self.n), self.scan
-        return {(bits[v], k): e for v, row in enumerate(numbers)
-                for k, e in enumerate(row) if e is not None}, moves
 
     @cached_property
     def squares(self):
@@ -132,7 +125,7 @@ def validate_cube(cube: StateCube):
                 raise CubeError(f"missing edge {b}->{bits[v ^ m]}")
             try:
                 moves[e] = moves[e] or (w,) + _interpret(w, edges[b, k])
-            except CobordismError as exc:
+            except (CobordismError, TensorError) as exc:  # TensorError: len(outs) != len(sorts)
                 raise CubeError(f"edge {b}/{k}: {exc}") from None
             if moves[e][4] != words[v ^ m]:
                 raise CubeError(f"edge {b}/{k}: move produces word {''.join(moves[e][4])}, "
@@ -155,11 +148,11 @@ def validate_cube(cube: StateCube):
 
 
 def edge_map(cube: StateCube, pair: FrobeniusPair, b, k) -> LinMap:
-    """The move on edge (b, k): its generator acts on the source circles and
-    writes to the move's output positions; untouched circles keep their
-    relative order, as in the positional tracking convention."""
-    key, moves = cube.numbered_edges
-    w_in, gen, src, dst, *_ = moves[key[b, k]]
+    """The move on edge (b, k), read off the cube's scan: its generator acts on
+    the source circles and writes to the move's output positions; untouched
+    circles keep their relative order, as in the positional tracking convention."""
+    _words, numbers, moves = cube.scan
+    w_in, gen, src, dst, *_ = moves[numbers[int(b, 2)][k]]
     table = table_with(pair, [gen], CubeError)
     return act(LinMap.identity(pair.spec, word(w_in)), table[gen], src, dst)
 
@@ -201,7 +194,9 @@ def vertex_keys(cube: StateCube, pair: FrobeniusPair, degree):
 def differential(cube: StateCube, pair: FrobeniusPair, i) -> BlockMatrix:
     """d_i: degree-i chain space -> degree-(i+1) chain space as a block matrix."""
     d = BlockMatrix(vertex_keys(cube, pair, i + 1), vertex_keys(cube, pair, i), pair.ring)
-    for b, k in [(b, k) for b, k in cube.numbered_edges[0] if _weight(b) == i]:  # scan order
+    bits, numbers = _bits(cube.n), cube.scan[1]
+    for b, k in [(bits[v], k) for v, row in enumerate(numbers) if v.bit_count() == i
+                 for k, e in enumerate(row) if e is not None]:  # the scan's edges, in scan order
         for (o, t), v in edge_map(cube, pair, b, k).entries.items():
             d.add((_flip(b, k), o), (b, t), -v if _weight(b[:k]) % 2 else v)
     return d

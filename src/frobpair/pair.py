@@ -1,9 +1,10 @@
 """Commutative Frobenius pairs: data structure, verifier, and constructions.
 
 A FrobeniusPair carries one exact LinMap per signature generator (possibly a
-partial subset).  The pairing beta and copairing gamma are not stored with the
-maps: they are derived once per pair as eps*mu_A and Delta_A*eta, so the
-cancelation equations remain genuine checks on an independently supplied Delta_A.
+partial subset).  The pairing beta and copairing gamma are derived once per
+pair as eps*mu_A and Delta_A*eta, so the cancelation equations remain genuine
+checks on an independently supplied Delta_A; a pair file that gives either
+map is refused unless it equals the derived one.
 """
 
 from __future__ import annotations
@@ -671,8 +672,15 @@ def pair_from_json(text) -> FrobeniusPair:
         maps[gname] = LinMap(spec, dom, cod, entries)
 
     meta = need(obj, "meta", "$", dict, default={})
-    return FrobeniusPair(decl, spec, maps,
+    pair = FrobeniusPair(decl, spec, maps,
                          name=need(meta, "name", "$.meta", str, default="pair"),
                          unit_label=need(meta, "unit", "$.meta", str, default=spec.basis_a[0]),
                          notes=dict(need(meta, "notes", "$.meta", dict, default={})))
+    for gname, derived in (("beta", "eps . mu_A"), ("gamma", "Delta_A . eta")):
+        if gname in maps:
+            ok, witness = equal(maps[gname], pair.generator_table()[gname])
+            if not ok:
+                raise PairError(f"$.maps.{gname} differs from {derived} at input tuple "
+                                f"{witness[0]}")
+    return pair
 

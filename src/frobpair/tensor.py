@@ -151,7 +151,7 @@ def act(f: LinMap, gen, src, dst) -> LinMap:
     at src move to the slots dst unchanged, with no ring multiplication.
     """
     sig = None if gen is None else (gen.dom, gen.cod, gen.spec is f.spec or gen.spec == f.spec)
-    place, pick, new_cod = _move_plan(f.cod, tuple(src), tuple(dst), sig)
+    place, pick, new_cod = move_plan(f.cod, tuple(src), tuple(dst), sig)
     if type(f) is _Identity:  # each input tuple t moves, or takes gen's column at pick(t)
         moved = gen is None and (((), f.spec.ring.one(), True),)  # a reordering: t itself
         columns = {} if moved else gen.columns()
@@ -173,10 +173,11 @@ def act(f: LinMap, gen, src, dst) -> LinMap:
     return LinMap(f.spec, f.dom, new_cod, entries)
 
 
-# 512: a bench pass plans 191 moves on algebra jobs, 140-232 on cubes; refusals aren't kept
+# 512: a bench pass plans 176-191 moves on algebra jobs, 105-234 on cubes; refusals aren't kept
 @functools.lru_cache(maxsize=512)
-def _move_plan(cod, src, dst, sig):
-    """act's checks, then the move's pickers place and pick and its new codomain."""
+def move_plan(cod, src, dst, sig):
+    """The one placement rule: act's checks, then the pickers place (outputs +
+    old items -> the new word's order) and pick (the items at src), and the new word."""
     if len(set(src) & set(range(len(cod)))) != len(src):
         raise TensorError(f"source slots {src} out of range for word {cod}")
     if sig is not None and not sig[2]:

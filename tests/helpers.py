@@ -41,6 +41,9 @@ matrices that the unit-pivot elimination and `snf` are checked on.
 whose two saddles touch disjoint circles, on which the interchange rule of
 `compare_squares` is checked; `random_integer_pair` gives the seeded
 random tables, not Frobenius pairs, that it is checked under.
+`hand_placement`, a move's output word and provenance filled in slot by
+slot with nothing of `frobpair.tensor`, is what `cobordism.interpret`'s
+placement by `tensor.move_plan` is checked against.
 """
 
 import importlib.resources
@@ -567,6 +570,24 @@ def random_cube(rng, n=None, max_circles=6, sort_tries=40):
         cube = StateCube(n, vertices, edges)
         validate_cube(cube)
         return cube
+
+
+def hand_placement(w, src, dst, sorts):
+    """(output word, provenance) of a move that reads the circles at the 0-based
+    slots src of the word w and writes sorts to the slots dst: slot by slot,
+    an output slot takes its sort and all of src, and every other slot the next
+    untouched circle and its own slot."""
+    untouched = iter([p for p in range(len(w)) if p not in src])
+    out, provenance = [], []
+    for q in range(len(w) - len(src) + len(dst)):
+        if q in dst:
+            out.append(sorts[dst.index(q)])
+            provenance.append(tuple(src))
+        else:
+            p = next(untouched)
+            out.append(w[p])
+            provenance.append((p,))
+    return tuple(out), tuple(provenance)
 
 
 def _untouched_map(kind, i, j, outs, n_in):

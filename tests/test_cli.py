@@ -12,6 +12,7 @@ import pytest
 from frobpair import cli
 from frobpair.cli import BUILTINS, InputError, _parser, build_builtin, main
 from frobpair.pair import FrobeniusPair, pair_to_json
+from frobpair.tensor import LinMap
 from frobpair.theory import SIGNATURE
 from helpers import cube_to_json, item_one_cubes, random_cube, unit_pivot_inputs
 
@@ -713,6 +714,37 @@ def test_cube_over_tuple_limit_exit_two(tmp_path, capsys):
     assert "spans 262144 basis tuples, over the limit of 65536" in err
     code, out, _ = run(capsys, "cube", "--builtin", "aps", str(path))
     assert code == 0 and out.startswith("betti: 512\n")
+
+
+def aps_file_with(tmp_path, maps) -> str:
+    """The path of a pair file of the aps builtin, with maps given besides its own."""
+    aps = build_builtin("aps", {})
+    path = tmp_path / "aps-with.json"
+    path.write_text(pair_to_json(FrobeniusPair(aps.ring, aps.spec, {**aps.maps, **maps},
+                                               name="aps")))
+    return str(path)
+
+
+@pytest.mark.parametrize("gname,derived,key", [
+    ("beta", "eps . mu_A", ((), ("X", "X"))),
+    ("gamma", "Delta_A . eta", (("X", "X"), ())),
+], ids=["beta", "gamma"])
+def test_a_pair_file_whose_beta_or_gamma_differs_from_the_derived_map_is_refused(
+        tmp_path, capsys, gname, derived, key):
+    # the derived map with one more entry: the refusal names the entry's input tuple
+    m = build_builtin("aps", {}).generator_table()[gname]
+    wrong = LinMap(m.spec, m.dom, m.cod, {**m.entries, key: m.spec.ring.one()})
+    code, out, err = run(capsys, "verify", "--pair", aps_file_with(tmp_path, {gname: wrong}))
+    assert_one_line_error(code, out, err)
+    assert err == f"error: $.maps.{gname} differs from {derived} at input tuple {key[1]}\n"
+
+
+def test_a_pair_file_whose_beta_and_gamma_equal_the_derived_maps_is_accepted(tmp_path, capsys):
+    table = build_builtin("aps", {}).generator_table()
+    plain = run(capsys, "verify", "--pair", aps_file_with(tmp_path, {}))
+    given = run(capsys, "verify", "--pair", aps_file_with(
+        tmp_path, {gname: table[gname] for gname in ("beta", "gamma")}))
+    assert given == plain and plain[0] == 0
 
 
 def test_verify_over_tuple_limit_exit_two(tmp_path, capsys):

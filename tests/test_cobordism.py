@@ -9,6 +9,7 @@ import pytest
 from frobpair.cobordism import (
     DIAMOND_CASES,
     MERGE_GEN,
+    MOVES,
     CobordismError,
     CobordismWord,
     birth,
@@ -16,6 +17,7 @@ from frobpair.cobordism import (
     death,
     diamond_exchange_suite,
     evaluate,
+    interpret,
     merge,
     mobius,
     parse_cobordism,
@@ -218,8 +220,28 @@ def test_pole_degree_odd_rejected():
 
 
 from helpers import brute_force_pole_degrees as brute_force_degrees, cancel_pole_pairs, \
-    diamond_by_paths, disjoint_saddles, double_z2, rank2_at_a1, random_cube, \
+    diamond_by_paths, disjoint_saddles, double_z2, hand_placement, rank2_at_a1, random_cube, \
     random_integer_pair, record_act_chains
+
+
+def test_interpret_places_every_move_as_by_hand():
+    # every kind of MOVES, every source and output slot order, on every word of
+    # up to four circles: the generator is the table's, and the output word and
+    # provenance are the hand placement's
+    seen = Counter()
+    for n in range(5):
+        for w in itertools.product("AE", repeat=n):
+            for kind, (arity, table) in MOVES.items():
+                for src in itertools.permutations(range(n), arity):
+                    for key in [k for k in table if k[:arity] == tuple(w[p] for p in src)]:
+                        sorts = key[arity:]
+                        for dst in itertools.permutations(range(n - arity + len(sorts)),
+                                                          len(sorts)):
+                            gen, w_out, provenance = interpret(w, kind, src, dst, sorts)
+                            assert gen == table[key]
+                            assert (w_out, provenance) == hand_placement(w, src, dst, sorts)
+                            seen[kind] += 1
+    assert seen == {"merge": 850, "split": 4050, "mobius": 519, "birth": 129, "death": 49}
 
 
 def test_pole_degree_confluence_up_to_8():

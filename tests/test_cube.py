@@ -111,6 +111,17 @@ def test_validate_rejects_illegal_sorts():
         validate_cube(cube)
 
 
+def test_validate_rejects_a_split_with_one_output_slot_for_two_sorts():
+    # a cube built in Python, not read from a file: tensor.move_plan, which places
+    # the move's outputs, refuses one slot for two output sorts, so no circle is lost
+    cube = StateCube(1, {"0": ("A",), "1": ("A",)},
+                     {("0", 0): EdgeMove("split", 1, 0, (1,), ("A", "A"))})
+    with pytest.raises(CubeError) as refusal:
+        validate_cube(cube)
+    assert str(refusal.value) == \
+        "edge 0/0: target slots (0,) do not fit the image of slots (0,) of ('A',)"
+
+
 def test_validate_rejects_incompatible_square():
     # two far-apart splits, but one path misroutes the untouched circle
     cube = StateCube(2, {
@@ -1015,9 +1026,10 @@ def test_homology_refuses_a_fraction_met_in_two_degrees_by_its_first_edge():
     # d_2 with sign +1: the refusal names d_1 and the sign of mu_EEA's first edge
     double = build_builtin("double", {})
     cube = random_cube(random.Random(44), n=3)
-    key, moves = cube.numbered_edges
-    signs = {(b.count("1"), b[:k].count("1") % 2) for (b, k), e in key.items()
-             if moves[e][1] == "mu_EEA"}
+    _words, numbers, moves = cube.scan
+    signs = {(b.count("1"), b[:k].count("1") % 2) for v, row in enumerate(numbers)
+             for b in [format(v, "03b")] for k, e in enumerate(row)
+             if e is not None and moves[e][1] == "mu_EEA"}
     assert signs == {(1, 1), (2, 0)}
     for coeff in ("z", "z2"):
         with pytest.raises(CubeError) as refusal:

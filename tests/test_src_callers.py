@@ -13,6 +13,10 @@ The second check resolves every frobpair attribute that perfbench/*.py
 references, and every function name its tracer wraps, against the loaded
 package, so that a deletion the benchmark depends on fails here first.
 perfbench/ is only read.
+
+The third check fails on any module of src/frobpair that imports an
+underscore name from another frobpair module, or reads one off a frobpair
+module it imports: what two modules share is public.
 """
 
 import ast
@@ -225,3 +229,41 @@ def test_every_frobpair_name_perfbench_uses_exists():
                 if obj is not None and not hasattr(obj, attr) and name not in STALE_TRACER_NAMES:
                     missing.append(f"tracer.py LAYERS {name}")
     assert not missing, "perfbench/ names what frobpair lacks: " + ", ".join(sorted(set(missing)))
+
+
+def _private_imports(tree, where):
+    """'file:line name' for each underscore name (not a dunder) that tree imports
+    from a frobpair module, or reads as an attribute of a frobpair module it
+    imports as a whole."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "frobpair"
+                                                 or node.module.startswith("frobpair.")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{where}:{node.lineno} {alias.name}")
+                elif not node.module or node.module == "frobpair":  # `from . import cube`
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and node.attr.startswith("_") \
+                and not node.attr.endswith("__"):
+            found.append(f"{where}:{node.lineno} {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_src_module_imports_a_private_name_of_another():
+    found = [line for path in sorted(SRC.glob("*.py"))
+             for line in _private_imports(_parse(path), path.name)]
+    assert not found, "private names imported across modules: " + ", ".join(found)
+
+
+def test_the_private_import_check_sees_both_forms():
+    source = """
+from __future__ import annotations
+from . import cube as cube_mod
+from .tensor import _move_plan, act
+x = cube_mod._bits(3), cube_mod.edge_map, cube_mod.__name__
+"""
+    assert _private_imports(ast.parse(source), "mutant.py") == \
+        ["mutant.py:4 _move_plan", "mutant.py:5 cube_mod._bits"]

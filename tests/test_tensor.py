@@ -349,7 +349,7 @@ def test_act_refusals_read_the_same_on_a_cold_and_a_warm_plan_cache():
     ]
     valid = {word("AE"): (None, (0, 1), (1, 0)), word("AA"): (mu, (0, 1), (0,))}
     for f, gen, src, dst, text in refusals:
-        tensor_mod._move_plan.cache_clear()
+        tensor_mod.move_plan.cache_clear()
         with pytest.raises(TensorError) as cold:
             act(f, gen, src, dst)
         good = valid[f.cod]
@@ -359,15 +359,15 @@ def test_act_refusals_read_the_same_on_a_cold_and_a_warm_plan_cache():
             with pytest.raises(TensorError) as warm:
                 act(f, gen, src, dst)
             assert str(warm.value) == str(cold.value) == text
-        assert tensor_mod._move_plan.cache_info().currsize == 1
+        assert tensor_mod.move_plan.cache_info().currsize == 1
 
 
 def test_a_second_verify_of_the_same_pair_plans_no_new_move():
     pair, axioms = build_builtin("rank2", {}), load_axioms()
     first = verify(pair, axioms)
-    before = tensor_mod._move_plan.cache_info()
+    before = tensor_mod.move_plan.cache_info()
     second = verify(pair, axioms)
-    after = tensor_mod._move_plan.cache_info()
+    after = tensor_mod.move_plan.cache_info()
     assert after.misses == before.misses and after.hits > before.hits
     assert [(r.name, r.status) for r in first.records] == \
         [(r.name, r.status) for r in second.records]
