@@ -9,13 +9,14 @@ Frobenius pair to the circles it touches; the other circles pass through.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 from dataclasses import dataclass, field
 
 from .tensor import MAX_CIRCLES, LinMap, equal, move_plan, word
 from .pair import VerifyRecord, VerifyReport
-from .theory import evaluate_side, prefix_chain
+from .theory import SIGNATURE, evaluate_side, prefix_chain
 
 class CobordismError(ValueError):
     """Illegal events, positions, or sort transitions."""
@@ -290,47 +291,51 @@ DIAMOND_CASES = [
 ]
 
 
-def compare_squares(squares, table, spec) -> list:
-    """tensor.equal's (ok, witness) for each square, in list order.  A square
-    is two paths, a path is two moves in the order they apply, and a move is
-    (word, generator, source slots, output slots): the generator, from table,
-    acts at those slots of the word.
+def square_plan(squares) -> tuple:
+    """compare_squares' plan of squares, which no table changes: their number,
+    then (index, its paths' Prefix chains) of each square the interchange rule
+    leaves, in square_order.  A square is two paths, a path two moves in the
+    order they apply, a move (word, generator, source slots, output slots).
 
-    A square is (True, None) unevaluated when, on one bottom word, each path's
-    second move reads only circles its first left untouched, and both paths
-    apply the same generators to the same circles and put every output and
-    untouched circle in the same slot, traced by act's own tensor.move_plan
-    pickers.  By the interchange law, (f x 1)(1 x g) = f x g = (1 x g)(f x 1),
-    each entry of either composite is then one product of an f entry and a g
-    entry, at a key no other product meets, in a commutative ring.
-
-    Each other path is a chain of two pieces on its bottom word, one per move,
-    interned in one dict, so theory.evaluate_side acts each distinct first
-    move once on the identity and each distinct path's second move once on
-    that map, each made map held until its last use.  Those squares are
-    compared in square_order.
+    The rule leaves out, as (True, None), a square whose paths, on one bottom
+    word, apply the same generators to the same circles, each second move
+    reading only circles its first left untouched, and put every circle in
+    the same slot: by the interchange law (f x 1)(1 x g) = f x g = (1 x g)(f x 1),
+    each composite entry is then one product, at a key no other product meets.
+    Each other path is a two-piece chain on its bottom word, interned in one
+    dict, so theory.evaluate_side acts each distinct first move and each
+    distinct path once.  No Prefix changes once planned: a plan serves any table.
     """
-    left = [k for k, square in enumerate(squares) if not _interchanged(square, table, spec)]
-    verdicts, interned, memo = [(True, None)] * len(squares), {}, {}
-    chains = [[prefix_chain(path[0][0], tuple((move[1:],) for move in path), interned)
-               for path in squares[k]] for k in left]
-    for i in square_order([squares[k] for k in left]):
-        verdicts[left[i]] = equal(*(evaluate_side(chain, table, spec, memo) for chain in chains[i]))
+    left, interned = [k for k, square in enumerate(squares) if not _interchanged(square)], {}
+    chains = [tuple(prefix_chain(path[0][0], tuple((move[1:],) for move in path), interned)
+                    for path in squares[k]) for k in left]
+    return len(squares), tuple((left[i], chains[i])
+                               for i in square_order([squares[k] for k in left]))
+
+
+def compare_squares(plan, table, spec) -> list:
+    """tensor.equal's (ok, witness) for each square of a square_plan, in list
+    order: each planned square's two chains, under table and one memo."""
+    size, planned = plan
+    verdicts, memo = [(True, None)] * size, {}
+    for k, chains in planned:
+        verdicts[k] = equal(*(evaluate_side(chain, table, spec, memo) for chain in chains))
     return verdicts
 
 
-def _interchanged(square, table, spec) -> bool:
-    """compare_squares' interchange rule; an output is named (generator, sources, index)."""
+def _interchanged(square) -> bool:
+    """square_plan's interchange rule, traced by act's own tensor.move_plan pickers on
+    the SIGNATURE words every pair's maps have; an output is (generator, sources, index)."""
     ends = []
     for path in square:
         w, names, made, applied = path[0][0], tuple(range(len(path[0][0]))), (), set()
         for _word, gen, src, dst in path:
-            m = gen and table[gen]
-            place, pick, w = move_plan(w, src, dst, m and (m.dom, m.cod, m.spec == spec))
+            sig = gen and (*SIGNATURE[gen], True)
+            place, pick, w = move_plan(w, src, dst, sig)
             read = pick(names)
             if not set(made).isdisjoint(read):
                 return False
-            made = tuple((gen, read, j) for j in range(len(m.cod))) if m else ()
+            made = tuple((gen, read, j) for j in range(len(sig[1]))) if sig else ()
             applied.add((gen, read))
             names = place(made + names)
         ends.append((path[0][0], names, applied))
@@ -355,39 +360,45 @@ def diamond_exchange_suite(pair, cases=None) -> VerifyReport:
     their two paths, so they share a verdict: compare_squares takes the first
     selected square of each class, then the other squares of a failing class,
     so that each keeps its own witness.  Each shipped edge is one move, its
-    swaps folded into its slots.  On the 215 representatives compare_squares
-    decides 55 unevaluated, calls equal 160 times and acts 53 + 150 moves.
-    Squares are reported in their own order.  Every shipped edge is checked
-    against the pair first, in the order the squares meet them, so a missing
-    generator or an over-wide running word is reported as the first one met.
+    swaps folded into its slots.  On the 215 representatives square_plan
+    decides 55 unevaluated, and compare_squares calls equal 160 times and
+    acts 53 + 150 moves.  Squares are reported in their own order.  Every
+    shipped edge is checked against the pair first, in the order the squares
+    meet them, so a missing generator or an over-wide running word is
+    reported as the first one met.  All but the failing classes is planned
+    once per selection of cases (_suite_plan), so a later call reads no file.
     """
     if cases is None:
         cases = DIAMOND_CASES
-    names = {case[0] for case in cases}
+    names, moved, rep_of, rep_plan, checks = _suite_plan(frozenset(case[0] for case in cases))
+    for check in checks:  # a generator name, or a running word
+        table_with(pair, (check,)) if isinstance(check, str) else pair.spec.check_dim(check)
+    table = pair.generator_table()
+    verdicts = dict(zip(dict.fromkeys(rep_of), compare_squares(rep_plan, table, pair.spec)))
+    again = [k for k, rep in enumerate(rep_of) if k not in verdicts and not verdicts[rep][0]]
+    verdicts.update(zip(again, compare_squares(square_plan([moved[k] for k in again]), table,
+                                               pair.spec)))
+    records = [VerifyRecord(name, "diamond", "paper", "pass" if ok else "fail", witness=witness)
+               for k, name in enumerate(names) for ok, witness in [verdicts.get(k, (True, None))]]
+    return VerifyReport(pair.name, records, meta={"cases": len(cases)})
+
+
+@functools.lru_cache(maxsize=4)  # keyed on the selected case names
+def _suite_plan(names) -> tuple:
+    """diamond_exchange_suite's plan of the cases named, which no pair changes: the
+    selected squares' names, the squares as moves, each one's class representative
+    (its class's first selected square), the representatives' square_plan, and each
+    distinct running word and generator of the edges, in the order the squares meet them."""
     data = json.loads(importlib.resources.files("frobpair").joinpath("data/diamonds.json")
                       .read_text())
     squares = [(name, four, cls) for name, four, cls in data["squares"]
                if name[:name.index("[")] in names]
-    for e in dict.fromkeys(e for _name, four, _cls in squares for e in four):
-        edge = data["edges"][e]
-        for w in edge["words"]:
-            pair.spec.check_dim(w)
-        table_with(pair, (edge["gen"],))
+    edges = [data["edges"][e] for _n, four, _c in squares for e in four]
+    checks = dict.fromkeys(c for edge in edges for c in (*map(word, edge["words"]), edge["gen"]))
     moves = [(word(edge["words"][0]), edge["gen"], tuple(edge["src"]), tuple(edge["dst"]))
              for edge in data["edges"]]
-    moved = [((moves[a], moves[b]), (moves[c], moves[d])) for _name, (a, b, c, d), _cls in squares]
-
-    def compare(ks):  # {k: compare_squares' verdict} for the squares ks
-        return dict(zip(ks, compare_squares([moved[k] for k in ks], pair.generator_table(),
-                                            pair.spec)))
-
-    rep = {}  # class -> its first selected square
-    for k, (_name, _four, cls) in enumerate(squares):
-        rep.setdefault(cls, k)
-    verdicts = compare(list(rep.values()))
-    verdicts.update(compare([k for k, (_name, _four, cls) in enumerate(squares)
-                             if k not in verdicts and not verdicts[rep[cls]][0]]))
-    records = [VerifyRecord(name, "diamond", "paper", "pass" if ok else "fail", witness=witness)
-               for k, (name, _four, _cls) in enumerate(squares)
-               for ok, witness in [verdicts.get(k, (True, None))]]
-    return VerifyReport(pair.name, records, meta={"cases": len(cases)})
+    moved = tuple(((moves[a], moves[b]), (moves[c], moves[d])) for _n, (a, b, c, d), _c in squares)
+    first = {}  # class -> its first selected square
+    rep_of = tuple(first.setdefault(cls, k) for k, (_name, _four, cls) in enumerate(squares))
+    return (tuple(name for name, _four, _cls in squares), moved, rep_of,
+            square_plan([moved[k] for k in first.values()]), tuple(checks))

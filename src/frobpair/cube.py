@@ -20,7 +20,7 @@ from operator import and_, mul
 from typing import NamedTuple
 
 from .cobordism import (MOVES, CobordismError, compare_squares, interpret, square_order,
-                        table_with)
+                        square_plan, table_with)
 from .pair import FrobeniusPair
 from .ring import MOD2, substitution
 from .tensor import MAX_CIRCLES, SORTS, LinMap, TensorError, act, word
@@ -244,7 +244,7 @@ def check_d_squared(cube: StateCube, pair: FrobeniusPair):
                               for e in path), CubeError)
     local = [_local_square(moves, square) for square in full]
     new = list(dict.fromkeys(square for _slots, square in local if square not in verdicts))
-    verdicts.update(zip(new, compare_squares(new, table, pair.spec)))
+    verdicts.update(zip(new, compare_squares(square_plan(new), table, pair.spec)))
     for (slots, square), (v, k, l) in zip(local, cube.squares.values()):
         ok, witness = verdicts[square]
         if not ok:

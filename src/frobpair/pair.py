@@ -3,8 +3,8 @@
 A FrobeniusPair carries one exact LinMap per signature generator (possibly a
 partial subset).  The pairing beta and copairing gamma are derived once per
 pair as eps*mu_A and Delta_A*eta, so the cancelation equations remain genuine
-checks on an independently supplied Delta_A; a pair file that gives either
-map is refused unless it equals the derived one.
+checks on an independently supplied Delta_A; a pair that gives either map is
+refused unless it equals the derived one.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ class PairError(ValueError):
     """Structural violations in pair construction or serialization."""
 
 
+#: the maps a pair derives, each as the composite (g, f) of g after f
+DERIVED = {"beta": ("eps", "mu_A"), "gamma": ("Delta_A", "eta")}
+
+
 @dataclass
 class FrobeniusPair:
     """Generator table of a (possibly partial) commutative Frobenius pair."""
@@ -59,14 +63,18 @@ class FrobeniusPair:
             unit = eta.column(())
             if unit.get((self.unit_label,)) != self.ring.one():
                 raise PairError("eta(1) must have coefficient 1 on the unit label")
+        for gname, (g, f) in DERIVED.items():  # a given beta or gamma is the derived map
+            if gname in self.maps:
+                ok, witness = equal(self.maps[gname], self._table[gname])
+                if not ok:
+                    raise PairError(f"{gname} differs from {g} . {f} at input tuple {witness[0]}")
 
     @cached_property
     def _table(self) -> MappingProxyType:
         table = dict(self.maps)
-        if "eps" in table and "mu_A" in table:
-            table["beta"] = compose(table["eps"], table["mu_A"])
-        if "Delta_A" in table and "eta" in table:
-            table["gamma"] = compose(table["Delta_A"], table["eta"])
+        for gname, (g, f) in DERIVED.items():
+            if g in table and f in table:
+                table[gname] = compose(table[g], table[f])
         return MappingProxyType(table)
 
     def generator_table(self) -> MappingProxyType:
@@ -672,15 +680,11 @@ def pair_from_json(text) -> FrobeniusPair:
         maps[gname] = LinMap(spec, dom, cod, entries)
 
     meta = need(obj, "meta", "$", dict, default={})
-    pair = FrobeniusPair(decl, spec, maps,
-                         name=need(meta, "name", "$.meta", str, default="pair"),
-                         unit_label=need(meta, "unit", "$.meta", str, default=spec.basis_a[0]),
-                         notes=dict(need(meta, "notes", "$.meta", dict, default={})))
-    for gname, derived in (("beta", "eps . mu_A"), ("gamma", "Delta_A . eta")):
-        if gname in maps:
-            ok, witness = equal(maps[gname], pair.generator_table()[gname])
-            if not ok:
-                raise PairError(f"$.maps.{gname} differs from {derived} at input tuple "
-                                f"{witness[0]}")
-    return pair
+    try:
+        return FrobeniusPair(decl, spec, maps,
+                             name=need(meta, "name", "$.meta", str, default="pair"),
+                             unit_label=need(meta, "unit", "$.meta", str, default=spec.basis_a[0]),
+                             notes=dict(need(meta, "notes", "$.meta", dict, default={})))
+    except PairError as exc:  # a file names a given beta or gamma that differs by its field
+        raise PairError(f"$.maps.{exc}") if str(exc).split()[0] in DERIVED else exc from None
 

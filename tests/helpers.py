@@ -39,7 +39,7 @@ matrices that the unit-pivot elimination and `snf` are checked on.
 `disjoint_saddles`, circle tracking by hand around a square of moves, and
 `cube_square_moves`, a cube's square as such moves, classify the squares
 whose two saddles touch disjoint circles, on which the interchange rule of
-`compare_squares` is checked; `random_integer_pair` gives the seeded
+`square_plan` is checked; `random_integer_pair` gives the seeded
 random tables, not Frobenius pairs, that it is checked under.
 `hand_placement`, a move's output word and provenance filled in slot by
 slot with nothing of `frobpair.tensor`, is what `cobordism.interpret`'s
@@ -713,7 +713,10 @@ def random_integer_pair(rng, name="random"):
     """A pair over Z on the labels 1, X of both sorts with a random table for
     every generator of SIGNATURE: each entry is 1, -1, 2 or -2 with
     probability 1/2 and 0 otherwise, except that eta(1) has coefficient 1 on
-    the unit label, as FrobeniusPair requires.  The tables obey no axiom."""
+    the unit label, as FrobeniusPair requires.  The tables obey no axiom.
+    beta and gamma are drawn, so that the random stream is that of every
+    generator, and then left out: FrobeniusPair derives them, and refuses a
+    given one that differs."""
     decl = ring(INTEGERS)
     spec = BasisSpec(("1", "X"), ("1", "X"), decl)
     maps = {}
@@ -722,5 +725,6 @@ def random_integer_pair(rng, name="random"):
                    for t in spec.tuples(dom) for o in spec.tuples(cod) if rng.random() < 0.5}
         if gen == "eta":
             entries[(("1",), ())] = decl.one()
-        maps[gen] = LinMap(spec, dom, cod, entries)
+        if gen not in ("beta", "gamma"):
+            maps[gen] = LinMap(spec, dom, cod, entries)
     return FrobeniusPair(decl, spec, maps, name=name)

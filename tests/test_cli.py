@@ -717,11 +717,15 @@ def test_cube_over_tuple_limit_exit_two(tmp_path, capsys):
 
 
 def aps_file_with(tmp_path, maps) -> str:
-    """The path of a pair file of the aps builtin, with maps given besides its own."""
+    """The path of a pair file of the aps builtin, with maps given besides its
+    own.  The rows of maps are written from a pair that holds them alone,
+    which derives no beta or gamma to refuse them by."""
     aps = build_builtin("aps", {})
+    obj = json.loads(pair_to_json(aps))
+    given = json.loads(pair_to_json(FrobeniusPair(aps.ring, aps.spec, maps)))["maps"]
+    obj["maps"] = dict(sorted({**obj["maps"], **given}.items()))
     path = tmp_path / "aps-with.json"
-    path.write_text(pair_to_json(FrobeniusPair(aps.ring, aps.spec, {**aps.maps, **maps},
-                                               name="aps")))
+    path.write_text(json.dumps(obj, indent=2) + "\n")
     return str(path)
 
 

@@ -1,7 +1,9 @@
 """Golden digests of whole CLI runs: the same argv must give the same bytes.
 
 Each digest is the sha256 of the exit code, stdout and stderr of one
-in-process `frobpair` run.  A change that claims to keep every answer keeps
+in-process `frobpair` run; a `diamond` run is made twice in one process, and
+`diamond --builtin it` once more in a fresh interpreter, so that the kept and
+the newly made suite plan both give the pinned bytes.  A change that claims to keep every answer keeps
 every digest here; a change that means to alter an answer records the new
 digest and says why.  Print the current table with
 
@@ -13,7 +15,10 @@ import hashlib
 import importlib.resources
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -24,6 +29,7 @@ from frobpair.pair import pair_to_json
 from helpers import (cube_to_json, double_z2, item_one_cubes, random_cube, random_integer_pair,
                      rank2_at_a1, twice_bad_coefficient_pair)
 
+ROOT = Path(__file__).resolve().parent.parent
 DATA = importlib.resources.files("frobpair").joinpath("data")
 APS_FILE = str(DATA.joinpath("aps.json"))
 #: a ten-circle word of both sorts with merge, split, mobius and swap events
@@ -189,12 +195,9 @@ def bad_cubes() -> dict:
 
 def random_table_text() -> str:
     """The pair file of helpers.random_integer_pair drawn from random.Random(39),
-    less its random beta and gamma: a pair file may give them only as the
-    generator table derives them, and the table never read them."""
-    pair = random_integer_pair(random.Random(39))
-    for gen in ("beta", "gamma"):
-        del pair.maps[gen]
-    return pair_to_json(pair)
+    which leaves out the random beta and gamma it draws: a pair may give them
+    only as the generator table derives them."""
+    return pair_to_json(random_integer_pair(random.Random(39)))
 
 
 def write_inputs(directory) -> dict:
@@ -241,8 +244,20 @@ def inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("source,command", sorted(DIGESTS))
 def test_cli_run_digest(source, command, inputs, monkeypatch):
+    # a diamond run is made twice: the second on the suite plan the first kept
     monkeypatch.delenv("FROBPAIR_AXIOMS", raising=False)
-    assert digest(source, command, inputs) == DIGESTS[source, command]
+    for _ in range(2 if command == "diamond" else 1):
+        assert digest(source, command, inputs) == DIGESTS[source, command]
+
+
+def test_cli_diamond_digest_in_a_fresh_process():
+    # a new interpreter plans the suite on its first call
+    env = {k: v for k, v in os.environ.items() if k != "FROBPAIR_AXIOMS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "frobpair.cli", "diamond", "--builtin", "it"],
+                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    blob = json.dumps([proc.returncode, proc.stdout, proc.stderr])
+    assert hashlib.sha256(blob.encode()).hexdigest() == DIGESTS["it", "diamond"]
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from frobpair.cobordism import (
     parse_cobordism,
     pole_degree,
     split,
+    square_plan,
     swap,
     _interchanged,
 )
@@ -367,7 +368,8 @@ def test_diamond_class_members_share_a_verdict(build):
     # differ by slot permutations only, so they pass or fail together
     pair = build()
     squares = shipped_squares()
-    verdicts = compare_squares([sq for _n, sq, _c in squares], pair.generator_table(), pair.spec)
+    verdicts = compare_squares(square_plan([sq for _n, sq, _c in squares]), pair.generator_table(),
+                               pair.spec)
     by_class = {}
     for (_name, _sq, cls), (ok, _witness) in zip(squares, verdicts, strict=True):
         by_class.setdefault(cls, set()).add(ok)
@@ -474,6 +476,64 @@ def test_diamond_acts_each_first_move_and_path_once(monkeypatch):
         assert len(calls) == 53 + 150 and Counter(calls) == want
 
 
+def count_suite_planning(monkeypatch):
+    """Patch the data-file reads, the interchange rule, the chain interning
+    and tensor.equal that the suite reaches; returns their Counter."""
+    import frobpair.cobordism as cob_mod
+
+    counts = Counter()
+    for module, name, key in ((importlib.resources, "files", "reads"),
+                              (cob_mod, "_interchanged", "interchanged"),
+                              (cob_mod, "prefix_chain", "chains"), (cob_mod, "equal", "equal")):
+        def counted(*args, real=getattr(module, name), key=key):
+            counts[key] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_diamond_plans_once_per_process(monkeypatch):
+    # the first call of a selection reads the file, tests the interchange rule
+    # on the 215 class representatives and interns the 160 others' 320 chains;
+    # a later call only checks the pair, acts the planned chains and compares
+    import frobpair.cobordism as cob_mod
+
+    pair = build_aps()
+    classes = [cls for _n, _sq, cls in shipped_squares()]
+    cob_mod._suite_plan.cache_clear()
+    counts = count_suite_planning(monkeypatch)
+    assert diamond_exchange_suite(pair).ok()
+    assert counts == Counter(reads=1, interchanged=215, chains=320, equal=160)
+    plan = cob_mod._suite_plan(frozenset(case[0] for case in DIAMOND_CASES))
+    prefixes = {id(p): p for _k, chains in plan[3][1] for chain in chains for p in chain}
+    before = {k: (p.moves, p.dom, p.uses) for k, p in prefixes.items()}
+    for other in (build_it(), build_builtin("double", {})):
+        counts.clear()
+        failing = [cls for cls, r in zip(classes, diamond_exchange_suite(other).records)
+                   if r.status == "fail"]
+        # the failing classes' other squares are the only ones planned again
+        again = len(failing) - len(set(failing))
+        assert again and counts["reads"] == 0
+        assert (counts["interchanged"], counts["chains"]) == (again, 2 * again)
+    counts.clear()
+    calls = record_act_chains(monkeypatch, pair)
+    assert diamond_exchange_suite(pair).ok()
+    assert counts == Counter(equal=160) and len(calls) == 53 + 150
+    assert {k: (p.moves, p.dom, p.uses) for k, p in prefixes.items()} == before
+
+
+def test_diamond_plans_serve_interleaved_pairs_and_selections():
+    # the kept plans of two selections, used by turns for three pairs, give
+    # each call the records of evaluating every path whole
+    runs = [(pair, cases, [(r.name, r.status, r.witness) for r in diamond_by_paths(pair, cases)])
+            for pair in (build_aps(), build_it(), double_z2())
+            for cases in (DIAMOND_CASES, DIAMOND_CASES[6:])]
+    for _ in range(2):
+        for pair, cases, want in runs:
+            got = diamond_exchange_suite(pair, None if cases is DIAMOND_CASES else cases)
+            assert [(r.name, r.status, r.witness) for r in got.records] == want, pair.name
+
+
 def test_compare_squares_never_composes(monkeypatch):
     # a path's second move acts on its first move's map, so neither the diamond
     # suite nor d^2 composes two maps (the pair's beta and gamma are made first)
@@ -516,16 +576,15 @@ def path_map(path, table, spec):
 
 
 def test_interchange_rule_decides_the_disjoint_saddle_squares():
-    # exactly the squares of cases 10-13, whose saddles touch disjoint circles
-    pair = build_aps()
-    table = pair.generator_table()
+    # exactly the squares of cases 10-13, whose saddles touch disjoint circles;
+    # the rule reads generator signatures only, so it needs no pair
     squares = shipped_squares()
     far = interchange_candidates()
     assert len(far) == 200 and len({cls for _n, _sq, cls in far}) == 55
     assert {name.split("[")[0] for name, _sq, _c in far} == {c[0] for c in DIAMOND_CASES[9:]}
     assert sum(name.split("[")[0] in {c[0] for c in DIAMOND_CASES[9:]}
                for name, _sq, _c in squares) == 200
-    assert [sq for _n, sq, _c in squares if _interchanged(sq, table, pair.spec)] == \
+    assert [sq for _n, sq, _c in squares if _interchanged(sq)] == \
         [sq for _n, sq, _c in far]
 
 
@@ -533,18 +592,15 @@ def test_interchange_rule_decides_the_disjoint_saddle_squares():
 def test_interchange_rule_decides_no_failing_square(build):
     # the whole-path oracle fails 28 squares of it and 75 of double, none of them decided
     pair = build()
-    table = pair.generator_table()
     failing = {r.name for r in diamond_by_paths(pair) if r.status == "fail"}
-    decided = {name for name, sq, _c in shipped_squares() if _interchanged(sq, table, pair.spec)}
+    decided = {name for name, sq, _c in shipped_squares() if _interchanged(sq)}
     assert len(decided) == 200 and not decided & failing
 
 
 def test_interchange_rule_decides_no_perturbed_square():
-    pair = build_aps()
-    table = pair.generator_table()
     variants = [perturbed(sq) for _n, sq, _c in interchange_candidates()]
     assert len(variants) == 200 and not any(map(disjoint_saddles, variants))
-    assert not any(_interchanged(sq, table, pair.spec) for sq in variants)
+    assert not any(_interchanged(sq) for sq in variants)
 
 
 def test_interchange_rule_is_exact_under_random_tables():
@@ -560,7 +616,7 @@ def test_interchange_rule_is_exact_under_random_tables():
         table = pair.generator_table()
         for sq in shipped + variants:
             ok = equal(*(path_map(path, table, pair.spec) for path in sq))[0]
-            if _interchanged(sq, table, pair.spec):
+            if _interchanged(sq):
                 assert ok, sq
             elif not ok and sq in perturbations:
                 unequal.add(sq)

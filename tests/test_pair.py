@@ -1,6 +1,7 @@
 import importlib.resources
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from frobpair.pair import (
     _EXPONENT_OF_GEN,
 )
 from frobpair.ring import INTEGERS, MOD2, RATIONALS, RingDecl, RingError, ring
-from frobpair.tensor import BasisSpec, equal
+from frobpair.tensor import BasisSpec, LinMap, equal
 from frobpair.theory import evaluate_side, evaluate_term, load_axioms, parse_term, parse_theory
 from helpers import (TableAlgebra, exponent_generators, lemma_first_conditions, rank2_at_a1,
                      search_by_box, twice_bad_coefficient_pair)
@@ -574,6 +575,24 @@ def test_eta_unit_coefficient_enforced():
     bad["eta"] = bad["eta"].map_entries(lambda v: 2 * v)
     with pytest.raises(PairError, match="unit label"):
         FrobeniusPair(aps.ring, aps.spec, bad)
+
+
+@pytest.mark.parametrize("gname,derived,key", [
+    ("beta", "eps . mu_A", ((), ("1", "1"))),
+    ("gamma", "Delta_A . eta", (("1", "1"), ())),
+], ids=["beta", "gamma"])
+def test_a_pair_built_with_a_beta_or_gamma_that_differs_is_refused(gname, derived, key):
+    # the derived map with its entry at key shifted by 1: the refusal names
+    # the map and the entry's input tuple, and the derived map itself is kept
+    aps = build_aps()
+    m = aps.generator_table()[gname]
+    one = aps.ring.one()
+    wrong = LinMap(m.spec, m.dom, m.cod, {**m.entries, key: m.entries.get(key, 0 * one) + one})
+    with pytest.raises(PairError, match=fr"^{gname} differs from {re.escape(derived)} "
+                                        fr"at input tuple {re.escape(str(key[1]))}$"):
+        FrobeniusPair(aps.ring, aps.spec, {**aps.maps, gname: wrong}, name="aps")
+    given = FrobeniusPair(aps.ring, aps.spec, {**aps.maps, gname: m}, name="aps")
+    assert equal(given.generator_table()[gname], m) == (True, None)
 
 
 # -- serialization ---------------------------------------------------------------------
