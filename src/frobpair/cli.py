@@ -53,8 +53,6 @@ RANK2_KEYS = {"a": "a", "cYY": "c_yy", "cYZ": "c_yz", "cZZ": "c_zz",
               "eY": "e_y", "eZ": "e_z", "fY": "f_y", "fZ": "f_z"}
 
 
-DOUBLE_KEYS = ("e0", "e1", "e2", "nu0", "nu1", "nu2")
-
 #: the most rows or columns `snf` takes: it prints U (rows x rows) and V (cols x cols)
 MAX_SNF_SIDE = 512
 
@@ -79,7 +77,7 @@ def _build_rank2(params, strict_partial):
 
 def _build_double(params, strict_partial):
     exps = tuple(_integer("double", key, params[key]) if key in params else default
-                 for key, default in zip(DOUBLE_KEYS, pair_mod.DOUBLE_EXPONENTS))
+                 for key, default in zip(pair_mod.DOUBLE_KEYS, pair_mod.DOUBLE_EXPONENTS))
     algebra = params.get("algebra", "q1")
     if algebra not in DOUBLE_ALGEBRAS:
         raise InputError(f"unknown double algebra {algebra!r} (use q1 or z2h1)")
@@ -98,7 +96,7 @@ BUILTINS = {
     "it": ((), lambda params, strict_partial: pair_mod.build_it(strict_partial=strict_partial)),
     "sqrt": ((), lambda params, strict_partial: pair_mod.build_laurent_sqrt()),
     "rank2": (tuple(RANK2_KEYS), _build_rank2),
-    "double": (("algebra",) + DOUBLE_KEYS, _build_double),
+    "double": (("algebra",) + pair_mod.DOUBLE_KEYS, _build_double),
 }
 
 

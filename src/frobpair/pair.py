@@ -17,6 +17,7 @@ from types import MappingProxyType
 
 from .ring import (
     INTEGERS,
+    MAX_POWER,
     MOD2,
     RATIONALS,
     RingDecl,
@@ -383,47 +384,33 @@ def build_aps() -> FrobeniusPair:
 
 
 def _rank2_pair(p: Rank2Params, name) -> FrobeniusPair:
-    """The rank-2 family table at p, under name and with no notes."""
-    decl = p.a.ring
-    a = p.a
-
-    def times(x, y):  # _linmap drops the zero entries, so a zero factor skips the product
-        return x if x.is_zero() else y if y.is_zero() else x * y
-
-    h, t = a + a, -times(a, a)
-    alg = universal_algebra(decl, h, t)
-    spec = BasisSpec(("1", "X"), ("Y", "Z"), decl)
+    """The rank-2 family table at p, under name and with no notes.  E is A/(X - a)
+    on Y and Z, so each map between A and E is ev(x) = x(a) = eps((X - a) x): A -> ()
+    or X - a: () -> A, composed with one of p's tables C: EE -> (), D, e or f."""
+    decl, a = p.a.ring, p.a
+    alg = universal_algebra(decl, a + a, -(a * a))
+    spec = BasisSpec(alg.labels, ("Y", "Z"), decl)
     maps = _algebra_maps(alg, spec)
-    one = decl.one()
 
-    x_minus_a = {("X",): one, ("1",): -a}  # (X - a) as an A-column
+    def on_e(yy, yz, zz):  # a symmetric table on E's basis pairs
+        return {("Y", "Y"): yy, ("Y", "Z"): yz, ("Z", "Y"): yz, ("Z", "Z"): zz}
 
-    def a_vec(c):
-        return {k: times(c, v) for k, v in x_minus_a.items()}
-
-    mu_ae = {("1", e): {(e,): one} for e in ("Y", "Z")}
-    mu_ae.update({("X", e): {(e,): a} for e in ("Y", "Z")})
-    maps["mu_AE"] = _linmap(spec, word("AE"), word("E"), mu_ae)
+    ev = _linmap(spec, word("A"), (), {("1",): {(): decl.one()}, ("X",): {(): a}})
+    x_minus_a = _linmap(spec, (), word("A"), {(): {("X",): decl.one(), ("1",): -a}})
+    c = _linmap(spec, word("EE"), (), {k: {(): v} for k, v in on_e(p.c_yy, p.c_yz, p.c_zz).items()})
+    d = _linmap(spec, (), word("EE"), {(): on_e(p.d_yy, p.d_yz, p.d_zz)})
+    e = _linmap(spec, word("E"), (), {("Y",): {(): p.e_y}, ("Z",): {(): p.e_z}})
+    f = _linmap(spec, (), word("E"), {(): {("Y",): p.f_y, ("Z",): p.f_z}})
+    maps["mu_AE"] = act(LinMap.identity(spec, word("AE")), ev, (0,), ())
     maps["mu_EA"] = _mirror(maps["mu_AE"])
-    c = {("Y", "Y"): p.c_yy, ("Y", "Z"): p.c_yz, ("Z", "Y"): p.c_yz, ("Z", "Z"): p.c_zz}
-    maps["mu_EEA"] = _linmap(spec, word("EE"), word("A"),
-                             {k: a_vec(v) for k, v in c.items()})
-    d_ae = {(e,): {("X", e): one, ("1", e): -a} for e in ("Y", "Z")}
-    maps["Delta_AE"] = _linmap(spec, word("E"), word("AE"), d_ae)
+    maps["Delta_AE"] = act(LinMap.identity(spec, word("E")), x_minus_a, (), (0,))
     maps["Delta_EA"] = _mirror(maps["Delta_AE"])
-    d1 = {("Y", "Y"): p.d_yy, ("Y", "Z"): p.d_yz, ("Z", "Y"): p.d_yz, ("Z", "Z"): p.d_zz}
-    maps["Delta_AEE"] = _linmap(spec, word("A"), word("EE"), {
-        ("1",): d1, ("X",): {k: times(a, v) for k, v in d1.items()},
-    })
-    maps["mu_E"] = LinMap.zero(spec, word("EE"), word("E"))
-    maps["Delta_E"] = LinMap.zero(spec, word("E"), word("EE"))
-    nu1 = {("Y",): p.f_y, ("Z",): p.f_z}
-    maps["nu_AE"] = _linmap(spec, word("A"), word("E"), {
-        ("1",): nu1, ("X",): {k: times(a, v) for k, v in nu1.items()},
-    })
-    maps["nu_EA"] = _linmap(spec, word("E"), word("A"),
-                            {("Y",): a_vec(p.e_y), ("Z",): a_vec(p.e_z)})
-    maps["nu_EE"] = LinMap.zero(spec, word("E"), word("E"))
+    maps["mu_EEA"] = compose(x_minus_a, c)
+    maps["Delta_AEE"] = compose(d, ev)
+    maps["nu_AE"] = compose(f, ev)
+    maps["nu_EA"] = compose(x_minus_a, e)
+    for gname in ("mu_E", "Delta_E", "nu_EE"):
+        maps[gname] = LinMap.zero(spec, *SIGNATURE[gname])
     return FrobeniusPair(decl, spec, maps, name=name)
 
 
@@ -463,12 +450,19 @@ def build_laurent_sqrt() -> FrobeniusPair:
 
 
 DOUBLE_EXPONENTS = (-1, -2, -2, 1, -1, 0)
+#: the names of the six exponents, as `--params` takes them
+DOUBLE_KEYS = ("e0", "e1", "e2", "nu0", "nu1", "nu2")
 
 
 def build_double(alg: FrobeniusAlgebra, phi_inv: dict, exponents=DOUBLE_EXPONENTS,
                  name="double") -> FrobeniusPair:
     """Double-tensor pair: E = A&A with merge-then-resplit structure maps
-    scaled by powers of the handle element; comultiplications carry none."""
+    scaled by powers of the handle element; comultiplications carry none.
+    Each exponent is at most ring.MAX_POWER in absolute value, as phi^k takes
+    |k| - 1 products: PairError refuses a larger one before any product."""
+    for key, k in zip(DOUBLE_KEYS, exponents):
+        if abs(k) > MAX_POWER:
+            raise PairError(f"the double exponent {key}={k} is over the limit of {MAX_POWER}")
     e0, e1, e2, n0, n1, n2 = exponents
     phi = alg.handle_vec()
     if alg.mul_vec(phi, phi_inv) != _coords(alg.maps["eta"]):

@@ -29,11 +29,13 @@ as hand-written structure constants, which the element arithmetic of
 double-construction exponent scales, read off built pairs, on which the
 whole-box exponent search `search_by_box` rests.
 
-And two pieces of the package that only tests use: `cube_to_json`, the cube
-file writer, and `lemma_first_conditions`, the X-action statement that
-criterion 07 checks.  `item_one_cubes` gives the five benchmark-generator
-cubes of the ROADMAP's non-complex repro, `rank2_at_a1` and `double_z2`
-the benchmark's two pair files, and `unit_pivot_inputs` the seeded integer
+And three pieces that left the package because only tests use them:
+`cube_to_json`, the cube file writer; `lemma_first_conditions`, the X-action
+statement that criterion 07 checks; and `rank2_by_hand`, the rank-2 family's
+generators written entry by entry, which `build_rank2` and `build_aps` are
+checked against.  `item_one_cubes` gives the five benchmark-generator cubes
+of the ROADMAP's non-complex repro, `rank2_at_a1` and `double_z2` the
+benchmark's two pair files, and `unit_pivot_inputs` the seeded integer
 matrices that the unit-pivot elimination and `snf` are checked on.
 
 `disjoint_saddles`, circle tracking by hand around a square of moves, and
@@ -415,6 +417,54 @@ def rank2_at_a1():
     """The rank-2 pair at the benchmark's RANK2_A1 parameters, over Z."""
     return build_rank2(Rank2Params.over(ring(INTEGERS), a=1, c_yy=0, c_yz=1, c_zz=0, d_yy=0,
                                         d_yz=1, d_zz=0, e_y=1, e_z=1, f_y=1, f_z=1))
+
+
+def rank2_by_hand(p, name="rank2"):
+    """The rank-2 family pair at p, under name and with no notes, written entry
+    by entry: A = k[X]/((X-a)^2) by universal_algebra, E = <Y, Z>, and each map
+    between them a table of columns.  pair._rank2_pair's compositions of the
+    character ev and the element X - a with p's tables are checked against it."""
+    decl = p.a.ring
+    a = p.a
+
+    def times(x, y):  # the table drops zero entries, so a zero factor skips the product
+        return x if x.is_zero() else y if y.is_zero() else x * y
+
+    alg = universal_algebra(decl, a + a, -times(a, a))
+    spec = BasisSpec(("1", "X"), ("Y", "Z"), decl)
+    maps = {gname: LinMap(spec, m.dom, m.cod, m.entries) for gname, m in alg.maps.items()}
+    one = decl.one()
+
+    def table(dom, cod, columns):  # {input tuple: {output tuple: coefficient}}
+        return LinMap(spec, tuple(dom), tuple(cod),
+                      {(o, t): c for t, col in columns.items() for o, c in col.items()})
+
+    x_minus_a = {("X",): one, ("1",): -a}  # (X - a) as an A-column
+
+    def a_vec(c):
+        return {k: times(c, v) for k, v in x_minus_a.items()}
+
+    mu_ae = {("1", e): {(e,): one} for e in ("Y", "Z")}
+    mu_ae.update({("X", e): {(e,): a} for e in ("Y", "Z")})
+    maps["mu_AE"] = table("AE", "E", mu_ae)
+    maps["mu_EA"] = table("EA", "E", {t[::-1]: col for t, col in mu_ae.items()})
+    c = {("Y", "Y"): p.c_yy, ("Y", "Z"): p.c_yz, ("Z", "Y"): p.c_yz, ("Z", "Z"): p.c_zz}
+    maps["mu_EEA"] = table("EE", "A", {k: a_vec(v) for k, v in c.items()})
+    d_ae = {(e,): {("X", e): one, ("1", e): -a} for e in ("Y", "Z")}
+    maps["Delta_AE"] = table("E", "AE", d_ae)
+    maps["Delta_EA"] = table("E", "EA", {t: {o[::-1]: v for o, v in col.items()}
+                                          for t, col in d_ae.items()})
+    d1 = {("Y", "Y"): p.d_yy, ("Y", "Z"): p.d_yz, ("Z", "Y"): p.d_yz, ("Z", "Z"): p.d_zz}
+    maps["Delta_AEE"] = table("A", "EE", {("1",): d1,
+                                          ("X",): {k: times(a, v) for k, v in d1.items()}})
+    maps["mu_E"] = table("EE", "E", {})
+    maps["Delta_E"] = table("E", "EE", {})
+    nu1 = {("Y",): p.f_y, ("Z",): p.f_z}
+    maps["nu_AE"] = table("A", "E", {("1",): nu1,
+                                     ("X",): {k: times(a, v) for k, v in nu1.items()}})
+    maps["nu_EA"] = table("E", "A", {("Y",): a_vec(p.e_y), ("Z",): a_vec(p.e_z)})
+    maps["nu_EE"] = table("E", "E", {})
+    return FrobeniusPair(decl, spec, maps, name=name)
 
 
 def double_z2():

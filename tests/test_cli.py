@@ -449,6 +449,18 @@ def test_cube_specialize_refuses_a_power_past_the_limit(tmp_path, capsys):
     assert cube_at("t^65", 1) == cube_at(f"t^{10 ** 12}", 1) == want
 
 
+def test_double_exponent_past_the_power_limit_exit_two(capsys):
+    # phi^k takes |k| - 1 products: e0=20000 ended in a traceback, and
+    # e0=1000000 ran for minutes
+    for command, params in (("construct", "e0=20000"), ("verify", "e1=-20000"),
+                            ("verify", "e0=1000000"), ("construct", "nu2=-65")):
+        code, out, err = run(capsys, command, "--builtin", "double", "--params", params)
+        assert_one_line_error(code, out, err)
+        assert err == f"error: the double exponent {params} is over the limit of 64\n"
+    code, out, _ = run(capsys, "construct", "--builtin", "double", "--params", "e0=64,nu2=-64")
+    assert code == 0 and json.loads(out)["meta"]["notes"]["exponents"] == [64, -2, -2, 1, -1, -64]
+
+
 @pytest.mark.parametrize("argv,item", [
     (("verify", "--builtin", "rank2", "--params", "=3"), "=3"),
     (("verify", "--builtin", "rank2", "--params", "a=1, =3"), " =3"),

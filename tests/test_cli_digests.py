@@ -3,8 +3,9 @@
 Each digest is the sha256 of the exit code, stdout and stderr of one
 in-process `frobpair` run; a `diamond` run is made twice in one process, and
 `diamond --builtin it` once more in a fresh interpreter, so that the kept and
-the newly made suite plan both give the pinned bytes.  A change that claims to keep every answer keeps
-every digest here; a change that means to alter an answer records the new
+the newly made suite plan both give the pinned bytes.  A `construct` run
+pins a builtin's whole pair file.  A change that claims to keep every answer
+keeps every digest here; a change that means to alter an answer records the new
 digest and says why.  Print the current table with
 
     PYTHONPATH=src python3 tests/test_cli_digests.py
@@ -77,10 +78,16 @@ SOURCES = {
     # the benchmark's median algebra job: one rank-2 pair, admissible or not
     "rank2-ok": ("--builtin", "rank2", "--params", "a=1,cYZ=1,dYZ=1,eY=1,eZ=1,fY=1,fZ=1"),
     "rank2-bad": ("--builtin", "rank2", "--params", "a=-2,cYY=3,cYZ=-1,dZZ=2,eY=1,fZ=-3"),
+    # the README's rank-2 example and a set with every parameter nonzero
+    "rank2-readme": ("--builtin", "rank2", "--params", "a=0,cYZ=1,dYZ=1,eY=1,eZ=1,fY=1,fZ=1"),
+    "rank2-full": ("--builtin", "rank2", "--params",
+                   "a=-2,cYY=3,cYZ=-1,cZZ=2,dYY=-3,dYZ=5,dZZ=1,eY=4,eZ=-1,fY=2,fZ=-5"),
+    "double-z2h1": ("--builtin", "double", "--params", "algebra=z2h1"),
     "matrix": (),  # snf reads no pair
 }
 
 COMMANDS = {
+    "construct": ("construct",),
     "verify-text": ("verify",),
     "verify-json": ("verify", "--report", "json"),
     "diamond": ("diamond",),
@@ -166,6 +173,16 @@ DIGESTS = {
     ("matrix", "snf-diagonal"): "914d33e1181f74d695f048ec4f1f050d9e183a2345eb6f8094e646f379551706",
     ("matrix", "snf-zero"): "97cd607927937bffba851e702fe81deda77e61745d938ea1cca77b14de4bc68d",
     ("matrix", "snf-torsion"): "3cdac35ac0d0904339626f562aa3c5e299c1583aecc9fa905e19288673a0ed90",
+    ("aps", "construct"): "3d04ab4fd13f3837f6585d06ad381b5db6bb3c13e3d00eda171f4e1e9c9463e7",
+    ("tt", "construct"): "c67d3085596a0a2f1b05af09f28048289b7c53c2d3a91ff0a878fc0c6b8ebbfb",
+    ("it", "construct"): "aa6524616cd331f2f9bcd8aabe1e569c6c419dcc0462520bca82ba43c367e38c",
+    ("it-strict", "construct"): "ae66dd7c6493b98df005b906a6871c9f1168483e597d258d078d8f23f2637e21",
+    ("sqrt", "construct"): "74bcb20744ef4d68c68813162f08d1412977a3c59b093b8cd521b5abe036ddbe",
+    ("rank2", "construct"): "b046d7bdb76fe462b7bd342433722efe60a0fe143a5c2ae2d91cac72f98f7509",
+    ("rank2-readme", "construct"): "a389d4f0d80d27c518b4842aba224df1e3dcb44868ac3d924024ee5058ce8889",
+    ("rank2-full", "construct"): "7a2cd3217757a8d82f6bdcf699267d3be9eb31ef87b23027c5419f9951e463dd",
+    ("double", "construct"): "d4453c945a90aa0c37e3edb0ee463727e32207abdc5f397b9a8258dcaf0bc164",
+    ("double-z2h1", "construct"): "e59c02059a3666d83c451338289c6ce86c1f260ed801aa1d0f87bb5d819858d7",
 }
 
 

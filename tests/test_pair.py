@@ -27,17 +27,19 @@ from frobpair.pair import (
     universal_algebra,
     verify,
     _algebra_maps,
+    _times,
     _EXPONENT_OF_GEN,
 )
-from frobpair.ring import INTEGERS, MOD2, RATIONALS, RingDecl, RingError, ring
-from frobpair.tensor import BasisSpec, LinMap, equal
+from frobpair.ring import INTEGERS, MAX_POWER, MOD2, RATIONALS, RingDecl, RingError, ring
+from frobpair.tensor import BasisSpec, LinMap, act, compose, equal
 from frobpair.theory import evaluate_side, evaluate_term, load_axioms, parse_term, parse_theory
 from helpers import (TableAlgebra, exponent_generators, lemma_first_conditions, rank2_at_a1,
-                     search_by_box, twice_bad_coefficient_pair)
+                     rank2_by_hand, search_by_box, twice_bad_coefficient_pair)
 
 Z = ring(INTEGERS)
 APS_PARAMS = dict(a=0, c_yy=0, c_yz=1, c_zz=0, d_yy=0, d_yz=1, d_zz=0,
                   e_y=1, e_z=1, f_y=1, f_z=1)
+RANK2_TABLES = ("c_yy", "c_yz", "c_zz", "d_yy", "d_yz", "d_zz", "e_y", "e_z", "f_y", "f_z")
 
 
 def universal_pair():
@@ -278,6 +280,68 @@ def test_rank2_table_examples():
     assert pair.maps["nu_EA"].column(("Y",)) == {("X",): one, ("1",): -a}
 
 
+def rank2_oracle_params():
+    """The parameter sets on which build_rank2 is checked against rank2_by_hand:
+    240 seeded integer sets with a in -2..2 and table entries in -3..3, so with
+    zero entries; all zero; rationals; all 11 parameters symbolic over Z, Q and
+    Z/2; and a Laurent a = b^-1 beside symbolic and zero entries."""
+    rng = random.Random(43)
+    sets = [Rank2Params.over(Z, a=rng.randint(-2, 2),
+                             **{k: rng.randint(-3, 3) for k in RANK2_TABLES})
+            for _ in range(240)]
+    sets.append(Rank2Params.over(Z, **{k: 0 for k in APS_PARAMS}))
+    sets.append(Rank2Params.over(ring(RATIONALS), a=Fraction(-1, 2),
+                                 **{k: Fraction(i - 4, 3) for i, k in enumerate(RANK2_TABLES)}))
+    for domain in (INTEGERS, RATIONALS, MOD2):
+        decl = ring(domain, "a", *RANK2_TABLES)
+        sets.append(Rank2Params(**{k: decl.gen(k) for k in ("a",) + RANK2_TABLES}))
+    laurent = ring(INTEGERS, "b^-1", "c")
+    sets.append(Rank2Params(**dict({k: laurent.const(v) for k, v in APS_PARAMS.items()},
+                                   a=laurent.gen("b", -1), c_yy=laurent.gen("c"),
+                                   e_y=laurent.gen("b") + laurent.const(2), f_z=laurent.zero())))
+    return sets
+
+
+def assert_table_by_hand(pair, p):
+    """pair, built at p, has rank2_by_hand(p)'s file text and generator table."""
+    want = rank2_by_hand(p, pair.name)
+    want.notes.update(pair.notes)
+    assert pair_to_json(pair) == pair_to_json(want)
+    table, want_table = pair.generator_table(), want.generator_table()
+    assert table.keys() == want_table.keys()
+    for name in want_table:
+        assert equal(table[name], want_table[name])[0], name
+
+
+def test_rank2_table_equals_the_table_by_hand():
+    for p in rank2_oracle_params():
+        assert_table_by_hand(build_rank2(p), p)
+
+
+def test_aps_table_equals_the_table_by_hand():
+    assert_table_by_hand(build_aps(), Rank2Params.over(Z, **APS_PARAMS))
+
+
+@pytest.mark.parametrize("a", [-2, -1, 0, 1, 3, "a"])
+def test_rank2_character_and_x_minus_a_are_a_maps(a):
+    # ev(x) = x(a) is eps after multiplication by X - a, and the element X - a
+    # is that multiplication after eta; mu_AE acts ev on slot 0 of AE, and
+    # Delta_AE places X - a at slot 0 of E
+    decl = ring(INTEGERS, "a")
+    a = decl.gen("a") if a == "a" else decl.const(a)
+    pair = build_rank2(Rank2Params(**dict({k: decl.const(v) for k, v in APS_PARAMS.items()},
+                                          a=a)))
+    spec, one = pair.spec, decl.one()
+    by_x_minus_a = _times(pair.maps["mu_A"], {"X": one, "1": -a})
+    ev = LinMap(spec, ("A",), (), {((), ("1",)): one, ((), ("X",)): a})
+    x_minus_a = LinMap(spec, (), ("A",), {(("X",), ()): one, (("1",), ()): -a})
+    assert equal(compose(pair.maps["eps"], by_x_minus_a), ev)[0]
+    assert equal(compose(by_x_minus_a, pair.maps["eta"]), x_minus_a)[0]
+    assert equal(pair.maps["mu_AE"], act(LinMap.identity(spec, ("A", "E")), ev, (0,), ()))[0]
+    assert equal(pair.maps["Delta_AE"],
+                 act(LinMap.identity(spec, ("E",)), x_minus_a, (), (0,)))[0]
+
+
 def test_rank2_handle_is_2_x_minus_a():
     decl = ring(INTEGERS, "a")
     params = {k: decl.const(v) for k, v in APS_PARAMS.items()}
@@ -367,6 +431,18 @@ def test_double_rejects_bad_inverse():
     alg, _ = q_double_algebra()
     with pytest.raises(PairError, match="not an inverse"):
         build_double(alg, {"X": alg.ring.one()})
+
+
+def test_double_refuses_an_exponent_over_the_power_limit():
+    # phi^k takes |k| - 1 products, so a huge exponent ran for minutes
+    alg, phi_inv = q_double_algebra()
+    over = f"^the double exponent e0=65 is over the limit of {MAX_POWER}$"
+    with pytest.raises(PairError, match=over):
+        build_double(alg, phi_inv, (65, 0, 0, 0, 0, 0))
+    with pytest.raises(PairError, match="^the double exponent nu2=-65 is over"):
+        build_double(alg, phi_inv, (0, 0, 0, 0, 0, -MAX_POWER - 1))
+    assert build_double(alg, phi_inv, (MAX_POWER, 0, 0, 0, 0, -MAX_POWER)).notes["exponents"] \
+        == [MAX_POWER, 0, 0, 0, 0, -MAX_POWER]
 
 
 def test_double_delta_aee_example():
