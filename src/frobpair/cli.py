@@ -238,11 +238,12 @@ def cmd_eval(args) -> int:
     if m.dom == () and m.cod == ():
         print(str(m.column(()).get((), pair.ring.zero())))
         return 0
-    print(f"map: {_tuple_str(m.dom)} -> {_tuple_str(m.cod)}")
+    lines = [f"map: {_tuple_str(m.dom)} -> {_tuple_str(m.cod)}"]  # printed once all are text
     for t in pair.spec.tuples(m.dom):
         col = m.column(t)
         body = " + ".join(f"({c})*{_tuple_str(o)}" for o, c in sorted(col.items())) or "0"
-        print(f"{_tuple_str(t)} -> {body}")
+        lines.append(f"{_tuple_str(t)} -> {body}")
+    print("\n".join(lines))
     return 0
 
 

@@ -9,6 +9,7 @@ invertible.  Everything is immutable after construction.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -273,11 +274,11 @@ class RingElem:
             c = self.terms[m]
             factors = [v if e == 1 else f"{v}^{e}" for v, e in m]
             if not factors:
-                body = str(abs(c))
+                body = _digits(c)
             elif abs(c) == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(abs(c))] + factors)
+                body = "*".join([_digits(c)] + factors)
             sign = "-" if c < 0 else "+"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
@@ -288,6 +289,16 @@ class RingElem:
 
     def __repr__(self):
         return f"RingElem({self})"
+
+
+def _digits(c) -> str:
+    """abs(c) as text; RingError past the digits Python prints of an int."""
+    try:
+        return str(abs(c))
+    except ValueError:
+        bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+        raise RingError(f"a coefficient of {bits} bits is too long to print "
+                        f"(over {sys.get_int_max_str_digits()} digits)") from None
 
 
 def unit_invert(x: RingElem) -> RingElem:

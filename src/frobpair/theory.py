@@ -39,6 +39,10 @@ SIGNATURE = {
     "nu_EE": ((E,), (E,)),
 }
 
+#: every layer item but swap: name -> (domain word, codomain word); the
+#: identities are the items that make no act move
+ITEMS = {**SIGNATURE, "id_A": ((A,), (A,)), "id_E": ((E,), (E,))}
+
 
 class TheoryError(ValueError):
     """Syntax or type errors in terms and equations."""
@@ -58,7 +62,7 @@ def parse_term(text):
             raise TheoryError(f"empty layer in term {text!r}")
         items = tuple(item.strip() for item in chunk.split("(x)"))
         for item in items:
-            if item not in SIGNATURE and item not in ("id_A", "id_E", "swap"):
+            if item not in ITEMS and item != "swap":
                 raise TheoryError(f"unknown generator {item!r}")
         layers.append(items)
     return tuple(layers)
@@ -84,92 +88,60 @@ def term_to_text(term) -> str:
     return " ; ".join(parts)
 
 
-class _Var:
-    """Sort unknown of a strand that enters the first layer."""
-
-    __slots__ = ()
-
-
-def _resolve(x, subst):
-    while x in subst:
-        x = subst[x]
-    return x
-
-
-def _unify(x, y, subst):
-    x, y = _resolve(x, subst), _resolve(y, subst)
-    if x is y or x == y:
-        return
-    if isinstance(x, _Var):
-        subst[x] = y
-    elif isinstance(y, _Var):
-        subst[y] = x
-    else:
-        raise TheoryError(f"sort mismatch: {x} vs {y}")
-
-
 def typecheck(term):
     """Infer (domain, codomain) words; returns (dom, cod, per-layer in-words,
     per-layer act moves).
 
-    The domain starts as one fresh unknown per strand of the first layer, and
-    every sort, swap sorts included, is inferred by unification; a term whose
-    swap sorts stay undetermined is rejected as ambiguous.  A layer's moves are
+    dom holds the sort of each strand of the first layer, None until a
+    generator or identity reads that strand.  A strand of a partly rewritten
+    word is a sort, or the position in dom of the domain strand whose sort it
+    carries, as swaps pass strands on unread; a term whose dom is not all
+    fixed after the last layer is rejected as ambiguous.  A layer's moves are
     (generator name, or None for a swap, source slots, target slots) in the
-    partly rewritten word; identity strands make none.
+    partly rewritten word; identities make none.
     """
-    subst = {}
+    width = sum(2 if item == "swap" else len(ITEMS[item][0]) for item in term[0])
+    dom = [None] * width
+
+    def sorts(w):  # each strand as its sort, or '?' while that is unfixed
+        return tuple(s if isinstance(s, str) else dom[s] or "?" for s in w)
+
+    current = tuple(range(width))
     layer_ins, pieces = [], []
-    width = sum(1 if item in ("id_A", "id_E") else 2 if item == "swap" else len(SIGNATURE[item][0])
-                for item in term[0])
-    current = term_dom = tuple(_Var() for _ in range(width))
     for layer in term:
         layer_ins.append(current)
         out, pos, moves = [], 0, []
         for item in layer:
             slot = len(out)  # the item's first slot in the partly rewritten word
-            if item in ("id_A", "id_E"):
-                want = A if item == "id_A" else E
-                if pos >= len(current):
-                    raise TheoryError(f"layer {layer} too wide for word {current}")
-                _unify(current[pos], want, subst)
-                out.append(want)
-                pos += 1
-            elif item == "swap":
+            if item == "swap":
                 if pos + 1 >= len(current):
-                    raise TheoryError(f"swap needs two strands in word {current}")
+                    raise TheoryError(f"swap needs two strands in word {sorts(current)}")
                 out.extend((current[pos + 1], current[pos]))
                 moves.append((None, (slot, slot + 1), (slot + 1, slot)))
                 pos += 2
-            else:
-                gdom, gcod = SIGNATURE[item]
-                if pos + len(gdom) > len(current):
-                    raise TheoryError(f"layer {layer} too wide for word {current}")
-                for k, want in enumerate(gdom):
-                    _unify(current[pos + k], want, subst)
-                out.extend(gcod)
+                continue
+            gdom, gcod = ITEMS[item]
+            if pos + len(gdom) > len(current):
+                raise TheoryError(f"layer {layer} too wide for word {sorts(current)}")
+            for strand, want in zip(current[pos:], gdom):
+                if isinstance(strand, int):
+                    if dom[strand] is None:
+                        dom[strand] = want
+                    strand = dom[strand]
+                if strand != want:
+                    raise TheoryError(f"sort mismatch: {strand} vs {want}")
+            out.extend(gcod)
+            if item in SIGNATURE:
                 moves.append((item, tuple(range(slot, slot + len(gdom))),
                               tuple(range(slot, slot + len(gcod)))))
-                pos += len(gdom)
+            pos += len(gdom)
         if pos != len(current):
-            raise TheoryError(f"layer {layer} does not cover word {current}")
+            raise TheoryError(f"layer {layer} does not cover word {sorts(current)}")
         current = tuple(out)
         pieces.append(tuple(moves))
-
-    def ground(w):
-        out = []
-        for s in w:
-            s = _resolve(s, subst)
-            if isinstance(s, _Var):
-                raise TheoryError(f"ambiguous swap sorts in term {term_to_text(term)}")
-            out.append(s)
-        return tuple(out)
-
-    return ground(term_dom), ground(current), [ground(w) for w in layer_ins], tuple(pieces)
-
-
-def generators_used(term):
-    return {item for layer in term for item in layer if item in SIGNATURE}
+    if None in dom:
+        raise TheoryError(f"ambiguous swap sorts in term {term_to_text(term)}")
+    return tuple(dom), sorts(current), [sorts(w) for w in layer_ins], tuple(pieces)
 
 
 @dataclass(eq=False)
@@ -269,7 +241,8 @@ class Equation:
         object.__setattr__(self, "sides", (prefix_chain(ld, l_pieces, pieces),
                                            prefix_chain(ld, r_pieces, pieces)))
         object.__setattr__(self, "words", (*l_ins, lc, *r_ins[1:]))
-        object.__setattr__(self, "generators", frozenset(generators_used(self.lhs + self.rhs)))
+        object.__setattr__(self, "generators", frozenset(
+            gen for piece in l_pieces + r_pieces for gen, _src, _dst in piece if gen is not None))
 
 
 def parse_theory(text) -> list:

@@ -70,7 +70,7 @@ from frobpair.pair import (
 )
 from frobpair.ring import INTEGERS, MOD2, ring
 from frobpair.tensor import BasisSpec, LinMap, equal
-from frobpair.theory import SIGNATURE, evaluate_term, load_axioms
+from frobpair.theory import A, E, SIGNATURE, TheoryError, evaluate_term, load_axioms, term_to_text
 
 from diamonds import edge_labelings, reverse_events
 
@@ -778,3 +778,81 @@ def random_integer_pair(rng, name="random"):
         if gen not in ("beta", "gamma"):
             maps[gen] = LinMap(spec, dom, cod, entries)
     return FrobeniusPair(decl, spec, maps, name=name)
+
+
+class _Var:
+    """Sort unknown of a strand that enters the first layer."""
+
+    __slots__ = ()
+
+
+def _resolve(x, subst):
+    while x in subst:
+        x = subst[x]
+    return x
+
+
+def _unify(x, y, subst):
+    x, y = _resolve(x, subst), _resolve(y, subst)
+    if x is y or x == y:
+        return
+    if isinstance(x, _Var):
+        subst[x] = y
+    elif isinstance(y, _Var):
+        subst[y] = x
+    else:
+        raise TheoryError(f"sort mismatch: {x} vs {y}")
+
+
+def typecheck_by_unification(term):
+    """theory.typecheck's (dom, cod, per-layer in-words, per-layer act moves),
+    with every sort inferred by unification from one fresh unknown per strand
+    of the first layer.  Its error texts print an unknown as a _Var object."""
+    subst = {}
+    layer_ins, pieces = [], []
+    width = sum(1 if item in ("id_A", "id_E") else 2 if item == "swap" else len(SIGNATURE[item][0])
+                for item in term[0])
+    current = term_dom = tuple(_Var() for _ in range(width))
+    for layer in term:
+        layer_ins.append(current)
+        out, pos, moves = [], 0, []
+        for item in layer:
+            slot = len(out)  # the item's first slot in the partly rewritten word
+            if item in ("id_A", "id_E"):
+                want = A if item == "id_A" else E
+                if pos >= len(current):
+                    raise TheoryError(f"layer {layer} too wide for word {current}")
+                _unify(current[pos], want, subst)
+                out.append(want)
+                pos += 1
+            elif item == "swap":
+                if pos + 1 >= len(current):
+                    raise TheoryError(f"swap needs two strands in word {current}")
+                out.extend((current[pos + 1], current[pos]))
+                moves.append((None, (slot, slot + 1), (slot + 1, slot)))
+                pos += 2
+            else:
+                gdom, gcod = SIGNATURE[item]
+                if pos + len(gdom) > len(current):
+                    raise TheoryError(f"layer {layer} too wide for word {current}")
+                for k, want in enumerate(gdom):
+                    _unify(current[pos + k], want, subst)
+                out.extend(gcod)
+                moves.append((item, tuple(range(slot, slot + len(gdom))),
+                              tuple(range(slot, slot + len(gcod)))))
+                pos += len(gdom)
+        if pos != len(current):
+            raise TheoryError(f"layer {layer} does not cover word {current}")
+        current = tuple(out)
+        pieces.append(tuple(moves))
+
+    def ground(w):
+        out = []
+        for s in w:
+            s = _resolve(s, subst)
+            if isinstance(s, _Var):
+                raise TheoryError(f"ambiguous swap sorts in term {term_to_text(term)}")
+            out.append(s)
+        return tuple(out)
+
+    return ground(term_dom), ground(current), [ground(w) for w in layer_ins], tuple(pieces)

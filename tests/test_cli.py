@@ -842,3 +842,126 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
         assert len(built) == trees
     finally:
         cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("term,word", [
+    ("swap ; (mu_A (x) mu_A)", "layer ('mu_A', 'mu_A') too wide for word ('A', 'A')"),
+    ("swap ; (id_A (x) swap)", "swap needs two strands in word ('A', '?')"),
+    ("swap ; id_A", "layer ('id_A',) does not cover word ('A', '?')"),
+], ids=["too_wide", "swap_needs_two", "does_not_cover"])
+def test_axioms_type_error_names_sorts_not_objects(tmp_path, capsys, term, word):
+    # a strand that only swaps have passed on prints as its domain sort, or as
+    # '?' while that is unfixed, not as an object address
+    path = tmp_path / "axioms.eq"
+    path.write_text(f"eq x [frobA]: {term} == mu_A\n")
+    code, out, err = run(capsys, "verify", "--builtin", "aps", "--axioms", str(path))
+    assert_one_line_error(code, out, err)
+    assert err == f"error: cannot load axioms: line 1: {word}\n"
+
+
+def too_long(bits):
+    return (f"error: a coefficient of {bits} bits is too long to print "
+            f"(over {sys.get_int_max_str_digits()} digits)\n")
+
+
+def test_construct_with_a_coefficient_too_long_to_print_exit_two(capsys):
+    # t = -a^2 of a 3,000-digit a has 6,000 digits, past what Python prints of
+    # an int; this ended in a ValueError traceback
+    code, out, err = run(capsys, "construct", "--builtin", "rank2", "--params", "a=" + "9" * 3000)
+    assert_one_line_error(code, out, err)
+    assert err == too_long(19932)
+
+
+@pytest.mark.parametrize("report", ["text", "json"])
+def test_verify_with_a_witness_too_long_to_print_exit_two(capsys, report):
+    # every parameter prints, but a degree-3 product in a witness does not
+    params = ",".join(f"{key}={'7' * 1500}" for key in cli.RANK2_KEYS)
+    code, out, err = run(capsys, "verify", "--builtin", "rank2", "--params", params,
+                         "--report", report)
+    assert_one_line_error(code, out, err)
+    assert err == too_long(14949)
+
+
+def test_eval_with_an_entry_too_long_to_print_exit_two(tmp_path, capsys):
+    # nu_EA nu_AE = (X - a) e f ev: its entry -a e_Y f_Y at 1 has 6,000
+    # digits, and no line of the map is printed before the refusal
+    pair, cob = tmp_path / "big.json", tmp_path / "mobius.cob"
+    big = "9" * 2000
+    code, _, _ = run(capsys, "construct", "--builtin", "rank2", "--params",
+                     f"a={big},eY={big},fY={big}", "-o", str(pair))
+    assert code == 0
+    cob.write_text("input A\nmobius 1 E\nmobius 1 A\n")
+    code, out, err = run(capsys, "eval", "--pair", str(pair), str(cob))
+    assert_one_line_error(code, out, err)
+    assert err == too_long(19932)
+
+
+def test_a_2000_digit_rank2_parameter_constructs(capsys):
+    # X^2 = 2a X - a^2 in A: the 4,000 digits of a^2 still print
+    a = int("9" * 2000)
+    code, out, _ = run(capsys, "construct", "--builtin", "rank2", "--params", f"a={a}")
+    assert code == 0
+    assert json.loads(out)["maps"]["mu_A"][3] == {
+        "in": ["X", "X"],
+        "out": [{"basis": ["1"], "coeff": str(-a * a)}, {"basis": ["X"], "coeff": str(2 * a)}]}
+
+
+@pytest.mark.parametrize("argv,files,message", [
+    (("verify",), {}, "need --pair FILE or --builtin NAME"),
+    (("verify", "--builtin", "aps", "--axioms", "NOSUCH"), {},
+     "cannot load axioms: [Errno 2] No such file or directory: 'NOSUCH'"),
+    (("verify", "--builtin", "aps", "--axioms", "FILE"), {"FILE": "eq x [frobA] mu_A == mu_A\n"},
+     "cannot load axioms: line 1: missing ':'"),
+    (("verify", "--builtin", "aps", "--axioms", "FILE"), {"FILE": "eq x: mu_A == mu_A\n"},
+     "cannot load axioms: line 1: missing [GROUP]"),
+    (("verify", "--builtin", "aps", "--axioms", "FILE"), {"FILE": "eq x [frobA]: mu_A\n"},
+     "cannot load axioms: line 1: missing '=='"),
+    (("verify", "--builtin", "aps", "--axioms", "FILE"),
+     {"FILE": "eq x [frobA]: mu_A ; ; eps == mu_A\n"},
+     "cannot load axioms: line 1: empty layer in term ' mu_A ; ; eps '"),
+    (("eval", "--builtin", "aps", "FILE"), {"FILE": "split 1 A A\n"},
+     "line 1: first line must declare the input word"),
+    (("eval", "--builtin", "aps", "FILE"), {"FILE": "input A A\nswap 2\n"},
+     "line 2: swap positions 2,3 out of range"),
+    (("degree", "+x"), {}, "unknown pole side 'x'"),
+    (("eval", "--builtin", "aps", "NOSUCH"), {},
+     "[Errno 2] No such file or directory: 'NOSUCH'"),
+    (("cube", "--builtin", "aps", "NOSUCH"), {},
+     "[Errno 2] No such file or directory: 'NOSUCH'"),
+    (("cube", "MERGE1", "--builtin", "tt", "--specialize", "l=(1"), {},
+     "expected ')' at position 2"),
+    (("cube", "MERGE1", "--builtin", "tt", "--specialize", "l=1/2"), {},
+     "rational literal in non-rational ring at position 0"),
+    (("cube", "MERGE1", "--builtin", "tt", "--specialize", "l=l^x"), {},
+     "expected integer exponent at position 2"),
+    (("cube", "MERGE1", "--builtin", "tt", "--specialize", "l=$"), {},
+     "syntax error at position 0: '$'"),
+], ids=["verify_no_pair", "axioms_missing", "manifest_no_colon", "manifest_no_group",
+        "manifest_no_equals", "manifest_empty_layer", "cob_no_input", "cob_swap_past_word",
+        "degree_bad_side", "cob_missing", "cube_missing", "specialize_open_paren",
+        "specialize_rational_on_tt", "specialize_bad_exponent", "specialize_bad_character"])
+def test_refusals_name_their_input(tmp_path, capsys, argv, files, message):
+    merge1 = importlib.resources.files("frobpair").joinpath("data/merge1.cube")
+    paths = {"NOSUCH": str(tmp_path / "nosuch"), "MERGE1": str(merge1)}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert_one_line_error(code, out, err)
+    assert err == f"error: {message.replace('NOSUCH', paths['NOSUCH'])}\n"
+
+
+@pytest.mark.parametrize("builtin,edit,message", [
+    ("aps", lambda obj: obj["basis"].update(E=["Y", "Y"]), "duplicate basis labels within a sort"),
+    ("tt", lambda obj: obj["ring"]["vars"].append(obj["ring"]["vars"][0]),
+     "$.ring: variable names must be unique within a ring declaration"),
+], ids=["duplicate_E_labels", "repeated_variable"])
+def test_pair_file_with_a_repeated_name_exit_two(tmp_path, capsys, builtin, edit, message):
+    path = tmp_path / "pair.json"
+    run(capsys, "construct", "--builtin", builtin, "-o", str(path))
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--pair", str(path))
+    assert_one_line_error(code, out, err)
+    assert err == f"error: {message}\n"

@@ -1,7 +1,8 @@
 """Seeded mutation fuzz of the shipped data files through the CLI.
 
-Each mutant of a pair, cube or cobordism file must give an answer (exit 0 or
-1) or one `error:` line with exit 2, never a traceback.
+Each mutant of a pair, cube, cobordism or axiom-manifest file must give an
+answer (exit 0 or 1) or one `error:` line with exit 2, never a traceback and
+never a line that prints an object's address.
 """
 
 import importlib.resources
@@ -46,10 +47,14 @@ def insert_punctuation(rng, text):
 
 
 def repeat_sort(rng, text):
-    """One sort letter, or the start of the input line, repeated past the circle limit."""
-    m = rng.choice(list(re.finditer(r'"[AE]"|(?<=^input)', text, re.M)))
+    """One sort letter, the start of the input line, or an identity strand of
+    a manifest term, repeated past the circle limit."""
+    m = rng.choice(list(re.finditer(r'"[AE]"|(?<=^input)|\bid_[AE]\b', text, re.M)))
     k = rng.randint(MAX_CIRCLES + 1, MAX_CIRCLES + 8)
-    new = ", ".join([m.group()] * k) if m.group() else " A" * k
+    if not m.group():
+        new = " A" * k
+    else:
+        new = (" (x) " if m.group().startswith("id_") else ", ").join([m.group()] * k)
     return text[:m.start()] + new + text[m.end():]
 
 
@@ -63,6 +68,7 @@ TARGETS = {
     "merge1.cube": ("cube", "--builtin", "aps", "MUTANT", "--coeff", "z"),
     "split1.cube": ("cube", "--builtin", "aps", "MUTANT", "--coeff", "z2"),
     "torus.cob": ("eval", "--builtin", "aps", "MUTANT"),
+    "axioms.eq": ("verify", "--builtin", "aps", "--axioms", "MUTANT"),
 }
 
 
@@ -82,9 +88,10 @@ def test_mutants_exit_cleanly(tmp_path, capsys, name):
         context = f"{mutation.__name__} mutant of {name}:\n{mutant}"
         assert code in (0, 1, 2), context
         assert "Traceback" not in out.err, context
+        assert " object at 0x" not in out.out + out.err, context
         if code == 2:
             assert out.err.startswith("error: ") and out.err.count("\n") == 1, context
             over_limit += "over the limit" in out.err
         codes.add(code)
     assert 0 in codes and 2 in codes
-    assert over_limit or name == "aps.json"
+    assert over_limit or name in ("aps.json", "axioms.eq")

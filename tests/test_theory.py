@@ -1,5 +1,7 @@
+import collections
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import frobpair
 from frobpair.ring import INTEGERS, ring
 from frobpair.tensor import BasisSpec, LinMap, compose, equal, word
 from frobpair.theory import (
+    ITEMS,
     SIGNATURE,
     TheoryError,
     evaluate_term,
@@ -19,6 +22,7 @@ from frobpair.theory import (
     term_to_text,
     typecheck,
 )
+from helpers import typecheck_by_unification
 from manifest import build_equations, build_manifest, dagger, mirror
 
 Z = ring(INTEGERS)
@@ -75,6 +79,8 @@ FIRST_LAYERS = {
     "swap ; (id_A (x) id_A) ; mu_AE": "sort mismatch: A vs E",
     "eta ; swap": "swap needs two strands in word ('A',)",
     "(id_E (x) eta) ; mu_AE": "sort mismatch: E vs A",
+    "(swap (x) id_E) ; (id_E (x) swap) ; mu_EEA":
+        "layer ('mu_EEA',) does not cover word ('E', 'E', '?')",
 }
 
 
@@ -129,6 +135,67 @@ def test_typecheck_gives_each_layers_moves(text):
 
 def test_layer_moves_cover_the_first_layers():
     assert {t for t, want in FIRST_LAYERS.items() if not isinstance(want, str)} <= set(LAYER_MOVES)
+
+
+def _in_width(item):
+    return 2 if item == "swap" else len(ITEMS[item][0])
+
+
+def _out_width(item):
+    return 2 if item == "swap" else len(ITEMS[item][1])
+
+
+def random_oracle_term(rng):
+    """1-4 layers of generators, id_A, id_E and swap, each layer drawn to
+    cover the word below it by width, so that many terms typecheck; a layer
+    now and then stops one strand short or runs past the word."""
+    names = sorted(ITEMS) + ["swap"]
+    term, width = [], rng.randint(0, 4)
+    for _ in range(rng.randint(1, 4)):
+        layer = [rng.choice(names)]
+        short = 1 if rng.random() < 0.15 else 0  # strands left uncovered
+        while sum(map(_in_width, layer)) < width - short or rng.random() < 0.1:
+            layer.append(rng.choice(names))
+        term.append(tuple(layer))
+        width = sum(map(_out_width, layer))
+    return tuple(term)
+
+
+#: the kinds of typecheck refusal, each named by words of its text
+REFUSALS = ("sort mismatch", "too wide", "does not cover", "swap needs", "ambiguous")
+
+
+def typecheck_outcome_by_both(term):
+    """The outcome of typecheck on term, checked against the unification
+    oracle: "typed", or the refusal's kind, marked when the oracle's text
+    prints an unknown as a _Var object, which may print as its sort or '?'."""
+    try:
+        want = typecheck_by_unification(term)
+    except TheoryError as exc:
+        with pytest.raises(TheoryError) as refusal:
+            typecheck(term)
+        pieces = re.split(r"<[\w.]+ object at 0x[0-9a-f]+>", str(exc))
+        assert type(refusal.value) is type(exc)
+        assert re.fullmatch("'[AE?]'".join(map(re.escape, pieces)), str(refusal.value)), term
+        kind = next(kind for kind in REFUSALS if kind in str(exc))
+        return kind + (" (unknowns)" if len(pieces) > 1 else "")
+    assert typecheck(term) == want, term
+    return "typed"
+
+
+def test_typecheck_agrees_with_unification_on_the_manifest():
+    for eq in load_axioms():
+        assert typecheck_outcome_by_both(eq.lhs) == typecheck_outcome_by_both(eq.rhs) == "typed"
+
+
+def test_typecheck_agrees_with_unification_on_random_terms():
+    rng = random.Random(44)
+    outcomes = collections.Counter(typecheck_outcome_by_both(random_oracle_term(rng))
+                                   for _ in range(600))
+    assert outcomes["typed"] >= 100 and outcomes["sort mismatch"] >= 100, outcomes
+    for kind in REFUSALS[1:]:
+        assert outcomes[kind] >= 3, outcomes
+    assert sum(n for k, n in outcomes.items() if k.endswith("(unknowns)")) >= 5, outcomes
 
 
 def test_unknown_generator():
