@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .tensor import MAX_CIRCLES, LinMap, equal, move_plan, word
 from .pair import VerifyRecord, VerifyReport
@@ -72,8 +72,7 @@ def interpret(w, kind, src, dst, sorts):
     return table[key], w_out, place((src,) * len(dst) + tuple(zip(range(n_in))))
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     kind: str            # birth | death | merge | split | mobius | swap
     pos: int             # 1-based position of the (first) circle acted on
     sorts: tuple = ()    # output sort(s)
@@ -123,16 +122,11 @@ def _capped(w):
     return w
 
 
-@dataclass
 class CobordismWord:
-    input: tuple
-    events: list
-    words: list = field(default_factory=list)  # running words, input first
-    moves: list = field(default_factory=list)  # (generator, source, output slots) per event
-
-    def __post_init__(self):
-        events, self.events, self.moves = self.events, [], []
-        self.words = [_capped(tuple(self.input))]
+    def __init__(self, input: tuple, events: list):
+        self.input, self.events = input, []
+        self.words = [_capped(tuple(input))]  # running words, input first
+        self.moves = []  # (generator, source, output slots) per event
         for ev in events:
             self.append(ev)
 

@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from operator import and_, mul
 from typing import NamedTuple
@@ -38,11 +37,11 @@ class EdgeMove(NamedTuple):
     sorts: tuple = ()  # output sort(s)
 
 
-@dataclass
 class StateCube:
-    n: int
-    vertices: dict    # bitstring -> sort word (tuple)
-    edges: dict       # (source bitstring, flipped index) -> EdgeMove
+    def __init__(self, n: int, vertices: dict, edges: dict):
+        self.n = n
+        self.vertices = vertices  # bitstring -> sort word (tuple)
+        self.edges = edges        # (source bitstring, flipped index) -> EdgeMove
 
     @cached_property
     def scan(self):
@@ -364,9 +363,10 @@ def _unit_pivots(rows, modulus=None):
     in a column already passed, so sweeps repeat while a +-1 is left.
     Short columns and rows keep the fill-in small with no queue of costs: a
     sweep sorts the columns once and scans each once, and scanning a column
-    costs its length, the number of rows its pivot then updates.  A lone +-1
-    is taken without comparing row lengths, and the pivot's column set is
-    emptied in place, so a column that holds one row meets no other row.
+    costs its length, the number of rows its pivot then updates; a column that
+    earlier pivots of the sweep emptied is passed over.  A lone +-1 is taken
+    without comparing row lengths, and the pivot's column set is emptied in
+    place, so a column that holds one row meets no other row.
     """
     rows, cols = dict(enumerate(rows)), defaultdict(set)
     for r, row in rows.items():
@@ -375,7 +375,7 @@ def _unit_pivots(rows, modulus=None):
     count = 0
     while any(v in (1, -1) for row in rows.values() for v in row.values()):
         for c in sorted(cols, key=lambda k: len(cols[k])):
-            units = [r for r in cols[c] if rows[r][c] in (1, -1)]
+            units = cols[c] and [r for r in cols[c] if rows[r][c] in (1, -1)]
             if not units:
                 continue
             p = units[0] if len(units) == 1 else min(units, key=lambda r: len(rows[r]))

@@ -10,10 +10,10 @@ refused unless it equals the derived one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .ring import (
     INTEGERS,
@@ -39,18 +39,13 @@ class PairError(ValueError):
 DERIVED = {"beta": ("eps", "mu_A"), "gamma": ("Delta_A", "eta")}
 
 
-@dataclass
 class FrobeniusPair:
     """Generator table of a (possibly partial) commutative Frobenius pair."""
 
-    ring: RingDecl
-    spec: BasisSpec
-    maps: dict
-    name: str = "pair"
-    unit_label: str = "1"
-    notes: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, ring: RingDecl, spec: BasisSpec, maps: dict, name: str = "pair",
+                 unit_label: str = "1", notes: dict = None):
+        self.ring, self.spec, self.maps, self.name = ring, spec, maps, name
+        self.unit_label, self.notes = unit_label, {} if notes is None else notes
         for gname, m in self.maps.items():
             if gname not in SIGNATURE:
                 raise PairError(f"unknown map name {gname}")
@@ -92,8 +87,7 @@ class FrobeniusPair:
 # -- verification ---------------------------------------------------------------
 
 
-@dataclass
-class VerifyRecord:
+class VerifyRecord(NamedTuple):
     name: str
     group: str
     provenance: str
@@ -102,11 +96,9 @@ class VerifyRecord:
     missing: tuple = ()
 
 
-@dataclass
 class VerifyReport:
-    pair_name: str
-    records: list
-    meta: dict = field(default_factory=dict)
+    def __init__(self, pair_name: str, records: list, meta: dict = None):
+        self.pair_name, self.records, self.meta = pair_name, records, {} if meta is None else meta
 
     def summary(self) -> dict:
         out = {}
@@ -169,16 +161,13 @@ def verify(pair: FrobeniusPair, equations=None, groups=None) -> VerifyReport:
 # -- the algebra A ------------------------------------------------------------------
 
 
-@dataclass
 class FrobeniusAlgebra:
     """Rank-n commutative Frobenius algebra as its four maps mu_A, Delta_A, eta
     and eps over BasisSpec(labels, labels, ring).  An element is a
     {label: coefficient} dict; arithmetic acts A's maps on it as a map () -> A."""
 
-    ring: RingDecl
-    labels: tuple
-    unit_label: str
-    maps: dict
+    def __init__(self, ring: RingDecl, labels: tuple, unit_label: str, maps: dict):
+        self.ring, self.labels, self.unit_label, self.maps = ring, labels, unit_label, maps
 
     def mul_vec(self, v1, v2):
         """v1 * v2: v2 placed beside v1, then mu_A."""
@@ -342,8 +331,7 @@ def build_it(strict_partial=False) -> FrobeniusPair:
     return pair
 
 
-@dataclass
-class Rank2Params:
+class Rank2Params(NamedTuple):
     """Parameters of the rank-2 classification family; all entries ring elements."""
 
     a: RingElem

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
@@ -25,25 +25,34 @@ class RingError(ValueError):
     """Malformed ring input: mismatched rings, bad parses, non-units."""
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(NamedTuple):
     name: str
     invertible: bool = False
 
 
-@dataclass(frozen=True)
 class RingDecl:
-    """A coefficient domain plus an ordered tuple of variable declarations."""
+    """A coefficient domain plus an ordered tuple of variable declarations,
+    equal to and hashed as another with the same domain and variables."""
 
-    domain: str
-    vars: tuple = ()
-
-    def __post_init__(self):
-        if self.domain not in DOMAINS:
-            raise RingError(f"unknown coefficient domain {self.domain!r}")
-        names = [v.name for v in self.vars]
+    def __init__(self, domain: str, vars: tuple = ()):
+        if domain not in DOMAINS:
+            raise RingError(f"unknown coefficient domain {domain!r}")
+        names = [v.name for v in vars]
         if len(names) != len(set(names)):
             raise RingError("variable names must be unique within a ring declaration")
+        self.domain, self.vars = domain, vars
+
+    def _key(self):
+        return self.domain, self.vars
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is RingDecl else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"RingDecl{self._key()!r}"
 
     def var(self, name):
         for v in self.vars:

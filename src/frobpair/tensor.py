@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .ring import RingDecl
@@ -42,20 +41,29 @@ def word(letters) -> tuple:
     return w
 
 
-@dataclass(frozen=True)
 class BasisSpec:
-    """Ordered basis labels for each sort, over a fixed ring declaration."""
+    """Ordered basis labels for each sort, over a fixed ring declaration; equal
+    to and hashed as another with the same labels and ring."""
 
-    basis_a: tuple
-    basis_e: tuple
-    ring: RingDecl
-
-    def __post_init__(self):
-        for labels in (self.basis_a, self.basis_e):
+    def __init__(self, basis_a: tuple, basis_e: tuple, ring: RingDecl):
+        for labels in (basis_a, basis_e):
             if not labels:
                 raise TensorError("both sorts need a nonempty basis")
             if len(set(labels)) != len(labels):
                 raise TensorError("duplicate basis labels within a sort")
+        self.basis_a, self.basis_e, self.ring = basis_a, basis_e, ring
+
+    def _key(self):
+        return self.basis_a, self.basis_e, self.ring
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is BasisSpec else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"BasisSpec{self._key()!r}"
 
     def labels(self, sort):
         return self.basis_a if sort == SORT_A else self.basis_e

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import re
-from dataclasses import InitVar, dataclass, field
 
 from .tensor import LinMap, act
 
@@ -144,15 +143,13 @@ def typecheck(term):
     return tuple(dom), sorts(current), [sorts(w) for w in layer_ins], tuple(pieces)
 
 
-@dataclass(eq=False)
 class Prefix:
     """One piece of a chain on the word dom: the act moves it applies after
     the pieces before it (after the identity on dom, if it is the first), and
     how many chains start with the prefix it ends."""
 
-    moves: tuple
-    dom: tuple
-    uses: int = 0
+    def __init__(self, moves: tuple, dom: tuple, uses: int = 0):
+        self.moves, self.dom, self.uses = moves, dom, uses
 
 
 def prefix_chain(dom, pieces, interned) -> tuple:
@@ -208,9 +205,9 @@ GROUPS = (
 PROVENANCES = ("paper", "corrected", "generated")
 
 
-@dataclass(frozen=True)
 class Equation:
-    """Two terms that typecheck to the same words, checked when made.
+    """Two terms that typecheck to the same words, checked when made; equal to
+    and hashed as another with the same name, group, provenance, lhs and rhs.
 
     sides holds the Prefix chains of lhs and rhs on their domain, one piece
     per layer with the layer's moves, interned in `pieces`, so that the
@@ -218,31 +215,32 @@ class Equation:
     words holds every word that evaluating them meets; generators, the names they use.
     """
 
-    name: str
-    group: str
-    provenance: str
-    lhs: tuple
-    rhs: tuple
-    pieces: InitVar[dict] = None
-    sides: tuple = field(init=False, compare=False, repr=False)
-    words: tuple = field(init=False, compare=False, repr=False)
-    generators: frozenset = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self, pieces):
-        ld, lc, l_ins, l_pieces = typecheck(self.lhs)
-        rd, rc, r_ins, r_pieces = typecheck(self.rhs)
+    def __init__(self, name: str, group: str, provenance: str, lhs: tuple, rhs: tuple,
+                 pieces: dict = None):
+        self.name, self.group, self.provenance = name, group, provenance
+        self.lhs, self.rhs = lhs, rhs
+        ld, lc, l_ins, l_pieces = typecheck(lhs)
+        rd, rc, r_ins, r_pieces = typecheck(rhs)
         if (ld, lc) != (rd, rc):
-            raise TheoryError(f"equation {self.name}: sides typecheck to {ld}->{lc} vs {rd}->{rc}")
-        if self.group not in GROUPS:
-            raise TheoryError(f"equation {self.name}: unknown group {self.group}")
-        if self.provenance not in PROVENANCES:
-            raise TheoryError(f"equation {self.name}: unknown provenance {self.provenance}")
+            raise TheoryError(f"equation {name}: sides typecheck to {ld}->{lc} vs {rd}->{rc}")
+        if group not in GROUPS:
+            raise TheoryError(f"equation {name}: unknown group {group}")
+        if provenance not in PROVENANCES:
+            raise TheoryError(f"equation {name}: unknown provenance {provenance}")
         pieces = {} if pieces is None else pieces
-        object.__setattr__(self, "sides", (prefix_chain(ld, l_pieces, pieces),
-                                           prefix_chain(ld, r_pieces, pieces)))
-        object.__setattr__(self, "words", (*l_ins, lc, *r_ins[1:]))
-        object.__setattr__(self, "generators", frozenset(
-            gen for piece in l_pieces + r_pieces for gen, _src, _dst in piece if gen is not None))
+        self.sides = prefix_chain(ld, l_pieces, pieces), prefix_chain(ld, r_pieces, pieces)
+        self.words = (*l_ins, lc, *r_ins[1:])
+        self.generators = frozenset(
+            gen for piece in l_pieces + r_pieces for gen, _src, _dst in piece if gen is not None)
+
+    def _key(self):
+        return self.name, self.group, self.provenance, self.lhs, self.rhs
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Equation else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def parse_theory(text) -> list:

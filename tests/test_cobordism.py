@@ -12,6 +12,7 @@ from frobpair.cobordism import (
     MOVES,
     CobordismError,
     CobordismWord,
+    Event,
     birth,
     compare_squares,
     death,
@@ -81,6 +82,18 @@ def test_parse_event_arity():
                  "input A\nsplit 1 A A A"):
         with pytest.raises(CobordismError, match="line 2: malformed event"):
             parse_cobordism(text)
+
+
+def test_events_and_words_take_their_arguments():
+    assert Event("birth", 1, ("A",)) == birth(1) and hash(Event("birth", 1, ("A",))) == hash(birth(1))
+    assert Event(kind="death", pos=2) == death(2) and death(2).sorts == ()
+    assert split(1, "EE") == Event("split", 1, ("E", "E"))
+    events = [swap(1), Event("merge", 1, ("E",))]
+    cob = CobordismWord(word("AE"), events)
+    assert cob.input == word("AE") and cob.events == events and cob.events is not events
+    assert cob.words == [word("AE"), word("EA"), word("E")] and len(cob.moves) == 2
+    with pytest.raises(TypeError):
+        CobordismWord(word("A"), [], words=[])
 
 
 def test_parse_running_words():

@@ -773,6 +773,28 @@ def test_unit_pivots_sweep_while_a_unit_is_left(monkeypatch, m, count, sweeps):
     assert not any(x in (1, -1) for row in residual for x in row)
 
 
+@pytest.mark.parametrize("m,count,residual", [
+    ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], 1, []),  # the pivot empties columns 1 and 2
+    ([[1, 1, 2, 0], [1, 1, 2, 3], [0, 0, 2, 0]], 1, [[0, 3], [2, 0]]),  # column 1
+], ids=["rank_one", "residual"])
+def test_unit_pivots_pass_over_columns_the_sweep_emptied(monkeypatch, m, count, residual):
+    # the pivot on column 0 takes or cancels every row of a later column, so
+    # the sweep reaches it empty: it builds no list of units from it
+    from collections import defaultdict
+    import frobpair.cube as cube_mod
+
+    empty_scans = []
+
+    class Column(set):
+        def __iter__(self):
+            empty_scans.extend([] if self else [1])
+            return super().__iter__()
+
+    monkeypatch.setattr(cube_mod, "defaultdict", lambda factory: defaultdict(Column))
+    assert _unit_pivots([{c: x for c, x in enumerate(row) if x} for row in m]) == (count, residual)
+    assert not empty_scans
+
+
 def test_integer_homology_matches_dense_snf(monkeypatch):
     import frobpair.cube as cube_mod
 

@@ -12,6 +12,8 @@ from frobpair.pair import (
     FrobeniusPair,
     PairError,
     Rank2Params,
+    VerifyRecord,
+    VerifyReport,
     build_aps,
     build_double,
     build_it,
@@ -250,6 +252,15 @@ def test_it_strict_partial_skips():
 
 
 # -- rank 2 ------------------------------------------------------------------------
+
+
+def test_rank2_params_take_fields_by_name_or_place():
+    p = Rank2Params.over(Z, **APS_PARAMS)
+    assert p.a == Z.zero() and p.c_yz == Z.one() and p.a.ring is Z
+    assert p == Rank2Params(**{k: Z.const(v) for k, v in APS_PARAMS.items()})
+    assert p == Rank2Params(*(Z.const(APS_PARAMS[k]) for k in ("a",) + RANK2_TABLES))
+    with pytest.raises(TypeError):
+        Rank2Params.over(Z, a=0)
 
 
 def test_rank2_params_refuse_a_float():
@@ -758,3 +769,32 @@ def test_load_partial_pair_verifies_restricted():
         assert (r.status == "skip") == mentions_nu
         if r.status == "skip":
             assert set(r.missing) <= nus
+
+
+# -- records, reports and notes --------------------------------------------------
+
+
+def test_verify_records_take_their_defaults():
+    r = VerifyRecord("fa_assoc", "frobA", "paper", "fail", witness=(("1",), ("X",)))
+    assert (r.status, r.witness, r.missing) == ("fail", (("1",), ("X",)), ())
+    s = VerifyRecord(name="m", group="moduleE", provenance="paper", status="skip",
+                     missing=("mu_AE",))
+    assert s.witness is None and s.missing == ("mu_AE",)
+    assert VerifyRecord("m", "moduleE", "paper", "pass").witness is None
+
+
+def test_pairs_and_reports_never_share_their_dicts():
+    aps = build_aps()
+    a, b = (FrobeniusPair(aps.ring, aps.spec, aps.maps) for _ in range(2))
+    assert (a.name, a.unit_label, a.notes) == ("pair", "1", {}) and a.notes is not b.notes
+    a.notes["seen"] = True
+    assert b.notes == {}
+    notes = {"given": 1}
+    assert FrobeniusPair(aps.ring, aps.spec, aps.maps, notes=notes).notes is notes
+    r1, r2 = VerifyReport("p", []), VerifyReport("p", [])
+    assert r1.meta == {} and r1.meta is not r2.meta and r1.ok()
+    r1.meta["cases"] = 1
+    assert r2.meta == {}
+    it = build_it()
+    report = verify(it, groups=["frobA"])
+    assert report.meta == it.notes and report.meta is not it.notes

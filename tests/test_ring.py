@@ -8,8 +8,10 @@ from frobpair.ring import (
     MAX_POWER,
     MOD2,
     RATIONALS,
+    RingDecl,
     RingElem,
     RingError,
+    VarDecl,
     parse_ring_elem,
     ring,
     substitution,
@@ -39,6 +41,23 @@ def schoolbook_mul(pairs1, pairs2, decl):
                 term = term * decl.gen(v, e)
             out = out + term
     return out
+
+
+def test_ring_declarations_are_values():
+    # RingElem._check and RingElem.__hash__ take a ring built again for the same one
+    a, b = ring(INTEGERS, "t", "l^-1"), ring(INTEGERS, "t", "l^-1")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.vars[1] == VarDecl("l", invertible=True)
+    assert hash(a.vars[1]) == hash(VarDecl("l", True))
+    assert VarDecl("t") == VarDecl("t", False) and VarDecl("t").invertible is False
+    assert RingDecl(INTEGERS) == RingDecl(INTEGERS, ()) and RingDecl(INTEGERS).vars == ()
+    assert a != ring(INTEGERS, "t", "l") and a != ring(RATIONALS, "t", "l^-1") and a != (INTEGERS,)
+    assert a.gen("t") + b.gen("t") == b.parse("2*t")
+    assert hash(a.gen("l", -1)) == hash(b.gen("l", -1))
+    with pytest.raises(RingError, match="^unknown coefficient domain 'reals'$"):
+        RingDecl("reals")
+    with pytest.raises(RingError, match="^variable names must be unique"):
+        RingDecl(INTEGERS, (VarDecl("t"), VarDecl("t", True)))
 
 
 def test_unit_times_inverse():

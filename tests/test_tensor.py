@@ -53,6 +53,21 @@ def transposition(w, i):
     return act(LinMap.identity(SPEC, w), None, (i - 1, i), (i, i - 1))
 
 
+def test_basis_specs_are_values():
+    # act's spec test and FrobeniusPair's mismatch check take a spec built again
+    again = BasisSpec(("1", "X"), ("Y", "Z"), ring(INTEGERS))
+    assert again is not SPEC and again == SPEC and hash(again) == hash(SPEC)
+    assert again != BasisSpec(("1", "X"), ("Z", "Y"), Z)
+    assert again != BasisSpec(("1", "X"), ("Y", "Z"), ring(RATIONALS))
+    assert again != (("1", "X"), ("Y", "Z"), Z)
+    mu = aps_mu_a()
+    assert equal(act(LinMap.identity(again, word("AA")), mu, (0, 1), (0,)), mu)[0]
+    with pytest.raises(TensorError, match="^both sorts need a nonempty basis$"):
+        BasisSpec(("1",), (), Z)
+    with pytest.raises(TensorError, match="^duplicate basis labels within a sort$"):
+        BasisSpec(("1", "1"), ("Y",), Z)
+
+
 def test_compose_identity():
     mu = aps_mu_a()
     assert equal(compose(LinMap.identity(SPEC, word("A")), mu), mu)[0]

@@ -377,6 +377,35 @@ def test_read_manifest_gives_the_equations_and_version_of_one_text(tmp_path):
     assert read_manifest(path)[1] is None
 
 
+def test_startup_loads_no_dataclasses():
+    # a fresh process up to a loaded CLI and manifest, as each `frobpair` command
+    # starts: dataclasses would bring inspect, ast, dis and tokenize with it
+    env = {k: v for k, v in os.environ.items() if k != "FROBPAIR_AXIOMS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(frobpair.__file__))
+    code = ("import sys, frobpair.cli; from frobpair.theory import load_axioms; load_axioms(); "
+            "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          check=True, text=True)
+    assert proc.stdout.split() == []
+
+
+def test_equations_compare_on_name_group_provenance_and_terms():
+    text = "eq unit_l [frobA]: (eta (x) id_A) ; mu_A == id_A"
+    (a,), (b,) = parse_theory(text), parse_theory(text)
+    # each parse interns its own prefixes, so the sides are distinct objects
+    assert a.sides[0][0] is not b.sides[0][0]
+    assert a == b and hash(a) == hash(b)
+    b.sides, b.words, b.generators = (), (), frozenset()
+    assert a == b and hash(a) == hash(b)
+    for other in ("eq unit_r [frobA]: (eta (x) id_A) ; mu_A == id_A",
+                  "eq unit_l [derived]: (eta (x) id_A) ; mu_A == id_A",
+                  "eq unit_l [frobA] {corrected}: (eta (x) id_A) ; mu_A == id_A",
+                  "eq unit_l [frobA]: (id_A (x) eta) ; mu_A == id_A"):
+        assert parse_theory(other)[0] != a
+    assert a != (a.name, a.group, a.provenance, a.lhs, a.rhs)
+
+
 def test_importing_the_cli_parses_no_manifest():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(frobpair.__file__)))
     # parse_theory is counted from before the other modules load
