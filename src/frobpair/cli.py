@@ -272,8 +272,6 @@ def cmd_cube(args) -> int:
             except RingError as exc:
                 raise InputError(str(exc)) from None
         pair = cube_mod.specialize_pair(pair, assignment)
-    for w in cube.vertices.values():
-        pair.spec.check_dim(w)
     report = cube_mod.homology(cube, pair, args.coeff)
     failed = any(s["betti"] < 0 for s in report)  # proves d^2 != 0: name a square
     if failed:

@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 from collections import Counter, defaultdict
-from functools import cached_property
 from operator import and_, mul
 from typing import NamedTuple
 
@@ -38,26 +37,19 @@ class EdgeMove(NamedTuple):
 
 
 class StateCube:
+    """A checked cube: the constructor runs validate_cube's one scan, so every
+    StateCube is valid, and keeps what it read.  scan is (words, numbers,
+    moves), by vertex index v (b in base 2): v's word, v's edge numbers by
+    flipped bit (None on a 1-bit), and each number's descriptor: its source
+    word and `_interpret` output.  squares is {square: its first (v, k, l)} in
+    scan order, v flipping bits k < l: the edge numbers of (edge v/k, then l)
+    and (edge v/l, then k) in one int of four `_field(n)`-bit fields."""
+
     def __init__(self, n: int, vertices: dict, edges: dict):
         self.n = n
         self.vertices = vertices  # bitstring -> sort word (tuple)
         self.edges = edges        # (source bitstring, flipped index) -> EdgeMove
-
-    @cached_property
-    def scan(self):
-        """(words, numbers, moves) of validate_cube's scan, by vertex index v (b in
-        base 2): v's word, v's edge numbers by flipped bit (None on a 1-bit), and
-        each number's descriptor: its source word and `_interpret` output."""
-        validate_cube(self)
-        return vars(self)["scan"]
-
-    @cached_property
-    def squares(self):
-        """{square: its first (v, k, l)} in scan order, v flipping bits k < l: the
-        edge numbers of (edge v/k, then l) and (edge v/l, then k) in one int of
-        four `_field(n)`-bit fields.  validate_cube's scan keeps them."""
-        validate_cube(self)
-        return vars(self)["squares"]
+        self.scan, self.squares = validate_cube(self)
 
 
 def _bits(n):
@@ -93,16 +85,16 @@ def _reach(first, second):
 
 
 def validate_cube(cube: StateCube):
-    """Check the cube invariants in one scan of the vertices (v ascending, k
-    ascending) and keep what it reads as the cube's scan and squares.  Raises
-    CubeError on the first violation: a missing vertex; else the first edge on
-    a 1-bit, missing edge, illegal move or move that misses its target's word;
-    else the first square whose paths allow no common source set at some
-    far-corner position (the per-path provenance over-approximates the true
-    one, so disjointness certifies that they do not commute).  Each vertex
-    numbers its edges by (source word, move), interpreted at its first edge;
-    then each distinct square is checked once, by ANDing its paths' `_reach`
-    bitmasks, each built once per distinct path."""
+    """Check the invariants of a cube's n, vertices and edges in one scan of the
+    vertices (v ascending, k ascending) and return what it reads, the cube's
+    (scan, squares).  Raises CubeError on the first violation: a missing
+    vertex; else the first edge on a 1-bit, missing edge, illegal move or move
+    that misses its target's word; else the first square whose paths allow no
+    common source set at some far-corner position (the per-path provenance
+    over-approximates the true one, so disjointness certifies that they do not
+    commute).  Each vertex numbers its edges by (source word, move),
+    interpreted at its first edge; then each distinct square is checked once,
+    by ANDing its paths' `_reach` bitmasks, each built once per distinct path."""
     n, edges, bits = cube.n, cube.edges, _bits(cube.n)
     try:
         words = [tuple(cube.vertices[b]) for b in bits]
@@ -142,8 +134,7 @@ def validate_cube(cube: StateCube):
                     reach[path] = _reach(moves[path >> s], moves[path & (1 << s) - 1])
             if not all(map(and_, reach[one], reach[two])):
                 raise CubeError(f"square at {bits[v]} (bits {k},{l}) does not commute")
-    vars(cube).update(scan=(words, numbers, moves), squares=squares)
-    return True
+    return (words, numbers, moves), squares
 
 
 def edge_map(cube: StateCube, pair: FrobeniusPair, b, k) -> LinMap:
@@ -165,16 +156,6 @@ class BlockMatrix:
         self.ring = ring_decl
         self.entries = {}
 
-    def add(self, r, c, v):
-        if v.is_zero():
-            return
-        s = self.entries.get((r, c))
-        s = v if s is None else s + v
-        if s.is_zero():
-            self.entries.pop((r, c), None)
-        else:
-            self.entries[(r, c)] = s
-
     def dense(self):
         """Rows of constant entries; raises RingError on non-constant ones."""
         idx_r = {r: i for i, r in enumerate(self.rows)}
@@ -191,13 +172,15 @@ def vertex_keys(cube: StateCube, pair: FrobeniusPair, degree):
 
 
 def differential(cube: StateCube, pair: FrobeniusPair, i) -> BlockMatrix:
-    """d_i: degree-i chain space -> degree-(i+1) chain space as a block matrix."""
+    """d_i: degree-i chain space -> degree-(i+1) chain space as a block matrix.
+    Each entry is set once: no two edges share a (row, column), and an edge
+    map's entries are nonzero."""
     d = BlockMatrix(vertex_keys(cube, pair, i + 1), vertex_keys(cube, pair, i), pair.ring)
     bits, numbers = _bits(cube.n), cube.scan[1]
     for b, k in [(bits[v], k) for v, row in enumerate(numbers) if v.bit_count() == i
                  for k, e in enumerate(row) if e is not None]:  # the scan's edges, in scan order
         for (o, t), v in edge_map(cube, pair, b, k).entries.items():
-            d.add((_flip(b, k), o), (b, t), -v if _weight(b[:k]) % 2 else v)
+            d.entries[(_flip(b, k), o), (b, t)] = -v if _weight(b[:k]) % 2 else v
     return d
 
 
@@ -226,10 +209,10 @@ def check_d_squared(cube: StateCube, pair: FrobeniusPair):
 
     Each square is one block of d_{i+1} d_i, and its two paths carry opposite
     signs, so d^2 = 0 iff every square's two composite edge maps are equal.
-    Both are the identity on each circle neither path touches, and
-    validate_cube's disjointness test refuses a square whose paths take such
-    a circle to two far slots.  So on every cube it accepts, a square's
-    verdict is that of its local square (`_local_square`), which depends on
+    Both are the identity on each circle neither path touches, as a StateCube
+    is scanned when built and validate_cube refuses a square whose paths take
+    such a circle to two far slots.  So a square's verdict is that of its
+    local square (`_local_square`), which depends on
     the pair only: `pair.square_verdicts` keeps it, and compare_squares
     compares each local square the table lacks, its edges already moves.  The
     witness (b, k, l, t) is the first failing square, at b flipping bits
@@ -426,8 +409,11 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
     Entries must be constants in the pair's ring (specialize first), and
     integers over z and z2: CubeError refuses d_i's first fraction, sign
     included, rather than truncate it.  A Z/2 pair takes only z2: its residues
-    lifted to Q or Z need not give d^2 = 0.
+    lifted to Q or Z need not give d^2 = 0.  First of all, TensorError refuses
+    a vertex word that spans more than tensor.MAX_TUPLES basis tuples.
     """
+    for w in cube.vertices.values():
+        pair.spec.check_dim(w)
     if coefficients not in COEFFS:
         raise CubeError(f"unknown coefficients {coefficients!r}")
     if coefficients in ("q", "z") and pair.ring.domain == MOD2:
@@ -577,9 +563,7 @@ def cube_from_json(text) -> StateCube:
         if key.count("*") != 1 or len(key) != n or key.strip("01*"):  # a char not in 01*
             raise CubeError(f"bad edge key {key!r}")
         edges[(key.replace("*", "0"), key.index("*"))] = _edge_from_json(key, mv)
-    cube = StateCube(n, vertices, edges)
-    validate_cube(cube)
-    return cube
+    return StateCube(n, vertices, edges)
 
 
 def load_cube(path) -> StateCube:

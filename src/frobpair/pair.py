@@ -46,6 +46,7 @@ class FrobeniusPair:
                  unit_label: str = "1", notes: dict = None):
         self.ring, self.spec, self.maps, self.name = ring, spec, maps, name
         self.unit_label, self.notes = unit_label, {} if notes is None else notes
+        self.square_verdicts = {}  # cube.check_d_squared's verdict of each local square
         for gname, m in self.maps.items():
             if gname not in SIGNATURE:
                 raise PairError(f"unknown map name {gname}")
@@ -77,11 +78,6 @@ class FrobeniusPair:
         """Shipped maps plus beta and gamma, read-only; derived on the first
         call and kept, since a pair's maps do not change after construction."""
         return self._table
-
-    @cached_property
-    def square_verdicts(self) -> dict:
-        """cube.check_d_squared's verdict of each local square, kept with the pair."""
-        return {}
 
 
 # -- verification ---------------------------------------------------------------

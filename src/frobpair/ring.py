@@ -127,22 +127,13 @@ def _mono_mul(m1, m2):
 
 
 class RingElem:
-    """Normal-form element: dict monomial -> nonzero coefficient."""
+    """Normal-form element: dict monomial -> nonzero coefficient of the
+    domain's type (int, Fraction over Q, 1 over Z/2), given in that form."""
 
     __slots__ = ("ring", "terms", "_hash")
 
-    def __init__(self, ring_decl, terms, _normalized=False):
-        self.ring = ring_decl
-        if _normalized:
-            self.terms = terms
-        else:
-            clean = {}
-            for m, c in terms.items():
-                c = _coerce(ring_decl.domain, c)
-                if c != 0:
-                    clean[m] = c
-            self.terms = clean
-        self._hash = None
+    def __init__(self, ring_decl, terms):
+        self.ring, self.terms, self._hash = ring_decl, terms, None
 
     # -- ring operations -----------------------------------------------------
 
@@ -170,14 +161,14 @@ class RingElem:
                 s += c
                 if s:
                     terms[m] = s
-        return RingElem(self.ring, terms, _normalized=True)
+        return RingElem(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.ring.domain == MOD2:
             return self
-        return RingElem(self.ring, {m: -c for m, c in self.terms.items()}, _normalized=True)
+        return RingElem(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._check(other)
@@ -199,7 +190,7 @@ class RingElem:
             (m1, c1), = a.items()
             (m2, c2), = b.items()
             m = m2 if not m1 else m1 if not m2 else _mono_mul(m1, m2)
-            return RingElem(self.ring, {m: c1 * c2}, _normalized=True)
+            return RingElem(self.ring, {m: c1 * c2})
         terms = {}
         get = terms.get
         for m1, c1 in a.items():
@@ -211,7 +202,7 @@ class RingElem:
             terms = {m: 1 for m, c in terms.items() if c % 2}
         else:
             terms = {m: c for m, c in terms.items() if c}
-        return RingElem(self.ring, terms, _normalized=True)
+        return RingElem(self.ring, terms)
 
     __rmul__ = __mul__
 

@@ -13,7 +13,7 @@ import functools
 import importlib.resources
 import re
 
-from .tensor import LinMap, act
+from .tensor import LinMap, act, move_plan
 
 A, E = "A", "E"
 
@@ -212,7 +212,8 @@ class Equation:
     sides holds the Prefix chains of lhs and rhs on their domain, one piece
     per layer with the layer's moves, interned in `pieces`, so that the
     equations made with one dict share their prefixes;
-    words holds every word that evaluating them meets; generators, the names they use.
+    words holds every word that evaluating them meets, each layer's in-word and
+    the word after each of its moves; generators, the names they use.
     """
 
     def __init__(self, name: str, group: str, provenance: str, lhs: tuple, rhs: tuple,
@@ -229,7 +230,12 @@ class Equation:
             raise TheoryError(f"equation {name}: unknown provenance {provenance}")
         pieces = {} if pieces is None else pieces
         self.sides = prefix_chain(ld, l_pieces, pieces), prefix_chain(ld, r_pieces, pieces)
-        self.words = (*l_ins, lc, *r_ins[1:])
+        self.words = []
+        for w, piece in zip(l_ins + r_ins, l_pieces + r_pieces):  # replay each move's word
+            self.words.append(w)
+            for gen, src, dst in piece:
+                w = move_plan(w, src, dst, gen and (*SIGNATURE[gen], True))[2]
+                self.words.append(w)
         self.generators = frozenset(
             gen for piece in l_pieces + r_pieces for gen, _src, _dst in piece if gen is not None)
 

@@ -45,7 +45,9 @@ whose two saddles touch disjoint circles, on which the interchange rule of
 random tables, not Frobenius pairs, that it is checked under.
 `hand_placement`, a move's output word and provenance filled in slot by
 slot with nothing of `frobpair.tensor`, is what `cobordism.interpret`'s
-placement by `tensor.move_plan` is checked against.
+placement by `tensor.move_plan` is checked against.  `conjugate` gives the
+pair isomorphic to a pair by a change of basis on A and on E, on which every
+answer must be the same.
 """
 
 import importlib.resources
@@ -57,8 +59,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from frobpair.cobordism import DIAMOND_CASES, MERGE_GEN, SPLIT_GEN, CobordismWord, evaluate
-from frobpair.cube import (CubeError, EdgeMove, StateCube, _bits, cube_from_json, differential,
-                           validate_cube)
+from frobpair.cube import CubeError, EdgeMove, StateCube, _bits, cube_from_json, differential
 from frobpair.pair import (
     DOUBLE_SEARCH_EQUATIONS,
     FrobeniusPair,
@@ -68,8 +69,8 @@ from frobpair.pair import (
     build_rank2,
     universal_algebra,
 )
-from frobpair.ring import INTEGERS, MOD2, ring
-from frobpair.tensor import BasisSpec, LinMap, equal
+from frobpair.ring import INTEGERS, MOD2, RingElem, ring, unit_invert
+from frobpair.tensor import BasisSpec, LinMap, act, compose, equal
 from frobpair.theory import A, E, SIGNATURE, TheoryError, evaluate_term, load_axioms, term_to_text
 
 from diamonds import edge_labelings, reverse_events
@@ -617,9 +618,7 @@ def random_cube(rng, n=None, max_circles=6, sort_tries=40):
                 w = vertices[_flip(b, k)]
                 edges[(b, k)] = EdgeMove("split", i, 0, outs,
                                          (w[outs[0] - 1], w[outs[1] - 1]))
-        cube = StateCube(n, vertices, edges)
-        validate_cube(cube)
-        return cube
+        return StateCube(n, vertices, edges)
 
 
 def hand_placement(w, src, dst, sorts):
@@ -778,6 +777,56 @@ def random_integer_pair(rng, name="random"):
         if gen not in ("beta", "gamma"):
             maps[gen] = LinMap(spec, dom, cod, entries)
     return FrobeniusPair(decl, spec, maps, name=name)
+
+
+def _adjugate_inverse(m, decl):
+    """The inverse of a square matrix of ring elements, as its adjugate over its
+    determinant, which must be a unit; each minor by the Leibniz formula."""
+    def det(rows, cols):
+        total = decl.zero()
+        for perm in itertools.permutations(cols):
+            term = decl.one()
+            for r, c in zip(rows, perm):
+                term = term * m[r][c]
+            odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+            total = total - term if odd else total + term
+        return total
+
+    def cofactor(i, j):
+        rows, cols = [r for r in range(n) if r != i], [c for c in range(n) if c != j]
+        return (-1) ** (i + j) * det(rows, cols)
+
+    n = len(m)
+    inv = unit_invert(det(range(n), range(n)))
+    return [[inv * cofactor(j, i) for j in range(n)] for i in range(n)]
+
+
+def conjugate(pair, g_A, g_E):
+    """The pair isomorphic to `pair` by the changes of basis g_A on A and g_E on
+    E: every given generator f becomes g_cod . f . g_dom^-1, g and its inverse
+    applied slot by slot with `tensor.act`, and beta and gamma derived again
+    if not given.  g_A and g_E are square matrices in label order, entry [i][j]
+    the coefficient of label i in the image of label j, each an int, a ring
+    element or its text; each is invertible over the ring, and g_A fixes the
+    unit, as FrobeniusPair requires of eta."""
+    decl, spec, g, undo = pair.ring, pair.spec, {}, {}
+    for sort, mat in ((A, g_A), (E, g_E)):
+        mat = [[x if isinstance(x, RingElem) else decl.parse(str(x)) for x in row] for row in mat]
+        labels, size = spec.labels(sort), range(len(mat))
+        for into, m in ((g, mat), (undo, _adjugate_inverse(mat, decl))):
+            into[sort] = LinMap(spec, (sort,), (sort,), {
+                ((labels[i],), (labels[j],)): m[i][j] for i in size for j in size})
+    maps = {}
+    for name, f in pair.maps.items():
+        h = LinMap.identity(spec, f.dom)
+        for p, sort in enumerate(f.dom):
+            h = act(h, undo[sort], (p,), (p,))
+        h = compose(f, h)
+        for q, sort in enumerate(f.cod):
+            h = act(h, g[sort], (q,), (q,))
+        maps[name] = h
+    return FrobeniusPair(decl, spec, maps, name=pair.name, unit_label=pair.unit_label,
+                         notes=dict(pair.notes))
 
 
 class _Var:

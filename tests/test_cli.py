@@ -777,6 +777,23 @@ def test_verify_over_tuple_limit_exit_two(tmp_path, capsys):
     assert err == "error: the word AAA spans 1728000 basis tuples, over the limit of 65536\n"
 
 
+def test_verify_bounds_the_word_between_two_moves_of_one_layer(tmp_path, capsys):
+    # 17 labels on A keep AAA (4,913 tuples) under the limit, but the layer
+    # Delta_A (x) mu_A splits first and so passes through AAAA (83,521 tuples)
+    one = [{"basis": ["a0"], "coeff": "1"}]
+    maps = {"eta": [{"in": [], "out": one}],
+            "mu_A": [{"in": ["a0", "a0"], "out": one}],
+            "Delta_A": [{"in": ["a0"], "out": [{"basis": ["a0", "a0"], "coeff": "1"}]}]}
+    path, axioms = tmp_path / "wide.json", tmp_path / "wide.eq"
+    path.write_text(json.dumps({
+        "ring": {"domain": "integers", "vars": []}, "maps": maps,
+        "basis": {"A": [f"a{i}" for i in range(17)], "E": ["e0"]}}))
+    axioms.write_text("eq wide [frobA]: (Delta_A (x) mu_A) == (Delta_A (x) mu_A)\n")
+    code, out, err = run(capsys, "verify", "--pair", str(path), "--axioms", str(axioms))
+    assert_one_line_error(code, out, err)
+    assert err == "error: the word AAAA spans 83521 basis tuples, over the limit of 65536\n"
+
+
 @pytest.mark.parametrize("coeff,code,first", [
     ("q", 1, "FAIL square at 00010 (bits 2,4)"),
     ("z", 1, "FAIL square at 00010 (bits 2,4)"),

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 
@@ -37,7 +38,7 @@ from frobpair.pair import (
     Rank2Params,
 )
 from frobpair.ring import INTEGERS, RingDecl, RingElem, ring
-from frobpair.tensor import MAX_CIRCLES, BasisSpec, compose, equal, word
+from frobpair.tensor import MAX_CIRCLES, BasisSpec, TensorError, compose, equal, word
 
 from helpers import (
     block_product,
@@ -91,51 +92,45 @@ def test_validate_split1():
 
 
 def test_validate_rejects_merge_on_single_circle():
-    cube = StateCube(1, {"0": ("A",), "1": ()},
-                     {("0", 0): EdgeMove("merge", 1, 2, (1,), ("A",))})
     with pytest.raises(CubeError, match="out of range"):
-        validate_cube(cube)
+        StateCube(1, {"0": ("A",), "1": ()}, {("0", 0): EdgeMove("merge", 1, 2, (1,), ("A",))})
 
 
 def test_validate_rejects_word_mismatch():
-    cube = StateCube(1, {"0": ("A",), "1": ("E", "E")},
-                     {("0", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A"))})
     with pytest.raises(CubeError, match="produces word"):
-        validate_cube(cube)
+        StateCube(1, {"0": ("A",), "1": ("E", "E")},
+                  {("0", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A"))})
 
 
 def test_validate_rejects_illegal_sorts():
-    cube = StateCube(1, {"0": ("A",), "1": ("A", "E")},
-                     {("0", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "E"))})
     with pytest.raises(CubeError, match="no generator"):
-        validate_cube(cube)
+        StateCube(1, {"0": ("A",), "1": ("A", "E")},
+                  {("0", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "E"))})
 
 
 def test_validate_rejects_a_split_with_one_output_slot_for_two_sorts():
     # a cube built in Python, not read from a file: tensor.move_plan, which places
     # the move's outputs, refuses one slot for two output sorts, so no circle is lost
-    cube = StateCube(1, {"0": ("A",), "1": ("A",)},
-                     {("0", 0): EdgeMove("split", 1, 0, (1,), ("A", "A"))})
     with pytest.raises(CubeError) as refusal:
-        validate_cube(cube)
+        StateCube(1, {"0": ("A",), "1": ("A",)},
+                  {("0", 0): EdgeMove("split", 1, 0, (1,), ("A", "A"))})
     assert str(refusal.value) == \
         "edge 0/0: target slots (0,) do not fit the image of slots (0,) of ('A',)"
 
 
 def test_validate_rejects_incompatible_square():
     # two far-apart splits, but one path misroutes the untouched circle
-    cube = StateCube(2, {
-        "00": ("A", "A"), "10": ("A", "A", "A"), "01": ("A", "A", "A"),
-        "11": ("A", "A", "A", "A"),
-    }, {
+    vertices = {"00": ("A", "A"), "10": ("A", "A", "A"), "01": ("A", "A", "A"),
+                "11": ("A", "A", "A", "A")}
+    edges = {
         ("00", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
         ("00", 1): EdgeMove("split", 2, 0, (2, 3), ("A", "A")),
         ("10", 1): EdgeMove("split", 3, 0, (3, 4), ("A", "A")),
         # wrong: sends the untouched third circle elsewhere
         ("01", 0): EdgeMove("split", 1, 0, (1, 4), ("A", "A")),
-    })
+    }
     with pytest.raises(CubeError, match="does not commute"):
-        validate_cube(cube)
+        StateCube(2, vertices, edges)
 
 
 def test_validate_missing_vertex_and_edge():
@@ -145,15 +140,23 @@ def test_validate_missing_vertex_and_edge():
         validate_cube(StateCube(1, {"0": ("A",), "1": ("A", "A")}, {}))
 
 
+class Draft(NamedTuple):
+    """A cube's parts, not yet built: StateCube(*draft) scans them, and the
+    correspondence oracles read them as they read a cube."""
+    n: int
+    vertices: dict
+    edges: dict
+
+
 def perturbed(rng, cube):
-    """The cube with one edge changed: a split's outputs swapped, or a merge's
-    output shifted one place."""
+    """The cube's Draft with one edge changed: a split's outputs swapped, or a
+    merge's output shifted one place."""
     (b, k), move = rng.choice(sorted(cube.edges.items()))
     if move.kind == "split":
         move = move._replace(outs=move.outs[::-1])
     else:
         move = move._replace(outs=(move.outs[0] % (len(cube.vertices[b]) - 1) + 1,))
-    return StateCube(cube.n, cube.vertices, {**cube.edges, (b, k): move})
+    return Draft(cube.n, cube.vertices, {**cube.edges, (b, k): move})
 
 
 def test_validate_matches_correspondence_oracle():
@@ -166,7 +169,7 @@ def test_validate_matches_correspondence_oracle():
         cube = perturbed(rng, random_cube(rng, n=rng.randint(2, 5)))
         first = first_refusal_by_correspondence(cube)
         try:
-            ok = validate_cube(cube)
+            ok = bool(StateCube(*cube))
         except CubeError as exc:
             ok = False
             assert first is not None and str(exc).startswith(first), (exc, first)
@@ -177,14 +180,14 @@ def test_validate_matches_correspondence_oracle():
 
 def test_validated_squares_take_passive_circles_to_the_same_far_slot():
     # check_d_squared reads each square on the circles it touches; that is exact
-    # because validate_cube refuses every square whose other circles land in
-    # different far slots on its two paths
+    # because building a StateCube refuses every square whose other circles land
+    # in different far slots on its two paths
     rng = random.Random(23)
     accepted = refused = 0
     for _ in range(200):
         cube = perturbed(rng, random_cube(rng, n=rng.randint(2, 5)))
         try:
-            ok = validate_cube(cube)
+            ok = bool(StateCube(*cube))
         except CubeError as exc:
             if str(exc).startswith("edge "):
                 continue  # an illegal edge has no circle tracking
@@ -218,10 +221,10 @@ def test_validate_refuses_an_edge_before_an_earlier_square():
         if not later:
             continue
         b, k = rng.choice(later)
-        cube = StateCube(cube.n, cube.vertices, {**cube.edges, (b, k): broken(cube.edges[b, k])})
+        cube = cube._replace(edges={**cube.edges, (b, k): broken(cube.edges[b, k])})
         assert first_refusal_by_correspondence(cube) == f"edge {b}/{k}"
         with pytest.raises(CubeError, match=rf"^edge {b}/{k}: "):
-            validate_cube(cube)
+            StateCube(*cube)
         found += 1
     assert found > 20
 
@@ -236,7 +239,7 @@ def test_validate_refuses_the_first_of_two_bad_edges_in_scan_order():
         edges = {**cube.edges, **{key: broken(cube.edges[key]) for key in two}}
         b, k = min(two, key=lambda key: (int(key[0], 2), key[1]))
         with pytest.raises(CubeError, match=rf"^edge {b}/{k}: "):
-            validate_cube(StateCube(cube.n, cube.vertices, edges))
+            StateCube(cube.n, cube.vertices, edges)
 
 
 def test_validate_builds_one_bitmask_per_distinct_path(monkeypatch):
@@ -290,14 +293,13 @@ def test_load_interprets_each_edge_once(monkeypatch):
 
 def test_load_enumerates_the_squares_once(monkeypatch):
     # validation fills the cube's squares and d^2 reads them; a cube built
-    # directly enumerates them on first use
+    # directly enumerates the same squares
     import frobpair.cube as cube_mod
 
     made = random_cube(random.Random(5), n=5, max_circles=8)
     direct = StateCube(made.n, made.vertices, made.edges)
-    assert "squares" not in vars(direct)
     cube = cube_from_json(cube_to_json(made))
-    squares = vars(cube)["squares"]
+    squares = cube.squares
     assert direct.squares == squares and len(squares) > 40
     # flat int keys, each with its first (vertex index, k, l)
     assert {type(q) for q in squares} == {int}
@@ -334,24 +336,21 @@ def test_validate_refuses_an_edge_on_a_one_bit_in_scan_order():
     # already 1 (a cube file cannot: an edge key's * reads as 0); the scan
     # refuses it where it meets it, after the edges of earlier vertices and
     # before those of later ones
-    cube = StateCube(1, {"0": ("A",), "1": ("A", "A")},
-                     {("1", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A"))})
     with pytest.raises(CubeError, match=r"^missing edge 0->1$"):
-        validate_cube(cube)
-    cube = StateCube(2, {"00": ("A",), "01": ("A", "A"), "10": ("A", "A"), "11": ("A",) * 3},
-                     {("00", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
-                      ("00", 1): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
-                      ("01", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
-                      ("01", 1): EdgeMove("split", 1, 0, (1, 2), ("A", "A"))})
+        StateCube(1, {"0": ("A",), "1": ("A", "A")},
+                  {("1", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A"))})
     with pytest.raises(CubeError, match=r"^edge 01/1 flips a 1-bit$"):
-        validate_cube(cube)
+        StateCube(2, {"00": ("A",), "01": ("A", "A"), "10": ("A", "A"), "11": ("A",) * 3},
+                  {("00", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
+                   ("00", 1): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
+                   ("01", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
+                   ("01", 1): EdgeMove("split", 1, 0, (1, 2), ("A", "A"))})
 
 
 def test_edge_errors_name_the_edge():
-    cube = StateCube(1, {"0": ("A",), "1": ("A", "E")},
-                     {("0", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "E"))})
     with pytest.raises(CubeError, match=r"^edge 0/0: no generator for A->AE$"):
-        validate_cube(cube)
+        StateCube(1, {"0": ("A",), "1": ("A", "E")},
+                  {("0", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "E"))})
 
 
 # -- differential -----------------------------------------------------------------
@@ -661,6 +660,17 @@ def test_homology_empty_cube():
     assert [s["betti"] for s in got] == [2]
 
 
+def test_homology_bounds_every_vertex_word_first():
+    # a cube built in Python, not read by the CLI, is bounded too, before any
+    # coefficient refusal: double has four E labels, so nine E circles span 4**9
+    cube, double = StateCube(0, {"": ("E",) * 9}, {}), build_builtin("double", {})
+    for coeff in ("q", "no such coefficients"):
+        with pytest.raises(TensorError) as refusal:
+            homology(cube, double, coeff)
+        assert str(refusal.value) == \
+            "the word EEEEEEEEE spans 262144 basis tuples, over the limit of 65536"
+
+
 def test_homology_requires_constants():
     with pytest.raises(CubeError, match="specialize first"):
         homology(merge1_cube_all("A"), build_laurent_sqrt(), "q")
@@ -847,7 +857,6 @@ def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, 
     built, reduced, cells, constants = [], [], [], []
     monkeypatch.setattr(cube_mod, "differential",
                         lambda c, p, i: pytest.fail(f"differential over {coeff}"))
-    monkeypatch.setattr(BlockMatrix, "add", lambda *a: pytest.fail(f"add over {coeff}"))
     monkeypatch.setattr(cube_mod, "edge_map", lambda *a: pytest.fail(f"edge_map over {coeff}"))
     real_block, real_constant = cube_mod._block, RingElem.constant_value
     monkeypatch.setattr(cube_mod, "_block", lambda radix, move, entries: built.append(
@@ -1108,7 +1117,7 @@ def test_sign_convention_flip_preserves_betti():
                     sign = -1 if _weight(b[k + 1:]) % 2 else 1
                     m = edge_map(cube, aps, b, k)
                     for (o, t), v in m.entries.items():
-                        d.add((_flip(b, k), o), (b, t), v if sign > 0 else -v)
+                        d.entries[(_flip(b, k), o), (b, t)] = v if sign > 0 else -v
             return d
 
         for i in range(cube.n - 1):
