@@ -376,10 +376,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PairError, RingError, TensorError, TheoryError, CobordismError,
+    except (InputError, PairError, RingError, TensorError, TheoryError, CobordismError,
             cube_mod.CubeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

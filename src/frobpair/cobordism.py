@@ -349,50 +349,37 @@ def diamond_exchange_suite(pair, cases=None) -> VerifyReport:
     bottom paths A->B->D vs A->C->D and side paths B->A->C vs B->D->C.
 
     The squares of cases (all of DIAMOND_CASES by default) are read from
-    data/diamonds.json: the 230 labellings give 460 squares in 215 classes.
-    The squares of a class differ only by the order of their circles or of
-    their two paths, so they share a verdict: compare_squares takes the first
-    selected square of each class, then the other squares of a failing class,
-    so that each keeps its own witness.  Each shipped edge is one move, its
-    swaps folded into its slots.  On the 215 representatives square_plan
-    decides 55 unevaluated, and compare_squares calls equal 160 times and
-    acts 53 + 150 moves.  Squares are reported in their own order.  Every
+    data/diamonds.json, each shipped edge one move, and planned once per
+    selection (_suite_plan).  One compare_squares call takes them all: of the
+    460, square_plan decides 200 unevaluated, and equal is called 260 times.
+    Each square is reported in its own order, with its own witness.  Every
     shipped edge is checked against the pair first, in the order the squares
     meet them, so a missing generator or an over-wide running word is
-    reported as the first one met.  All but the failing classes is planned
-    once per selection of cases (_suite_plan), so a later call reads no file.
+    reported as the first one met.
     """
     if cases is None:
         cases = DIAMOND_CASES
-    names, moved, rep_of, rep_plan, checks = _suite_plan(frozenset(case[0] for case in cases))
+    names, plan, checks = _suite_plan(frozenset(case[0] for case in cases))
     for check in checks:  # a generator name, or a running word
         table_with(pair, (check,)) if isinstance(check, str) else pair.spec.check_dim(check)
-    table = pair.generator_table()
-    verdicts = dict(zip(dict.fromkeys(rep_of), compare_squares(rep_plan, table, pair.spec)))
-    again = [k for k, rep in enumerate(rep_of) if k not in verdicts and not verdicts[rep][0]]
-    verdicts.update(zip(again, compare_squares(square_plan([moved[k] for k in again]), table,
-                                               pair.spec)))
     records = [VerifyRecord(name, "diamond", "paper", "pass" if ok else "fail", witness=witness)
-               for k, name in enumerate(names) for ok, witness in [verdicts.get(k, (True, None))]]
+               for name, (ok, witness) in zip(names, compare_squares(
+                   plan, pair.generator_table(), pair.spec))]
     return VerifyReport(pair.name, records, meta={"cases": len(cases)})
 
 
 @functools.lru_cache(maxsize=4)  # keyed on the selected case names
 def _suite_plan(names) -> tuple:
     """diamond_exchange_suite's plan of the cases named, which no pair changes: the
-    selected squares' names, the squares as moves, each one's class representative
-    (its class's first selected square), the representatives' square_plan, and each
-    distinct running word and generator of the edges, in the order the squares meet them."""
+    selected squares' names, their square_plan, and each distinct running word and
+    generator of their edges, in the order the squares meet them."""
     data = json.loads(importlib.resources.files("frobpair").joinpath("data/diamonds.json")
                       .read_text())
-    squares = [(name, four, cls) for name, four, cls in data["squares"]
-               if name[:name.index("[")] in names]
-    edges = [data["edges"][e] for _n, four, _c in squares for e in four]
+    squares = [square[:2] for square in data["squares"] if square[0].split("[")[0] in names]
+    edges = [data["edges"][e] for _name, four in squares for e in four]
     checks = dict.fromkeys(c for edge in edges for c in (*map(word, edge["words"]), edge["gen"]))
     moves = [(word(edge["words"][0]), edge["gen"], tuple(edge["src"]), tuple(edge["dst"]))
              for edge in data["edges"]]
-    moved = tuple(((moves[a], moves[b]), (moves[c], moves[d])) for _n, (a, b, c, d), _c in squares)
-    first = {}  # class -> its first selected square
-    rep_of = tuple(first.setdefault(cls, k) for k, (_name, _four, cls) in enumerate(squares))
-    return (tuple(name for name, _four, _cls in squares), moved, rep_of,
-            square_plan([moved[k] for k in first.values()]), tuple(checks))
+    return (tuple(name for name, _four in squares),
+            square_plan([((moves[a], moves[b]), (moves[c], moves[d]))
+                         for _name, (a, b, c, d) in squares]), tuple(checks))

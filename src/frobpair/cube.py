@@ -42,8 +42,8 @@ class StateCube:
     moves), by vertex index v (b in base 2): v's word, v's edge numbers by
     flipped bit (None on a 1-bit), and each number's descriptor: its source
     word and `_interpret` output.  squares is {square: its first (v, k, l)} in
-    scan order, v flipping bits k < l: the edge numbers of (edge v/k, then l)
-    and (edge v/l, then k) in one int of four `_field(n)`-bit fields."""
+    scan order, v flipping bits k < l, a square being its two paths (edge v/k,
+    then l) and (edge v/l, then k), each as its two edge numbers."""
 
     def __init__(self, n: int, vertices: dict, edges: dict):
         self.n = n
@@ -62,10 +62,6 @@ def _flip(bits, k):
 
 def _weight(bits):
     return bits.count("1")
-
-
-def _field(n):
-    return (n << n).bit_length()  # an edge number is below n * 2**(n - 1)
 
 
 def _interpret(w_in, move):
@@ -121,17 +117,16 @@ def validate_cube(cube: StateCube):
             if moves[e][4] != words[v ^ m]:
                 raise CubeError(f"edge {b}/{k}: move produces word {''.join(moves[e][4])}, "
                                 f"vertex has {''.join(words[v ^ m])}")
-    s = _field(n)
     for v, row in enumerate(numbers):
         far = [numbers[v ^ m] for m in masks]
         for k, l in itertools.combinations([k for k, e in enumerate(row) if e is not None], 2):
-            one, two = row[k] << s | far[k][l], row[l] << s | far[l][k]
-            if (square := one << 2 * s | two) in squares:
+            one, two = square = (row[k], far[k][l]), (row[l], far[l][k])
+            if square in squares:
                 continue
             squares[square] = v, k, l
-            for path in (one, two):
+            for path in square:
                 if path not in reach:
-                    reach[path] = _reach(moves[path >> s], moves[path & (1 << s) - 1])
+                    reach[path] = _reach(moves[path[0]], moves[path[1]])
             if not all(map(and_, reach[one], reach[two])):
                 raise CubeError(f"square at {bits[v]} (bits {k},{l}) does not commute")
     return (words, numbers, moves), squares
@@ -220,8 +215,7 @@ def check_d_squared(cube: StateCube, pair: FrobeniusPair):
     with every other circle at its first label.  A missing generator is the
     first in square_order, as comparing the cube's whole squares would meet it.
     """
-    (words, _numbers, moves), verdicts, s = cube.scan, pair.square_verdicts, _field(cube.n)
-    full = [tuple([divmod(path, 1 << s) for path in divmod(q, 1 << 2 * s)]) for q in cube.squares]
+    (words, _numbers, moves), verdicts, full = cube.scan, pair.square_verdicts, list(cube.squares)
     table = table_with(pair, (moves[e][1] for q in square_order(full) for path in full[q]
                               for e in path), CubeError)
     local = [_local_square(moves, square) for square in full]
@@ -505,6 +499,10 @@ def vertex_euler(cube: StateCube, pair: FrobeniusPair) -> int:
 # -- cube files -----------------------------------------------------------------------
 
 
+#: edge kind -> the fields of its edge object in a cube file
+EDGE_FIELDS = {"merge": {"kind", "i", "j", "out", "sort"}, "split": {"kind", "i", "outs", "sorts"}}
+
+
 def _edge_from_json(key, mv) -> EdgeMove:
     if not isinstance(mv, dict):
         raise CubeError(f"edge {key!r}: expected an object")
@@ -522,6 +520,9 @@ def _edge_from_json(key, mv) -> EdgeMove:
         raise CubeError(f"edge {key!r}: missing field {exc}") from None
     except TypeError:
         raise CubeError(f"edge {key!r}: outs and sorts must be lists") from None
+    if not mv.keys() <= EDGE_FIELDS[kind]:
+        extra = next(field for field in mv if field not in EDGE_FIELDS[kind])
+        raise CubeError(f"edge {key!r}: unknown field {extra!r}")
     _kind, i, j, outs, sorts = move
     arity = 1 if kind == "merge" else 2
     if ({type(i), type(j), *map(type, outs)} != {int} or len(outs) != arity
@@ -539,6 +540,8 @@ def cube_from_json(text) -> StateCube:
         raise CubeError(f"not a cube file: {exc}") from None
     if not isinstance(obj, dict):
         raise CubeError("not a cube file: expected a JSON object")
+    if extra := [field for field in obj if field not in ("n", "vertices", "edges")]:
+        raise CubeError(f"unknown field {extra[0]!r}")
     n = obj.get("n")
     if type(n) is not int or n < 0:
         raise CubeError("missing or bad field n")

@@ -600,9 +600,7 @@ def pair_from_json(text) -> FrobeniusPair:
         raise PairError("not a structure file: expected a JSON object")
 
     def need(d, key, path, kind=None, default=None):
-        """d[key], or default if given and key is absent; refused unless of kind."""
-        if not isinstance(d, dict):
-            raise PairError(f"field {path} must be an object")
+        """d[key] of a dict d, or default if given and key is absent; refused unless of kind."""
         if key not in d:
             if default is None:
                 raise PairError(f"missing field {path}.{key}")
@@ -611,16 +609,25 @@ def pair_from_json(text) -> FrobeniusPair:
             raise PairError(f"field {path}.{key} must be {_JSON_KINDS[kind]}")
         return d[key]
 
+    def only(d, path, *fields):
+        if not isinstance(d, dict):
+            raise PairError(f"field {path} must be an object")
+        if extra := [key for key in d if key not in fields]:
+            raise PairError(f"unknown field {path}.{extra[0]}")
+        return d
+
     def labels(d, key, path):
         value = need(d, key, path, list)
         if not all(isinstance(lab, str) for lab in value):
             raise PairError(f"field {path}.{key} must be a list of strings")
         return tuple(value)
 
-    ring_obj = need(obj, "ring", "$", dict)
+    only(obj, "$", "ring", "basis", "maps", "meta")
+    ring_obj = only(need(obj, "ring", "$", dict), "$.ring", "domain", "vars")
     domain = need(ring_obj, "domain", "$.ring")
     var_decls = []
     for i, v in enumerate(need(ring_obj, "vars", "$.ring", list, default=[])):
+        only(v, f"$.ring.vars[{i}]", "name", "invertible")
         var_decls.append(VarDecl(need(v, "name", f"$.ring.vars[{i}]", str),
                                  need(v, "invertible", f"$.ring.vars[{i}]", bool, default=False)))
     try:
@@ -628,7 +635,7 @@ def pair_from_json(text) -> FrobeniusPair:
     except RingError as exc:
         raise PairError(f"$.ring: {exc}") from None
 
-    basis = need(obj, "basis", "$", dict)
+    basis = only(need(obj, "basis", "$", dict), "$.basis", "A", "E")
     spec = BasisSpec(labels(basis, "A", "$.basis"), labels(basis, "E", "$.basis"), decl)
     label_ok = {"A": set(spec.basis_a), "E": set(spec.basis_e)}
 
@@ -641,11 +648,12 @@ def pair_from_json(text) -> FrobeniusPair:
         entries = {}
         for i, row in enumerate(need(raw_maps, gname, "$.maps", list)):
             path = f"$.maps.{gname}[{i}]"
-            t = labels(row, "in", path)
+            t = labels(only(row, path, "in", "out"), "in", path)
             if len(t) != len(dom) or any(lab not in label_ok[s] for lab, s in zip(t, dom)):
                 raise PairError(f"signature mismatch for {gname}: bad input tuple {t}")
             for j, term in enumerate(need(row, "out", path, list)):
-                o = labels(term, "basis", f"{path}.out[{j}]")
+                o = labels(only(term, f"{path}.out[{j}]", "basis", "coeff"), "basis",
+                           f"{path}.out[{j}]")
                 if len(o) != len(cod) or any(lab not in label_ok[s] for lab, s in zip(o, cod)):
                     raise PairError(f"signature mismatch for {gname}: bad output tuple {o}")
                 text = need(term, "coeff", f"{path}.out[{j}]", str)
@@ -657,7 +665,7 @@ def pair_from_json(text) -> FrobeniusPair:
                     entries[(o, t)] = entries.get((o, t), decl.zero()) + c
         maps[gname] = LinMap(spec, dom, cod, entries)
 
-    meta = need(obj, "meta", "$", dict, default={})
+    meta = only(need(obj, "meta", "$", dict, default={}), "$.meta", "name", "unit", "notes")
     try:
         return FrobeniusPair(decl, spec, maps,
                              name=need(meta, "name", "$.meta", str, default="pair"),

@@ -650,6 +650,50 @@ def test_cube_malformed_file_exit_two(tmp_path, capsys, obj, message):
     assert message in err
 
 
+#: a field each object of a pair file may not hold -> the path its refusal names
+PAIR_STRAYS = {
+    "$.unit": lambda obj: obj.update(unit="X"),  # unit belongs in meta
+    "$.bogus": lambda obj: obj.update(bogus=1),
+    "$.meta.colour": lambda obj: obj["meta"].update(colour="red"),
+    "$.meta.": lambda obj: obj["meta"].update({"": 0}),  # an empty name is a field too
+    "$.ring.extra": lambda obj: obj["ring"].update(extra=[]),
+    "$.ring.vars[0].deg": lambda obj: obj["ring"]["vars"].append(
+        {"name": "t", "invertible": False, "deg": 1}),
+    "$.basis.C": lambda obj: obj["basis"].update(C=["z"]),
+    "$.maps.mu_A[0].note": lambda obj: obj["maps"]["mu_A"][0].update(note="x"),
+    "$.maps.mu_A[0].out[0].sign": lambda obj: obj["maps"]["mu_A"][0]["out"][0].update(sign=1),
+}
+
+
+@pytest.mark.parametrize("path", PAIR_STRAYS)
+def test_pair_file_with_an_unknown_field_exit_two(tmp_path, capsys, path):
+    # every object of a pair file holds only its own fields: a misplaced or
+    # stray one is refused by its path, not dropped
+    obj = json.loads(aps_pair_text(tmp_path, capsys))
+    PAIR_STRAYS[path](obj)
+    (tmp_path / "stray.json").write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--pair", str(tmp_path / "stray.json"))
+    assert_one_line_error(code, out, err)
+    assert err == f"error: unknown field {path}\n"
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"n": 1, "vertices": {"0": ["A", "A"], "1": ["A"]}, "edges": {"*": MERGE1}, "bogus": 1},
+     "unknown field 'bogus'"),
+    ({"n": 1, "vertices": {"0": ["A", "A"], "1": ["A"]},
+      "edges": {"*": dict(MERGE1, outs=[1])}}, "edge '*': unknown field 'outs'"),
+    ({"n": 1, "vertices": {"0": ["A"], "1": ["A", "A"]},
+      "edges": {"*": {"kind": "split", "i": 1, "outs": [1, 2], "sorts": ["A", "A"], "j": 2}}},
+     "edge '*': unknown field 'j'"),
+], ids=["top_level", "merge_outs", "split_j"])
+def test_cube_file_with_an_unknown_field_exit_two(tmp_path, capsys, obj, message):
+    path = tmp_path / "stray.cube"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "cube", "--builtin", "aps", str(path))
+    assert_one_line_error(code, out, err)
+    assert err == f"error: {message}\n"
+
+
 def test_cube_non_integral_entry_refused_over_z_and_z2(tmp_path, capsys):
     # it at t=1 gives mu_EEA the entry 1/2 on the E E -> A merge, which an
     # int() conversion would silently read as 0

@@ -467,8 +467,9 @@ def test_diamond_acts_each_first_move_and_path_once(monkeypatch):
     # paths are 260 by value and start with 98 distinct moves.  The 55 classes
     # whose two saddles touch disjoint circles are decided without a map; the
     # paths of the other 160 are 150 by value and start with 53 distinct
-    # moves.  Each path is a two-piece chain on its bottom word, and each
-    # distinct (word, prefix) is acted exactly once per call
+    # moves.  The suite compares all 460 squares, whose other paths repeat
+    # these by value: each path is a two-piece chain on its bottom word,
+    # interned, and each distinct (word, prefix) is acted exactly once per call
     events = [path for _name, *two in labelled_squares(DIAMOND_CASES) for path in two]
     assert (len(events), len(set(events))) == (920, 363)
     assert len({path for _n, sq, _c in shipped_squares() for path in sq}) == 350
@@ -507,31 +508,28 @@ def count_suite_planning(monkeypatch):
 
 def test_diamond_plans_once_per_process(monkeypatch):
     # the first call of a selection reads the file, tests the interchange rule
-    # on the 215 class representatives and interns the 160 others' 320 chains;
-    # a later call only checks the pair, acts the planned chains and compares
+    # on all 460 squares and interns the 260 others' 520 chains; a later call,
+    # also on a failing pair, only checks the pair, acts the planned chains
+    # and compares
     import frobpair.cobordism as cob_mod
 
     pair = build_aps()
-    classes = [cls for _n, _sq, cls in shipped_squares()]
     cob_mod._suite_plan.cache_clear()
     counts = count_suite_planning(monkeypatch)
     assert diamond_exchange_suite(pair).ok()
-    assert counts == Counter(reads=1, interchanged=215, chains=320, equal=160)
+    assert counts == Counter(reads=1, interchanged=460, chains=520, equal=260)
     plan = cob_mod._suite_plan(frozenset(case[0] for case in DIAMOND_CASES))
-    prefixes = {id(p): p for _k, chains in plan[3][1] for chain in chains for p in chain}
+    prefixes = {id(p): p for _k, chains in plan[1][1] for chain in chains for p in chain}
     before = {k: (p.moves, p.dom, p.uses) for k, p in prefixes.items()}
+    monkeypatch.setattr(cob_mod, "square_plan", lambda squares: pytest.fail("planned again"))
     for other in (build_it(), build_builtin("double", {})):
         counts.clear()
-        failing = [cls for cls, r in zip(classes, diamond_exchange_suite(other).records)
-                   if r.status == "fail"]
-        # the failing classes' other squares are the only ones planned again
-        again = len(failing) - len(set(failing))
-        assert again and counts["reads"] == 0
-        assert (counts["interchanged"], counts["chains"]) == (again, 2 * again)
+        assert not diamond_exchange_suite(other).ok()
+        assert counts == Counter(equal=260), other.name
     counts.clear()
     calls = record_act_chains(monkeypatch, pair)
     assert diamond_exchange_suite(pair).ok()
-    assert counts == Counter(equal=160) and len(calls) == 53 + 150
+    assert counts == Counter(equal=260) and len(calls) == 53 + 150
     assert {k: (p.moves, p.dom, p.uses) for k, p in prefixes.items()} == before
 
 

@@ -301,9 +301,14 @@ def test_load_enumerates_the_squares_once(monkeypatch):
     cube = cube_from_json(cube_to_json(made))
     squares = cube.squares
     assert direct.squares == squares and len(squares) > 40
-    # flat int keys, each with its first (vertex index, k, l)
-    assert {type(q) for q in squares} == {int}
+    # keys are the two paths (edge v/k, then l) and (edge v/l, then k), each as
+    # its two edge numbers, with the square's first (vertex index, k, l)
+    numbers, bit = cube.scan[1], [1 << cube.n - 1 - k for k in range(cube.n)]
     assert all(type(v) is int and v < 2 ** cube.n for v, _k, _l in squares.values())
+    assert all(q == ((numbers[v][k], numbers[v ^ bit[k]][l]),
+                     (numbers[v][l], numbers[v ^ bit[l]][k]))
+               and {type(e) for path in q for e in path} == {int}
+               for q, (v, k, l) in squares.items())
     monkeypatch.setattr(cube_mod, "_bits", lambda n: pytest.fail("squares enumerated again"))
     assert check_d_squared(cube, build_aps()) == (True, None)
     assert cube.squares is squares

@@ -6,6 +6,7 @@ never a line that prints an object's address.
 """
 
 import importlib.resources
+import json
 import random
 import re
 
@@ -58,8 +59,17 @@ def repeat_sort(rng, text):
     return text[:m.start()] + new + text[m.end():]
 
 
+def insert_field(rng, text):
+    """A field "zz": 0 first in one JSON object; a text with no { is left as it is."""
+    starts = [m.end() for m in re.finditer(r"\{", text)]
+    if not starts:
+        return text
+    i = rng.choice(starts)
+    return text[:i] + ('"zz": 0' if text[i:].lstrip().startswith("}") else '"zz": 0, ') + text[i:]
+
+
 MUTATIONS = (delete_span, swap_token, replace_number, duplicate_line, insert_punctuation,
-             repeat_sort)
+             repeat_sort, insert_field)
 
 #: shipped file -> the command line its mutant is read by (MUTANT marks its place)
 TARGETS = {
@@ -78,7 +88,7 @@ def test_mutants_exit_cleanly(tmp_path, capsys, name):
     text = DATA.joinpath(name).read_text()
     path = tmp_path / name
     argv = [str(path) if a == "MUTANT" else a for a in TARGETS[name]]
-    codes, over_limit = set(), 0
+    codes, over_limit, unknown_field = set(), 0, 0
     for _ in range(150):
         mutation = rng.choice(MUTATIONS)
         mutant = mutation(rng, text)
@@ -92,6 +102,24 @@ def test_mutants_exit_cleanly(tmp_path, capsys, name):
         if code == 2:
             assert out.err.startswith("error: ") and out.err.count("\n") == 1, context
             over_limit += "over the limit" in out.err
+            unknown_field += "unknown field" in out.err
         codes.add(code)
     assert 0 in codes and 2 in codes
     assert over_limit or name in ("aps.json", "axioms.eq")
+    assert unknown_field or not name.endswith((".json", ".cube"))
+
+
+def without_zz(value):
+    if isinstance(value, dict):
+        return {k: without_zz(v) for k, v in value.items() if k != "zz"}
+    return [without_zz(v) for v in value] if isinstance(value, list) else value
+
+
+def test_insert_field_adds_one_field_to_one_object():
+    rng = random.Random(0)
+    assert insert_field(rng, "input A\nmerge 1 A\n") == "input A\nmerge 1 A\n"
+    for text in ("{}", '{"a": {"b": 1}, "c": { }}', DATA.joinpath("fig13.cube").read_text()):
+        for _ in range(10):
+            mutant = insert_field(rng, text)
+            assert mutant.count('"zz"') == 1
+            assert without_zz(json.loads(mutant)) == json.loads(text)
