@@ -13,22 +13,13 @@ import os
 import sys
 from fractions import Fraction
 
-from . import cube as cube_mod
 from . import pair as pair_mod
-from .cobordism import CobordismError, diamond_exchange_suite, evaluate, parse_cobordism, \
-    pole_degree
-from .pair import (
-    PairError,
-    load_pair,
-    pair_to_json,
-    verify,
-)
-from .ring import INTEGERS, MOD2, RATIONALS, RingError, ring
-from .tensor import TensorError
+from .pair import load_pair, pair_to_json, verify
+from .ring import COEFFS, INTEGERS, MOD2, RATIONALS, FrobpairError, RingError, ring
 from .theory import GROUPS, TheoryError, read_manifest
 
 
-class InputError(Exception):
+class InputError(FrobpairError):
     """User input problems; mapped to exit code 2."""
 
 
@@ -228,6 +219,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .cobordism import evaluate, parse_cobordism
     pair = get_pair(args)
     try:
         with open(args.cobordism, encoding="utf-8") as fh:
@@ -248,6 +240,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diamond(args) -> int:
+    from .cobordism import diamond_exchange_suite
     pair = get_pair(args)
     report = diamond_exchange_suite(pair)
     failures = report.failures()
@@ -259,6 +252,7 @@ def cmd_diamond(args) -> int:
 
 
 def cmd_cube(args) -> int:
+    from . import cube as cube_mod
     pair = get_pair(args)
     try:
         cube = cube_mod.load_cube(args.cube)
@@ -287,6 +281,7 @@ def cmd_cube(args) -> int:
 
 
 def cmd_degree(args) -> int:
+    from .cobordism import pole_degree
     degrees = [pole_degree(w) for w in args.poles]
     total = sum(degrees)
     label = "essential" if total > 0 else "inessential"
@@ -296,6 +291,7 @@ def cmd_degree(args) -> int:
 
 
 def cmd_snf(args) -> int:
+    from .cube import smith_normal_form
     try:
         with open(args.matrix, encoding="utf-8") as fh:
             m = json.load(fh)
@@ -307,7 +303,7 @@ def cmd_snf(args) -> int:
     for side, size in (("rows", len(m)), ("columns", len(m[0]) if m else 0)):
         if size > MAX_SNF_SIDE:
             raise InputError(f"the matrix has {size} {side}, over the limit of {MAX_SNF_SIDE}")
-    d, u, v = cube_mod.smith_normal_form(m)
+    d, u, v = smith_normal_form(m)
     for name, mat in (("D", d), ("U", u), ("V", v)):
         print(name + ":")
         for row in mat:
@@ -358,7 +354,7 @@ def _parser():
     p = sub.add_parser("cube", help="homology of a state cube")
     add_pair_args(p, with_params=False)
     p.add_argument("cube")
-    p.add_argument("--coeff", choices=list(cube_mod.COEFFS), default="q")
+    p.add_argument("--coeff", choices=list(COEFFS), default="q")
     p.add_argument("--specialize", help="ring assignment KEY=VAL[,...]")
     p.set_defaults(func=cmd_cube)
 
@@ -376,8 +372,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, PairError, RingError, TensorError, TheoryError, CobordismError,
-            cube_mod.CubeError) as exc:
+    except FrobpairError as exc:  # InputError and every library error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

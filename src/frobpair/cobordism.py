@@ -16,9 +16,10 @@ from typing import NamedTuple
 
 from .tensor import MAX_CIRCLES, LinMap, equal, move_plan, word
 from .pair import VerifyRecord, VerifyReport
+from .ring import FrobpairError
 from .theory import SIGNATURE, evaluate_side, prefix_chain
 
-class CobordismError(ValueError):
+class CobordismError(FrobpairError):
     """Illegal events, positions, or sort transitions."""
 
 

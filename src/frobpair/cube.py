@@ -20,11 +20,11 @@ from typing import NamedTuple
 from .cobordism import (MOVES, CobordismError, compare_squares, interpret, square_order,
                         square_plan, table_with)
 from .pair import FrobeniusPair
-from .ring import MOD2, substitution
+from .ring import COEFFS, MOD2, FrobpairError, substitution
 from .tensor import MAX_CIRCLES, SORTS, LinMap, TensorError, act, word
 
 
-class CubeError(ValueError):
+class CubeError(FrobpairError):
     """Structural violations in a state cube."""
 
 
@@ -380,9 +380,6 @@ def _unit_pivots(rows, modulus=None):
                     del rows[r]
     live = sorted({c for row in rows.values() for c in row})
     return count, [[row.get(c, 0) for c in live] for row in rows.values()]
-
-
-COEFFS = ("q", "z", "z2")
 
 
 def homology(cube: StateCube, pair: FrobeniusPair, coefficients):

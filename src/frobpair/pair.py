@@ -20,6 +20,7 @@ from .ring import (
     MAX_POWER,
     MOD2,
     RATIONALS,
+    FrobpairError,
     RingDecl,
     RingElem,
     RingError,
@@ -31,7 +32,7 @@ from .tensor import BasisSpec, LinMap, act, compose, equal, word
 from .theory import SIGNATURE, evaluate_side, load_axioms
 
 
-class PairError(ValueError):
+class PairError(FrobpairError):
     """Structural violations in pair construction or serialization."""
 
 
@@ -609,11 +610,15 @@ def pair_from_json(text) -> FrobeniusPair:
             raise PairError(f"field {path}.{key} must be {_JSON_KINDS[kind]}")
         return d[key]
 
+    def shown(key):
+        """A key as one line of a refusal: as it is if printable, else escaped."""
+        return key if key.isprintable() else repr(key)[1:-1]
+
     def only(d, path, *fields):
         if not isinstance(d, dict):
             raise PairError(f"field {path} must be an object")
         if extra := [key for key in d if key not in fields]:
-            raise PairError(f"unknown field {path}.{extra[0]}")
+            raise PairError(f"unknown field {path}.{shown(extra[0])}")
         return d
 
     def labels(d, key, path):
@@ -643,7 +648,7 @@ def pair_from_json(text) -> FrobeniusPair:
     maps, parsed = {}, {}  # parsed: each distinct coefficient text's element
     for gname in raw_maps:
         if gname not in SIGNATURE:
-            raise PairError(f"$.maps: unknown map name {gname}")
+            raise PairError(f"$.maps: unknown map name {shown(gname)}")
         dom, cod = SIGNATURE[gname]
         entries = {}
         for i, row in enumerate(need(raw_maps, gname, "$.maps", list)):

@@ -17,11 +17,17 @@ INTEGERS = "integers"
 RATIONALS = "rationals"
 MOD2 = "integers-mod-2"
 DOMAINS = (INTEGERS, RATIONALS, MOD2)
+#: the coefficients of cube homology: rationals, integers (with torsion), integers mod 2
+COEFFS = ("q", "z", "z2")
 #: the largest exponent substitution raises a value to, unless the value is 0 or
 #: +-1 times a monomial, whose powers stay one term with coefficient +-1
 MAX_POWER = 64
 
-class RingError(ValueError):
+class FrobpairError(ValueError):
+    """The base of every frobpair error; the CLI maps each to exit code 2."""
+
+
+class RingError(FrobpairError):
     """Malformed ring input: mismatched rings, bad parses, non-units."""
 
 

@@ -14,7 +14,7 @@ import functools
 import itertools
 from operator import itemgetter
 
-from .ring import RingDecl
+from .ring import FrobpairError, RingDecl
 
 SORT_A = "A"
 SORT_E = "E"
@@ -29,7 +29,7 @@ MAX_TUPLES = 2 ** 16
 ONE_TERMS = {(): 1}
 
 
-class TensorError(ValueError):
+class TensorError(FrobpairError):
     """Shape or basis-spec violations in linear-map operations."""
 
 

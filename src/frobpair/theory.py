@@ -13,6 +13,7 @@ import functools
 import importlib.resources
 import re
 
+from .ring import FrobpairError
 from .tensor import LinMap, act, move_plan
 
 A, E = "A", "E"
@@ -43,7 +44,7 @@ SIGNATURE = {
 ITEMS = {**SIGNATURE, "id_A": ((A,), (A,)), "id_E": ((E,), (E,))}
 
 
-class TheoryError(ValueError):
+class TheoryError(FrobpairError):
     """Syntax or type errors in terms and equations."""
 
 

@@ -1,17 +1,21 @@
 import argparse
+import importlib
 import importlib.resources
 import json
 import os
 import pathlib
+import pkgutil
 import random
 import subprocess
 import sys
 
 import pytest
 
-from frobpair import cli
+import frobpair
+from frobpair import cli, cobordism
 from frobpair.cli import BUILTINS, InputError, _parser, build_builtin, main
 from frobpair.pair import FrobeniusPair, pair_to_json
+from frobpair.ring import FrobpairError
 from frobpair.tensor import LinMap
 from frobpair.theory import SIGNATURE
 from helpers import cube_to_json, item_one_cubes, random_cube, unit_pivot_inputs
@@ -607,14 +611,14 @@ def test_eval_reads_the_entries_of_its_map_once(capsys, monkeypatch):
                 CountingEntries.visits += 1
                 yield item
 
-    maps, evaluate = [], cli.evaluate
+    maps, evaluate = [], cobordism.evaluate
 
     def counted(cob, pair):
         maps.append(evaluate(cob, pair))
         maps[0].entries = CountingEntries(maps[0].entries)
         return maps[0]
 
-    monkeypatch.setattr(cli, "evaluate", counted)
+    monkeypatch.setattr(cobordism, "evaluate", counted)
     code, out, _ = run(capsys, "eval", "--builtin", "aps", str(TEST_DATA / "mixed10.cob"))
     assert code == 0 and len(out.splitlines()) == 1 + 2 ** 10
     assert 0 < CountingEntries.visits <= len(maps[0].entries)
@@ -675,6 +679,24 @@ def test_pair_file_with_an_unknown_field_exit_two(tmp_path, capsys, path):
     code, out, err = run(capsys, "verify", "--pair", str(tmp_path / "stray.json"))
     assert_one_line_error(code, out, err)
     assert err == f"error: unknown field {path}\n"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda obj: obj["meta"].update({"a\nb": 0}), "unknown field $.meta.a\\nb"),
+    (lambda obj: obj["maps"].update({"x\ny": []}), "$.maps: unknown map name x\\ny"),
+    (lambda obj: obj["maps"].update({"\x1b[2J\t": []}), "$.maps: unknown map name \\x1b[2J\\t"),
+    # a key that prints as itself keeps its exact text
+    (lambda obj: obj["meta"].update({'c"o\\l \u00e9': 0}), 'unknown field $.meta.c"o\\l \u00e9'),
+    (lambda obj: obj["maps"].update({"mu_B": []}), "$.maps: unknown map name mu_B"),
+], ids=["meta-newline", "maps-newline", "maps-control", "meta-printable", "maps-printable"])
+def test_pair_file_key_is_refused_on_one_line(tmp_path, capsys, edit, message):
+    # a key with a control character is escaped, so the refusal stays one line
+    obj = json.loads(aps_pair_text(tmp_path, capsys))
+    edit(obj)
+    (tmp_path / "stray.json").write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--pair", str(tmp_path / "stray.json"))
+    assert_one_line_error(code, out, err)
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("obj,message", [
@@ -1026,3 +1048,55 @@ def test_pair_file_with_a_repeated_name_exit_two(tmp_path, capsys, builtin, edit
     code, out, err = run(capsys, "verify", "--pair", str(path))
     assert_one_line_error(code, out, err)
     assert err == f"error: {message}\n"
+
+
+def fresh_env():
+    """The environment of a fresh `frobpair` process on this tree's src/, with
+    the shipped axiom manifest."""
+    env = {k: v for k, v in os.environ.items() if k != "FROBPAIR_AXIOMS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(frobpair.__file__))
+    return env
+
+
+def test_startup_loads_no_cube_or_cobordism():
+    # a fresh process up to a loaded CLI and manifest, as `verify` and
+    # `construct` start: each other command imports cube or cobordism itself
+    code = ("import sys, frobpair.cli; from frobpair.theory import load_axioms; load_axioms(); "
+            "print(*[m for m in ('frobpair.cube', 'frobpair.cobordism') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=fresh_env(),
+                          check=True, text=True)
+    assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("argv,name,text,message", [
+    (("cube", "FILE", "--builtin", "aps"), "bad.cube", "{", "not a cube file: "),
+    (("snf", "FILE"), "bad.json", "[[1.5]]",
+     "matrix file must hold a JSON list of equal-length rows of integers"),
+    (("degree", "+"), None, None, "pole count must be even"),
+    (("eval", "--builtin", "aps", "FILE"), "bad.cob", "bogus\n",
+     "line 1: first line must declare the input word"),
+], ids=["cube", "snf", "degree", "eval"])
+def test_on_demand_command_refuses_in_a_fresh_process(tmp_path, argv, name, text, message):
+    # nothing has loaded cube or cobordism before the command imports it, and
+    # its error still reaches main's one except clause
+    if name:
+        (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / name) if a == "FILE" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "frobpair.cli", *argv], capture_output=True,
+                          env=fresh_env(), text=True, timeout=60)
+    assert_one_line_error(proc.returncode, proc.stdout, proc.stderr)
+    assert proc.stderr.startswith(f"error: {message}")
+
+
+def test_every_error_class_derives_from_the_one_base():
+    # main catches FrobpairError alone, so an error class outside it would
+    # leave the CLI as a traceback
+    errors = []
+    for info in pkgutil.iter_modules(frobpair.__path__):
+        module = importlib.import_module(f"frobpair.{info.name}")
+        errors += [cls for cls in vars(module).values()
+                   if isinstance(cls, type) and issubclass(cls, BaseException)
+                   and cls.__module__ == module.__name__]
+    assert len(errors) >= 7  # ring, tensor, theory, pair, cobordism, cube, cli
+    assert FrobpairError in errors and issubclass(FrobpairError, ValueError)
+    assert [cls.__name__ for cls in errors if not issubclass(cls, FrobpairError)] == []
