@@ -265,10 +265,16 @@ def _integer_rank(rows):
 
 
 def sparse_rank_gf2(rows) -> int:
-    """Rank over GF(2) of sparse integer rows ({col: int} dicts); every
-    nonzero residue is 1, a unit, so the elimination leaves no residual."""
-    return _unit_pivots([{c: x % 2 for c, x in row.items() if x % 2} for row in rows],
-                        modulus=2)[0]
+    """Rank over GF(2) of sparse integer rows ({col: int} dicts): a row's odd
+    entries are the bits of an int, XOR-reduced by the kept rows, by top bit."""
+    kept = {}  # top bit -> the kept row that has it
+    for row in rows:
+        bits = sum(1 << c for c, x in row.items() if x % 2)
+        while (top := bits.bit_length()) in kept:
+            bits ^= kept[top]
+        if bits:
+            kept[top] = bits
+    return len(kept)
 
 
 def smith_normal_form(mat):
@@ -327,23 +333,22 @@ def smith_normal_form(mat):
     return d, [row[cols:] for row in g[:rows]], g[rows:]
 
 
-def _unit_pivots(rows, modulus=None):
+def _unit_pivots(rows):
     """Eliminate the +-1 pivots of sparse integer rows ({col: value} dicts,
-    changed in place; residues mod 2 if `modulus` is 2, where every nonzero is
-    1); returns (count, residual), the residual as dense rows.
+    changed in place); returns (count, residual), the residual as dense rows.
 
     Each elimination is an invertible change of basis, so over Z
-    SNF(rows) = I_count (+) SNF(residual), and mod 2 the rank is count.  A
-    pivot is its own inverse.  Pivots are taken in column sweeps: a sweep
-    visits the columns shortest first, by their lengths when it starts, and
-    pivots each on its shortest row that holds a +-1.  Fill can make a +-1
-    in a column already passed, so sweeps repeat while a +-1 is left.
-    Short columns and rows keep the fill-in small with no queue of costs: a
-    sweep sorts the columns once and scans each once, and scanning a column
-    costs its length, the number of rows its pivot then updates; a column that
-    earlier pivots of the sweep emptied is passed over.  A lone +-1 is taken
-    without comparing row lengths, and the pivot's column set is emptied in
-    place, so a column that holds one row meets no other row.
+    SNF(rows) = I_count (+) SNF(residual).  A pivot is its own inverse.
+    Pivots are taken in column sweeps: a sweep visits the columns shortest
+    first, by their lengths when it starts, and pivots each on the first of
+    its shortest rows that hold a +-1, found in one scan of the column.  Fill
+    can make a +-1 in a column already passed, so sweeps repeat while a +-1
+    is left.  Short columns and rows keep the fill-in small with no queue of
+    costs: a sweep sorts the columns once and scans each once, and scanning a
+    column costs its length, the number of rows its pivot then updates; a
+    column that earlier pivots of the sweep emptied is passed over.  A lone
+    +-1 is taken without comparing row lengths, and the pivot's column set is
+    emptied in place, so a column that holds one row meets no other row.
     """
     rows, cols = dict(enumerate(rows)), defaultdict(set)
     for r, row in rows.items():
@@ -352,10 +357,12 @@ def _unit_pivots(rows, modulus=None):
     count = 0
     while any(v in (1, -1) for row in rows.values() for v in row.values()):
         for c in sorted(cols, key=lambda k: len(cols[k])):
-            units = cols[c] and [r for r in cols[c] if rows[r][c] in (1, -1)]
-            if not units:
+            p = None
+            for r in cols[c] or ():
+                if rows[r][c] in (1, -1) and (p is None or len(rows[r]) < len(rows[p])):
+                    p = r
+            if p is None:
                 continue
-            p = units[0] if len(units) == 1 else min(units, key=lambda r: len(rows[r]))
             count += 1
             pivot = rows.pop(p)
             v = pivot.pop(c)
@@ -368,10 +375,10 @@ def _unit_pivots(rows, modulus=None):
                 f = row.pop(c) * v
                 for cc, x in pivot.items():
                     y = row.get(cc)
-                    if y is None:  # fill: f * x is nonzero, also mod 2
-                        row[cc] = (-f * x) % modulus if modulus else -f * x
+                    if y is None:  # fill: f * x is nonzero
+                        row[cc] = -f * x
                         cols[cc].add(r)
-                    elif y := (y - f * x) % modulus if modulus else y - f * x:
+                    elif y := y - f * x:
                         row[cc] = y
                     else:
                         del row[cc]
@@ -391,12 +398,11 @@ def homology(cube: StateCube, pair: FrobeniusPair, coefficients):
     off its vertex index.  Each generator's entries become constants, and over
     z and z2 integers, once per call, outputs as label indices; d_i's sparse
     rows scatter each edge's `_block`, built from them and the sorts' radices
-    when first met, with its sign, and one elimination of their +-1 pivots
-    (`_unit_pivots`) reduces them.  Over z2 (`sparse_rank_gf2`) it leaves no
-    residual; over q (`sparse_rank_fraction`, which clears denominators
-    first) and z, `_integer_rank` takes the Smith normal form of the residual
-    block only, and over z the residual's entries > 1 are the torsion of
-    degree i+1.
+    when first met, with its sign.  Over z2 `sparse_rank_gf2` reduces them
+    as int bitsets; over q (`sparse_rank_fraction`, which clears denominators
+    first) and z, `_integer_rank` eliminates their +-1 pivots (`_unit_pivots`)
+    and takes the Smith normal form of the residual block only, whose entries
+    > 1 over z are the torsion of degree i+1.
     Entries must be constants in the pair's ring (specialize first), and
     integers over z and z2: CubeError refuses d_i's first fraction, sign
     included, rather than truncate it.  A Z/2 pair takes only z2: its residues

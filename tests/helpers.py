@@ -37,6 +37,9 @@ checked against.  `item_one_cubes` gives the five benchmark-generator cubes
 of the ROADMAP's non-complex repro, `rank2_at_a1` and `double_z2` the
 benchmark's two pair files, and `unit_pivot_inputs` the seeded integer
 matrices that the unit-pivot elimination and `snf` are checked on.
+`unit_pivots_by_units`, the +-1 elimination that listed each column's units
+before picking its pivot and also reduced residues mod 2, is what
+`cube._unit_pivots` and `cube.sparse_rank_gf2` are checked against.
 
 `disjoint_saddles`, circle tracking by hand around a square of moves, and
 `cube_square_moves`, a cube's square as such moves, classify the squares
@@ -55,6 +58,7 @@ import importlib.util
 import itertools
 import json
 import random
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,6 +180,61 @@ def unit_pivot_inputs():
         sparse.append([[rng.choice((1, -1, 1, -1, 1, -1, 2, -2)) if rng.random() < 0.15 else 0
                         for _ in range(cols)] for _ in range(rows)])
     return small, sparse
+
+
+def unit_pivots_by_units(rows, modulus=None):
+    """Eliminate the +-1 pivots of sparse integer rows ({col: value} dicts,
+    changed in place; residues mod 2 if `modulus` is 2, where every nonzero is
+    1); returns (count, residual), the residual as dense rows.
+
+    Each elimination is an invertible change of basis, so over Z
+    SNF(rows) = I_count (+) SNF(residual), and mod 2 the rank is count.  A
+    pivot is its own inverse.  Pivots are taken in column sweeps: a sweep
+    visits the columns shortest first, by their lengths when it starts, and
+    pivots each on its shortest row that holds a +-1.  Fill can make a +-1
+    in a column already passed, so sweeps repeat while a +-1 is left.
+    Short columns and rows keep the fill-in small with no queue of costs: a
+    sweep sorts the columns once and scans each once, and scanning a column
+    costs its length, the number of rows its pivot then updates; a column that
+    earlier pivots of the sweep emptied is passed over.  A lone +-1 is taken
+    without comparing row lengths, and the pivot's column set is emptied in
+    place, so a column that holds one row meets no other row.
+    """
+    rows, cols = dict(enumerate(rows)), defaultdict(set)
+    for r, row in rows.items():
+        for c in row:
+            cols[c].add(r)
+    count = 0
+    while any(v in (1, -1) for row in rows.values() for v in row.values()):
+        for c in sorted(cols, key=lambda k: len(cols[k])):
+            units = cols[c] and [r for r in cols[c] if rows[r][c] in (1, -1)]
+            if not units:
+                continue
+            p = units[0] if len(units) == 1 else min(units, key=lambda r: len(rows[r]))
+            count += 1
+            pivot = rows.pop(p)
+            v = pivot.pop(c)
+            for cc in pivot:
+                cols[cc].discard(p)
+            others = cols.pop(c)
+            others.discard(p)
+            for r in others:
+                row = rows[r]
+                f = row.pop(c) * v
+                for cc, x in pivot.items():
+                    y = row.get(cc)
+                    if y is None:  # fill: f * x is nonzero, also mod 2
+                        row[cc] = (-f * x) % modulus if modulus else -f * x
+                        cols[cc].add(r)
+                    elif y := (y - f * x) % modulus if modulus else y - f * x:
+                        row[cc] = y
+                    else:
+                        del row[cc]
+                        cols[cc].discard(r)
+                if not row:
+                    del rows[r]
+    live = sorted({c for row in rows.values() for c in row})
+    return count, [[row.get(c, 0) for c in live] for row in rows.values()]
 
 
 def block_product(high, low) -> dict:

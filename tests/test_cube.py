@@ -21,6 +21,7 @@ from frobpair.cube import (
     edge_map,
     homology,
     smith_normal_form,
+    sparse_rank_gf2,
     specialize_pair,
     validate_cube,
     vertex_euler,
@@ -56,6 +57,7 @@ from helpers import (
     record_act_chains,
     square_circles,
     unit_pivot_inputs,
+    unit_pivots_by_units,
 )
 
 Z = ring(INTEGERS)
@@ -759,9 +761,7 @@ def test_unit_pivots_match_dense_snf():
         assert count + rank_fraction(residual) == rank_fraction(m)
         assert count + rank_gf2(residual) == rank_gf2(m)
         residual_torsion += any(x > 1 for x in rest)
-        count, residual = _unit_pivots([{c: x % 2 for c, x in enumerate(row) if x % 2}
-                                        for row in m], modulus=2)
-        assert not any(residual) and count == rank_gf2(m)
+        assert sparse_rank_gf2([{c: x for c, x in enumerate(row) if x} for row in m]) == rank_gf2(m)
     assert residual_torsion
     assert _unit_pivots([{c: x for c, x in enumerate(row) if x} for row in late_unit]) == (3, [])
 
@@ -808,6 +808,50 @@ def test_unit_pivots_pass_over_columns_the_sweep_emptied(monkeypatch, m, count, 
     monkeypatch.setattr(cube_mod, "defaultdict", lambda factory: defaultdict(Column))
     assert _unit_pivots([{c: x for c, x in enumerate(row) if x} for row in m]) == (count, residual)
     assert not empty_scans
+
+
+def test_unit_pivots_and_gf2_ranks_match_the_units_list_oracle(monkeypatch):
+    # the pivot found in one scan of its column is the one the oracle picks
+    # from its list of the column's units: the first of the shortest rows that
+    # hold a +-1, in column-set order, so every count and residual is equal.
+    # Half the matrices give each row the same number of entries, so columns
+    # hold +-1s in rows of equal length
+    import frobpair.cube as cube_mod
+
+    rng, tied = random.Random(49), 0
+    for k in range(80):
+        rows, cols = rng.randint(1, 40), rng.randint(1, 40)
+        if k % 2:
+            width = rng.randint(1, min(cols, 4))
+            places = [set(rng.sample(range(cols), width)) for _ in range(rows)]
+        else:
+            places = [{c for c in range(cols) if rng.random() < 0.15} for _ in range(rows)]
+        m = [[rng.choice((1, -1, 2, -2, 3)) if c in row else 0 for c in range(cols)]
+             for row in places]
+        unit_lengths = [[len(places[r]) for r in range(rows) if m[r][c] in (1, -1)]
+                        for c in range(cols)]
+        tied += any(len(set(ls)) < len(ls) for ls in unit_lengths)
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in m]
+        assert _unit_pivots([dict(row) for row in sparse]) == unit_pivots_by_units(sparse)
+    assert tied > 40
+    # z2 homology of generated cubes, n = 6..8, whose rows span many machine
+    # words, has the Betti numbers of the oracle's elimination mod 2
+    widths = []
+
+    def oracle(rows):
+        widths.append(max((c for row in rows for c in row), default=0))
+        return unit_pivots_by_units([{c: x % 2 for c, x in row.items() if x % 2}
+                                     for row in rows], modulus=2)[0]
+
+    pairs = (build_aps(), _at_one(build_tt, "l"))
+    for n in (6, 6, 7, 7, 8, 8):
+        cube = random_cube(rng, n=n, max_circles=8)
+        for pair in pairs:
+            got = homology(cube, pair, "z2")
+            with monkeypatch.context() as patch:
+                patch.setattr(cube_mod, "sparse_rank_gf2", oracle)
+                assert homology(cube, pair, "z2") == got, (n, pair.name)
+    assert max(widths) > 4 * 64
 
 
 def test_integer_homology_matches_dense_snf(monkeypatch):
@@ -889,8 +933,8 @@ def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, 
     assert set(built) == {(w,) + cube_mod._interpret(w, move)[:3] for w, move in distinct}
     gens = {gen for _w, gen, *_ in built}
     assert len(constants) == sum(len(aps.generator_table()[gen].entries) for gen in gens)
-    if coeff == "z2":
-        assert reduced == [reducer, "_unit_pivots"] * cube.n
+    if coeff == "z2":  # int bitsets, no unit-pivot elimination
+        assert reduced == [reducer] * cube.n
     else:
         # over q sparse_rank_fraction clears denominators, then takes the z route
         route = ["_unit_pivots", "smith_normal_form"]
@@ -1283,10 +1327,9 @@ def test_sparse_ranks_match_dense_oracle(monkeypatch):
     residuals = []
     real = cube_mod._unit_pivots
 
-    def recording(rows, *args, **kwargs):
-        count, residual = real(rows, *args, **kwargs)
-        if not args and not kwargs:
-            residuals.append(any(any(row) for row in residual))
+    def recording(rows):
+        count, residual = real(rows)
+        residuals.append(any(any(row) for row in residual))
         return count, residual
 
     monkeypatch.setattr(cube_mod, "_unit_pivots", recording)
@@ -1311,3 +1354,17 @@ def test_sparse_ranks_match_dense_oracle(monkeypatch):
             if kind != "rational":
                 assert sparse_rank_gf2(sparse) == rank_gf2(m)
     assert left_over
+    # GF(2) rows over many machine words: 65-700 columns, entries negative,
+    # even and above 2**64, an empty row and repeated rows; some ranks exceed
+    # 64, which no one word of bits can hold
+    values = (1, -1, 3, -3, 2, -2, 2 ** 64, 2 ** 64 + 1, -(2 ** 64) - 3, 2 ** 65)
+    ranks = []
+    for _ in range(30):
+        rows, cols = rng.randint(1, 90), rng.randint(65, 700)
+        m = [[rng.choice(values) if rng.random() < 0.04 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        m += [[0] * cols] + [list(row) for row in rng.sample(m, min(rows, 3))]
+        rng.shuffle(m)
+        ranks.append(rank_gf2(m))
+        assert sparse_rank_gf2([{c: v for c, v in enumerate(row) if v} for row in m]) == ranks[-1]
+    assert max(ranks) > 64
