@@ -1,7 +1,7 @@
 """Command-line front end with stable text/JSON output.
 
 Exit codes: 0 success (all scored equations pass), 1 verification failure,
-2 input errors.  FROBPAIR_AXIOMS overrides the shipped axiom manifest.
+2 input and output errors.  FROBPAIR_AXIOMS overrides the shipped axiom manifest.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import pair as pair_mod
 from .pair import load_pair, pair_to_json, verify
-from .ring import COEFFS, INTEGERS, MOD2, RATIONALS, FrobpairError, RingError, ring
+from .ring import COEFFS, INTEGERS, MOD2, RATIONALS, FrobpairError, ring
 from .theory import GROUPS, TheoryError, read_manifest
 
 
@@ -110,10 +110,7 @@ def get_pair(args, params=None):
             raise InputError("--params applies to --builtin, not to --pair")
         if getattr(args, "strict_partial", False):
             raise InputError("--strict-partial applies to --builtin it, not to --pair")
-        try:
-            return load_pair(args.pair)
-        except OSError as exc:
-            raise InputError(str(exc)) from None
+        return load_pair(args.pair)
     if getattr(args, "builtin", None):
         return build_builtin(args.builtin, params if params is not None else {},
                              strict_partial=getattr(args, "strict_partial", False))
@@ -124,7 +121,7 @@ def get_axioms(args):
     path = getattr(args, "axioms", None) or os.environ.get("FROBPAIR_AXIOMS")
     try:
         return read_manifest(path)
-    except (OSError, TheoryError) as exc:
+    except (OSError, UnicodeError, TheoryError) as exc:
         raise InputError(f"cannot load axioms: {exc}") from None
 
 
@@ -221,11 +218,8 @@ def cmd_construct(args) -> int:
 def cmd_eval(args) -> int:
     from .cobordism import evaluate, parse_cobordism
     pair = get_pair(args)
-    try:
-        with open(args.cobordism, encoding="utf-8") as fh:
-            cob = parse_cobordism(fh.read())
-    except OSError as exc:
-        raise InputError(str(exc)) from None
+    with open(args.cobordism, encoding="utf-8") as fh:
+        cob = parse_cobordism(fh.read())
     m = evaluate(cob, pair)
     if m.dom == () and m.cod == ():
         print(str(m.column(()).get((), pair.ring.zero())))
@@ -254,18 +248,9 @@ def cmd_diamond(args) -> int:
 def cmd_cube(args) -> int:
     from . import cube as cube_mod
     pair = get_pair(args)
-    try:
-        cube = cube_mod.load_cube(args.cube)
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    if args.specialize:
-        assignment = {}
-        for key, val in parse_params([args.specialize]).items():
-            try:
-                assignment[key] = pair.ring.parse(val)
-            except RingError as exc:
-                raise InputError(str(exc)) from None
-        pair = cube_mod.specialize_pair(pair, assignment)
+    cube = cube_mod.load_cube(args.cube)
+    if args.specialize:  # substitution parses each value, once it knows the name
+        pair = cube_mod.specialize_pair(pair, parse_params([args.specialize]))
     report = cube_mod.homology(cube, pair, args.coeff)
     failed = any(s["betti"] < 0 for s in report)  # proves d^2 != 0: name a square
     if failed:
@@ -292,10 +277,11 @@ def cmd_degree(args) -> int:
 
 def cmd_snf(args) -> int:
     from .cube import smith_normal_form
+    with open(args.matrix, encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        with open(args.matrix, encoding="utf-8") as fh:
-            m = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or an over-long integer
+        m = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
         raise InputError(str(exc)) from None
     if (not isinstance(m, list) or not all(isinstance(r, list) for r in m)
             or len({len(r) for r in m}) > 1 or any(type(x) is not int for r in m for x in r)):
@@ -372,7 +358,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except FrobpairError as exc:  # InputError and every library error
+    except (FrobpairError, OSError, UnicodeError) as exc:  # every refusal of an input or output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,26 +23,13 @@ class CobordismError(FrobpairError):
     """Illegal events, positions, or sort transitions."""
 
 
-#: (in sorts) + out sort -> generator
-MERGE_GEN = {
-    ("A", "A", "A"): "mu_A",
-    ("A", "E", "E"): "mu_AE",
-    ("E", "A", "E"): "mu_EA",
-    ("E", "E", "A"): "mu_EEA",
-    ("E", "E", "E"): "mu_E",
-}
-SPLIT_GEN = {
-    ("A", "A", "A"): "Delta_A",
-    ("E", "A", "E"): "Delta_AE",
-    ("E", "E", "A"): "Delta_EA",
-    ("E", "E", "E"): "Delta_E",
-    ("A", "E", "E"): "Delta_AEE",
-}
-MOBIUS_GEN = {("A", "E"): "nu_AE", ("E", "A"): "nu_EA", ("E", "E"): "nu_EE"}
-
-#: move kind -> (number of source circles, generator by source sorts + output sorts)
-MOVES = {"merge": (2, MERGE_GEN), "split": (1, SPLIT_GEN), "mobius": (1, MOBIUS_GEN),
-         "birth": (0, {("A",): "eta"}), "death": (1, {("A",): "eps"})}
+#: move kind -> (number of source circles, generator by source sorts + output
+#: sorts): every SIGNATURE generator with the kind's numbers of inputs and outputs
+MOVES = {kind: (n_in, {dom + cod: name for name, (dom, cod) in SIGNATURE.items()
+                       if (len(dom), len(cod)) == (n_in, n_out)})
+         for kind, n_in, n_out in (("merge", 2, 1), ("split", 1, 2), ("mobius", 1, 1),
+                                   ("birth", 0, 1), ("death", 1, 0))}
+MERGE_GEN, SPLIT_GEN, MOBIUS_GEN = (MOVES[kind][1] for kind in ("merge", "split", "mobius"))
 
 
 def interpret(w, kind, src, dst, sorts):

@@ -539,7 +539,7 @@ def cube_from_json(text) -> StateCube:
     """Parse and validate a cube file; raises CubeError on any malformed field."""
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # bad JSON or an over-long integer
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
         raise CubeError(f"not a cube file: {exc}") from None
     if not isinstance(obj, dict):
         raise CubeError("not a cube file: expected a JSON object")

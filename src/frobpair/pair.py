@@ -595,7 +595,7 @@ _JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a bool
 def pair_from_json(text) -> FrobeniusPair:
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # bad JSON or an over-long integer
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
         raise PairError(f"not a structure file: {exc}") from None
     if not isinstance(obj, dict):
         raise PairError("not a structure file: expected a JSON object")

@@ -479,4 +479,7 @@ class _Parser:
 
 
 def parse_ring_elem(text: str, ring_decl: RingDecl) -> RingElem:
-    return _Parser(text, ring_decl).parse()
+    try:
+        return _Parser(text, ring_decl).parse()
+    except RecursionError:  # the parser recurses once per parenthesis
+        raise RingError("expression nested too deeply") from None

@@ -989,6 +989,14 @@ def test_a_2000_digit_rank2_parameter_constructs(capsys):
         "out": [{"basis": ["1"], "coeff": str(-a * a)}, {"basis": ["X"], "coeff": str(2 * a)}]}
 
 
+NOT_UTF8 = b"\xff"
+UTF8_REFUSAL = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+JSON_TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+PARENS_3000 = "(" * 3000 + "1" + ")" * 3000
+APS_DEEP_COEFF = (importlib.resources.files("frobpair").joinpath("data/aps.json").read_text()
+                  .replace('"coeff": "1"', f'"coeff": "{PARENS_3000}"', 1))
+
+
 @pytest.mark.parametrize("argv,files,message", [
     (("verify",), {}, "need --pair FILE or --builtin NAME"),
     (("verify", "--builtin", "aps", "--axioms", "NOSUCH"), {},
@@ -1019,19 +1027,48 @@ def test_a_2000_digit_rank2_parameter_constructs(capsys):
      "expected integer exponent at position 2"),
     (("cube", "MERGE1", "--builtin", "tt", "--specialize", "l=$"), {},
      "syntax error at position 0: '$'"),
+    # substitution checks a name before it parses that name's value
+    (("cube", "MERGE1", "--builtin", "tt", "--specialize", "x=(,l=1"), {},
+     "unknown variable x"),
+    (("eval", "--builtin", "aps", "FILE"), {"FILE": NOT_UTF8}, UTF8_REFUSAL),
+    (("cube", "FILE", "--builtin", "aps"), {"FILE": NOT_UTF8}, UTF8_REFUSAL),
+    (("verify", "--pair", "FILE"), {"FILE": NOT_UTF8}, UTF8_REFUSAL),
+    (("diamond", "--pair", "FILE"), {"FILE": NOT_UTF8}, UTF8_REFUSAL),
+    (("snf", "FILE"), {"FILE": NOT_UTF8}, UTF8_REFUSAL),
+    (("verify", "--builtin", "aps", "--axioms", "FILE"), {"FILE": NOT_UTF8},
+     f"cannot load axioms: {UTF8_REFUSAL}"),
+    (("construct", "--builtin", "aps", "-o", "ORPHAN"), {},
+     "[Errno 2] No such file or directory: 'ORPHAN'"),
+    (("construct", "--builtin", "aps", "-o", "TMPDIR"), {}, "[Errno 21] Is a directory: 'TMPDIR'"),
+    (("cube", "FILE", "--builtin", "aps"), {"FILE": "[" * 100_000},
+     f"not a cube file: {JSON_TOO_DEEP}"),
+    (("verify", "--pair", "FILE"), {"FILE": "[" * 100_000},
+     f"not a structure file: {JSON_TOO_DEEP}"),
+    (("snf", "FILE"), {"FILE": "[" * 100_000}, JSON_TOO_DEEP),
+    (("verify", "--pair", "FILE"), {"FILE": APS_DEEP_COEFF},
+     "$.maps.Delta_A[0].out[0].coeff: expression nested too deeply"),
+    (("cube", "MERGE1", "--builtin", "tt", "--specialize", f"l={PARENS_3000}"), {},
+     "expression nested too deeply"),
 ], ids=["verify_no_pair", "axioms_missing", "manifest_no_colon", "manifest_no_group",
         "manifest_no_equals", "manifest_empty_layer", "cob_no_input", "cob_swap_past_word",
         "degree_bad_side", "cob_missing", "cube_missing", "specialize_open_paren",
-        "specialize_rational_on_tt", "specialize_bad_exponent", "specialize_bad_character"])
+        "specialize_rational_on_tt", "specialize_bad_exponent", "specialize_bad_character",
+        "specialize_unknown_name_first", "eval_not_utf8", "cube_not_utf8", "verify_pair_not_utf8",
+        "diamond_pair_not_utf8", "snf_not_utf8", "axioms_not_utf8", "construct_into_missing_dir",
+        "construct_onto_dir", "cube_nested_deep", "pair_nested_deep", "snf_nested_deep",
+        "pair_coeff_nested_deep", "specialize_nested_deep"])
 def test_refusals_name_their_input(tmp_path, capsys, argv, files, message):
     merge1 = importlib.resources.files("frobpair").joinpath("data/merge1.cube")
-    paths = {"NOSUCH": str(tmp_path / "nosuch"), "MERGE1": str(merge1)}
+    paths = {"NOSUCH": str(tmp_path / "nosuch"), "ORPHAN": str(tmp_path / "nosuch" / "out.json"),
+             "TMPDIR": str(tmp_path), "MERGE1": str(merge1)}
     for name, text in files.items():
         paths[name] = str(tmp_path / name)
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
     assert_one_line_error(code, out, err)
-    assert err == f"error: {message.replace('NOSUCH', paths['NOSUCH'])}\n"
+    for name in ("NOSUCH", "ORPHAN", "TMPDIR"):
+        message = message.replace(name, paths[name])
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("builtin,edit,message", [
@@ -1070,18 +1107,23 @@ def test_startup_loads_no_cube_or_cobordism():
 
 @pytest.mark.parametrize("argv,name,text,message", [
     (("cube", "FILE", "--builtin", "aps"), "bad.cube", "{", "not a cube file: "),
+    (("cube", "FILE", "--builtin", "aps"), "bad.cube", b"\xff", "'utf-8' codec can't decode"),
+    (("construct", "--builtin", "aps", "-o", "ORPHAN"), None, None,
+     "[Errno 2] No such file or directory: "),
     (("snf", "FILE"), "bad.json", "[[1.5]]",
      "matrix file must hold a JSON list of equal-length rows of integers"),
     (("degree", "+"), None, None, "pole count must be even"),
     (("eval", "--builtin", "aps", "FILE"), "bad.cob", "bogus\n",
      "line 1: first line must declare the input word"),
-], ids=["cube", "snf", "degree", "eval"])
+], ids=["cube", "cube_not_utf8", "construct_into_missing_dir", "snf", "degree", "eval"])
 def test_on_demand_command_refuses_in_a_fresh_process(tmp_path, argv, name, text, message):
     # nothing has loaded cube or cobordism before the command imports it, and
-    # its error still reaches main's one except clause
+    # its error, or a failure to read or write a file, still reaches main's
+    # one except clause
     if name:
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         argv = [str(tmp_path / name) if a == "FILE" else a for a in argv]
+    argv = [str(tmp_path / "nosuch" / "out.json") if a == "ORPHAN" else a for a in argv]
     proc = subprocess.run([sys.executable, "-m", "frobpair.cli", *argv], capture_output=True,
                           env=fresh_env(), text=True, timeout=60)
     assert_one_line_error(proc.returncode, proc.stdout, proc.stderr)
@@ -1089,8 +1131,8 @@ def test_on_demand_command_refuses_in_a_fresh_process(tmp_path, argv, name, text
 
 
 def test_every_error_class_derives_from_the_one_base():
-    # main catches FrobpairError alone, so an error class outside it would
-    # leave the CLI as a traceback
+    # main catches FrobpairError, OSError and UnicodeError only, so a frobpair
+    # error class outside FrobpairError would leave the CLI as a traceback
     errors = []
     for info in pkgutil.iter_modules(frobpair.__path__):
         module = importlib.import_module(f"frobpair.{info.name}")

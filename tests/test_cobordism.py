@@ -9,7 +9,9 @@ import pytest
 from frobpair.cobordism import (
     DIAMOND_CASES,
     MERGE_GEN,
+    MOBIUS_GEN,
     MOVES,
+    SPLIT_GEN,
     CobordismError,
     CobordismWord,
     Event,
@@ -256,6 +258,21 @@ def test_interpret_places_every_move_as_by_hand():
                             assert (w_out, provenance) == hand_placement(w, src, dst, sorts)
                             seen[kind] += 1
     assert seen == {"merge": 850, "split": 4050, "mobius": 519, "birth": 129, "death": 49}
+
+
+def test_move_tables_read_off_the_signature_equal_the_hand_tables():
+    # the move tables as they were written by hand before they were read off
+    # theory.SIGNATURE; SPLIT_GEN's order decides which splits rng.choice draws
+    merge = {("A", "A", "A"): "mu_A", ("A", "E", "E"): "mu_AE", ("E", "A", "E"): "mu_EA",
+             ("E", "E", "A"): "mu_EEA", ("E", "E", "E"): "mu_E"}
+    split = {("A", "A", "A"): "Delta_A", ("E", "A", "E"): "Delta_AE",
+             ("E", "E", "A"): "Delta_EA", ("E", "E", "E"): "Delta_E",
+             ("A", "E", "E"): "Delta_AEE"}
+    mobius = {("A", "E"): "nu_AE", ("E", "A"): "nu_EA", ("E", "E"): "nu_EE"}
+    assert MOVES == {"merge": (2, merge), "split": (1, split), "mobius": (1, mobius),
+                     "birth": (0, {("A",): "eta"}), "death": (1, {("A",): "eps"})}
+    assert (MERGE_GEN, SPLIT_GEN, MOBIUS_GEN) == (merge, split, mobius)
+    assert list(SPLIT_GEN) == list(split)
 
 
 def test_pole_degree_confluence_up_to_8():

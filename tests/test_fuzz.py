@@ -68,8 +68,35 @@ def insert_field(rng, text):
     return text[:i] + ('"zz": 0' if text[i:].lstrip().startswith("}") else '"zz": 0, ') + text[i:]
 
 
+def invalid_utf8(rng, text):
+    """The text's UTF-8 bytes with one 0xff byte, which no UTF-8 text holds, inserted."""
+    data = text.encode()
+    i = rng.randrange(len(data) + 1)
+    return data[:i] + b"\xff" + data[i:]
+
+
+#: a JSON scalar value (a key with its colon is matched only to be passed over)
+JSON_SCALAR = re.compile(r'"[^"\n]*"\s*:|-?\d+|"[^"\n]*"|true|false|null')
+
+
+def deep_nest(rng, text, depth=5000):
+    """One scalar value of a JSON text in depth lists, or the text of one of its
+    "coeff" values in depth parentheses; a text with neither is left as it is."""
+    try:
+        json.loads(text)
+    except ValueError:
+        return text
+    spots = [(m.start(), m.end(), "[", "]") for m in JSON_SCALAR.finditer(text)
+             if not m.group().endswith(":")]
+    spots += [(m.start(1), m.end(1), "(", ")") for m in re.finditer(r'"coeff":\s*"([^"]*)"', text)]
+    if not spots:
+        return text
+    start, end, left, right = rng.choice(spots)
+    return text[:start] + left * depth + text[start:end] + right * depth + text[end:]
+
+
 MUTATIONS = (delete_span, swap_token, replace_number, duplicate_line, insert_punctuation,
-             repeat_sort, insert_field)
+             repeat_sort, insert_field, invalid_utf8, deep_nest)
 
 #: shipped file -> the command line its mutant is read by (MUTANT marks its place)
 TARGETS = {
@@ -92,7 +119,7 @@ def test_mutants_exit_cleanly(tmp_path, capsys, name):
     for _ in range(150):
         mutation = rng.choice(MUTATIONS)
         mutant = mutation(rng, text)
-        path.write_text(mutant)
+        path.write_bytes(mutant if isinstance(mutant, bytes) else mutant.encode())
         code = main(argv)
         out = capsys.readouterr()
         context = f"{mutation.__name__} mutant of {name}:\n{mutant}"
@@ -123,3 +150,40 @@ def test_insert_field_adds_one_field_to_one_object():
             mutant = insert_field(rng, text)
             assert mutant.count('"zz"') == 1
             assert without_zz(json.loads(mutant)) == json.loads(text)
+
+
+def test_invalid_utf8_inserts_one_byte():
+    rng = random.Random(0)
+    for text in ("", "input A\n", DATA.joinpath("torus.cob").read_text()):
+        for _ in range(10):
+            mutant = invalid_utf8(rng, text)
+            assert mutant.count(b"\xff") == 1 and len(mutant) == len(text.encode()) + 1
+            assert mutant.replace(b"\xff", b"").decode() == text
+            with pytest.raises(UnicodeDecodeError):
+                mutant.decode()
+
+
+def without_nesting(value):
+    """value with each list of one item, and each coefficient in parentheses,
+    replaced by what it wraps."""
+    if isinstance(value, dict):
+        return {k: without_nesting(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return without_nesting(value[0]) if len(value) == 1 else [without_nesting(v) for v in value]
+    return value.strip("()") if isinstance(value, str) else value
+
+
+def test_deep_nest_wraps_one_value_or_coefficient():
+    rng = random.Random(0)
+    assert deep_nest(rng, "input A\nmerge 1 A\n") == "input A\nmerge 1 A\n"
+    assert deep_nest(rng, '{"a": []}') == '{"a": []}'
+    shapes = set()
+    for text in ('{"a": 1, "b": [true, "x"]}', DATA.joinpath("fig13.cube").read_text(),
+                 DATA.joinpath("aps.json").read_text()):
+        for _ in range(10):
+            mutant = deep_nest(rng, text, depth=50)
+            shape = "[" * 50 if "[" * 50 in mutant else "(" * 50
+            shapes.add(shape)
+            assert mutant.count(shape) == 1 and len(mutant) == len(text) + 100
+            assert without_nesting(json.loads(mutant)) == without_nesting(json.loads(text))
+    assert shapes == {"[" * 50, "(" * 50}
