@@ -56,7 +56,11 @@ DOUBLE_ALGEBRAS = {"q1": (RATIONALS, 0, 1, {"X": Fraction(1, 2)}),
 def _integer(name, key, val):
     try:
         return int(val)
-    except ValueError:
+    except ValueError:  # a syntax fault, or more digits than the interpreter converts
+        digits, limit = sum(map(str.isdecimal, val)), sys.get_int_max_str_digits()
+        if limit and digits > limit:
+            raise InputError(f"{name} parameter {key} of {digits} digits is too long to read "
+                             f"(over {limit} digits)") from None
         raise InputError(f"{name} parameter {key} must be an integer") from None
 
 

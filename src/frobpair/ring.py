@@ -145,9 +145,7 @@ class RingElem:
 
     def _check(self, other) -> "RingElem":
         if type(other) is not RingElem:
-            if isinstance(other, (int, Fraction)):
-                return self.ring.const(other)
-            return NotImplemented
+            raise TypeError(f"ring operand must be a RingElem, not {type(other).__name__}")
         if other.ring is not self.ring and other.ring != self.ring:
             raise RingError("ring mismatch")
         return other
@@ -155,8 +153,6 @@ class RingElem:
     def __add__(self, other):
         # both operands are in normal form, so only cancelling terms need care
         other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
         mod2 = self.ring.domain == MOD2
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -169,8 +165,6 @@ class RingElem:
                     terms[m] = s
         return RingElem(self.ring, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         if self.ring.domain == MOD2:
             return self
@@ -178,19 +172,12 @@ class RingElem:
 
     def __sub__(self, other):
         other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return self.ring.const(other) - self
 
     def __mul__(self, other):
         # int * int is an int and Fraction * Fraction a Fraction, so products of
         # normal-form coefficients need no coercion; only Z/2 sums are reduced
         other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
         a, b = self.terms, other.terms
         if len(a) == 1 and len(b) == 1:  # a domain has no zero divisors
             (m1, c1), = a.items()
@@ -209,8 +196,6 @@ class RingElem:
         else:
             terms = {m: c for m, c in terms.items() if c}
         return RingElem(self.ring, terms)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -257,9 +242,7 @@ class RingElem:
 
     def __eq__(self, other):
         if type(other) is not RingElem:
-            if not isinstance(other, int):
-                return NotImplemented
-            other = self.ring.const(other)
+            return NotImplemented
         return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
 
     def __hash__(self):

@@ -43,7 +43,7 @@ def word(letters) -> tuple:
 
 class BasisSpec:
     """Ordered basis labels for each sort, over a fixed ring declaration; equal
-    to and hashed as another with the same labels and ring."""
+    to another with the same labels and ring, and not hashable."""
 
     def __init__(self, basis_a: tuple, basis_e: tuple, ring: RingDecl):
         for labels in (basis_a, basis_e):
@@ -58,9 +58,6 @@ class BasisSpec:
 
     def __eq__(self, other):
         return self._key() == other._key() if type(other) is BasisSpec else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"BasisSpec{self._key()!r}"

@@ -207,8 +207,8 @@ PROVENANCES = ("paper", "corrected", "generated")
 
 
 class Equation:
-    """Two terms that typecheck to the same words, checked when made; equal to
-    and hashed as another with the same name, group, provenance, lhs and rhs.
+    """Two terms that typecheck to the same words, checked when made; equations
+    compare by identity.
 
     sides holds the Prefix chains of lhs and rhs on their domain, one piece
     per layer with the layer's moves, interned in `pieces`, so that the
@@ -239,15 +239,6 @@ class Equation:
                 self.words.append(w)
         self.generators = frozenset(
             gen for piece in l_pieces + r_pieces for gen, _src, _dst in piece if gen is not None)
-
-    def _key(self):
-        return self.name, self.group, self.provenance, self.lhs, self.rhs
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is Equation else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def parse_theory(text) -> list:

@@ -652,32 +652,48 @@ def random_cube(rng, n=None, max_circles=6, sort_tries=40):
     """A valid random StateCube with n crossings (n <= 4 by default)."""
     if n is None:
         n = rng.randint(1, 4)
+    sigma, chords = random_chords(rng, n, max_circles)
+    return chord_cube(rng, sigma, chords, sort_tries)
+
+
+def random_chords(rng, n, max_circles=6):
+    """(sigma, chords): a random permutation sigma of 2n + 1..3 points, arc x
+    running from x to sigma(x), and n chords on distinct points, one per
+    crossing, such that no state has more than max_circles circles."""
     while True:
         m = 2 * n + rng.randint(1, 3)
         sigma = list(range(m))
         rng.shuffle(sigma)
         pts = rng.sample(range(m), 2 * n)
         chords = [(pts[2 * k], pts[2 * k + 1]) for k in range(n)]
-        cycles = {b: _cycles(_apply_chords(sigma, chords, b)) for b in _bits_all(n)}
-        if any(len(c) > max_circles for c in cycles.values()):
-            continue
-        moves = {}
-        for b in _bits_all(n):
-            for k in range(n):
-                if b[k] == "0":
-                    moves[(b, k)] = _derive_move(cycles[b], cycles[_flip(b, k)], chords[k])
-        labelling = _assign_sorts(rng, n, cycles, moves, sort_tries)
-        vertices = {b: tuple(labelling[b]) for b in _bits_all(n)}
-        edges = {}
-        for (b, k), (kind, i, j, outs) in moves.items():
-            if kind == "merge":
-                sort = vertices[_flip(b, k)][outs[0] - 1]
-                edges[(b, k)] = EdgeMove("merge", i, j, outs, (sort,))
-            else:
-                w = vertices[_flip(b, k)]
-                edges[(b, k)] = EdgeMove("split", i, 0, outs,
-                                         (w[outs[0] - 1], w[outs[1] - 1]))
-        return StateCube(n, vertices, edges)
+        if all(len(_cycles(_apply_chords(sigma, chords, b))) <= max_circles
+               for b in _bits_all(n)):
+            return sigma, chords
+
+
+def chord_cube(rng, sigma, chords, sort_tries=40):
+    """The StateCube of a chord diagram: the circles of state b are the cycles
+    of sigma with the chords b 1-smooths switched; rng draws the sorts, and
+    with sort_tries=0 every circle is A and rng is not used."""
+    n = len(chords)
+    cycles = {b: _cycles(_apply_chords(sigma, chords, b)) for b in _bits_all(n)}
+    moves = {}
+    for b in _bits_all(n):
+        for k in range(n):
+            if b[k] == "0":
+                moves[(b, k)] = _derive_move(cycles[b], cycles[_flip(b, k)], chords[k])
+    labelling = _assign_sorts(rng, n, cycles, moves, sort_tries)
+    vertices = {b: tuple(labelling[b]) for b in _bits_all(n)}
+    edges = {}
+    for (b, k), (kind, i, j, outs) in moves.items():
+        if kind == "merge":
+            sort = vertices[_flip(b, k)][outs[0] - 1]
+            edges[(b, k)] = EdgeMove("merge", i, j, outs, (sort,))
+        else:
+            w = vertices[_flip(b, k)]
+            edges[(b, k)] = EdgeMove("split", i, 0, outs,
+                                     (w[outs[0] - 1], w[outs[1] - 1]))
+    return StateCube(n, vertices, edges)
 
 
 def hand_placement(w, src, dst, sorts):
@@ -853,7 +869,7 @@ def _adjugate_inverse(m, decl):
 
     def cofactor(i, j):
         rows, cols = [r for r in range(n) if r != i], [c for c in range(n) if c != j]
-        return (-1) ** (i + j) * det(rows, cols)
+        return decl.const(-1) ** (i + j) * det(rows, cols)
 
     n = len(m)
     inv = unit_invert(det(range(n), range(n)))

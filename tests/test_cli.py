@@ -1049,6 +1049,11 @@ APS_DEEP_COEFF = (importlib.resources.files("frobpair").joinpath("data/aps.json"
      "$.maps.Delta_A[0].out[0].coeff: expression nested too deeply"),
     (("cube", "MERGE1", "--builtin", "tt", "--specialize", f"l={PARENS_3000}"), {},
      "expression nested too deeply"),
+    # int() refuses more digits than the interpreter converts; that is no syntax fault
+    (("construct", "--builtin", "rank2", "--params", "a=" + "1" * 5000), {},
+     "rank2 parameter a of 5000 digits is too long to read (over 4300 digits)"),
+    (("verify", "--builtin", "double", "--params", "e0=-" + "1" * 4301), {},
+     "double parameter e0 of 4301 digits is too long to read (over 4300 digits)"),
 ], ids=["verify_no_pair", "axioms_missing", "manifest_no_colon", "manifest_no_group",
         "manifest_no_equals", "manifest_empty_layer", "cob_no_input", "cob_swap_past_word",
         "degree_bad_side", "cob_missing", "cube_missing", "specialize_open_paren",
@@ -1056,7 +1061,8 @@ APS_DEEP_COEFF = (importlib.resources.files("frobpair").joinpath("data/aps.json"
         "specialize_unknown_name_first", "eval_not_utf8", "cube_not_utf8", "verify_pair_not_utf8",
         "diamond_pair_not_utf8", "snf_not_utf8", "axioms_not_utf8", "construct_into_missing_dir",
         "construct_onto_dir", "cube_nested_deep", "pair_nested_deep", "snf_nested_deep",
-        "pair_coeff_nested_deep", "specialize_nested_deep"])
+        "pair_coeff_nested_deep", "specialize_nested_deep", "rank2_param_too_long",
+        "double_param_too_long"])
 def test_refusals_name_their_input(tmp_path, capsys, argv, files, message):
     merge1 = importlib.resources.files("frobpair").joinpath("data/merge1.cube")
     paths = {"NOSUCH": str(tmp_path / "nosuch"), "ORPHAN": str(tmp_path / "nosuch" / "out.json"),

@@ -659,7 +659,7 @@ def test_beta_gram_matrix_has_unit_determinant(builder):
 def test_eta_unit_coefficient_enforced():
     aps = build_aps()
     bad = dict(aps.maps)
-    bad["eta"] = bad["eta"].map_entries(lambda v: 2 * v)
+    bad["eta"] = bad["eta"].map_entries(lambda v: aps.ring.const(2) * v)
     with pytest.raises(PairError, match="unit label"):
         FrobeniusPair(aps.ring, aps.spec, bad)
 
@@ -673,8 +673,8 @@ def test_a_pair_built_with_a_beta_or_gamma_that_differs_is_refused(gname, derive
     # the map and the entry's input tuple, and the derived map itself is kept
     aps = build_aps()
     m = aps.generator_table()[gname]
-    one = aps.ring.one()
-    wrong = LinMap(m.spec, m.dom, m.cod, {**m.entries, key: m.entries.get(key, 0 * one) + one})
+    shifted = m.entries.get(key, aps.ring.zero()) + aps.ring.one()
+    wrong = LinMap(m.spec, m.dom, m.cod, {**m.entries, key: shifted})
     with pytest.raises(PairError, match=fr"^{gname} differs from {re.escape(derived)} "
                                         fr"at input tuple {re.escape(str(key[1]))}$"):
         FrobeniusPair(aps.ring, aps.spec, {**aps.maps, gname: wrong}, name="aps")

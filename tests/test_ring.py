@@ -363,16 +363,26 @@ def test_const_refuses_anything_but_an_int_or_a_fraction(domain, value):
     # fraction 3602879701896397/36028797018963968, and over Z/2 the float was stored
     with pytest.raises(RingError, match=f"^constant {value!r} is neither an int nor a Fraction$"):
         ring(domain).const(value)
-    assert ring(domain).const(Fraction(4, 2)) == ring(domain).const(2) == 2
+    assert ring(domain).const(Fraction(4, 2)) == ring(domain).const(2)
+
+
+@pytest.mark.parametrize("op,name", [(lambda t: t * 2, "int"), (lambda t: 2 * t, "int"),
+                                     (lambda t: t + Fraction(1, 2), "Fraction"),
+                                     (lambda t: 1 - t, "int")],
+                         ids=["t*2", "2*t", "t+1/2", "1-t"])
+def test_a_literal_operand_is_refused(op, name):
+    # only ring elements meet: a literal on either side is a TypeError naming its type
+    t = ring(RATIONALS, "t").gen("t")
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
+        op(t)
 
 
 def test_literal_operands_and_mismatch():
     q = ring(RATIONALS, "t")
     t = q.gen("t")
-    assert t * 2 == 2 * t == q.parse("2*t")
-    assert all(type(c) is Fraction for c in (t * 2).terms.values())
-    assert t + Fraction(1, 2) == q.parse("t + 1/2")
-    with pytest.raises(RingError, match="rational coefficient in integer ring"):
+    # a literal equals no ring element, not even the constant it names
+    assert (q.const(2) == 2) is False
+    with pytest.raises(TypeError, match="^ring operand must be a RingElem, not Fraction$"):
         ZH.gen("h") + Fraction(1, 2)
     for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
         with pytest.raises(RingError, match="ring mismatch"):
