@@ -134,10 +134,8 @@ def _tuple_str(t):
 
 
 def _witness_obj(witness):
-    if witness is None:
-        return None
-    if witness[0] == "shape":
-        return {"kind": "shape", "lhs": str(witness[1]), "rhs": str(witness[2])}
+    """A failing verify record's witness: its sides typecheck to one shape, so
+    tensor.equal gives the first differing input tuple and both columns."""
     t, lhs_col, rhs_col = witness
     return {
         "input": _tuple_str(t),
@@ -178,11 +176,8 @@ def report_text(report) -> str:
             lines.append(f"SKIP {r.name} [{r.group}] missing: {', '.join(r.missing)}")
         else:
             w = _witness_obj(r.witness)
-            if w and "input" in w:
-                detail = (f"input={w['input']} lhs={w['lhs']} rhs={w['rhs']}")
-            else:
-                detail = str(w)
-            lines.append(f"FAIL {r.name} [{r.group}] ({r.provenance}) {detail}")
+            lines.append(f"FAIL {r.name} [{r.group}] ({r.provenance}) "
+                         f"input={w['input']} lhs={w['lhs']} rhs={w['rhs']}")
     summary = report.summary()
     for group in sorted(summary):
         c = summary[group]

@@ -32,6 +32,16 @@ MOVES = {kind: (n_in, {dom + cod: name for name, (dom, cod) in SIGNATURE.items()
 MERGE_GEN, SPLIT_GEN, MOBIUS_GEN = (MOVES[kind][1] for kind in ("merge", "split", "mobius"))
 
 
+class Move(NamedTuple):
+    """One move on a word of circles: its kind (a key of MOVES, or swap), the
+    0-based slots it reads, in the order its generator reads them, the slots
+    of the new word it writes, and their sorts."""
+    kind: str
+    src: tuple
+    dst: tuple
+    sorts: tuple = ()
+
+
 def interpret(w, kind, src, dst, sorts):
     """Read one move on the word w: (generator, output word, provenance).
 
@@ -60,50 +70,6 @@ def interpret(w, kind, src, dst, sorts):
     return table[key], w_out, place((src,) * len(dst) + tuple(zip(range(n_in))))
 
 
-class Event(NamedTuple):
-    kind: str            # birth | death | merge | split | mobius | swap
-    pos: int             # 1-based position of the (first) circle acted on
-    sorts: tuple = ()    # output sort(s)
-
-
-def birth(pos):
-    return Event("birth", pos, ("A",))
-
-
-def death(pos):
-    return Event("death", pos)
-
-
-def merge(pos, out_sort):
-    return Event("merge", pos, (out_sort,))
-
-
-def split(pos, out_sorts):
-    return Event("split", pos, tuple(out_sorts))
-
-
-def mobius(pos, out_sort):
-    return Event("mobius", pos, (out_sort,))
-
-
-def swap(pos):
-    return Event("swap", pos)
-
-
-def _read(current, event):
-    """(generator, source slots, output slots, new word) of an event, whose
-    sources start at its position and whose outputs take their place."""
-    p = event.pos - 1
-    if event.kind == "swap":
-        if not 0 <= p < len(current) - 1:
-            raise CobordismError(f"swap positions {p + 1},{p + 2} out of range")
-        return None, (p, p + 1), (p + 1, p), move_plan(current, (p, p + 1), (p + 1, p), None)[2]
-    src = tuple(range(p, p + MOVES[event.kind][0])) if event.kind in MOVES else ()
-    dst = tuple(range(p, p + len(event.sorts)))
-    gen, w, _provenance = interpret(current, event.kind, src, dst, event.sorts)
-    return gen, src, dst, w
-
-
 def _capped(w):
     if len(w) > MAX_CIRCLES:
         raise CobordismError(f"a word of {len(w)} circles is over the limit of {MAX_CIRCLES}")
@@ -112,25 +78,40 @@ def _capped(w):
 
 class CobordismWord:
     def __init__(self, input: tuple, events: list):
-        self.input, self.events = input, []
+        self.input, self.events = input, []  # events: the Moves read, in order
         self.words = [_capped(tuple(input))]  # running words, input first
         self.moves = []  # (generator, source, output slots) per event
         for ev in events:
             self.append(ev)
 
-    def append(self, event):
-        """Read one more event on the running word."""
-        gen, src, dst, current = _read(self.words[-1], event)
+    def append(self, move):
+        """Read one more Move on the running word: a swap is placed by
+        tensor.move_plan alone, every other move by interpret."""
+        w = self.words[-1]
+        if move.kind == "swap":
+            if not set(move.src + move.dst) <= set(range(len(w))):
+                raise CobordismError(
+                    f"swap positions {','.join(str(p + 1) for p in move.src)} out of range")
+            gen, current = None, move_plan(w, move.src, move.dst, None)[2]
+        else:
+            gen, current, _provenance = interpret(w, *move)
         self.words.append(_capped(current))
-        self.moves.append((gen, src, dst))
-        self.events.append(event)
+        self.moves.append((gen, move.src, move.dst))
+        self.events.append(move)
 
 
-#: event keyword -> (fields on its line, constructor taking the fields after it)
-EVENT_FIELDS = {
-    "birth": (2, birth), "death": (2, death), "swap": (2, swap), "merge": (3, merge),
-    "split": (4, lambda pos, s1, s2: split(pos, (s1, s2))), "mobius": (3, mobius),
-}
+def event(kind, pos, sorts=()):
+    """The Move of an event at the 1-based position pos: its sources start at
+    pos and its outputs take their place; a swap exchanges pos and pos + 1."""
+    p = pos - 1
+    if kind == "swap":
+        return Move(kind, (p, p + 1), (p + 1, p))
+    return Move(kind, tuple(range(p, p + MOVES[kind][0])), tuple(range(p, p + len(sorts))),
+                tuple(sorts))
+
+
+#: event keyword -> the number of fields on its line
+EVENT_FIELDS = {"birth": 2, "death": 2, "swap": 2, "merge": 3, "split": 4, "mobius": 3}
 
 
 def parse_cobordism(text) -> CobordismWord:
@@ -161,10 +142,9 @@ def parse_cobordism(text) -> CobordismWord:
                 raise CobordismError("first line must declare the input word")
             if head not in EVENT_FIELDS:
                 raise CobordismError(f"unknown event {head!r}")
-            n_fields, make = EVENT_FIELDS[head]
-            if len(parts) != n_fields:
+            if len(parts) != EVENT_FIELDS[head]:
                 raise CobordismError(f"malformed event {line!r}")
-            cob.append(make(int(parts[1]), *parts[2:]))
+            cob.append(event(head, int(parts[1]), ("A",) if head == "birth" else parts[2:]))
         except (IndexError, ValueError) as exc:
             if isinstance(exc, CobordismError):
                 raise CobordismError(f"line {lineno}: {exc}") from None
@@ -206,9 +186,9 @@ def evaluate(cob: CobordismWord, pair) -> LinMap:
 def _normalize_pole(w):
     out = []
     for ch in w:
-        if ch in ("+", "L", "left"):
+        if ch in ("+", "L"):
             out.append("L")
-        elif ch in ("-", "R", "right"):
+        elif ch in ("-", "R"):
             out.append("R")
         else:
             raise CobordismError(f"unknown pole side {ch!r}")

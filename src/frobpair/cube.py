@@ -15,9 +15,8 @@ import json
 import math
 from collections import Counter, defaultdict
 from operator import and_, mul
-from typing import NamedTuple
 
-from .cobordism import (MOVES, CobordismError, compare_squares, interpret, square_order,
+from .cobordism import (CobordismError, Move, compare_squares, interpret, square_order,
                         square_plan, table_with)
 from .pair import FrobeniusPair
 from .ring import COEFFS, MOD2, FrobpairError, substitution
@@ -28,27 +27,21 @@ class CubeError(FrobpairError):
     """Structural violations in a state cube."""
 
 
-class EdgeMove(NamedTuple):
-    kind: str          # merge | split, a key of cobordism.MOVES
-    i: int             # 1-based source position (first circle for merge)
-    j: int = 0         # second source position for merge
-    outs: tuple = ()   # output position(s): (out,) for merge, (p1, p2) for split
-    sorts: tuple = ()  # output sort(s)
-
-
 class StateCube:
     """A checked cube: the constructor runs validate_cube's one scan, so every
     StateCube is valid, and keeps what it read.  scan is (words, numbers,
     moves), by vertex index v (b in base 2): v's word, v's edge numbers by
     flipped bit (None on a 1-bit), and each number's descriptor: its source
-    word and `_interpret` output.  squares is {square: its first (v, k, l)} in
-    scan order, v flipping bits k < l, a square being its two paths (edge v/k,
-    then l) and (edge v/l, then k), each as its two edge numbers."""
+    word, generator, source and output slots, output word and provenance, as
+    `cobordism.interpret` reads the edge's Move.  squares is {square: its
+    first (v, k, l)} in scan order, v flipping bits k < l, a square being its
+    two paths (edge v/k, then l) and (edge v/l, then k), each as its two edge
+    numbers."""
 
     def __init__(self, n: int, vertices: dict, edges: dict):
         self.n = n
         self.vertices = vertices  # bitstring -> sort word (tuple)
-        self.edges = edges        # (source bitstring, flipped index) -> EdgeMove
+        self.edges = edges        # (source bitstring, flipped index) -> cobordism.Move
         self.scan, self.squares = validate_cube(self)
 
 
@@ -62,16 +55,6 @@ def _flip(bits, k):
 
 def _weight(bits):
     return bits.count("1")
-
-
-def _interpret(w_in, move):
-    """`cobordism.interpret` of an edge move on the word w_in: (generator,
-    source slots, output slots, output word, provenance), slots 0-based, the
-    sources read in increasing order.  Raises CobordismError on an illegal move."""
-    src = tuple(sorted([p - 1 for p in (move.i, move.j)[:MOVES.get(move.kind, (0,))[0]]]))
-    dst = tuple([p - 1 for p in move.outs])
-    gen, w_out, provenance = interpret(w_in, move.kind, src, dst, move.sorts)
-    return gen, src, dst, w_out, provenance
 
 
 def _reach(first, second):
@@ -111,8 +94,11 @@ def validate_cube(cube: StateCube):
             if e is None:
                 raise CubeError(f"missing edge {b}->{bits[v ^ m]}")
             try:
-                moves[e] = moves[e] or (w,) + _interpret(w, edges[b, k])
-            except (CobordismError, TensorError) as exc:  # TensorError: len(outs) != len(sorts)
+                if moves[e] is None:
+                    move = edges[b, k]
+                    gen, w_out, provenance = interpret(w, *move)
+                    moves[e] = w, gen, move.src, move.dst, w_out, provenance
+            except (CobordismError, TensorError) as exc:  # TensorError: len(dst) != len(sorts)
                 raise CubeError(f"edge {b}/{k}: {exc}") from None
             if moves[e][4] != words[v ^ m]:
                 raise CubeError(f"edge {b}/{k}: move produces word {''.join(moves[e][4])}, "
@@ -506,15 +492,15 @@ def vertex_euler(cube: StateCube, pair: FrobeniusPair) -> int:
 EDGE_FIELDS = {"merge": {"kind", "i", "j", "out", "sort"}, "split": {"kind", "i", "outs", "sorts"}}
 
 
-def _edge_from_json(key, mv) -> EdgeMove:
+def _edge_from_json(key, mv) -> Move:
     if not isinstance(mv, dict):
         raise CubeError(f"edge {key!r}: expected an object")
     kind = mv.get("kind")
     try:
         if kind == "merge":
-            move = EdgeMove(kind, mv["i"], mv["j"], (mv["out"],), (mv["sort"],))
+            i, j, outs, sorts = mv["i"], mv["j"], (mv["out"],), (mv["sort"],)
         elif kind == "split":
-            move = EdgeMove(kind, mv["i"], 0, tuple(mv["outs"]), tuple(mv["sorts"]))
+            i, j, outs, sorts = mv["i"], 0, tuple(mv["outs"]), tuple(mv["sorts"])
             if not (isinstance(mv["outs"], list) and isinstance(mv["sorts"], list)):
                 raise TypeError  # a string or an object reads as a sequence too
         else:
@@ -526,13 +512,14 @@ def _edge_from_json(key, mv) -> EdgeMove:
     if not mv.keys() <= EDGE_FIELDS[kind]:
         extra = next(field for field in mv if field not in EDGE_FIELDS[kind])
         raise CubeError(f"edge {key!r}: unknown field {extra!r}")
-    _kind, i, j, outs, sorts = move
     arity = 1 if kind == "merge" else 2
     if ({type(i), type(j), *map(type, outs)} != {int} or len(outs) != arity
             or len(sorts) != arity or sorts.count("A") + sorts.count("E") != arity):
         raise CubeError(f"edge {key!r}: a {kind} takes integer positions "
                         f"and {arity} output sort(s) A/E")
-    return move
+    if kind == "merge":  # a merge reads its circles in increasing order
+        return Move(kind, (i - 1, j - 1) if i < j else (j - 1, i - 1), (outs[0] - 1,), sorts)
+    return Move(kind, (i - 1,), (outs[0] - 1, outs[1] - 1), sorts)
 
 
 def cube_from_json(text) -> StateCube:

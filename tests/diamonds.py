@@ -30,14 +30,14 @@ DIAMOND_CASES or the enumeration here and write
 import json
 from itertools import permutations, product
 
-from frobpair.cobordism import DIAMOND_CASES, MOVES, CobordismWord, Event, swap
+from frobpair.cobordism import DIAMOND_CASES, MOVES, CobordismWord, Move, event
 from frobpair.tensor import SORTS
 
 
-def step(current, event):
-    """Apply one event to a running word; returns (generator, new word), the
+def step(current, move):
+    """Apply one Move to a running word; returns (generator, new word), the
     generator None for a swap, which only reorders circles."""
-    cob = CobordismWord(current, [event])
+    cob = CobordismWord(current, [move])
     return cob.moves[0][0], cob.words[-1]
 
 
@@ -48,11 +48,11 @@ def edge_labelings(w, steps):
         nxt = []
         for events, cur in options:
             if kind == "swap":
-                labelled = [swap(pos)]
+                labelled = [event("swap", pos)]
             else:
                 move = "mobius" if kind == "cross" else kind
                 arity, table = MOVES[move]
-                labelled = [Event(move, pos, key[arity:]) for key in sorted(table)
+                labelled = [event(move, pos, key[arity:]) for key in sorted(table)
                             if key[:arity] == cur[pos - 1:pos - 1 + arity]]
             nxt.extend((events + [ev], step(cur, ev)[1]) for ev in labelled)
         options = nxt
@@ -65,10 +65,11 @@ REVERSED = {"merge": "split", "split": "merge", "mobius": "mobius"}
 
 def reverse_events(start, events):
     """The upside-down edge of events on start, from their end back to start:
-    each move read in the other direction, writing the sorts it consumed."""
+    each move read in the other direction, from its output slots to its source
+    slots, writing the sorts it consumed."""
     words = CobordismWord(start, events).words
     return [ev if ev.kind == "swap" else
-            Event(REVERSED[ev.kind], ev.pos, before[ev.pos - 1:ev.pos - 1 + MOVES[ev.kind][0]])
+            Move(REVERSED[ev.kind], ev.dst, ev.src, tuple([before[p] for p in ev.src]))
             for ev, before in zip(reversed(events), reversed(words[:-1]))]
 
 

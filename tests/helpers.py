@@ -62,8 +62,8 @@ from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
-from frobpair.cobordism import DIAMOND_CASES, MERGE_GEN, SPLIT_GEN, CobordismWord, evaluate
-from frobpair.cube import CubeError, EdgeMove, StateCube, _bits, cube_from_json, differential
+from frobpair.cobordism import DIAMOND_CASES, MERGE_GEN, SPLIT_GEN, CobordismWord, Move, evaluate
+from frobpair.cube import CubeError, StateCube, _bits, cube_from_json, differential
 from frobpair.pair import (
     DOUBLE_SEARCH_EQUATIONS,
     FrobeniusPair,
@@ -347,11 +347,11 @@ def cube_to_json(cube: StateCube) -> str:
     for (b, k), move in sorted(cube.edges.items()):
         key = b[:k] + "*" + b[k + 1:]
         if move.kind == "merge":
-            edges[key] = {"kind": "merge", "i": move.i, "j": move.j,
-                          "out": move.outs[0], "sort": move.sorts[0]}
+            edges[key] = {"kind": "merge", "i": move.src[0] + 1, "j": move.src[1] + 1,
+                          "out": move.dst[0] + 1, "sort": move.sorts[0]}
         else:
-            edges[key] = {"kind": "split", "i": move.i,
-                          "outs": list(move.outs), "sorts": list(move.sorts)}
+            edges[key] = {"kind": "split", "i": move.src[0] + 1,
+                          "outs": [q + 1 for q in move.dst], "sorts": list(move.sorts)}
     obj = {
         "n": cube.n,
         "vertices": {b: list(cube.vertices[b]) for b in _bits(cube.n)},
@@ -404,60 +404,60 @@ def diamond_by_paths(pair, cases=DIAMOND_CASES) -> list:
 
 
 def _correspondence(w_in, move):
-    """Positional maps across an edge: (out word, untouched src->dst dict).
+    """Positional maps across an edge's Move, by the per-kind rules: (out word,
+    untouched src->dst dict), slots 0-based as the Move's.
 
     Raises CubeError if the move is not signature-legal on w_in.
     """
     n_in = len(w_in)
     if move.kind == "merge":
-        i, j, (out,) = move.i, move.j, move.outs
-        if i == j or not (1 <= i <= n_in and 1 <= j <= n_in):
-            raise CubeError(f"merge positions {i},{j} out of range")
-        key = (w_in[min(i, j) - 1], w_in[max(i, j) - 1], move.sorts[0])
+        (i, j), (out,) = move.src, move.dst
+        if i == j or not (0 <= i < n_in and 0 <= j < n_in):
+            raise CubeError(f"merge positions {i + 1},{j + 1} out of range")
+        key = (w_in[min(i, j)], w_in[max(i, j)], move.sorts[0])
         if key not in MERGE_GEN:
             raise CubeError(f"no generator for {key[0]}{key[1]}->{key[2]}")
-        rest = [p for p in range(1, n_in + 1) if p not in (i, j)]
+        rest = [p for p in range(n_in) if p not in (i, j)]
         n_out = n_in - 1
-        if not 1 <= out <= n_out:
-            raise CubeError(f"merge output position {out} out of range")
-        slots = [p for p in range(1, n_out + 1) if p != out]
+        if not 0 <= out < n_out:
+            raise CubeError(f"merge output position {out + 1} out of range")
+        slots = [p for p in range(n_out) if p != out]
     elif move.kind == "split":
-        i, (p1, p2) = move.i, move.outs
-        if not 1 <= i <= n_in:
-            raise CubeError(f"split position {i} out of range")
-        key = (w_in[i - 1],) + tuple(move.sorts)
+        (i,), (p1, p2) = move.src, move.dst
+        if not 0 <= i < n_in:
+            raise CubeError(f"split position {i + 1} out of range")
+        key = (w_in[i],) + tuple(move.sorts)
         if key not in SPLIT_GEN:
             raise CubeError(f"no generator for {key[0]}->{key[1]}{key[2]}")
         n_out = n_in + 1
-        if p1 == p2 or not (1 <= p1 <= n_out and 1 <= p2 <= n_out):
-            raise CubeError(f"split output positions {p1},{p2} out of range")
-        rest = [p for p in range(1, n_in + 1) if p != i]
-        slots = [p for p in range(1, n_out + 1) if p not in (p1, p2)]
+        if p1 == p2 or not (0 <= p1 < n_out and 0 <= p2 < n_out):
+            raise CubeError(f"split output positions {p1 + 1},{p2 + 1} out of range")
+        rest = [p for p in range(n_in) if p != i]
+        slots = [p for p in range(n_out) if p not in (p1, p2)]
     else:
         raise CubeError(f"unknown move kind {move.kind!r}")
     corr = dict(zip(rest, slots))
     w_out = [None] * n_out
-    for p, sort in zip(move.outs, move.sorts):
-        w_out[p - 1] = sort
+    for p, sort in zip(move.dst, move.sorts):
+        w_out[p] = sort
     for src, dst in corr.items():
-        w_out[dst - 1] = w_in[src - 1]
+        w_out[dst] = w_in[src]
     return tuple(w_out), corr
 
 
 def _provenance(w_in, move):
-    """For each output position, the set of source positions it may contain."""
+    """For each output slot, the set of source slots it may contain."""
     w_out, corr = _correspondence(w_in, move)
     back = {dst: src for src, dst in corr.items()}
-    consumed = frozenset((move.i, move.j) if move.kind == "merge" else (move.i,))
-    return [frozenset((back[p],)) if p in back else consumed
-            for p in range(1, len(w_out) + 1)]
+    consumed = frozenset(move.src)
+    return [frozenset((back[p],)) if p in back else consumed for p in range(len(w_out))]
 
 
 def _square_provenance(cube, b, first, second):
     prov1 = _provenance(cube.vertices[b], cube.edges[(b, first)])
     b1 = b[:first] + "1" + b[first + 1:]
     prov2 = _provenance(cube.vertices[b1], cube.edges[(b1, second)])
-    return [frozenset().union(*(prov1[q - 1] for q in sources)) for sources in prov2]
+    return [frozenset().union(*(prov1[q] for q in sources)) for sources in prov2]
 
 
 def item_one_cubes():
@@ -570,37 +570,35 @@ def first_refusal_by_correspondence(cube):
 
 def square_circles(cube, b, k, l):
     """Forward circle tracking around the square at b flipping bits k and l,
-    by the per-kind edge rules: (T, passive), T the set of 1-based positions
-    of circles at b that either path touches, and passive, for each path
-    (k then l, l then k), the far-corner position of every other circle."""
+    by the per-kind edge rules: (T, passive), T the set of 0-based slots of
+    circles at b that either path touches, and passive, for each path
+    (k then l, l then k), the far-corner slot of every other circle."""
     paths = []
     for first, second in ((k, l), (l, k)):
         mid = _flip(b, first)
         _, one = _correspondence(cube.vertices[b], cube.edges[(b, first)])
         _, two = _correspondence(cube.vertices[mid], cube.edges[(mid, second)])
         paths.append({p: two[q] for p, q in one.items() if q in two})
-    touched = {p for p in range(1, len(cube.vertices[b]) + 1)
-               if any(p not in path for path in paths)}
+    touched = {p for p in range(len(cube.vertices[b])) if any(p not in path for path in paths)}
     return touched, [{p: far for p, far in path.items() if p not in touched} for path in paths]
 
 
 def local_square_key(cube, b, k, l):
     """The square at b flipping k and l on the circles T it touches: the sorts
-    of T at b, then each path's two moves with every position renumbered by
-    its rank among the positions not holding a passive circle."""
+    of T at b, then each path's two moves with every slot renumbered by its
+    rank among the slots not holding a passive circle."""
     touched, _passive = square_circles(cube, b, k, l)
-    key = [tuple(cube.vertices[b][p - 1] for p in sorted(touched))]
+    key = [tuple(cube.vertices[b][p] for p in sorted(touched))]
     for first, second in ((k, l), (l, k)):
-        vertex, passive = b, set(range(1, len(cube.vertices[b]) + 1)) - touched
+        vertex, passive = b, set(range(len(cube.vertices[b]))) - touched
         for bit in (first, second):
             move, target = cube.edges[(vertex, bit)], _flip(vertex, bit)
             _, corr = _correspondence(cube.vertices[vertex], move)
             moved = {corr[p] for p in passive}
-            rank = [p for p in range(1, len(cube.vertices[vertex]) + 1) if p not in passive]
-            out = [q for q in range(1, len(cube.vertices[target]) + 1) if q not in moved]
-            sources = (move.i, move.j) if move.kind == "merge" else (move.i,)
-            key.append((move.kind, tuple(sorted(rank.index(p) for p in sources)),
-                        tuple(out.index(q) for q in move.outs), move.sorts))
+            rank = [p for p in range(len(cube.vertices[vertex])) if p not in passive]
+            out = [q for q in range(len(cube.vertices[target])) if q not in moved]
+            key.append((move.kind, tuple(sorted(rank.index(p) for p in move.src)),
+                        tuple(out.index(q) for q in move.dst), move.sorts))
             vertex, passive = target, moved
     return tuple(key)
 
@@ -685,14 +683,10 @@ def chord_cube(rng, sigma, chords, sort_tries=40):
     labelling = _assign_sorts(rng, n, cycles, moves, sort_tries)
     vertices = {b: tuple(labelling[b]) for b in _bits_all(n)}
     edges = {}
-    for (b, k), (kind, i, j, outs) in moves.items():
-        if kind == "merge":
-            sort = vertices[_flip(b, k)][outs[0] - 1]
-            edges[(b, k)] = EdgeMove("merge", i, j, outs, (sort,))
-        else:
-            w = vertices[_flip(b, k)]
-            edges[(b, k)] = EdgeMove("split", i, 0, outs,
-                                     (w[outs[0] - 1], w[outs[1] - 1]))
+    for (b, k), (kind, i, j, outs) in moves.items():  # 1-based, a merge's i < j
+        w = vertices[_flip(b, k)]
+        edges[(b, k)] = Move(kind, (i - 1, j - 1) if kind == "merge" else (i - 1,),
+                             tuple(q - 1 for q in outs), tuple(w[q - 1] for q in outs))
     return StateCube(n, vertices, edges)
 
 
@@ -816,7 +810,7 @@ def disjoint_saddles(square) -> bool:
 
 def cube_square_moves(cube, b, k, l):
     """The square at b flipping bits k and l as two paths of moves, read off
-    the cube's edges by the per-kind rules: a merge reads its two positions in
+    the cube's edges by the per-kind rules: a merge reads its two slots in
     increasing order, a split its one, and a move's generator is named by its
     kind, source sorts and output sorts."""
     paths = []
@@ -824,10 +818,9 @@ def cube_square_moves(cube, b, k, l):
         vertex, path = b, []
         for bit in (first, second):
             move, w = cube.edges[(vertex, bit)], tuple(cube.vertices[vertex])
-            src = tuple(sorted(p - 1 for p in ((move.i, move.j) if move.kind == "merge"
-                                               else (move.i,))))
+            src = tuple(sorted(move.src))
             gen = (move.kind, tuple(w[p] for p in src), tuple(move.sorts))
-            path.append((w, gen, src, tuple(q - 1 for q in move.outs)))
+            path.append((w, gen, src, move.dst))
             vertex = vertex[:bit] + "1" + vertex[bit + 1:]
         paths.append(tuple(path))
     return tuple(paths)

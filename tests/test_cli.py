@@ -6,6 +6,7 @@ import os
 import pathlib
 import pkgutil
 import random
+import shlex
 import subprocess
 import sys
 
@@ -997,6 +998,13 @@ APS_DEEP_COEFF = (importlib.resources.files("frobpair").joinpath("data/aps.json"
                   .replace('"coeff": "1"', f'"coeff": "{PARENS_3000}"', 1))
 
 
+def aps_with_first_mu_a_term(**fields):
+    """The shipped aps pair file with fields of $.maps.mu_A[0].out[0] replaced."""
+    obj = json.loads(importlib.resources.files("frobpair").joinpath("data/aps.json").read_text())
+    obj["maps"]["mu_A"][0]["out"][0].update(fields)
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("argv,files,message", [
     (("verify",), {}, "need --pair FILE or --builtin NAME"),
     (("verify", "--builtin", "aps", "--axioms", "NOSUCH"), {},
@@ -1014,6 +1022,12 @@ APS_DEEP_COEFF = (importlib.resources.files("frobpair").joinpath("data/aps.json"
      "line 1: first line must declare the input word"),
     (("eval", "--builtin", "aps", "FILE"), {"FILE": "input A A\nswap 2\n"},
      "line 2: swap positions 2,3 out of range"),
+    (("eval", "--builtin", "aps", "FILE"), {"FILE": "# no input\n\n  # and no event\n"},
+     "missing input line"),
+    (("verify", "--pair", "FILE"), {"FILE": aps_with_first_mu_a_term(basis=["X", "X"])},
+     "signature mismatch for mu_A: bad output tuple ('X', 'X')"),
+    (("verify", "--pair", "FILE"), {"FILE": aps_with_first_mu_a_term(coeff="1 2")},
+     "$.maps.mu_A[0].out[0].coeff: trailing input at position 2"),
     (("degree", "+x"), {}, "unknown pole side 'x'"),
     (("eval", "--builtin", "aps", "NOSUCH"), {},
      "[Errno 2] No such file or directory: 'NOSUCH'"),
@@ -1056,6 +1070,7 @@ APS_DEEP_COEFF = (importlib.resources.files("frobpair").joinpath("data/aps.json"
      "double parameter e0 of 4301 digits is too long to read (over 4300 digits)"),
 ], ids=["verify_no_pair", "axioms_missing", "manifest_no_colon", "manifest_no_group",
         "manifest_no_equals", "manifest_empty_layer", "cob_no_input", "cob_swap_past_word",
+        "cob_only_comments", "pair_bad_output_tuple", "pair_coeff_trailing_input",
         "degree_bad_side", "cob_missing", "cube_missing", "specialize_open_paren",
         "specialize_rational_on_tt", "specialize_bad_exponent", "specialize_bad_character",
         "specialize_unknown_name_first", "eval_not_utf8", "cube_not_utf8", "verify_pair_not_utf8",
@@ -1148,3 +1163,39 @@ def test_every_error_class_derives_from_the_one_base():
     assert len(errors) >= 7  # ring, tensor, theory, pair, cobordism, cube, cli
     assert FrobpairError in errors and issubclass(FrobpairError, ValueError)
     assert [cls.__name__ for cls in errors if not issubclass(cls, FrobpairError)] == []
+
+
+def readme_cli_lines():
+    """(command, comment) of each line of the sh block under README's "## CLI"."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [tuple(part.strip() for part in (line + "#").split("#")[:2])
+            for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_run_as_documented(tmp_path, capsys, monkeypatch):
+    # every line of the README's CLI block, in a directory holding the shipped
+    # data files it names and a small matrix.json: none is an input error, and
+    # each documented result holds
+    data = importlib.resources.files("frobpair").joinpath("data")
+    for name in ("torus.cob", "split1.cube", "merge1.cube"):
+        (tmp_path / name).write_text(data.joinpath(name).read_text())
+    (tmp_path / "matrix.json").write_text("[[2, 4], [6, 8]]")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FROBPAIR_AXIOMS", raising=False)
+    lines = readme_cli_lines()
+    assert len(lines) == 11 and "construct" in lines[4][0] and "aps.json" in lines[5][0]
+    documented = {}
+    for command, comment in lines:
+        argv = shlex.split(command)
+        assert argv[0] == "frobpair", command
+        code, out, err = run(capsys, *argv[1:])
+        assert code in (0, 1) and err == "", (command, code, err)
+        documented[argv[1]] = documented.get(argv[1], []) + [(code, out, comment)]
+    verify_aps, verify_it = documented["verify"][:2]
+    assert verify_aps[0] == 0 and verify_aps[2].startswith("exit 0")
+    assert verify_it[0] == 1 and verify_it[2].startswith("exit 1")
+    assert [out for _code, out, _comment in documented["eval"]] == ["2\n"]
+    assert [out for _code, out, _comment in documented["degree"]] == ["1 0 total=1 essential\n"]
+    assert documented["degree"][0][2] == '"1 0 total=1 essential"'
+    assert (tmp_path / "aps.json").is_file()

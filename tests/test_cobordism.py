@@ -14,20 +14,15 @@ from frobpair.cobordism import (
     SPLIT_GEN,
     CobordismError,
     CobordismWord,
-    Event,
-    birth,
+    Move,
     compare_squares,
-    death,
     diamond_exchange_suite,
     evaluate,
+    event,
     interpret,
-    merge,
-    mobius,
     parse_cobordism,
     pole_degree,
-    split,
     square_plan,
-    swap,
     _interchanged,
 )
 from frobpair.cli import build_builtin, main
@@ -87,10 +82,15 @@ def test_parse_event_arity():
 
 
 def test_events_and_words_take_their_arguments():
-    assert Event("birth", 1, ("A",)) == birth(1) and hash(Event("birth", 1, ("A",))) == hash(birth(1))
-    assert Event(kind="death", pos=2) == death(2) and death(2).sorts == ()
-    assert split(1, "EE") == Event("split", 1, ("E", "E"))
-    events = [swap(1), Event("merge", 1, ("E",))]
+    # event() reads a 1-based position into Move slots: sources from it, outputs in their place
+    assert Move("birth", (), (0,), ("A",)) == event("birth", 1, ("A",))
+    assert hash(Move("birth", (), (0,), ("A",))) == hash(event("birth", 1, "A"))
+    assert Move(kind="death", src=(1,), dst=()) == event("death", 2) and event("death", 2).sorts == ()
+    assert event("split", 1, "EE") == Move("split", (0,), (0, 1), ("E", "E"))
+    assert event("merge", 2, "A") == Move("merge", (1, 2), (1,), ("A",))
+    assert event("mobius", 3, "E") == Move("mobius", (2,), (2,), ("E",))
+    assert event("swap", 2) == Move("swap", (1, 2), (2, 1))
+    events = [event("swap", 1), Move("merge", (0, 1), (0,), ("E",))]
     cob = CobordismWord(word("AE"), events)
     assert cob.input == word("AE") and cob.events == events and cob.events is not events
     assert cob.words == [word("AE"), word("EA"), word("E")] and len(cob.moves) == 2
@@ -159,18 +159,18 @@ def random_events(rng, w, n):
     for _ in range(n):
         choices = []
         for p in range(1, len(current) + 1):
-            choices.append(birth(p))
+            choices.append(event("birth", p, "A"))
             if current[p - 1] == "A":
-                choices.append(death(p))
+                choices.append(event("death", p))
             for s in ("A", "E"):
-                choices.append(mobius(p, s))
+                choices.append(event("mobius", p, s))
                 for s2 in ("A", "E"):
-                    choices.append(split(p, (s, s2)))
+                    choices.append(event("split", p, (s, s2)))
             if p < len(current):
-                choices.append(swap(p))
+                choices.append(event("swap", p))
                 for s in ("A", "E"):
-                    choices.append(merge(p, s))
-        choices.append(birth(len(current) + 1))
+                    choices.append(event("merge", p, s))
+        choices.append(event("birth", len(current) + 1, "A"))
         rng.shuffle(choices)
         for ev in choices:
             try:
@@ -195,7 +195,8 @@ def test_far_commutativity():
         if evs is None:
             continue
         e1, e2 = evs
-        span1 = {e1.pos, e1.pos + (1 if e1.kind in ("merge", "swap") else 0)}
+        pos1, pos2 = (min(e.src + e.dst) + 1 for e in evs)  # each event's 1-based position
+        span1 = {pos1, pos1 + (1 if e1.kind in ("merge", "swap") else 0)}
         # positions of e2 in the intermediate word; require a gap so that the
         # second event also makes sense first, shifted back appropriately
         if e1.kind in ("birth", "split"):
@@ -204,11 +205,11 @@ def test_far_commutativity():
             shift = -1
         else:
             shift = 0
-        if e2.pos <= max(span1) + 1:
+        if pos2 <= max(span1) + 1:
             continue
-        moved = type(e2)(e2.kind, e2.pos - shift, e2.sorts)
+        moved = event(e2.kind, pos2 - shift, e2.sorts)
         try:
-            other = CobordismWord(w, [moved, type(e1)(e1.kind, e1.pos, e1.sorts)])
+            other = CobordismWord(w, [moved, e1])
         except CobordismError:
             continue
         one = CobordismWord(w, [e1, e2])
@@ -238,6 +239,13 @@ def test_pole_degree_odd_rejected():
 from helpers import brute_force_pole_degrees as brute_force_degrees, cancel_pole_pairs, \
     diamond_by_paths, disjoint_saddles, double_z2, hand_placement, rank2_at_a1, random_cube, \
     random_integer_pair, record_act_chains
+
+
+def test_interpret_refuses_an_unknown_kind():
+    # a swap is placed by CobordismWord.append alone, never read by interpret
+    for w, move in ((word("AE"), Move("swap", (0, 1), (1, 0))), (word("A"), Move("cap", (0,), ()))):
+        with pytest.raises(CobordismError, match=f"^unknown move kind {move.kind!r}$"):
+            interpret(w, *move)
 
 
 def test_interpret_places_every_move_as_by_hand():
@@ -707,11 +715,15 @@ def test_diamond_products_by_one_are_skipped(monkeypatch):
 def test_parse_reads_each_event_once(monkeypatch):
     import frobpair.cobordism as cob_mod
 
+    # interpret reads every event but the swap, which move_plan places alone
     reads = []
-    real = cob_mod._read
-    monkeypatch.setattr(cob_mod, "_read", lambda w, ev: reads.append(ev) or real(w, ev))
+    real = cob_mod.interpret
+    monkeypatch.setattr(cob_mod, "interpret",
+                        lambda w, *move: reads.append(move) or real(w, *move))
     cob = parse_cobordism("input A E\nswap 1\nmerge 1 E\nmobius 1 A\nbirth 1\ndeath 2\n")
-    assert reads == cob.events and len(cob.moves) == 5
+    assert reads == [tuple(ev) for ev in cob.events if ev.kind != "swap"] == [
+        ("merge", (0, 1), (0,), ("E",)), ("mobius", (0,), (0,), ("A",)),
+        ("birth", (), (0,), ("A",)), ("death", (1,), (), ())] and len(cob.moves) == 5
 
 
 @pytest.mark.parametrize("text,message", [

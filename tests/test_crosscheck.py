@@ -17,7 +17,6 @@ from frobpair.cobordism import (
     MERGE_GEN,
     MOBIUS_GEN,
     SPLIT_GEN,
-    CobordismWord,
     evaluate,
     parse_cobordism,
 )
@@ -114,29 +113,39 @@ def test_naive_interpreter_agrees_on_it_including_witnesses():
 EVENT_WIDTH = {"birth": 0, "death": 1, "merge": 2, "split": 1, "mobius": 1, "swap": 2}
 
 
+def naive_events(text):
+    """(input word, events) of a cobordism file, each event its own
+    (kind, 1-based position, sorts written) record, read with nothing of
+    frobpair.cobordism."""
+    lines = [line.split() for line in text.splitlines() if line.split()]
+    assert lines[0][0] == "input"
+    return tuple(lines[0][1:]), [(kind, int(pos), tuple(sorts)) for kind, pos, *sorts in lines[1:]]
+
+
 def naive_event(ev, w):
     """(generator, sorts written) of an event on the running word w, read
     straight from the generator tables; the generator is None for a swap."""
-    p = ev.pos - 1
-    if ev.kind == "swap":
+    kind, pos, sorts = ev
+    p = pos - 1
+    if kind == "swap":
         return None, (w[p + 1], w[p])
-    if ev.kind == "birth":
+    if kind == "birth":
         return "eta", ("A",)
-    if ev.kind == "death":
+    if kind == "death":
         assert w[p] == "A"
         return "eps", ()
-    table = {"merge": MERGE_GEN, "split": SPLIT_GEN, "mobius": MOBIUS_GEN}[ev.kind]
-    return table[tuple(w[p:p + EVENT_WIDTH[ev.kind]]) + tuple(ev.sorts)], tuple(ev.sorts)
+    table = {"merge": MERGE_GEN, "split": SPLIT_GEN, "mobius": MOBIUS_GEN}[kind]
+    return table[tuple(w[p:p + EVENT_WIDTH[kind]]) + sorts], sorts
 
 
-def naive_run(cob, pair, columns, start):
-    """Apply a cobordism word to a single basis tuple, event by event,
-    tracking the running word itself."""
+def naive_run(text, cob, pair, columns, start):
+    """Apply the cobordism file text to a single basis tuple, event by event,
+    tracking the running word itself, which must end as cob's."""
     one = pair.ring.one()
     vec = {tuple(start): one}
-    w = tuple(cob.input)
-    for ev in cob.events:
-        p, width = ev.pos - 1, EVENT_WIDTH[ev.kind]
+    w, events = naive_events(text)
+    for ev in events:
+        p, width = ev[1] - 1, EVENT_WIDTH[ev[0]]
         gen, written = naive_event(ev, w)
         w = w[:p] + written + w[p + width:]
         out = {}
@@ -152,27 +161,32 @@ def naive_run(cob, pair, columns, start):
     return vec
 
 
-def diamond_words(cases):
-    """The four cobordism words of every square the exchange suite compares."""
+def diamond_texts(cases):
+    """The four cobordism words of every square the exchange suite compares,
+    each as a cobordism file: an event at the 1-based position of the first
+    slot it reads or writes, a birth with no sort."""
     for _name, *paths in labelled_squares(cases):
         for (start, first), (_middle, second) in paths:
-            yield CobordismWord(start, first + second)
+            yield "\n".join([" ".join(["input", *start])] + [
+                " ".join([move.kind, str(min(move.src + move.dst) + 1),
+                          *(move.sorts if move.kind != "birth" else ())])
+                for move in first + second])
 
 
 def test_naive_event_interpreter_agrees_on_diamond_words():
-    torus = parse_cobordism(importlib.resources.files("frobpair")
-                            .joinpath("data/torus.cob").read_text())
+    torus = importlib.resources.files("frobpair").joinpath("data/torus.cob").read_text()
     cases = DIAMOND_CASES[:5] + [c for c in DIAMOND_CASES if c[0] == "case08_crossed_bridges"]
-    words = [torus] + list(diamond_words(cases))
-    assert {ev.kind for cob in words for ev in cob.events} == \
+    texts = [torus] + list(diamond_texts(cases))
+    assert {ev[0] for text in texts for ev in naive_events(text)[1]} == \
         {"birth", "death", "merge", "split", "swap", "mobius"}
     for pair in (build_aps(), build_tt()):
         columns = column_table(pair)
-        for cob in words:
+        for text in texts:
+            cob = parse_cobordism(text)
             m = evaluate(cob, pair)
             for start in pair.spec.tuples(cob.input):
-                assert m.column(start) == naive_run(cob, pair, columns, start), \
-                    (pair.name, cob.events, start)
+                assert m.column(start) == naive_run(text, cob, pair, columns, start), \
+                    (pair.name, text, start)
 
 
 # -- cube edge maps -------------------------------------------------------------------
@@ -182,23 +196,20 @@ def naive_edge_map(cube, pair, columns, b, k):
     """Entries of the edge map on (b, k), one input basis tuple at a time."""
     move = cube.edges[(b, k)]
     w_in = cube.vertices[b]
-    if move.kind == "merge":
-        sources = tuple(sorted((move.i, move.j)))
-        gen = MERGE_GEN[(w_in[sources[0] - 1], w_in[sources[1] - 1], move.sorts[0])]
-    else:
-        sources = (move.i,)
-        gen = SPLIT_GEN[(w_in[move.i - 1],) + tuple(move.sorts)]
-    n_out = len(w_in) - len(sources) + len(move.outs)
-    untouched = [p for p in range(1, len(w_in) + 1) if p not in sources]
-    free = [p for p in range(1, n_out + 1) if p not in move.outs]
+    sources = tuple(sorted(move.src))
+    gen = {"merge": MERGE_GEN, "split": SPLIT_GEN}[move.kind][
+        tuple(w_in[p] for p in sources) + tuple(move.sorts)]
+    n_out = len(w_in) - len(sources) + len(move.dst)
+    untouched = [p for p in range(len(w_in)) if p not in sources]
+    free = [q for q in range(n_out) if q not in move.dst]
     entries = {}
     for t in pair.spec.tuples(w_in):
-        for produced, c in columns[gen].get(tuple(t[p - 1] for p in sources), {}).items():
+        for produced, c in columns[gen].get(tuple(t[p] for p in sources), {}).items():
             o = [None] * n_out
-            for slot, label in zip(move.outs, produced):
-                o[slot - 1] = label
+            for slot, label in zip(move.dst, produced):
+                o[slot] = label
             for src, slot in zip(untouched, free):
-                o[slot - 1] = t[src - 1]
+                o[slot] = t[src]
             entries[(tuple(o), t)] = c
     return entries
 
@@ -213,8 +224,8 @@ def test_naive_edge_maps_agree_on_random_cubes():
             for (b, k), move in cube.edges.items():
                 assert edge_map(cube, pair, b, k).entries == \
                     naive_edge_map(cube, pair, columns, b, k), (pair.name, b, k, move)
-                if move.kind == "merge" and abs(move.i - move.j) > 1:
+                if move.kind == "merge" and abs(move.src[0] - move.src[1]) > 1:
                     seen.add("non-adjacent merge")
-                if move.kind == "split" and move.outs[0] > move.outs[1]:
+                if move.kind == "split" and move.dst[0] > move.dst[1]:
                     seen.add("reordered split")
     assert seen == {"non-adjacent merge", "reordered split"}

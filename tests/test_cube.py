@@ -9,10 +9,10 @@ import pytest
 
 import frobpair.cobordism as cobordism
 from frobpair.cli import build_builtin
+from frobpair.cobordism import Move
 from frobpair.cube import (
     BlockMatrix,
     CubeError,
-    EdgeMove,
     StateCube,
     _unit_pivots,
     check_d_squared,
@@ -65,12 +65,12 @@ Z = ring(INTEGERS)
 
 def split1_cube():
     return StateCube(1, {"0": ("A",), "1": ("A", "A")},
-                     {("0", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A"))})
+                     {("0", 0): Move("split", (0,), (0, 1), ("A", "A"))})
 
 
 def merge1_cube():
     return StateCube(1, {"0": ("A", "A"), "1": ("A",)},
-                     {("0", 0): EdgeMove("merge", 1, 2, (1,), ("A",))})
+                     {("0", 0): Move("merge", (0, 1), (0,), ("A",))})
 
 
 def chain_cube_all_e():
@@ -79,10 +79,10 @@ def chain_cube_all_e():
     return StateCube(2, {
         "00": ("E", "E", "E"), "10": ("A", "E"), "01": ("E", "E"), "11": ("E",),
     }, {
-        ("00", 0): EdgeMove("merge", 1, 2, (1,), ("A",)),
-        ("00", 1): EdgeMove("merge", 2, 3, (2,), ("E",)),
-        ("10", 1): EdgeMove("merge", 1, 2, (1,), ("E",)),
-        ("01", 0): EdgeMove("merge", 1, 2, (1,), ("E",)),
+        ("00", 0): Move("merge", (0, 1), (0,), ("A",)),
+        ("00", 1): Move("merge", (1, 2), (1,), ("E",)),
+        ("10", 1): Move("merge", (0, 1), (0,), ("E",)),
+        ("01", 0): Move("merge", (0, 1), (0,), ("E",)),
     })
 
 
@@ -95,19 +95,19 @@ def test_validate_split1():
 
 def test_validate_rejects_merge_on_single_circle():
     with pytest.raises(CubeError, match="out of range"):
-        StateCube(1, {"0": ("A",), "1": ()}, {("0", 0): EdgeMove("merge", 1, 2, (1,), ("A",))})
+        StateCube(1, {"0": ("A",), "1": ()}, {("0", 0): Move("merge", (0, 1), (0,), ("A",))})
 
 
 def test_validate_rejects_word_mismatch():
     with pytest.raises(CubeError, match="produces word"):
         StateCube(1, {"0": ("A",), "1": ("E", "E")},
-                  {("0", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A"))})
+                  {("0", 0): Move("split", (0,), (0, 1), ("A", "A"))})
 
 
 def test_validate_rejects_illegal_sorts():
     with pytest.raises(CubeError, match="no generator"):
         StateCube(1, {"0": ("A",), "1": ("A", "E")},
-                  {("0", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "E"))})
+                  {("0", 0): Move("split", (0,), (0, 1), ("A", "E"))})
 
 
 def test_validate_rejects_a_split_with_one_output_slot_for_two_sorts():
@@ -115,7 +115,7 @@ def test_validate_rejects_a_split_with_one_output_slot_for_two_sorts():
     # the move's outputs, refuses one slot for two output sorts, so no circle is lost
     with pytest.raises(CubeError) as refusal:
         StateCube(1, {"0": ("A",), "1": ("A",)},
-                  {("0", 0): EdgeMove("split", 1, 0, (1,), ("A", "A"))})
+                  {("0", 0): Move("split", (0,), (0,), ("A", "A"))})
     assert str(refusal.value) == \
         "edge 0/0: target slots (0,) do not fit the image of slots (0,) of ('A',)"
 
@@ -125,11 +125,11 @@ def test_validate_rejects_incompatible_square():
     vertices = {"00": ("A", "A"), "10": ("A", "A", "A"), "01": ("A", "A", "A"),
                 "11": ("A", "A", "A", "A")}
     edges = {
-        ("00", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
-        ("00", 1): EdgeMove("split", 2, 0, (2, 3), ("A", "A")),
-        ("10", 1): EdgeMove("split", 3, 0, (3, 4), ("A", "A")),
+        ("00", 0): Move("split", (0,), (0, 1), ("A", "A")),
+        ("00", 1): Move("split", (1,), (1, 2), ("A", "A")),
+        ("10", 1): Move("split", (2,), (2, 3), ("A", "A")),
         # wrong: sends the untouched third circle elsewhere
-        ("01", 0): EdgeMove("split", 1, 0, (1, 4), ("A", "A")),
+        ("01", 0): Move("split", (0,), (0, 3), ("A", "A")),
     }
     with pytest.raises(CubeError, match="does not commute"):
         StateCube(2, vertices, edges)
@@ -155,9 +155,9 @@ def perturbed(rng, cube):
     merge's output shifted one place."""
     (b, k), move = rng.choice(sorted(cube.edges.items()))
     if move.kind == "split":
-        move = move._replace(outs=move.outs[::-1])
+        move = move._replace(dst=move.dst[::-1])
     else:
-        move = move._replace(outs=(move.outs[0] % (len(cube.vertices[b]) - 1) + 1,))
+        move = move._replace(dst=((move.dst[0] + 1) % (len(cube.vertices[b]) - 1),))
     return Draft(cube.n, cube.vertices, {**cube.edges, (b, k): move})
 
 
@@ -204,8 +204,8 @@ def test_validated_squares_take_passive_circles_to_the_same_far_slot():
 
 
 def broken(move):
-    """The move with its outputs at position 0, out of range on any word."""
-    return move._replace(outs=(0,) * len(move.outs))
+    """The move with its outputs at slot -1, out of range on any word."""
+    return move._replace(dst=(-1,) * len(move.dst))
 
 
 def test_validate_refuses_an_edge_before_an_earlier_square():
@@ -275,8 +275,9 @@ def test_load_interprets_each_edge_once(monkeypatch):
     import frobpair.cube as cube_mod
 
     calls = []
-    real = cube_mod._interpret
-    monkeypatch.setattr(cube_mod, "_interpret", lambda w, m: calls.append((w, m)) or real(w, m))
+    real = cube_mod.interpret
+    monkeypatch.setattr(cube_mod, "interpret",
+                        lambda w, *m: calls.append((w, Move(*m))) or real(w, *m))
     aps = build_aps()
     for n in (1, 3, 5):
         cube = random_cube(random.Random(n), n=n, max_circles=8)
@@ -345,19 +346,22 @@ def test_validate_refuses_an_edge_on_a_one_bit_in_scan_order():
     # before those of later ones
     with pytest.raises(CubeError, match=r"^missing edge 0->1$"):
         StateCube(1, {"0": ("A",), "1": ("A", "A")},
-                  {("1", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A"))})
+                  {("1", 0): Move("split", (0,), (0, 1), ("A", "A"))})
     with pytest.raises(CubeError, match=r"^edge 01/1 flips a 1-bit$"):
         StateCube(2, {"00": ("A",), "01": ("A", "A"), "10": ("A", "A"), "11": ("A",) * 3},
-                  {("00", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
-                   ("00", 1): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
-                   ("01", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "A")),
-                   ("01", 1): EdgeMove("split", 1, 0, (1, 2), ("A", "A"))})
+                  {("00", 0): Move("split", (0,), (0, 1), ("A", "A")),
+                   ("00", 1): Move("split", (0,), (0, 1), ("A", "A")),
+                   ("01", 0): Move("split", (0,), (0, 1), ("A", "A")),
+                   ("01", 1): Move("split", (0,), (0, 1), ("A", "A"))})
 
 
 def test_edge_errors_name_the_edge():
     with pytest.raises(CubeError, match=r"^edge 0/0: no generator for A->AE$"):
         StateCube(1, {"0": ("A",), "1": ("A", "E")},
-                  {("0", 0): EdgeMove("split", 1, 0, (1, 2), ("A", "E"))})
+                  {("0", 0): Move("split", (0,), (0, 1), ("A", "E"))})
+    # a swap is a cobordism-word move only: interpret, which reads cube edges, refuses it
+    with pytest.raises(CubeError, match=r"^edge 0/0: unknown move kind 'swap'$"):
+        StateCube(1, {"0": ("A", "E"), "1": ("E", "A")}, {("0", 0): Move("swap", (0, 1), (1, 0))})
 
 
 # -- differential -----------------------------------------------------------------
@@ -568,7 +572,7 @@ def test_specialize_tt_to_constants():
 def merge1_cube_all(sort):
     out = "A" if sort == "A" else "E"
     return StateCube(1, {"0": (sort, sort), "1": (out,)},
-                     {("0", 0): EdgeMove("merge", 1, 2, (1,), (out,))})
+                     {("0", 0): Move("merge", (0, 1), (0,), (out,))})
 
 
 def test_specialize_universal_to_aps():
@@ -688,6 +692,11 @@ def test_homology_rejects_q_for_mod2_pair():
         homology(merge1_cube_all("A"), build_tt(), "q")
 
 
+def test_homology_refuses_unknown_coefficients():
+    with pytest.raises(CubeError, match="^unknown coefficients 'r'$"):
+        homology(merge1_cube_all("A"), build_aps(), "r")
+
+
 def test_integer_homology_on_random_cubes():
     # Z and Q ranks of an integer matrix agree, so the Betti numbers do; seed 0
     # reaches a cube with Z/2 torsion, so the torsion check is not vacuous
@@ -741,6 +750,33 @@ def dense_q_report(cube, pair):
     ranks = [rank_fraction(differential(cube, pair, i).dense()) for i in range(cube.n)] + [0]
     return [{"betti": dims[i] - ranks[i] - (ranks[i - 1] if i else 0), "torsion": []}
             for i in range(cube.n + 1)]
+
+
+def mobius_cube():
+    """A 2-crossing cube of 1->1 (mobius) edges on its first circle, which each
+    edge turns from A to E or back; a passive A circle rides along."""
+    there, back = Move("mobius", (0,), (0,), ("E",)), Move("mobius", (0,), (0,), ("A",))
+    return StateCube(2, {"00": ("A", "A"), "10": ("E", "A"), "01": ("E", "A"), "11": ("A", "A")},
+                     {("00", 0): there, ("00", 1): there, ("10", 1): back, ("01", 0): back})
+
+
+def test_mobius_edges_in_a_cube():
+    cube = mobius_cube()
+    assert validate_cube(cube)
+    aps, tt = build_aps(), specialize_pair(build_tt(), {"l": 1})
+    for pair in (aps, tt):
+        assert check_d_squared(cube, pair) == (True, None)
+        assert d_squared_by_differentials(cube, pair)
+    for coeff in ("q", "z", "z2"):
+        assert homology(cube, aps, coeff) == [{"betti": b, "torsion": []} for b in (2, 4, 2)]
+    assert [s["betti"] for s in homology(cube, tt, "z2")] == [0, 0, 0]
+    # the dense ranks of the whole differentials give the same Betti numbers
+    for pair, coeff, rank in ((aps, "q", rank_fraction), (aps, "z2", rank_gf2),
+                              (tt, "z2", rank_gf2)):
+        dims = [len(vertex_keys(cube, pair, i)) for i in range(3)]
+        ranks = [rank(differential(cube, pair, i).dense()) for i in range(2)] + [0]
+        assert [s["betti"] for s in homology(cube, pair, coeff)] == \
+            [dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(3)]
 
 
 def test_unit_pivots_match_dense_snf():
@@ -930,7 +966,8 @@ def test_homology_builds_and_reduces_each_differential_once(monkeypatch, coeff, 
     distinct = {(cube.vertices[b], move) for (b, _k), move in cube.edges.items()}
     assert len(distinct) < len(cube.edges)  # some edges share a map
     assert len(built) == len(distinct)
-    assert set(built) == {(w,) + cube_mod._interpret(w, move)[:3] for w, move in distinct}
+    assert set(built) == {(w, cobordism.interpret(w, *move)[0], move.src, move.dst)
+                          for w, move in distinct}
     gens = {gen for _w, gen, *_ in built}
     assert len(constants) == sum(len(aps.generator_table()[gen].entries) for gen in gens)
     if coeff == "z2":  # int bitsets, no unit-pivot elimination
@@ -1261,6 +1298,21 @@ def test_snf_random_properties():
 
 
 # -- files ------------------------------------------------------------------------------
+
+
+def test_cube_file_edges_read_as_moves():
+    # 1-based file positions become 0-based slots, and a merge reads its
+    # circles in increasing order however the file lists them
+    merge = {"n": 1, "vertices": {"0": ["A", "E"], "1": ["E"]},
+             "edges": {"*": {"kind": "merge", "i": 2, "j": 1, "out": 1, "sort": "E"}}}
+    split = {"n": 1, "vertices": {"0": ["A", "E"], "1": ["A", "E", "A"]},
+             "edges": {"*": {"kind": "split", "i": 1, "outs": [3, 1], "sorts": ["A", "A"]}}}
+    cube = cube_from_json(json.dumps(merge))
+    assert cube.edges == {("0", 0): Move("merge", (0, 1), (0,), ("E",))}
+    assert cube.scan[2][0][1] == "mu_AE"
+    cube = cube_from_json(json.dumps(split))
+    assert cube.edges == {("0", 0): Move("split", (0,), (2, 0), ("A", "A"))}
+    assert cube.scan[2][0][1] == "Delta_A"
 
 
 def test_cube_file_roundtrip(tmp_path):

@@ -20,7 +20,7 @@ import random
 import pytest
 
 from frobpair.cli import BUILTINS, build_builtin
-from frobpair.cobordism import CobordismWord, birth, death, evaluate, merge, split, swap
+from frobpair.cobordism import CobordismWord, evaluate, event
 from frobpair.pair import verify
 
 from helpers import random_integer_pair
@@ -51,29 +51,29 @@ def random_word(rng, closed):
             parent.append(len(parent))
             slots.insert(p, parent[-1])
             chi.append((parent[-1], 1))
-            events.append(birth(p + 1))
+            events.append(event("birth", p + 1, "A"))
         elif kind == "death":
             p = rng.randrange(n)
             chi.append((slots.pop(p), 1))
-            events.append(death(p + 1))
+            events.append(event("death", p + 1))
         elif kind == "split":
             p = rng.randrange(n)
             slots.insert(p, slots[p])
             chi.append((slots[p], -1))
-            events.append(split(p + 1, "AA"))
+            events.append(event("split", p + 1, "AA"))
         else:
             p = rng.randrange(n - 1)
             if kind == "merge":
                 parent[find(slots[p + 1])] = find(slots[p])
                 chi.append((slots.pop(p + 1), -1))
-                events.append(merge(p + 1, "A"))
+                events.append(event("merge", p + 1, "A"))
             else:
                 slots[p], slots[p + 1] = slots[p + 1], slots[p]
-                events.append(swap(p + 1))
+                events.append(event("swap", p + 1))
     while closed and slots:
         p = rng.randrange(len(slots))
         chi.append((slots.pop(p), 1))
-        events.append(death(p + 1))
+        events.append(event("death", p + 1))
     components = {}  # root -> [input slots, output slots, Euler characteristic]
     for x in range(len(parent)):
         components.setdefault(find(x), [[], [], 0])

@@ -664,6 +664,16 @@ def test_eta_unit_coefficient_enforced():
         FrobeniusPair(aps.ring, aps.spec, bad)
 
 
+def test_a_pair_refuses_a_map_of_another_name_signature_or_spec():
+    aps = build_aps()
+    other = LinMap(BasisSpec(("1", "X"), ("Y", "W"), aps.ring), ("A", "A"), ("A",), {})
+    for name, m, message in (("mu_Q", aps.maps["mu_A"], "unknown map name mu_Q"),
+                             ("mu_E", aps.maps["mu_A"], "signature mismatch for mu_E"),
+                             ("mu_A", other, "basis-spec mismatch for mu_A")):
+        with pytest.raises(PairError, match=f"^{message}$"):
+            FrobeniusPair(aps.ring, aps.spec, {**aps.maps, name: m})
+
+
 @pytest.mark.parametrize("gname,derived,key", [
     ("beta", "eps . mu_A", ((), ("1", "1"))),
     ("gamma", "Delta_A . eta", (("1", "1"), ())),

@@ -366,6 +366,12 @@ def test_const_refuses_anything_but_an_int_or_a_fraction(domain, value):
     assert ring(domain).const(Fraction(4, 2)) == ring(domain).const(2)
 
 
+@pytest.mark.parametrize("domain,name", [(INTEGERS, "integer"), (MOD2, "Z/2")])
+def test_const_refuses_a_proper_fraction_outside_q(domain, name):
+    with pytest.raises(RingError, match=f"^rational coefficient in {name} ring$"):
+        ring(domain).const(Fraction(1, 2))
+
+
 @pytest.mark.parametrize("op,name", [(lambda t: t * 2, "int"), (lambda t: 2 * t, "int"),
                                      (lambda t: t + Fraction(1, 2), "Fraction"),
                                      (lambda t: 1 - t, "int")],
